@@ -1,23 +1,36 @@
-// Command bench records the repository's performance trajectory: wall-clock
-// time of every experiment at worker-pool widths 1 and GOMAXPROCS (the
-// sharded-runner speedup), the market engine's session throughput, the
-// allocation profile of the exchange scheduler's fast path, the
-// complaint-store contention benchmark (reputation data-plane backends under
-// concurrent File and mixed file+assess load), the cell-sharding section
-// (one experiment cell split across sub-engines at growing engine-pool
-// widths, plus the FileBatch-vs-File write-path comparison, pgrid's
-// routed-batch path included), and the gossip section (one sharded cell at
-// falling cross-shard sync periods: exchange traffic, remote-apply cost,
-// stale-read fraction). It writes a JSON snapshot (BENCH_PR<n>.json by
-// convention) so successive PRs can be compared.
+// Command bench records the repository's performance trajectory as a JSON
+// snapshot (BENCH_PR<n>.json by convention) so successive changes can be
+// compared. It runs a registry of sections, each timing one layer:
+//
+//   - experiments: every E-table's wall clock at worker-pool widths 1, 4
+//     and GOMAXPROCS
+//   - schedule: allocations and time per op of the exchange scheduler's
+//     fast path
+//   - engine: market-engine session throughput at concurrency 1 and 16
+//   - stores: complaint-store backends under concurrent File and mixed
+//     file+assess load
+//   - cells: one experiment cell split across sub-engines at growing pool
+//     widths, plus the FileBatch-vs-File write path
+//   - gossip: one sharded cell at falling cross-shard sync periods
+//   - evidence: the evidence plane per kind (codec, merge, cell traffic,
+//     redundant-path dedup)
+//   - codec: the posterior export policies against the dense wire
+//   - netsim: the simulator's timer wheel on two event shapes
+//   - assessor: one trust decision by population scan and by the O(1)
+//     aggregate
+//   - trustd: the trust service's ingest, query and recovery costs
+//   - scale: one engine at 10⁴–10⁶ agents (only when asked for)
+//
+// The report's notes field documents every section's columns.
 //
 // Usage:
 //
-//	bench [-o BENCH_PR1.json] [-seed 42] [-quick] [-reps 3] [-repstore memory,sharded] [-gossip 0:ring]
+//	bench [-o bench.json] [-seed 42] [-quick] [-reps 3] [-sections stores,trustd] [-scale] [-repstore memory,sharded] [-gossip 0:ring]
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -28,7 +41,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -45,53 +57,6 @@ import (
 	"trustcoop/internal/trust/gossip"
 	"trustcoop/internal/trustd"
 )
-
-// latencyDist is the JSON shape of one per-operation latency distribution:
-// exact moments plus bucketed percentiles from a stats.Distribution (PR 9).
-// Percentile fields carry the Distribution's documented ≈4.4% worst-case
-// relative error; mean/std/min/max are exact. All values are nanoseconds.
-// Sections fill these from separate instrumented passes with chained clock
-// reads (one time.Now per op), so the existing best-of-reps mean columns
-// stay untouched by instrumentation cost.
-type latencyDist struct {
-	Count  int     `json:"count"`
-	MeanNs float64 `json:"mean_ns"`
-	StdNs  float64 `json:"std_ns"`
-	MinNs  float64 `json:"min_ns"`
-	MaxNs  float64 `json:"max_ns"`
-	P50Ns  float64 `json:"p50_ns"`
-	P95Ns  float64 `json:"p95_ns"`
-	P99Ns  float64 `json:"p99_ns"`
-	P999Ns float64 `json:"p999_ns"`
-}
-
-// distSummary renders a Distribution into the artifact shape; an empty
-// distribution yields the zero value, which omitzero drops from the JSON.
-func distSummary(d *stats.Distribution) latencyDist {
-	if d.Count() == 0 {
-		return latencyDist{}
-	}
-	return latencyDist{
-		Count:  d.Count(),
-		MeanNs: d.Mean(),
-		StdNs:  d.Std(),
-		MinNs:  d.Min(),
-		MaxNs:  d.Max(),
-		P50Ns:  d.Percentile(50),
-		P95Ns:  d.Percentile(95),
-		P99Ns:  d.Percentile(99),
-		P999Ns: d.Percentile(99.9),
-	}
-}
-
-// chainObserve is the chained-clock idiom shared by every instrumented pass:
-// it records now−*last into d and advances *last — one time.Now per op, so
-// the clock read itself is the only instrumentation cost an op pays.
-func chainObserve(d *stats.Distribution, last *time.Time) {
-	now := time.Now()
-	d.Add(float64(now.Sub(*last).Nanoseconds()))
-	*last = now
-}
 
 type experimentRun struct {
 	Workers int     `json:"workers"`
@@ -396,7 +361,153 @@ func main() {
 	}
 }
 
+// config is what the sections read from the command line.
+type config struct {
+	seed       int64
+	quick      bool
+	reps       int
+	repstore   []string // complaint-store specs for the stores section
+	gossip     gossip.Config
+	evidence   []string // evidence kinds for the evidence section
+	scaleSizes []int
+}
+
+// A section is one entry of the registry: its -sections name, the prose
+// that documents its report fields, and the function that fills them.
+type section struct {
+	name string
+	doc  string
+	run  func(c config, r *report) error
+}
+
+// sections is the registry. It fixes the run order, the -sections
+// vocabulary and the order of the report's notes. scale runs only when
+// -scale or -sections names it.
+var sections = []section{
+	{"experiments", "experiments' speedup is workers=1 time over time at the widest pool, reported as 1.0 " +
+		"on single-CPU hosts where the multi-worker runs only measure pool overhead", benchExperiments},
+	{"schedule", "schedule_fast_path is testing.AllocsPerRun plus per-op timing of " +
+		"exchange.ScheduleSafe on an all-non-negative-surplus bundle " +
+		"(seed implementation: ~47 allocs/op)", benchSchedule},
+	{"engine", "engine_sessions is one 20-agent market engine's wall clock over 400 sessions at " +
+		"concurrency 1 and 16 (one run each, construction excluded)", benchEngine},
+	{"stores", "store_contention compares complaint-store backends per workload: " +
+		"'file+assess' is the marketplace's operation mix (1 File + a " +
+		"population-wide complaint-product scan per session), where the " +
+		"sharded store's single-lookup combined Counts read beats the " +
+		"memory baseline's two locked map reads even on one CPU; 'file' is " +
+		"the pure write path, where striping needs real CPU parallelism to " +
+		"pay off — on single-CPU hosts the extra shard hash and second " +
+		"lock make it slower than the uncontended single mutex, so watch " +
+		"speedup_vs_memory on multi-core CI artifacts for that row", benchStores},
+	{"cells", "cell_sharding times one trust-aware experiment cell decomposed into " +
+		"a fixed number of sub-engines (eval.RunCell) at engine-pool widths " +
+		"1/2/4/GOMAXPROCS — the decomposition never changes with the width, " +
+		"so speedup_vs_1_engine is pure parallelism (1.0 by definition on " +
+		"single-CPU hosts); its filebatch rows compare per-complaint File " +
+		"against FileBatch chunks of batch_size on the same stream, the " +
+		"locking the batch API amortises (one lock pass per shard per batch; " +
+		"the pgrid row amortises routing instead — one routed walk per " +
+		"distinct grid key per batch, on a tenth of the stream); " +
+		"the filebatch pgrid-deferred row runs " +
+		"DeferReplication (store-and-forward replica broadcast) on the " +
+		"pgrid stream, and pgrid-deferred32 the same on a 32-peer grid " +
+		"(depth 4, below the adaptive grouping threshold: FileBatch files " +
+		"per complaint there, so its speedup_batch_vs_single is ~1.0 by " +
+		"design — the grouped map would cost more than the shallow walks " +
+		"it saves)", benchCells},
+	{"gossip", "gossip times one trust-aware cell sharded x4 (eval.RunCellStats) at " +
+		"cross-shard sync periods {inf,64,16,4,1}: bytes_per_session is the " +
+		"delivered exchange traffic amortised over the cell's sessions, " +
+		"apply_ns_per_complaint the cost of landing remote batches through " +
+		"the complaints.FileAll fast path, and stale_read_fraction the share " +
+		"of trust reads served before evidence scheduled for the reading " +
+		"shard had arrived (per recipient: a ring hop that already landed " +
+		"reads fresh while later hops stay stale; scheduling-dependent " +
+		"across concurrent engines, so it lives here and not in the E11 " +
+		"table); complaints_unscheduled counts deliveries a fanout-limited " +
+		"mesh permanently skipped (0 for full mesh and ring)", benchGossip},
+	{"evidence", "evidence_plane measures the generalized evidence plane per kind: " +
+		"64-item delta codec and associative-merge micro-costs, one " +
+		"sharded x4 cell's delta traffic at period 4 over the full mesh, " +
+		"and the same cell over the redundant double ring where " +
+		"dedup_hit_rate_ring2 is the fraction of deliveries the " +
+		"receiver-side (origin, seq) ledger dropped (~0.5 by construction: " +
+		"two paths, one survivor)", benchEvidence},
+	{"codec", "evidence_codec prices the posterior export policies " +
+		"against the dense wire: per-mode encode/decode ns on one " +
+		"shared 64-row delta, plus bytes_per_session from re-running the " +
+		"evidence_plane reference cell (sharded x4, period 4, full mesh) under each " +
+		"policy — compression_ratio_vs_dense on the lossless columnar row " +
+		"is the artifact guard's >=2x floor, and the quantized/selective " +
+		"rows price the bytes beyond it (selection defers evidence, never " +
+		"drops it, so its savings are latency, not loss)", benchCodec},
+	{"netsim", "netsim_timer_wheel times the simulator's hierarchical timer wheel " +
+		"(which replaced a bucketed heap) on the same-tick shape " +
+		"(64 events per timestamp, served by the draining-slot fast path) " +
+		"and the spread shape (one event per tick — the shape the wheel's " +
+		"O(1) slot indexing wins over a heap's O(log n) sift)", benchNetsim},
+	{"assessor", "assessor_path times one trust decision — " +
+		"Assessor.NormalisedScore, the population average plus the " +
+		"per-peer product — both ways on the same pre-filled store: " +
+		"scan_ns_per_decision forces the seed's O(population) CountsAll " +
+		"walk through a wrapper that withholds the Aggregator extension, " +
+		"aggregate_ns_per_decision reads the incrementally maintained " +
+		"running sum; the two paths return bit-identical scores (the " +
+		"aggregate-equals-scan property test pins it), so " +
+		"speedup_aggregate_vs_scan is pure algorithmic O(N) to O(1) and " +
+		"grows linearly with the population", benchAssessor},
+	{"trustd", "trustd prices the service wrapper per backend: " +
+		"ingest_ns_per_batch is the in-process durable ingest path — " +
+		"length-prefixed checksummed WAL append (the ack barrier), " +
+		"FileBatch apply, generation bump — fsync off and no " +
+		"auto-checkpoint so the recovery row replays the whole log; " +
+		"query_ns_cold is a generation's first read of a peer (one " +
+		"population average plus one combined counts read, exactly a " +
+		"direct NormalisedScore), query_ns_warm the snapshot-cache hit " +
+		"that skips both; recovery_complaints_per_sec is a fresh Open " +
+		"replaying the ingested directory, from the server's own " +
+		"recovery clock (store construction excluded)", benchTrustd},
+	{"scale", "scale (present when bench ran with -scale) runs one marketplace " +
+		"engine at 1e4/1e5/1e6 agents with a fixed session count: " +
+		"events_per_sec/ns_per_event track throughput as the population " +
+		"grows (pairing, routing and estimator access are O(1) in the " +
+		"population, so they should barely move), engine_heap_bytes and " +
+		"bytes_per_agent are the live-heap cost of the built population " +
+		"plus engine index (forced-GC delta; estimators are lazy so idle " +
+		"agents stay cheap), and peak_heap_bytes is HeapInuse right after " +
+		"the run, before any GC; scale rows carry an " +
+		"estimator label: beta-private is the per-agent Beta " +
+		"baseline with population-independent decisions, " +
+		"complaints-sharded routes every decision through the shared " +
+		"sharded complaint store's population average — the read that " +
+		"was O(agents) per decision before the aggregate — so its " +
+		"ns_per_event staying flat from 1e4 to 1e6 agents is the " +
+		"tentpole's end-to-end evidence; -scale-ceiling-ns turns that " +
+		"flatness into a CI guard; " +
+		"scale's window_ns_per_event distributes per-event cost over " +
+		"4×concurrency-session windows of the same run instead of per-op " +
+		"clocks (events are too fine to time individually)", benchScale},
+}
+
+// harnessDoc documents what every section shares; it opens the notes.
+const harnessDoc = "seconds are best-of-reps wall clock; " +
+	"latency/…_latency objects are per-operation distributions " +
+	"from separate instrumented passes over the same workloads with " +
+	"chained clock reads (one time.Now per op), so the best-of-reps " +
+	"mean columns stay untouched: mean/std/min/max are exact " +
+	"(Welford), p50/p95/p99/p999 come from log-spaced buckets " +
+	"(16 per octave) with ≤≈4.4% worst-case relative error; " +
+	"committed BENCH_PR<n>.json snapshots come from whatever host state CI had, " +
+	"so cross-PR comparisons should re-measure both trees on one host"
+
 func run(args []string) error {
+	names := make([]string, len(sections))
+	docs := []string{harnessDoc}
+	for i, s := range sections {
+		names[i] = s.name
+		docs = append(docs, s.doc)
+	}
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	out := fs.String("o", "", "output JSON path (default stdout)")
 	seed := fs.Int64("seed", 42, "random seed")
@@ -413,31 +524,37 @@ func run(args []string) error {
 	scaleAgents := fs.String("scale-agents", "10000,100000,1000000",
 		"comma-separated population sizes for the scale section")
 	scaleCeiling := fs.Float64("scale-ceiling-ns", 0,
-		"fail (exit nonzero, after writing the report) if any scale row exceeds this ns/event; 0 disables — the CI guard that trust decisions stay O(1) in the population")
-	sections := fs.String("sections", "",
-		"comma-separated subset of sections to run (experiments,schedule,engine,stores,cells,gossip,evidence,codec,netsim,assessor,trustd); empty runs them all; 'scale' here implies -scale")
+		"fail (exit nonzero, after writing the report) if any scale row exceeds this ns/event; 0 disables — the CI guard that trust decisions stay O(1) in the population; needs the scale section")
+	only := fs.String("sections", "",
+		"comma-separated subset of sections to run ("+strings.Join(names, ",")+"); empty runs them all but scale; 'scale' here implies -scale")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof; see docs/PERF.md)")
 	memprofile := fs.String("memprofile", "", "write a post-GC heap profile to this file at exit (see docs/PERF.md)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	gossipCfg, err := gossip.ParseSpec(*gossipSpec)
-	if err != nil {
+	c := config{seed: *seed, quick: *quick, reps: *reps,
+		repstore: splitList(*repstore), evidence: splitList(*evidence)}
+	var err error
+	if c.gossip, err = gossip.ParseSpec(*gossipSpec); err != nil {
 		return err
 	}
-	agentSizes, err := parseSizes(*scaleAgents)
-	if err != nil {
+	if c.scaleSizes, err = parseSizes(*scaleAgents); err != nil {
 		return fmt.Errorf("-scale-agents: %w", err)
 	}
-	secSet := map[string]bool{}
-	for _, s := range strings.Split(*sections, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			secSet[s] = true
+	picked := splitList(*only)
+	want := map[string]bool{"scale": *scale}
+	for _, name := range picked {
+		if !slices.Contains(names, name) {
+			return fmt.Errorf("-sections: unknown section %q (valid: %s)", name, strings.Join(names, ","))
 		}
+		want[name] = true
 	}
-	// want reports whether a section should run: all of them by default, only
-	// the listed ones when -sections narrows the run (the CI smoke shape).
-	want := func(name string) bool { return len(secSet) == 0 || secSet[name] }
+	// Every section but scale runs unless -sections narrows the run (the CI
+	// smoke shape); scale runs only when asked for.
+	runs := func(name string) bool { return want[name] || len(picked) == 0 && name != "scale" }
+	if *scaleCeiling > 0 && !runs("scale") {
+		return fmt.Errorf("-scale-ceiling-ns needs the scale section (-scale or -sections scale): without scale rows the guard checks nothing")
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -459,282 +576,24 @@ func run(args []string) error {
 		Seed:       *seed,
 		Quick:      *quick,
 		Reps:       *reps,
-		Notes: "seconds are best-of-reps wall clock; speedup is workers=1 time over " +
-			"time at the widest pool, reported as 1.0 on single-CPU hosts where the " +
-			"multi-worker runs only measure pool overhead; " +
-			"schedule_fast_path is testing.AllocsPerRun plus per-op timing of " +
-			"exchange.ScheduleSafe on an all-non-negative-surplus bundle " +
-			"(seed implementation: ~47 allocs/op); " +
-			"store_contention compares complaint-store backends per workload: " +
-			"'file+assess' is the marketplace's operation mix (1 File + a " +
-			"population-wide complaint-product scan per session), where the " +
-			"sharded store's single-lookup combined Counts read beats the " +
-			"memory baseline's two locked map reads even on one CPU; 'file' is " +
-			"the pure write path, where striping needs real CPU parallelism to " +
-			"pay off — on single-CPU hosts the extra shard hash and second " +
-			"lock make it slower than the uncontended single mutex, so watch " +
-			"speedup_vs_memory on multi-core CI artifacts for that row; " +
-			"cell_sharding times one trust-aware experiment cell decomposed into " +
-			"a fixed number of sub-engines (eval.RunCell) at engine-pool widths " +
-			"1/2/4/GOMAXPROCS — the decomposition never changes with the width, " +
-			"so speedup_vs_1_engine is pure parallelism (1.0 by definition on " +
-			"single-CPU hosts); its filebatch rows compare per-complaint File " +
-			"against FileBatch chunks of batch_size on the same stream, the " +
-			"locking the batch API amortises (one lock pass per shard per batch; " +
-			"the pgrid row amortises routing instead — one routed walk per " +
-			"distinct grid key per batch, on a tenth of the stream); " +
-			"gossip times one trust-aware cell sharded x4 (eval.RunCellStats) at " +
-			"cross-shard sync periods {inf,64,16,4,1}: bytes_per_session is the " +
-			"delivered exchange traffic amortised over the cell's sessions, " +
-			"apply_ns_per_complaint the cost of landing remote batches through " +
-			"the complaints.FileAll fast path, and stale_read_fraction the share " +
-			"of trust reads served before evidence scheduled for the reading " +
-			"shard had arrived (per recipient: a ring hop that already landed " +
-			"reads fresh while later hops stay stale; scheduling-dependent " +
-			"across concurrent engines, so it lives here and not in the E11 " +
-			"table); complaints_unscheduled counts deliveries a fanout-limited " +
-			"mesh permanently skipped (0 for full mesh and ring); " +
-			"netsim_timer_wheel times the simulator's hierarchical timer wheel " +
-			"(PR 6; replaced the PR 5 bucketed heap) on the same-tick shape " +
-			"(64 events per timestamp, served by the draining-slot fast path) " +
-			"and the spread shape (one event per tick — the shape the wheel's " +
-			"O(1) slot indexing wins over a heap's O(log n) sift); committed " +
-			"BENCH_PR<n>.json snapshots come from whatever host state CI had, " +
-			"so cross-PR comparisons should re-measure both trees on one host; " +
-			"scale (present when bench ran with -scale) runs one marketplace " +
-			"engine at 1e4/1e5/1e6 agents with a fixed session count: " +
-			"events_per_sec/ns_per_event track throughput as the population " +
-			"grows (pairing, routing and estimator access are O(1) in the " +
-			"population, so they should barely move), engine_heap_bytes and " +
-			"bytes_per_agent are the live-heap cost of the built population " +
-			"plus engine index (forced-GC delta; estimators are lazy so idle " +
-			"agents stay cheap), and peak_heap_bytes is HeapInuse right after " +
-			"the run, before any GC; " +
-			"evidence_plane measures the generalized evidence plane per kind: " +
-			"64-item delta codec and associative-merge micro-costs, one " +
-			"sharded x4 cell's delta traffic at period 4 over the full mesh, " +
-			"and the same cell over the redundant double ring where " +
-			"dedup_hit_rate_ring2 is the fraction of deliveries the " +
-			"receiver-side (origin, seq) ledger dropped (~0.5 by construction: " +
-			"two paths, one survivor); the filebatch pgrid-deferred row runs " +
-			"DeferReplication (store-and-forward replica broadcast) on the " +
-			"pgrid stream, and pgrid-deferred32 the same on a 32-peer grid " +
-			"(depth 4, below the adaptive grouping threshold: FileBatch files " +
-			"per complaint there, so its speedup_batch_vs_single is ~1.0 by " +
-			"design — the grouped map would cost more than the shallow walks " +
-			"it saves); " +
-			"evidence_codec (PR 10) prices the posterior export policies " +
-			"against the dense PR 5 wire: per-mode encode/decode ns on one " +
-			"shared 64-row delta, plus bytes_per_session from re-running the " +
-			"PR 5 reference cell (sharded x4, period 4, full mesh) under each " +
-			"policy — compression_ratio_vs_dense on the lossless columnar row " +
-			"is the artifact guard's >=2x floor, and the quantized/selective " +
-			"rows price the bytes beyond it (selection defers evidence, never " +
-			"drops it, so its savings are latency, not loss); " +
-			"assessor_path (PR 7) times one trust decision — " +
-			"Assessor.NormalisedScore, the population average plus the " +
-			"per-peer product — both ways on the same pre-filled store: " +
-			"scan_ns_per_decision forces the seed's O(population) CountsAll " +
-			"walk through a wrapper that withholds the Aggregator extension, " +
-			"aggregate_ns_per_decision reads the incrementally maintained " +
-			"running sum; the two paths return bit-identical scores (the " +
-			"aggregate-equals-scan property test pins it), so " +
-			"speedup_aggregate_vs_scan is pure algorithmic O(N) to O(1) and " +
-			"grows linearly with the population; scale rows carry an " +
-			"estimator label since PR 7: beta-private is the per-agent Beta " +
-			"baseline with population-independent decisions, " +
-			"complaints-sharded routes every decision through the shared " +
-			"sharded complaint store's population average — the read that " +
-			"was O(agents) per decision before the aggregate — so its " +
-			"ns_per_event staying flat from 1e4 to 1e6 agents is the " +
-			"tentpole's end-to-end evidence; -scale-ceiling-ns turns that " +
-			"flatness into a CI guard; " +
-			"trustd (PR 8) prices the service wrapper per backend: " +
-			"ingest_ns_per_batch is the in-process durable ingest path — " +
-			"length-prefixed checksummed WAL append (the ack barrier), " +
-			"FileBatch apply, generation bump — fsync off and no " +
-			"auto-checkpoint so the recovery row replays the whole log; " +
-			"query_ns_cold is a generation's first read of a peer (one " +
-			"population average plus one combined counts read, exactly a " +
-			"direct NormalisedScore), query_ns_warm the snapshot-cache hit " +
-			"that skips both; recovery_complaints_per_sec is a fresh Open " +
-			"replaying the ingested directory, from the server's own " +
-			"recovery clock (store construction excluded); " +
-			"latency/…_latency objects (PR 9) are per-operation distributions " +
-			"from separate instrumented passes over the same workloads with " +
-			"chained clock reads (one time.Now per op), so the best-of-reps " +
-			"mean columns stay untouched: mean/std/min/max are exact " +
-			"(Welford), p50/p95/p99/p999 come from log-spaced buckets " +
-			"(16 per octave) with ≤≈4.4% worst-case relative error; " +
-			"scale's window_ns_per_event distributes per-event cost over " +
-			"4×concurrency-session windows of the same run instead of per-op " +
-			"clocks (events are too fine to time individually)",
+		Notes:      strings.Join(docs, "; "),
 	}
-
-	// Always measure a multi-worker width even on single-CPU hosts: there it
-	// records the pool's overhead (expected ≈1.0× vs serial), elsewhere the
-	// speedup.
-	widths := []int{1, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		widths = append(widths, n)
-	}
-	ids := eval.IDs()
-	if !want("experiments") {
-		ids = nil
-	}
-	for _, id := range ids {
-		er := experimentReport{ID: id}
-		for _, workers := range widths {
-			best := time.Duration(0)
-			for r := 0; r < *reps; r++ {
-				start := time.Now()
-				if _, err := eval.Run(id, eval.RunConfig{Seed: *seed, Quick: *quick, Workers: workers}); err != nil {
-					return fmt.Errorf("%s: %w", id, err)
-				}
-				if d := time.Since(start); best == 0 || d < best {
-					best = d
-				}
-			}
-			er.Runs = append(er.Runs, experimentRun{Workers: workers, Seconds: best.Seconds()})
+	for _, s := range sections {
+		if !runs(s.name) {
+			continue
 		}
-		er.SpeedupVsSerial = 1
-		if runtime.GOMAXPROCS(0) > 1 && len(er.Runs) > 1 && er.Runs[len(er.Runs)-1].Seconds > 0 {
-			er.SpeedupVsSerial = er.Runs[0].Seconds / er.Runs[len(er.Runs)-1].Seconds
-		}
-		rep.Experiments = append(rep.Experiments, er)
-		fmt.Fprintf(os.Stderr, "%s: %v\n", id, er.Runs)
-	}
-
-	var schedItems []int
-	if want("schedule") {
-		schedItems = []int{16, 64, 256}
-	}
-	for _, items := range schedItems {
-		rng := rand.New(rand.NewSource(3))
-		gen := goods.DefaultGenConfig()
-		gen.Items = items
-		bundle := goods.MustGenerate(gen, rng)
-		terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
-		stake := exchange.MinimalStake(terms)
-		sched := func() {
-			if _, err := exchange.ScheduleSafe(terms, exchange.Stakes{Supplier: stake}, exchange.Options{}); err != nil {
-				panic(err)
-			}
-		}
-		sched() // warm the scratch pool
-		allocs := testing.AllocsPerRun(200, sched)
-		start := time.Now()
-		const n = 200
-		for i := 0; i < n; i++ {
-			sched()
-		}
-		rep.Schedule = append(rep.Schedule, scheduleReport{
-			Items:       items,
-			AllocsPerOp: allocs,
-			NsPerOp:     float64(time.Since(start).Nanoseconds()) / n,
-		})
-	}
-
-	var engineConcs []int
-	if want("engine") {
-		engineConcs = []int{1, 16}
-	}
-	for _, conc := range engineConcs {
-		agents, err := agent.NewPopulation(agent.PopConfig{Honest: 16, Opportunist: 4, Stake: 2 * goods.Unit},
-			rand.New(rand.NewSource(1)))
-		if err != nil {
-			return err
-		}
-		sessions := 400
-		eng, err := market.NewEngine(market.Config{Seed: *seed, Sessions: sessions, Agents: agents, Concurrency: conc})
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		if _, err := eng.Run(); err != nil {
-			return err
-		}
-		rep.Engine = append(rep.Engine, engineReport{Concurrency: conc, Sessions: sessions, Seconds: time.Since(start).Seconds()})
-	}
-
-	if want("stores") {
-		stores, err := benchStores(strings.Split(*repstore, ","), *quick, *reps)
-		if err != nil {
-			return err
-		}
-		rep.Stores = stores
-	}
-
-	if want("cells") {
-		cells, err := benchCellSharding(*seed, *quick, *reps)
-		if err != nil {
-			return err
-		}
-		batches, err := benchFileBatch(*quick, *reps)
-		if err != nil {
-			return err
-		}
-		rep.CellSharding = cellShardingReport{Cells: cells, FileBatch: batches}
-	}
-
-	if want("gossip") {
-		gr, err := benchGossip(*seed, *quick, *reps, gossipCfg)
-		if err != nil {
-			return err
-		}
-		rep.Gossip = gr
-	}
-
-	if want("evidence") {
-		ep, err := benchEvidencePlane(*seed, *quick, strings.Split(*evidence, ","))
-		if err != nil {
-			return err
-		}
-		rep.EvidencePlane = ep
-	}
-
-	if want("codec") {
-		ec, err := benchEvidenceCodec(*seed)
-		if err != nil {
-			return err
-		}
-		rep.EvidenceCodec = ec
-	}
-
-	if want("netsim") {
-		rep.Netsim = benchNetsim(*reps)
-	}
-
-	if want("assessor") {
-		rep.AssessorPath, err = benchAssessorPath(*quick, *reps)
-		if err != nil {
-			return err
-		}
-	}
-
-	if want("trustd") {
-		rep.Trustd, err = benchTrustd(*quick, *reps)
-		if err != nil {
-			return err
-		}
-	}
-
-	if *scale || secSet["scale"] {
-		rep.Scale, err = benchScale(*seed, agentSizes)
-		if err != nil {
-			return err
+		if err := s.run(c, &rep); err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
 		}
 	}
 	// The ceiling guard fires after the report is assembled so CI failures
 	// still ship the numbers that tripped them.
 	var ceilingErr error
-	if *scaleCeiling > 0 {
-		for _, row := range rep.Scale {
-			if row.NsPerEvent > *scaleCeiling {
-				ceilingErr = fmt.Errorf("scale ceiling exceeded: %s at %d agents ran %.0f ns/event, ceiling %.0f",
-					row.Estimator, row.Agents, row.NsPerEvent, *scaleCeiling)
-				break
-			}
+	for _, row := range rep.Scale {
+		if *scaleCeiling > 0 && row.NsPerEvent > *scaleCeiling {
+			ceilingErr = fmt.Errorf("scale ceiling exceeded: %s at %d agents ran %.0f ns/event, ceiling %.0f",
+				row.Estimator, row.Agents, row.NsPerEvent, *scaleCeiling)
+			break
 		}
 	}
 
@@ -744,11 +603,11 @@ func run(args []string) error {
 			return err
 		}
 		runtime.GC() // profile live objects, not garbage
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return err
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -759,23 +618,28 @@ func run(args []string) error {
 	}
 	data = append(data, '\n')
 	if *out == "" {
-		if _, err = os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return err
+		_, err = os.Stdout.Write(data)
+	} else {
+		err = os.WriteFile(*out, data, 0o644)
 	}
-	return ceilingErr
+	return errors.Join(err, ceilingErr)
+}
+
+// splitList splits a comma-separated flag value, dropping blank entries.
+func splitList(spec string) []string {
+	var out []string
+	for _, s := range strings.Split(spec, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // parseSizes parses a comma-separated list of positive integers.
 func parseSizes(spec string) ([]int, error) {
 	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	for _, part := range splitList(spec) {
 		n, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, err
@@ -791,27 +655,87 @@ func parseSizes(spec string) ([]int, error) {
 	return out, nil
 }
 
-// benchCellSharding measures the tentpole of PR 3: one experiment cell —
-// a trust-aware marketplace that previously serialised on a single engine —
+func benchExperiments(c config, r *report) error {
+	// Always measure a multi-worker width even on single-CPU hosts: there it
+	// records the pool's overhead (expected ≈1.0× vs serial), elsewhere the
+	// speedup.
+	widths := widen([]int{1, 4}, runtime.GOMAXPROCS(0))
+	for _, id := range eval.IDs() {
+		er := experimentReport{ID: id}
+		for _, workers := range widths {
+			_, best, err := bestOf(c.reps, false, timed(func() error {
+				_, err := eval.Run(id, eval.RunConfig{Seed: c.seed, Quick: c.quick, Workers: workers})
+				return err
+			}))
+			if err != nil {
+				return fmt.Errorf("%s: %w", id, err)
+			}
+			er.Runs = append(er.Runs, experimentRun{Workers: workers, Seconds: best.Seconds()})
+		}
+		er.SpeedupVsSerial = parallelSpeedup(er.Runs[0].Seconds, er.Runs[len(er.Runs)-1].Seconds)
+		r.Experiments = append(r.Experiments, er)
+		fmt.Fprintf(os.Stderr, "%s: %v\n", id, er.Runs)
+	}
+	return nil
+}
+
+func benchSchedule(c config, r *report) error {
+	for _, items := range []int{16, 64, 256} {
+		gen := goods.DefaultGenConfig()
+		gen.Items = items
+		bundle := goods.MustGenerate(gen, rand.New(rand.NewSource(3)))
+		terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
+		stakes := exchange.Stakes{Supplier: exchange.MinimalStake(terms)}
+		sched := func(int) error {
+			_, err := exchange.ScheduleSafe(terms, stakes, exchange.Options{})
+			return err
+		}
+		// AllocsPerRun warms the scratch pool with one untimed call. The
+		// inputs are fixed, so a failing call fails the timed pass too.
+		allocs := testing.AllocsPerRun(200, func() { _ = sched(0) })
+		ns, err := nsPerOp(1, 200, sched)
+		if err != nil {
+			return fmt.Errorf("%d items: %w", items, err)
+		}
+		r.Schedule = append(r.Schedule, scheduleReport{Items: items, AllocsPerOp: allocs, NsPerOp: ns})
+	}
+	return nil
+}
+
+func benchEngine(c config, r *report) error {
+	const sessions = 400
+	for _, conc := range []int{1, 16} {
+		agents, err := agent.NewPopulation(agent.PopConfig{Honest: 16, Opportunist: 4, Stake: 2 * goods.Unit},
+			rand.New(rand.NewSource(1)))
+		if err != nil {
+			return err
+		}
+		eng, err := market.NewEngine(market.Config{Seed: c.seed, Sessions: sessions, Agents: agents, Concurrency: conc})
+		if err != nil {
+			return err
+		}
+		start := time.Now()
+		if _, err := eng.Run(); err != nil {
+			return err
+		}
+		r.Engine = append(r.Engine, engineReport{Concurrency: conc, Sessions: sessions, Seconds: time.Since(start).Seconds()})
+	}
+	return nil
+}
+
+// benchCells measures one experiment cell — a
+// trust-aware marketplace that previously serialised on a single engine —
 // sharded across sub-engines (eval.RunCell) at growing engine-pool widths.
 // The decomposition is fixed per cell (that is what keeps tables
 // byte-identical across widths); only the concurrency varies, so the
 // speedup-vs-1-engine column is a pure multi-core scaling number.
-func benchCellSharding(seed int64, quick bool, reps int) ([]cellReport, error) {
-	sessions := 1600
-	if quick {
-		sessions = 240
-	}
-	widths := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		widths = append(widths, n)
-	}
-	var out []cellReport
+func benchCells(c config, r *report) error {
+	sessions := cellSessions(c.quick)
+	widths := widen([]int{1, 2, 4}, runtime.GOMAXPROCS(0))
 	for _, shards := range []int{4, 8} {
-		agents, err := agent.NewPopulation(agent.PopConfig{Honest: 12, Opportunist: 6},
-			rand.New(rand.NewSource(seed)))
+		cfg, err := cellConfig(c.seed, sessions)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cr := cellReport{Shards: shards, Sessions: sessions}
 		prev := 0
@@ -819,153 +743,107 @@ func benchCellSharding(seed int64, quick bool, reps int) ([]cellReport, error) {
 			// A width beyond the decomposition clamps to it (RunCell would
 			// anyway), so the widest supported pool is always measured;
 			// widths ascend, so equal clamped values dedupe via prev.
-			if engines > shards {
-				engines = shards
-			}
+			engines = min(engines, shards)
 			if engines == prev {
 				continue
 			}
 			prev = engines
-			best := time.Duration(0)
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				if _, err := eval.RunCell(market.Config{
-					Seed:     seed,
-					Sessions: sessions,
-					Agents:   agents,
-					Strategy: market.StrategyTrustAware,
-				}, shards, engines); err != nil {
-					return nil, err
-				}
-				if d := time.Since(start); best == 0 || d < best {
-					best = d
-				}
+			_, best, err := bestOf(c.reps, false, timed(func() error {
+				_, err := eval.RunCell(cfg, shards, engines)
+				return err
+			}))
+			if err != nil {
+				return err
 			}
 			cr.Runs = append(cr.Runs, cellEngineRun{Engines: engines, Seconds: best.Seconds()})
 		}
-		cr.SpeedupVs1Engine = 1
-		last := cr.Runs[len(cr.Runs)-1]
-		if runtime.GOMAXPROCS(0) > 1 && last.Seconds > 0 {
-			cr.SpeedupVs1Engine = cr.Runs[0].Seconds / last.Seconds
-		}
-		out = append(out, cr)
+		cr.SpeedupVs1Engine = parallelSpeedup(cr.Runs[0].Seconds, cr.Runs[len(cr.Runs)-1].Seconds)
+		r.CellSharding.Cells = append(r.CellSharding.Cells, cr)
 		fmt.Fprintf(os.Stderr, "cell shards=%d: %v (%.2fx vs 1 engine)\n", shards, cr.Runs, cr.SpeedupVs1Engine)
 	}
-	return out, nil
+	var err error
+	r.CellSharding.FileBatch, err = benchFileBatch(c)
+	return err
 }
 
-// benchGossip measures the tentpole of PR 4: one trust-aware cell sharded
-// ×4 (the cell_sharding population) at gossip periods {∞, 64, 16, 4, 1},
-// recording wall clock, exchange traffic per session, the per-complaint
-// cost of landing remote batches (the complaints.FileAll fast path), and
-// the stale-read fraction the period leaves behind. The topology and
-// fanout come from the -gossip flag (default full mesh).
-func benchGossip(seed int64, quick bool, reps int, gc gossip.Config) (gossipReport, error) {
+// benchGossip measures cross-shard evidence gossip: the reference cell sharded ×4
+// at gossip periods {∞, 64, 16, 4, 1}, recording wall clock, exchange
+// traffic per session, the per-complaint cost of landing remote batches
+// (the complaints.FileAll fast path), and the stale-read fraction the
+// period leaves behind. The topology and fanout come from the -gossip flag
+// (default full mesh).
+func benchGossip(c config, r *report) error {
 	const shards = 4
-	sessions := 1600
-	if quick {
-		sessions = 240
-	}
+	sessions := cellSessions(c.quick)
 	periods := []int{0, 64, 16, 4, 1}
-	if gc.Period > 0 && !slices.Contains(periods, gc.Period) {
-		periods = append(periods, gc.Period)
+	if c.gossip.Period > 0 && !slices.Contains(periods, c.gossip.Period) {
+		periods = append(periods, c.gossip.Period)
 	}
-	gr := gossipReport{Topology: string(gc.Topology), Fanout: gc.Fanout, Shards: shards, Sessions: sessions}
+	gr := gossipReport{Topology: string(c.gossip.Topology), Fanout: c.gossip.Fanout, Shards: shards, Sessions: sessions}
 	if gr.Topology == "" {
 		gr.Topology = string(gossip.TopologyMesh)
 	}
 	for _, period := range periods {
-		agents, err := agent.NewPopulation(agent.PopConfig{Honest: 12, Opportunist: 6},
-			rand.New(rand.NewSource(seed)))
+		cfg, err := cellConfig(c.seed, sessions)
 		if err != nil {
-			return gossipReport{}, err
+			return err
 		}
-		cfg := market.Config{
-			Seed:     seed,
-			Sessions: sessions,
-			Agents:   agents,
-			Strategy: market.StrategyTrustAware,
-			RepStore: "sharded",
-			Gossip:   gossip.Config{Period: period, Topology: gc.Topology, Fanout: gc.Fanout},
-		}
-		best := time.Duration(0)
-		var stats gossip.Stats
-		for r := 0; r < reps; r++ {
+		cfg.RepStore = "sharded"
+		cfg.Gossip = gossip.Config{Period: period, Topology: c.gossip.Topology, Fanout: c.gossip.Fanout}
+		st, best, err := bestOf(c.reps, false, func() (gossip.Stats, time.Duration, error) {
 			start := time.Now()
 			_, st, err := eval.RunCellStats(cfg, shards, 0)
-			if err != nil {
-				return gossipReport{}, err
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-				stats = st
-			}
+			return st, time.Since(start), err
+		})
+		if err != nil {
+			return err
 		}
 		run := gossipRun{
 			Period:                period,
 			Seconds:               best.Seconds(),
-			BytesPerSession:       float64(stats.BytesDelivered) / float64(sessions),
-			ComplaintsDelivered:   stats.ComplaintsDelivered,
-			ComplaintsUnscheduled: stats.ComplaintsUnscheduled,
-			Rounds:                stats.Rounds,
+			BytesPerSession:       float64(st.BytesDelivered) / float64(sessions),
+			ComplaintsDelivered:   st.ComplaintsDelivered,
+			ComplaintsUnscheduled: st.ComplaintsUnscheduled,
+			Rounds:                st.Rounds,
 		}
-		if stats.ComplaintsDelivered > 0 {
-			run.ApplyNsPerComplaint = float64(stats.ApplyNs) / float64(stats.ComplaintsDelivered)
+		if st.ComplaintsDelivered > 0 {
+			run.ApplyNsPerComplaint = float64(st.ApplyNs) / float64(st.ComplaintsDelivered)
 		}
-		if stats.Reads > 0 {
-			run.StaleReadFraction = float64(stats.StaleReads) / float64(stats.Reads)
+		if st.Reads > 0 {
+			run.StaleReadFraction = float64(st.StaleReads) / float64(st.Reads)
 		}
 		if period > 0 {
 			// Instrumented run, separate from the timed reps: the observer
 			// hook distributes each inter-window exchange's wall time. Period
 			// 0 has no exchanges, so it reports no distribution.
-			exDist, err := gossipExchangeLatency(cfg, shards)
-			if err != nil {
-				return gossipReport{}, err
+			var ex stats.Distribution
+			if _, _, err := eval.RunCellObserved(cfg, shards, 0, func(d time.Duration) {
+				ex.Add(float64(d.Nanoseconds()))
+			}); err != nil {
+				return err
 			}
-			run.ExchangeLatency = distSummary(&exDist)
+			run.ExchangeLatency = distSummary(&ex)
 		}
 		gr.Runs = append(gr.Runs, run)
 		fmt.Fprintf(os.Stderr, "gossip period=%d: %.3fs, %.1f B/session, %.0f ns/applied complaint, stale reads %.2f, exchange p50/p99 %.0f/%.0f ns\n",
 			period, run.Seconds, run.BytesPerSession, run.ApplyNsPerComplaint, run.StaleReadFraction,
 			run.ExchangeLatency.P50Ns, run.ExchangeLatency.P99Ns)
 	}
-	return gr, nil
+	r.Gossip = gr
+	return nil
 }
 
-// gossipExchangeLatency reruns one gossiping cell with the per-exchange
-// observer hook and returns the exchange-duration distribution. A separate
-// function so the hook's Distribution does not collide with benchGossip's
-// local gossip.Stats variable named stats.
-func gossipExchangeLatency(cfg market.Config, shards int) (stats.Distribution, error) {
-	var d stats.Distribution
-	if _, _, err := eval.RunCellObserved(cfg, shards, 0, func(dur time.Duration) {
-		d.Add(float64(dur.Nanoseconds()))
-	}); err != nil {
-		return stats.Distribution{}, err
-	}
-	return d, nil
-}
-
-// benchEvidencePlane measures the generalized evidence plane (PR 5) per
-// kind: the delta codec and merge micro-costs, one sharded ×4 trust-aware
-// cell's delta traffic at period 4 over the full mesh (bytes per session,
+// benchEvidence measures the generalized evidence plane per kind:
+// the delta codec and merge micro-costs, the reference cell's delta traffic
+// sharded ×4 at period 4 over the full mesh (bytes per session,
 // remote-apply cost per item), and the same cell over the redundant double
 // ring, where the receiver-side dedup ledger absorbs the second path
 // (dedup_hit_rate_ring2 = dropped / (applied + dropped) deliveries).
-func benchEvidencePlane(seed int64, quick bool, kinds []string) (evidencePlaneReport, error) {
+func benchEvidence(c config, r *report) error {
 	const shards, period = 4, 4
-	sessions := 1600
-	if quick {
-		sessions = 240
-	}
+	sessions := cellSessions(c.quick)
 	ep := evidencePlaneReport{Shards: shards, Sessions: sessions, Period: period}
-	ids := benchutil.StorePeers(64)
-	for _, kindName := range kinds {
-		kindName = strings.TrimSpace(kindName)
-		if kindName == "" {
-			continue
-		}
+	for _, kindName := range c.evidence {
 		kind := trust.EvidenceKind(kindName)
 		run := evidenceKindRun{Kind: kindName}
 
@@ -973,88 +851,40 @@ func benchEvidencePlane(seed int64, quick bool, kinds []string) (evidencePlaneRe
 		var delta trust.EvidenceDelta
 		switch kind {
 		case trust.EvidenceComplaints:
-			batch := make([]complaints.Complaint, 64)
-			for i := range batch {
-				batch[i] = complaints.Complaint{From: ids[(i*7)%len(ids)], About: ids[(i*13+3)%len(ids)]}
-			}
-			delta = complaints.NewDelta(batch)
+			delta = complaints.NewDelta(complaintStream(benchutil.StorePeers(64), 64))
 		case trust.EvidencePosterior:
-			rows := make([]trust.PosteriorRow, 0, 64)
-			for i := 0; i < 64; i++ {
-				rows = append(rows, trust.PosteriorRow{
-					Observer: ids[i%8], Subject: ids[8+(i/8)%8],
-					Coop: float64(i % 5), Defect: float64(i % 3), Obs: uint64(1 + i%4),
-				})
-			}
-			delta = trust.NewPosteriorDelta(1, rows)
+			delta = posteriorDelta()
 		default:
-			return evidencePlaneReport{}, fmt.Errorf("bench: unknown evidence kind %q", kindName)
+			return fmt.Errorf("unknown evidence kind %q", kindName)
 		}
-		payload := delta.Encode()
+		payload, encode, decode := codec(kind, delta)
 		run.DeltaBytes = len(payload)
-		const micro = 2000
-		start := time.Now()
-		for i := 0; i < micro; i++ {
-			_ = delta.Encode()
+		var err error
+		run.EncodeNsPerDelta, run.EncodeLatency, _ = measure(1, codecOps, encode)
+		if run.DecodeNsPerDelta, run.DecodeLatency, err = measure(1, codecOps, decode); err != nil {
+			return err
 		}
-		run.EncodeNsPerDelta = float64(time.Since(start).Nanoseconds()) / micro
-		start = time.Now()
-		for i := 0; i < micro; i++ {
-			if _, err := trust.DecodeEvidence(kind, payload); err != nil {
-				return evidencePlaneReport{}, err
-			}
-		}
-		run.DecodeNsPerDelta = float64(time.Since(start).Nanoseconds()) / micro
-		start = time.Now()
-		for i := 0; i < micro; i++ {
+		decodeMerge, err := nsPerOp(1, codecOps, func(int) error {
 			a, err := trust.DecodeEvidence(kind, payload)
 			if err != nil {
-				return evidencePlaneReport{}, err
+				return err
 			}
-			if err := a.Merge(delta); err != nil {
-				return evidencePlaneReport{}, err
-			}
+			return a.Merge(delta)
+		})
+		if err != nil {
+			return err
 		}
-		// Decode cost is measured above; subtract it so the merge number is
-		// the merge alone (clamped at 0 for timer noise).
-		mergeNs := float64(time.Since(start).Nanoseconds())/micro - run.DecodeNsPerDelta
-		if mergeNs < 0 {
-			mergeNs = 0
-		}
-		run.MergeNsPerDelta = mergeNs
-
-		// Instrumented codec passes: per-op chained clocks into distributions,
-		// after (never inside) the bulk loops that produce the means above.
-		var encDist, decDist stats.Distribution
-		last := time.Now()
-		for i := 0; i < micro; i++ {
-			_ = delta.Encode()
-			chainObserve(&encDist, &last)
-		}
-		last = time.Now()
-		for i := 0; i < micro; i++ {
-			if _, err := trust.DecodeEvidence(kind, payload); err != nil {
-				return evidencePlaneReport{}, err
-			}
-			chainObserve(&decDist, &last)
-		}
-		run.EncodeLatency = distSummary(&encDist)
-		run.DecodeLatency = distSummary(&decDist)
+		// Subtract the decode cost so the merge number is the merge alone
+		// (clamped at 0 for timer noise).
+		run.MergeNsPerDelta = max(decodeMerge-run.DecodeNsPerDelta, 0)
 
 		// Cell-level traffic per topology.
 		cellStats := func(topo gossip.Topology) (gossip.Stats, error) {
-			agents, err := agent.NewPopulation(agent.PopConfig{Honest: 12, Opportunist: 6},
-				rand.New(rand.NewSource(seed)))
+			cfg, err := cellConfig(c.seed, sessions)
 			if err != nil {
 				return gossip.Stats{}, err
 			}
-			cfg := market.Config{
-				Seed:     seed,
-				Sessions: sessions,
-				Agents:   agents,
-				Strategy: market.StrategyTrustAware,
-				Gossip:   gossip.Config{Period: period, Topology: topo},
-			}
+			cfg.Gossip = gossip.Config{Period: period, Topology: topo}
 			if kind == trust.EvidencePosterior {
 				cfg.Evidence = kind
 			} else {
@@ -1065,7 +895,7 @@ func benchEvidencePlane(seed int64, quick bool, kinds []string) (evidencePlaneRe
 		}
 		mesh, err := cellStats(gossip.TopologyMesh)
 		if err != nil {
-			return evidencePlaneReport{}, err
+			return err
 		}
 		run.BytesPerSession = float64(mesh.BytesDelivered) / float64(sessions)
 		run.ItemsDelivered = mesh.ComplaintsDelivered
@@ -1074,7 +904,7 @@ func benchEvidencePlane(seed int64, quick bool, kinds []string) (evidencePlaneRe
 		}
 		ring2, err := cellStats(gossip.TopologyDoubleRing)
 		if err != nil {
-			return evidencePlaneReport{}, err
+			return err
 		}
 		run.DedupDroppedRing2 = ring2.DedupDropped
 		if total := ring2.BatchesDelivered + ring2.DedupDropped; total > 0 {
@@ -1085,87 +915,63 @@ func benchEvidencePlane(seed int64, quick bool, kinds []string) (evidencePlaneRe
 			kindName, run.DeltaBytes, run.EncodeNsPerDelta, run.DecodeNsPerDelta, run.MergeNsPerDelta,
 			run.BytesPerSession, run.DedupHitRateRing2)
 	}
-	return ep, nil
+	r.EvidencePlane = ep
+	return nil
 }
 
-// benchEvidenceCodec prices the posterior export policies (PR 10) against
-// the dense PR 5 wire. Micro rows time each policy's codec on one shared
-// 64-row delta; cell rows re-run the PR 5 reference cell (trust-aware,
-// sharded ×4, gossip period 4 over the full mesh) once per policy, so
-// bytes_per_session and compression_ratio_vs_dense measure exactly what the
-// policy saved on the same evidence stream. The columnar row is lossless —
-// its ratio is the artifact guard's ≥2× floor; the quantized and selective
-// rows trade accuracy or latency for the bytes beyond that.
+// benchCodec prices the posterior export policies against the dense wire.
+// Micro rows time each policy's codec on the shared 64-row delta; cell rows
+// re-run the evidence_plane reference cell (trust-aware, sharded ×4, gossip
+// period 4 over the full mesh) once per policy, so bytes_per_session and
+// compression_ratio_vs_dense measure exactly what the policy saved on the
+// same evidence stream. The columnar row is lossless — its ratio is the
+// artifact guard's ≥2× floor; the quantized and selective rows trade
+// accuracy or latency for the bytes beyond that.
 // Always the full 1600-session reference shape, even under -quick: the
 // posterior cell is cheap (~1 s for all four modes), and matching the
 // committed BENCH_PR5.json evidence_plane shape exactly is what makes the
 // dense row a cross-PR baseline rather than a new number.
-func benchEvidenceCodec(seed int64) (evidenceCodecReport, error) {
-	const shards, period, sessions = 4, 4, 1600
+func benchCodec(c config, r *report) error {
+	const shards, period = 4, 4
+	sessions := cellSessions(false)
 	ec := evidenceCodecReport{Shards: shards, Sessions: sessions, Period: period}
-	specs := []string{
+	for _, spec := range []string{
 		"posterior",
 		"posterior+columnar",
 		"posterior+q6",
 		"posterior+columnar+conf0.7+eps0.5",
-	}
-	// The shared micro delta: 64 rows of the evidence_plane section's
-	// posterior shape, re-stamped with each policy's codec and quantum.
-	ids := benchutil.StorePeers(64)
-	rows := make([]trust.PosteriorRow, 0, 64)
-	for i := 0; i < 64; i++ {
-		rows = append(rows, trust.PosteriorRow{
-			Observer: ids[i%8], Subject: ids[8+(i/8)%8],
-			Coop: float64(i % 5), Defect: float64(i % 3), Obs: uint64(1 + i%4),
-		})
-	}
-	for _, spec := range specs {
+	} {
 		_, pol, err := trust.ParseEvidenceSpec(spec)
 		if err != nil {
-			return evidenceCodecReport{}, err
+			return err
 		}
 		run := codecModeRun{Policy: pol.String()}
 
-		delta := trust.NewPosteriorDelta(1, rows)
+		// The shared delta, re-stamped with the policy's codec and quantum.
+		delta := posteriorDelta()
 		delta.Codec = pol.Codec
 		if pol.QuantizeBits > 0 {
 			delta.Codec = trust.PosteriorColumnar
 			delta.Quantum = pol.QuantizeBits
 		}
-		payload := delta.Encode()
+		payload, encode, decode := codec(trust.EvidencePosterior, delta)
 		run.DeltaBytes = len(payload)
-		const micro = 2000
-		start := time.Now()
-		for i := 0; i < micro; i++ {
-			_ = delta.Encode()
+		run.EncodeNsPerDelta, _ = nsPerOp(1, codecOps, encode)
+		if run.DecodeNsPerDelta, err = nsPerOp(1, codecOps, decode); err != nil {
+			return err
 		}
-		run.EncodeNsPerDelta = float64(time.Since(start).Nanoseconds()) / micro
-		start = time.Now()
-		for i := 0; i < micro; i++ {
-			if _, err := trust.DecodeEvidence(trust.EvidencePosterior, payload); err != nil {
-				return evidenceCodecReport{}, err
-			}
-		}
-		run.DecodeNsPerDelta = float64(time.Since(start).Nanoseconds()) / micro
 
 		// Cell traffic under the policy, same marketplace stream per mode.
-		agents, err := agent.NewPopulation(agent.PopConfig{Honest: 12, Opportunist: 6},
-			rand.New(rand.NewSource(seed)))
+		cfg, err := cellConfig(c.seed, sessions)
 		if err != nil {
-			return evidenceCodecReport{}, err
+			return err
 		}
-		cfg := market.Config{
-			Seed:     seed,
-			Sessions: sessions,
-			Agents:   agents,
-			Strategy: market.StrategyTrustAware,
-			Evidence: trust.EvidencePosterior,
-			Beta:     trust.BetaConfig{Export: pol},
-			Gossip:   gossip.Config{Period: period, Topology: gossip.TopologyMesh},
-		}
+		cfg.Evidence = trust.EvidencePosterior
+		cfg.Beta = trust.BetaConfig{Export: pol}
+		cfg.Gossip = gossip.Config{Period: period, Topology: gossip.TopologyMesh}
 		_, st, err := eval.RunCellStats(cfg, shards, 0)
 		if err != nil {
-			return evidenceCodecReport{}, err
+			return err
 		}
 		run.BytesPerSession = float64(st.BytesDelivered) / float64(sessions)
 		ec.Modes = append(ec.Modes, run)
@@ -1178,7 +984,8 @@ func benchEvidenceCodec(seed int64) (evidenceCodecReport, error) {
 			ec.Modes[i].CompressionRatioVsDense = dense / b
 		}
 	}
-	return ec, nil
+	r.EvidenceCodec = ec
+	return nil
 }
 
 // benchScale runs one marketplace engine per estimator at growing
@@ -1192,37 +999,23 @@ func benchEvidenceCodec(seed int64) (evidenceCodecReport, error) {
 // average off the shared complaint store — should match that flatness too,
 // because the average comes from the incrementally maintained aggregate
 // instead of the former O(agents) scan.
-func benchScale(seed int64, agentSizes []int) ([]scaleRun, error) {
+func benchScale(c config, r *report) error {
 	const sessions = 20_000
 	const concurrency = 256
-	variants := []struct {
-		estimator string
-		repStore  string
-	}{
-		{"beta-private", ""},
-		{"complaints-sharded", "sharded"},
-	}
-	var out []scaleRun
-	for _, agents := range agentSizes {
+	variants := []struct{ estimator, repStore string }{{"beta-private", ""}, {"complaints-sharded", "sharded"}}
+	for _, agents := range c.scaleSizes {
 		for _, v := range variants {
-			// Two collections: sync.Pool victims (the netsim cross-run pools
-			// released by the previous row) survive one GC by design, and a
-			// baseline taken while they are still live would undercount —
-			// or even underflow — the next row's heap delta.
-			runtime.GC()
-			runtime.GC()
-			var before runtime.MemStats
-			runtime.ReadMemStats(&before)
+			before := settledHeap()
 
 			pop, err := agent.NewPopulation(agent.PopConfig{
 				Honest:      agents - agents/5,
 				Opportunist: agents / 5,
-			}, rand.New(rand.NewSource(seed)))
+			}, rand.New(rand.NewSource(c.seed)))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			eng, err := market.NewEngine(market.Config{
-				Seed:        seed,
+				Seed:        c.seed,
 				Sessions:    sessions,
 				Agents:      pop,
 				Concurrency: concurrency,
@@ -1230,19 +1023,12 @@ func benchScale(seed int64, agentSizes []int) ([]scaleRun, error) {
 				RepStore:    v.repStore,
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
-			runtime.GC()
-			runtime.GC()
-			var built runtime.MemStats
-			runtime.ReadMemStats(&built)
 			// Clamp against residual GC drift: the delta is a measurement,
 			// not an invariant, and an underflowed uint64 would poison the
 			// bytes_per_agent column.
-			engineHeap := uint64(0)
-			if built.HeapAlloc > before.HeapAlloc {
-				engineHeap = built.HeapAlloc - before.HeapAlloc
-			}
+			engineHeap := max(settledHeap(), before) - before
 
 			// The run is windowed (RunWindow + FinishRun ≡ Run for the same
 			// session total) so each window's ns/event lands in a
@@ -1255,12 +1041,8 @@ func benchScale(seed int64, agentSizes []int) ([]scaleRun, error) {
 			last := start
 			var prevEvents int64
 			for done := 0; done < sessions; done += window {
-				n := window
-				if rem := sessions - done; n > rem {
-					n = rem
-				}
-				if err := eng.RunWindow(n); err != nil {
-					return nil, err
+				if err := eng.RunWindow(min(window, sessions-done)); err != nil {
+					return err
 				}
 				now := time.Now()
 				windowNs := float64(now.Sub(last).Nanoseconds())
@@ -1272,7 +1054,7 @@ func benchScale(seed int64, agentSizes []int) ([]scaleRun, error) {
 				prevEvents = ev
 			}
 			if _, err := eng.FinishRun(); err != nil {
-				return nil, err
+				return err
 			}
 			secs := time.Since(start).Seconds()
 			var after runtime.MemStats // deliberately before any GC: high-water
@@ -1295,12 +1077,24 @@ func benchScale(seed int64, agentSizes []int) ([]scaleRun, error) {
 				row.NsPerEvent = secs * 1e9 / float64(events)
 			}
 			row.WindowNsPerEvent = distSummary(&windowDist)
-			out = append(out, row)
+			r.Scale = append(r.Scale, row)
 			fmt.Fprintf(os.Stderr, "scale %d agents (%s): %d events in %.2fs (%.0f events/s, %.1f ns/event), %.1f bytes/agent, peak heap %d MB\n",
 				agents, v.estimator, events, secs, row.EventsPerSec, row.NsPerEvent, row.BytesPerAgent, after.HeapInuse>>20)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// settledHeap is HeapAlloc after two collections: sync.Pool victims (the
+// netsim cross-run pools released by the previous row) survive one GC by
+// design, and a baseline taken while they are still live would undercount —
+// or even underflow — the next row's heap delta.
+func settledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // scanOnlyStore hides the Aggregator and MutationCounter extensions of the
@@ -1329,119 +1123,75 @@ func (s scanOnlyStore) CountsAll(peers []trust.PeerID) ([]complaints.Tally, erro
 	return s.inner.(complaints.Snapshotter).CountsAll(peers)
 }
 
-// benchAssessorPath measures the tentpole of PR 7: one trust decision
+// benchAssessor measures one trust decision
 // (Assessor.NormalisedScore — population average plus the per-peer product)
 // timed both ways on the same pre-filled store. The scan rows force the
 // seed's O(population) CountsAll walk through scanOnlyStore; the aggregate
 // rows read the incrementally maintained sum. Both return bit-identical
 // scores (pinned by the aggregate≡scan property test), so the ratio is pure
 // algorithmic O(N)→O(1) and grows linearly with the population.
-func benchAssessorPath(quick bool, reps int) ([]assessorPathRun, error) {
+func benchAssessor(c config, r *report) error {
 	populations := []int{1_000, 10_000, 100_000}
-	if quick {
+	if c.quick {
 		populations = []int{1_000, 10_000}
 	}
-	var out []assessorPathRun
 	for _, backend := range []string{"memory", "sharded"} {
 		for _, pop := range populations {
-			ids := benchutil.StorePeers(pop)
-			store, err := complaints.Open(backend, complaints.BackendConfig{})
+			row, err := assessorRow(c, backend, pop)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			// Pre-file two complaints per peer on average so both paths read
-			// a store with realistic occupancy.
-			batch := make([]complaints.Complaint, 0, 256)
-			for i := 0; i < 2*pop; i++ {
-				batch = append(batch, complaints.Complaint{From: ids[(i*7)%pop], About: ids[(i*13+3)%pop]})
-				if len(batch) == cap(batch) {
-					if err := complaints.FileAll(store, batch); err != nil {
-						return nil, err
-					}
-					batch = batch[:0]
-				}
-			}
-			if err := complaints.FileAll(store, batch); err != nil {
-				return nil, err
-			}
-
-			aggregate := complaints.NewAssessor(store, ids)
-			scan := complaints.Assessor{Store: scanOnlyStore{inner: store}, Population: ids}
-
-			// The scan is O(population) per call, so it times fewer calls at
-			// the big sizes to keep the section bounded.
-			aggDecisions := 50_000
-			scanDecisions := 4_000_000 / pop
-			if quick {
-				aggDecisions /= 10
-				scanDecisions /= 4
-			}
-			if scanDecisions < 8 {
-				scanDecisions = 8
-			}
-
-			measure := func(a complaints.Assessor, n int) (float64, error) {
-				best := time.Duration(0)
-				for r := 0; r < reps; r++ {
-					start := time.Now()
-					for i := 0; i < n; i++ {
-						if _, err := a.NormalisedScore(ids[(i*31)%pop]); err != nil {
-							return 0, err
-						}
-					}
-					if d := time.Since(start); best == 0 || d < best {
-						best = d
-					}
-				}
-				return float64(best.Nanoseconds()) / float64(n), nil
-			}
-			row := assessorPathRun{
-				Backend:            backend,
-				Population:         pop,
-				ScanDecisions:      scanDecisions,
-				AggregateDecisions: aggDecisions,
-			}
-			if row.ScanNsPerDecision, err = measure(scan, scanDecisions); err != nil {
-				return nil, err
-			}
-			if row.AggregateNsPerDecision, err = measure(aggregate, aggDecisions); err != nil {
-				return nil, err
-			}
-			if row.AggregateNsPerDecision > 0 {
-				row.SpeedupAggregateVsScan = row.ScanNsPerDecision / row.AggregateNsPerDecision
-			}
-			// Per-decision distributions from a separate chained-clock pass,
-			// after the best-of-reps means so they stay undistorted.
-			observe := func(a complaints.Assessor, n int) (stats.Distribution, error) {
-				var d stats.Distribution
-				last := time.Now()
-				for i := 0; i < n; i++ {
-					if _, err := a.NormalisedScore(ids[(i*31)%pop]); err != nil {
-						return stats.Distribution{}, err
-					}
-					chainObserve(&d, &last)
-				}
-				return d, nil
-			}
-			scanDist, err := observe(scan, scanDecisions)
-			if err != nil {
-				return nil, err
-			}
-			aggDist, err := observe(aggregate, aggDecisions)
-			if err != nil {
-				return nil, err
-			}
-			row.ScanLatency = distSummary(&scanDist)
-			row.AggregateLatency = distSummary(&aggDist)
-			if cerr := benchutil.CloseStore(store); cerr != nil {
-				return nil, cerr
-			}
-			out = append(out, row)
+			r.AssessorPath = append(r.AssessorPath, row)
 			fmt.Fprintf(os.Stderr, "assessor %s pop=%d: scan %.0f ns/decision, aggregate %.0f ns/decision (%.1fx)\n",
 				backend, pop, row.ScanNsPerDecision, row.AggregateNsPerDecision, row.SpeedupAggregateVsScan)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+func assessorRow(c config, backend string, pop int) (row assessorPathRun, err error) {
+	ids := benchutil.StorePeers(pop)
+	store, err := complaints.Open(backend, complaints.BackendConfig{})
+	if err != nil {
+		return row, err
+	}
+	defer func() {
+		if cerr := benchutil.CloseStore(store); err == nil {
+			err = cerr
+		}
+	}()
+	// Pre-file two complaints per peer on average so both paths read a
+	// store with realistic occupancy.
+	if err := complaints.FileAll(store, complaintStream(ids, 2*pop)); err != nil {
+		return row, err
+	}
+
+	// The scan is O(population) per call, so it times fewer calls at the
+	// big sizes to keep the section bounded.
+	row = assessorPathRun{Backend: backend, Population: pop, AggregateDecisions: 50_000, ScanDecisions: 4_000_000 / pop}
+	if c.quick {
+		row.AggregateDecisions /= 10
+		row.ScanDecisions /= 4
+	}
+	row.ScanDecisions = max(row.ScanDecisions, 8)
+	decide := func(a complaints.Assessor) func(int) error {
+		return func(i int) error {
+			_, err := a.NormalisedScore(ids[(i*31)%pop])
+			return err
+		}
+	}
+	scan := decide(complaints.Assessor{Store: scanOnlyStore{inner: store}, Population: ids})
+	aggregate := decide(complaints.NewAssessor(store, ids))
+	if row.ScanNsPerDecision, row.ScanLatency, err = measure(c.reps, row.ScanDecisions, scan); err != nil {
+		return row, err
+	}
+	if row.AggregateNsPerDecision, row.AggregateLatency, err = measure(c.reps, row.AggregateDecisions, aggregate); err != nil {
+		return row, err
+	}
+	if row.AggregateNsPerDecision > 0 {
+		row.SpeedupAggregateVsScan = row.ScanNsPerDecision / row.AggregateNsPerDecision
+	}
+	return row, nil
 }
 
 // benchTrustd measures the trustd service wrapper (PR 8) per backend: what
@@ -1453,168 +1203,89 @@ func benchAssessorPath(quick bool, reps int) ([]assessorPathRun, error) {
 // plus one combined counts read), warm is the memoised hit. Recovery is a
 // fresh Open of the ingested directory, reported as replayed complaints per
 // second from the server's own recovery clock.
-func benchTrustd(quick bool, reps int) ([]trustdRun, error) {
+func benchTrustd(c config, r *report) error {
 	const pop, batchSize = 64, 16
-	batches := 4096
-	warmQueries := 200_000
-	if quick {
-		batches = 512
-		warmQueries = 20_000
+	batches, warmQueries := 4096, 200_000
+	if c.quick {
+		batches, warmQueries = 512, 20_000
 	}
 	ids := benchutil.StorePeers(pop)
-	work := make([][]complaints.Complaint, batches)
-	for i := range work {
-		b := make([]complaints.Complaint, batchSize)
-		for j := range b {
-			k := i*batchSize + j
-			b[j] = complaints.Complaint{From: ids[(k*7)%pop], About: ids[(k*13+3)%pop]}
-		}
-		work[i] = b
+	stream := complaintStream(ids, batches*batchSize)
+	ingest := func(srv *trustd.Server) func(int) error {
+		return func(i int) error { return srv.Ingest(stream[i*batchSize : (i+1)*batchSize]) }
 	}
-
-	var out []trustdRun
+	// The first read of each peer after a generation bump is a cold miss
+	// that computes and memoises; every later read is a warm hit.
+	query := func(srv *trustd.Server) func(int) error {
+		return func(i int) error {
+			_, err := srv.ScoreOf(ids[i%pop])
+			return err
+		}
+	}
 	for _, backend := range []string{"sharded", "async:sharded"} {
+		// Ingest, cold and warm query and recovery each keep their own
+		// best over the reps.
+		opts := trustd.Options{Backend: backend, Population: ids}
 		row := trustdRun{Backend: backend, Batches: batches, BatchSize: batchSize, Population: pop}
-		bestIngest := time.Duration(0)
-		bestRecovery := time.Duration(0)
-		for r := 0; r < reps; r++ {
-			dir, err := os.MkdirTemp("", "bench-trustd-*")
-			if err != nil {
-				return nil, err
-			}
-			opts := trustd.Options{Dir: dir, Backend: backend, Population: ids}
-			srv, err := trustd.Open(opts)
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			start := time.Now()
-			for _, b := range work {
-				if err := srv.Ingest(b); err != nil {
-					os.RemoveAll(dir)
-					return nil, err
+		_, ingestTime, err := bestOf(c.reps, false, func() (_ struct{}, ingestTime time.Duration, err error) {
+			err = withTrustd(opts, func(srv *trustd.Server) (err error) {
+				start := time.Now()
+				if err = repeat(batches, ingest(srv)); err == nil {
+					err = srv.Flush()
 				}
-			}
-			if err := srv.Flush(); err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			if d := time.Since(start); bestIngest == 0 || d < bestIngest {
-				bestIngest = d
-			}
-			row.WALBytes = srv.Stats().WALBytes
-
-			// Cold: the generation just changed, so the first read of each
-			// peer computes and memoises. Warm: every later read is a hit.
-			start = time.Now()
-			for _, id := range ids {
-				if _, err := srv.ScoreOf(id); err != nil {
-					os.RemoveAll(dir)
-					return nil, err
+				ingestTime = time.Since(start)
+				if err != nil {
+					return err
 				}
-			}
-			cold := float64(time.Since(start).Nanoseconds()) / float64(len(ids))
-			if row.QueryNsCold == 0 || cold < row.QueryNsCold {
-				row.QueryNsCold = cold
-			}
-			start = time.Now()
-			for i := 0; i < warmQueries; i++ {
-				if _, err := srv.ScoreOf(ids[i%pop]); err != nil {
-					os.RemoveAll(dir)
-					return nil, err
+				row.WALBytes = srv.Stats().WALBytes
+				cold, err := nsPerOp(1, pop, query(srv))
+				if err != nil {
+					return err
 				}
-			}
-			warm := float64(time.Since(start).Nanoseconds()) / float64(warmQueries)
-			if row.QueryNsWarm == 0 || warm < row.QueryNsWarm {
-				row.QueryNsWarm = warm
-			}
-			if err := srv.Close(); err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-
-			srv2, err := trustd.Open(opts)
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			st := srv2.Stats()
-			if got := int(st.RecoveredBatches); got != batches {
-				srv2.Close()
-				os.RemoveAll(dir)
-				return nil, fmt.Errorf("trustd %s: recovery replayed %d batches, ingested %d", backend, got, batches)
-			}
-			if d := time.Duration(st.RecoveryNs); bestRecovery == 0 || d < bestRecovery {
-				bestRecovery = d
-			}
-			if err := srv2.Close(); err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			os.RemoveAll(dir)
+				warm, err := nsPerOp(1, warmQueries, query(srv))
+				row.QueryNsCold, row.QueryNsWarm = fastest(row.QueryNsCold, cold), fastest(row.QueryNsWarm, warm)
+				return err
+			}, func(srv *trustd.Server) error {
+				st := srv.Stats()
+				if got := int(st.RecoveredBatches); got != batches {
+					return fmt.Errorf("%s: recovery replayed %d batches, ingested %d", backend, got, batches)
+				}
+				row.RecoverySeconds = fastest(row.RecoverySeconds, time.Duration(st.RecoveryNs).Seconds())
+				return nil
+			})
+			return struct{}{}, ingestTime, err
+		})
+		if err != nil {
+			return err
 		}
-		row.IngestNsPerBatch = float64(bestIngest.Nanoseconds()) / float64(batches)
+		row.IngestNsPerBatch = float64(ingestTime.Nanoseconds()) / float64(batches)
 		row.IngestNsPerComplaint = row.IngestNsPerBatch / batchSize
-		row.RecoverySeconds = bestRecovery.Seconds()
-		if s := bestRecovery.Seconds(); s > 0 {
-			row.RecoveryComplaintsPerSec = float64(batches*batchSize) / s
+		if row.RecoverySeconds > 0 {
+			row.RecoveryComplaintsPerSec = float64(batches*batchSize) / row.RecoverySeconds
 		}
 
-		// Instrumented pass on a fresh server: per-op chained clock reads feed
-		// the latency distributions, leaving the best-of-reps means above
-		// untouched by instrumentation. The cold/warm split mirrors the timed
-		// passes: first read of each peer after the last generation bump is a
-		// miss, everything after is a hit.
-		if err := func() error {
-			dir, err := os.MkdirTemp("", "bench-trustd-*")
-			if err != nil {
+		// Instrumented pass on a fresh server, with the same cold/warm split.
+		if err := withTrustd(opts, func(srv *trustd.Server) (err error) {
+			if row.IngestLatency, err = observe(batches, ingest(srv)); err != nil {
 				return err
 			}
-			defer os.RemoveAll(dir)
-			srv, err := trustd.Open(trustd.Options{Dir: dir, Backend: backend, Population: ids})
-			if err != nil {
+			if err = srv.Flush(); err != nil {
 				return err
 			}
-			defer srv.Close()
-			var ingestDist, coldDist, warmDist stats.Distribution
-			last := time.Now()
-			for _, b := range work {
-				if err := srv.Ingest(b); err != nil {
-					return err
-				}
-				chainObserve(&ingestDist, &last)
-			}
-			if err := srv.Flush(); err != nil {
+			if row.QueryColdLatency, err = observe(pop, query(srv)); err != nil {
 				return err
 			}
-			last = time.Now()
-			for _, id := range ids {
-				if _, err := srv.ScoreOf(id); err != nil {
-					return err
-				}
-				chainObserve(&coldDist, &last)
-			}
-			last = time.Now()
-			for i := 0; i < warmQueries; i++ {
-				if _, err := srv.ScoreOf(ids[i%pop]); err != nil {
-					return err
-				}
-				chainObserve(&warmDist, &last)
-			}
-			row.IngestLatency = distSummary(&ingestDist)
-			row.QueryColdLatency = distSummary(&coldDist)
-			row.QueryWarmLatency = distSummary(&warmDist)
-			return nil
-		}(); err != nil {
-			return nil, err
+			row.QueryWarmLatency, err = observe(warmQueries, query(srv))
+			return err
+		}); err != nil {
+			return err
 		}
-
-		out = append(out, row)
+		r.Trustd = append(r.Trustd, row)
 		fmt.Fprintf(os.Stderr, "trustd %s: ingest %.0f ns/batch (p50/p99/p999 %.0f/%.0f/%.0f), query %.0f/%.0f ns cold/warm (warm p99 %.0f), recovery %.0f complaints/s\n",
 			backend, row.IngestNsPerBatch, row.IngestLatency.P50Ns, row.IngestLatency.P99Ns, row.IngestLatency.P999Ns,
 			row.QueryNsCold, row.QueryNsWarm, row.QueryWarmLatency.P99Ns, row.RecoveryComplaintsPerSec)
 	}
-	return out, nil
+	return nil
 }
 
 // benchNetsim measures the simulator's event loop on the two shapes the
@@ -1623,46 +1294,42 @@ func benchTrustd(quick bool, reps int) ([]trustdRun, error) {
 // Since PR 6 the queue is the hierarchical timer wheel, whose point is the
 // spread shape; the same-tick shape rides the draining-slot fast path and
 // must not regress against the PR 5 bucketed queue.
-func benchNetsim(reps int) []netsimReport {
+func benchNetsim(c config, r *report) error {
 	const events = 4096
-	// A rep is ~200µs, far too short for best-of-3 on a noisy shared host, so
-	// this section always takes at least best-of-10 and burns one untimed
-	// warm-up rep (allocator spans and wheel pages cold on the first pass).
-	if reps < 10 {
-		reps = 10
-	}
-	shapes := []struct {
+	for _, shape := range []struct {
 		name  string
 		ticks int
 	}{
 		{"same_tick_64_per_tick", events / 64},
 		{"spread_one_per_tick", events},
-	}
-	var out []netsimReport
-	for _, shape := range shapes {
-		best := time.Duration(0)
-		for r := -1; r < reps; r++ {
-			start := time.Now()
+	} {
+		// A rep is ~200µs, far too short for best-of-3 on a noisy shared
+		// host, so this section always takes at least best-of-10 and burns
+		// one untimed warm-up rep (allocator spans and wheel pages cold on
+		// the first pass).
+		_, best, err := bestOf(max(c.reps, 10), true, timed(func() error {
 			s := netsim.NewSimulator(1)
-			for e := 0; e < events; e++ {
+			for e := range events {
 				s.Schedule(netsim.Time(e%shape.ticks), func() {})
 			}
 			if n := s.Run(0); n != events {
-				panic("netsim bench lost events")
+				return fmt.Errorf("%s: ran %d of %d events", shape.name, n, events)
 			}
-			if d := time.Since(start); r >= 0 && (best == 0 || d < best) {
-				best = d
-			}
+			return nil
+		}))
+		if err != nil {
+			return err
 		}
-		out = append(out, netsimReport{
+		row := netsimReport{
 			Workload:   shape.name,
 			Events:     events,
 			TotalNs:    float64(best.Nanoseconds()),
 			NsPerEvent: float64(best.Nanoseconds()) / events,
-		})
-		fmt.Fprintf(os.Stderr, "netsim %s: %.0f ns/event\n", shape.name, float64(best.Nanoseconds())/events)
+		}
+		r.Netsim = append(r.Netsim, row)
+		fmt.Fprintf(os.Stderr, "netsim %s: %.0f ns/event\n", shape.name, row.NsPerEvent)
 	}
-	return out
+	return nil
 }
 
 // benchFileBatch compares the batched write path against per-complaint File
@@ -1670,20 +1337,15 @@ func benchNetsim(reps int) []netsimReport {
 // FileBatch routes once per distinct grid key per batch instead of twice per
 // complaint — PR 4): the same complaint stream filed one at a time versus in
 // FileBatch chunks (the async drain's shape). The ratio is the per-complaint
-// locking (or routing) overhead the batch API amortises away. The pgrid rows
-// run a tenth of the stream — every operation pays O(log N) routing and a
-// replica-group write, so the full stream would dominate the whole bench.
-func benchFileBatch(quick bool, reps int) ([]batchFileRun, error) {
+// locking (or routing) overhead the batch API amortises away.
+func benchFileBatch(c config) ([]batchFileRun, error) {
 	const batchSize = 64
 	ops := 200_000
-	if quick {
+	if c.quick {
 		ops = 50_000
 	}
 	ids := benchutil.StorePeers(storePeers)
-	stream := make([]complaints.Complaint, ops)
-	for i := range stream {
-		stream[i] = complaints.Complaint{From: ids[(i*7)%len(ids)], About: ids[(i*13+3)%len(ids)]}
-	}
+	stream := complaintStream(ids, ops)
 	var out []batchFileRun
 	for _, spec := range []string{"memory", "sharded", "async:sharded", "pgrid", "pgrid-deferred", "pgrid-deferred32"} {
 		specOps := ops
@@ -1703,54 +1365,39 @@ func benchFileBatch(quick bool, reps int) ([]batchFileRun, error) {
 				bc.GridPeers = 32
 			}
 		}
-		run := batchFileRun{Backend: spec, BatchSize: batchSize}
-		for _, batched := range []bool{false, true} {
-			best := time.Duration(0)
-			for r := 0; r < reps; r++ {
+		single := func(store complaints.Store) error {
+			return repeat(specOps, func(i int) error { return store.File(stream[i]) })
+		}
+		batched := func(store complaints.Store) error {
+			return repeat((specOps+batchSize-1)/batchSize, func(b int) error {
+				return complaints.FileAll(store, stream[b*batchSize:min((b+1)*batchSize, specOps)])
+			})
+		}
+		var ns [2]float64
+		for i, fill := range []func(complaints.Store) error{single, batched} {
+			_, best, err := bestOf(c.reps, false, func() (_ struct{}, d time.Duration, err error) {
 				// Deterministic async mode: both paths pay the drain inline,
 				// so the comparison isolates locking, not goroutine handoff.
 				store, err := complaints.Open(openSpec, bc)
 				if err != nil {
-					return nil, err
+					return struct{}{}, 0, err
 				}
 				start := time.Now()
-				if batched {
-					for lo := 0; lo < specOps; lo += batchSize {
-						hi := lo + batchSize
-						if hi > specOps {
-							hi = specOps
-						}
-						if err := complaints.FileAll(store, stream[lo:hi]); err != nil {
-							return nil, err
-						}
-					}
-				} else {
-					for _, c := range stream[:specOps] {
-						if err := store.File(c); err != nil {
-							return nil, err
-						}
-					}
+				if err = fill(store); err == nil {
+					err = flush(store)
 				}
-				if f, ok := store.(complaints.Flusher); ok {
-					if err := f.Flush(); err != nil {
-						return nil, err
-					}
+				d = time.Since(start)
+				if cerr := benchutil.CloseStore(store); err == nil {
+					err = cerr
 				}
-				d := time.Since(start)
-				if cerr := benchutil.CloseStore(store); cerr != nil {
-					return nil, cerr
-				}
-				if best == 0 || d < best {
-					best = d
-				}
+				return struct{}{}, d, err
+			})
+			if err != nil {
+				return nil, fmt.Errorf("filebatch %s: %w", spec, err)
 			}
-			nsPerOp := float64(best.Nanoseconds()) / float64(specOps)
-			if batched {
-				run.BatchNsPerOp = nsPerOp
-			} else {
-				run.SingleNsPerOp = nsPerOp
-			}
+			ns[i] = float64(best.Nanoseconds()) / float64(specOps)
 		}
+		run := batchFileRun{Backend: spec, BatchSize: batchSize, SingleNsPerOp: ns[0], BatchNsPerOp: ns[1]}
 		if run.BatchNsPerOp > 0 {
 			run.SpeedupBatchVsSingle = run.SingleNsPerOp / run.BatchNsPerOp
 		}
@@ -1759,6 +1406,14 @@ func benchFileBatch(quick bool, reps int) ([]batchFileRun, error) {
 			spec, run.SingleNsPerOp, run.BatchNsPerOp, run.SpeedupBatchVsSingle)
 	}
 	return out, nil
+}
+
+// flush drains a write-behind store; other stores have nothing to drain.
+func flush(store complaints.Store) error {
+	if f, ok := store.(complaints.Flusher); ok {
+		return f.Flush()
+	}
+	return nil
 }
 
 // storePeers is the contention-benchmark population size.
@@ -1781,226 +1436,155 @@ func mutexWaitTotal() float64 {
 //
 // Reported per run: wall-clock ns per store operation, heap allocations per
 // operation (runtime.MemStats delta — approximate, includes scheduler
-// allocations), and sync.Mutex wait accumulated per operation.
-func benchStores(specs []string, quick bool, reps int) ([]storeReport, error) {
+// allocations), and sync.Mutex wait accumulated per operation. A separate
+// instrumented pass at the widest goroutine count records the per-op
+// latency distribution.
+func benchStores(c config, r *report) error {
 	ids := benchutil.StorePeers(storePeers)
-	fileOps, assessSessions := 200_000, 400
-	if quick {
-		fileOps, assessSessions = 50_000, 100
+	w := storeWork{ids: ids, fileOps: 200_000, sessions: 400}
+	if c.quick {
+		w.fileOps, w.sessions = 50_000, 100
 	}
-	widths := []int{1, 8}
-	if n := runtime.GOMAXPROCS(0); n*2 > 8 {
-		widths = append(widths, n*2)
-	}
+	widths := widen([]int{1, 8}, 2*runtime.GOMAXPROCS(0))
 
 	// The memory baseline always runs first so every backend's
 	// speedup_vs_memory has a same-snapshot denominator.
 	ordered := []string{"memory"}
-	seen := map[string]bool{"memory": true}
-	for _, spec := range specs {
-		spec = strings.TrimSpace(spec)
-		if spec == "" || seen[spec] {
-			continue
-		}
+	for _, spec := range c.repstore {
 		if strings.Contains(spec, "pgrid") {
 			fmt.Fprintf(os.Stderr, "store %s: skipped (not safe for concurrent use)\n", spec)
-			continue
+		} else if !slices.Contains(ordered, spec) {
+			ordered = append(ordered, spec)
 		}
-		seen[spec] = true
-		ordered = append(ordered, spec)
 	}
 
 	// memBaseline[workload] is the memory backend's widest-run ns/op.
 	memBaseline := map[string]float64{}
-	var reports []storeReport
 	for _, spec := range ordered {
 		for _, workload := range []string{"file", "file+assess"} {
+			w.workload = workload
 			sr := storeReport{Backend: spec, Workload: workload, Gomaxprocs: runtime.GOMAXPROCS(0)}
 			for _, g := range widths {
-				var best storeRun
-				for r := 0; r < reps; r++ {
-					store, err := benchutil.OpenStore(spec, ids)
-					if err != nil {
-						return nil, err
-					}
-					run, err := benchStoreRun(store, workload, g, fileOps, assessSessions, ids)
-					// Stop any background flush workers before the next cell
-					// is timed.
-					if cerr := benchutil.CloseStore(store); err == nil {
-						err = cerr
-					}
-					if err != nil {
-						return nil, err
-					}
-					if best.Ops == 0 || run.NsPerOp < best.NsPerOp {
-						best = run
-					}
+				best, _, err := bestOf(c.reps, false, func() (storeRun, time.Duration, error) {
+					return w.run(spec, g, nil)
+				})
+				if err != nil {
+					return fmt.Errorf("%s %s: %w", spec, workload, err)
 				}
 				sr.Runs = append(sr.Runs, best)
 			}
-			sr.SpeedupNumCPUVs1 = 1
 			last := sr.Runs[len(sr.Runs)-1]
-			if runtime.GOMAXPROCS(0) > 1 && last.NsPerOp > 0 {
-				sr.SpeedupNumCPUVs1 = sr.Runs[0].NsPerOp / last.NsPerOp
-			}
+			sr.SpeedupNumCPUVs1 = parallelSpeedup(sr.Runs[0].NsPerOp, last.NsPerOp)
 			if spec == "memory" {
 				memBaseline[workload] = last.NsPerOp
 			}
 			if base := memBaseline[workload]; base > 0 && last.NsPerOp > 0 {
 				sr.SpeedupVsMemory = base / last.NsPerOp
 			}
-			// Per-op latency shape at the widest width, on a fresh store in a
-			// separate pass so the best-of-reps bulk means above stay clean.
-			lat, err := benchStoreLatency(spec, workload, widths[len(widths)-1], fileOps, assessSessions, ids)
-			if err != nil {
-				return nil, err
+			// Per-op latency shape at the widest width, merged in goroutine
+			// order (Merge is exactly associative, so the merged shape is
+			// independent of scheduling).
+			dists := make([]stats.Distribution, widths[len(widths)-1])
+			if _, _, err := w.run(spec, len(dists), dists); err != nil {
+				return fmt.Errorf("%s %s: %w", spec, workload, err)
+			}
+			var lat stats.Distribution
+			for _, d := range dists {
+				lat.Merge(d)
 			}
 			sr.Latency = distSummary(&lat)
-			reports = append(reports, sr)
+			r.Stores = append(r.Stores, sr)
 			fmt.Fprintf(os.Stderr, "store %s %s: %.1f ns/op at %d goroutines (%.2fx vs memory), p99 %.0f ns\n",
 				spec, workload, last.NsPerOp, last.Goroutines, sr.SpeedupVsMemory, sr.Latency.P99Ns)
 		}
 	}
-	return reports, nil
+	return nil
 }
 
-// benchStoreRun drives one (store, workload, goroutines) cell. Ops counts
-// individual store operations: Files plus, for file+assess, one
-// complaint-product read per population member per session.
-func benchStoreRun(store complaints.Store, workload string, goroutines, fileOps, assessSessions int, ids []trust.PeerID) (storeRun, error) {
-	assessor := complaints.Assessor{Store: store, Population: ids}
-	perG := fileOps / goroutines
-	sessPerG := assessSessions
-	totalOps := goroutines * perG
-	if workload == "file+assess" {
-		totalOps = goroutines * sessPerG * (len(ids) + 1)
-	}
+// storeWork is one store_contention workload at its trial sizes.
+type storeWork struct {
+	workload          string         // "file" or "file+assess"
+	ids               []trust.PeerID // storePeers of them
+	fileOps, sessions int
+}
 
+// shape is each of goroutines' share of the workload: sessions of one File
+// followed by reads complaint-product reads, one per population member
+// ("file" is sessions with no reads).
+func (w storeWork) shape(goroutines int) (sessions, reads int) {
+	if w.workload == "file" {
+		return w.fileOps / goroutines, 0
+	}
+	return w.sessions, len(w.ids)
+}
+
+// body is the workload: goroutine g's operation stream on store. With d set
+// it is the instrumented pass and each op is lapped into d; the timed pass
+// pays only the nil check.
+func (w storeWork) body(store complaints.Store, g, goroutines int, d *stats.Distribution) error {
+	ids := w.ids
+	sessions, reads := w.shape(goroutines)
+	assessor := complaints.Assessor{Store: store, Population: ids}
+	last := time.Now()
+	for s := range sessions {
+		if err := store.File(complaints.Complaint{From: ids[(g*7+s)%len(ids)], About: ids[(g*13+3*s)%len(ids)]}); err != nil {
+			return err
+		}
+		if d != nil {
+			last = lap(d, last)
+		}
+		for _, p := range ids[:reads] {
+			if _, err := assessor.Product(p); err != nil {
+				return err
+			}
+			if d != nil {
+				last = lap(d, last)
+			}
+		}
+	}
+	return nil
+}
+
+// run drives one (spec, goroutines) cell on a fresh store and returns its
+// per-op costs and timed span. With dists set it is the instrumented pass
+// instead: goroutine g observes its ops into dists[g], so no state is shared
+// on the hot path beyond the store under test.
+func (w storeWork) run(spec string, goroutines int, dists []stats.Distribution) (run storeRun, elapsed time.Duration, err error) {
+	store, err := benchutil.OpenStore(spec, w.ids)
+	if err != nil {
+		return run, 0, err
+	}
+	// Stop any background flush workers before the next cell is timed.
+	defer func() {
+		if cerr := benchutil.CloseStore(store); err == nil {
+			err = cerr
+		}
+	}()
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	wait0 := mutexWaitTotal()
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
 	start := time.Now()
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			switch workload {
-			case "file":
-				for i := 0; i < perG; i++ {
-					c := complaints.Complaint{From: ids[(g*7+i)%len(ids)], About: ids[(g*13+3*i)%len(ids)]}
-					if err := store.File(c); err != nil {
-						errs[g] = err
-						return
-					}
-				}
-			default: // file+assess
-				for s := 0; s < sessPerG; s++ {
-					c := complaints.Complaint{From: ids[(g*7+s)%len(ids)], About: ids[(g*13+3*s)%len(ids)]}
-					if err := store.File(c); err != nil {
-						errs[g] = err
-						return
-					}
-					for _, p := range ids {
-						if _, err := assessor.Product(p); err != nil {
-							errs[g] = err
-							return
-						}
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// A write-behind store pays for its backlog inside the measurement.
-	if f, ok := store.(complaints.Flusher); ok {
-		if err := f.Flush(); err != nil {
-			return storeRun{}, err
+	err = drive(goroutines, func(g int) error {
+		if dists == nil {
+			return w.body(store, g, goroutines, nil)
 		}
+		return w.body(store, g, goroutines, &dists[g])
+	})
+	// A write-behind store pays for its backlog inside the measurement.
+	if ferr := flush(store); err == nil {
+		err = ferr
 	}
-	elapsed := time.Since(start)
+	elapsed = time.Since(start)
 	wait1 := mutexWaitTotal()
 	runtime.ReadMemStats(&ms1)
-	for _, err := range errs {
-		if err != nil {
-			return storeRun{}, err
-		}
-	}
+	sessions, reads := w.shape(goroutines)
+	ops := goroutines * sessions * (reads + 1)
 	return storeRun{
 		Goroutines:       goroutines,
-		Ops:              totalOps,
-		NsPerOp:          float64(elapsed.Nanoseconds()) / float64(totalOps),
-		AllocsPerOp:      float64(ms1.Mallocs-ms0.Mallocs) / float64(totalOps),
-		MutexWaitNsPerOp: (wait1 - wait0) * 1e9 / float64(totalOps),
-	}, nil
-}
-
-// benchStoreLatency re-drives one (spec, workload) cell on a fresh store at
-// the given width with per-operation chained clocks. Each goroutine fills its
-// own stats.Distribution — no shared state on the hot path beyond the store
-// under test — and the per-goroutine distributions merge in goroutine index
-// order after the run (Merge is exactly associative, so the merged shape is
-// independent of scheduling). This pass is separate from the timed
-// best-of-reps runs, whose bulk means must not pay per-op clock reads.
-func benchStoreLatency(spec, workload string, goroutines, fileOps, assessSessions int, ids []trust.PeerID) (stats.Distribution, error) {
-	store, err := benchutil.OpenStore(spec, ids)
-	if err != nil {
-		return stats.Distribution{}, err
-	}
-	assessor := complaints.Assessor{Store: store, Population: ids}
-	perG := fileOps / goroutines
-	dists := make([]stats.Distribution, goroutines)
-	errs := make([]error, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			d := &dists[g]
-			last := time.Now()
-			switch workload {
-			case "file":
-				for i := 0; i < perG; i++ {
-					c := complaints.Complaint{From: ids[(g*7+i)%len(ids)], About: ids[(g*13+3*i)%len(ids)]}
-					if err := store.File(c); err != nil {
-						errs[g] = err
-						return
-					}
-					chainObserve(d, &last)
-				}
-			default: // file+assess
-				for s := 0; s < assessSessions; s++ {
-					c := complaints.Complaint{From: ids[(g*7+s)%len(ids)], About: ids[(g*13+3*s)%len(ids)]}
-					if err := store.File(c); err != nil {
-						errs[g] = err
-						return
-					}
-					chainObserve(d, &last)
-					for _, p := range ids {
-						if _, err := assessor.Product(p); err != nil {
-							errs[g] = err
-							return
-						}
-						chainObserve(d, &last)
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if cerr := benchutil.CloseStore(store); cerr != nil {
-		return stats.Distribution{}, cerr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return stats.Distribution{}, err
-		}
-	}
-	var merged stats.Distribution
-	for i := range dists {
-		merged.Merge(dists[i])
-	}
-	return merged, nil
+		Ops:              ops,
+		NsPerOp:          float64(elapsed.Nanoseconds()) / float64(ops),
+		AllocsPerOp:      float64(ms1.Mallocs-ms0.Mallocs) / float64(ops),
+		MutexWaitNsPerOp: (wait1 - wait0) * 1e9 / float64(ops),
+	}, elapsed, err
 }

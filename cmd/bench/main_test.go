@@ -2,25 +2,37 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 // TestRunQuickSections drives run() end to end the way the CI smoke jobs
-// do: a quick single-rep pass over every section except the experiment
-// tables and the scale sweep, writing the JSON report and both pprof
-// profiles. It pins the -sections contract — requested sections appear in
-// the report, omitted ones stay empty — and that assessor_path records a
-// real aggregate-vs-scan speedup even at quick sizes.
+// do: a quick single-rep pass over every registered section except the
+// experiment tables and the scale sweep, writing the JSON report and both
+// pprof profiles. It pins the -sections contract — requested sections
+// appear in the report, omitted ones stay absent — that every section keeps
+// the key structure of the newest committed artifact that recorded it, and
+// that assessor_path records a real aggregate-vs-scan speedup even at quick
+// sizes.
 func TestRunQuickSections(t *testing.T) {
+	var picked []string
+	for _, s := range sections {
+		if s.name != "experiments" && s.name != "scale" {
+			picked = append(picked, s.name)
+		}
+	}
 	dir := t.TempDir()
 	out := filepath.Join(dir, "bench.json")
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	err := run([]string{
 		"-quick", "-reps", "1",
-		"-sections", "stores,netsim,assessor,schedule,engine,cells,gossip,evidence",
+		"-sections", strings.Join(picked, ","),
 		"-cpuprofile", cpu,
 		"-memprofile", mem,
 		"-o", out,
@@ -32,23 +44,51 @@ func TestRunQuickSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var keyed map[string]any
+	if err := json.Unmarshal(raw, &keyed); err != nil {
+		t.Fatalf("report does not decode: %v", err)
+	}
+	var got []string
+	for k := range keyed {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	want := []string{"assessor_path", "cell_sharding", "engine_sessions", "evidence_codec", "evidence_plane",
+		"generated", "go_version", "gomaxprocs", "gossip", "netsim_timer_wheel", "notes", "num_cpu", "quick",
+		"reps", "schedule_fast_path", "seed", "store_contention", "trustd"}
+	if !slices.Equal(got, want) {
+		t.Errorf("report keys = %v, want %v (experiments and scale unrequested)", got, want)
+	}
+	for k, v := range keyed {
+		artifact, ref := newestArtifactWith(t, k)
+		if artifact == "" {
+			t.Errorf("%s: no committed BENCH_PR*.json records it", k)
+			continue
+		}
+		for _, d := range keyShapeDiff(v, ref, k) {
+			t.Errorf("key structure differs from %s: %s", artifact, d)
+		}
+	}
+
 	var rep report
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("report does not decode: %v", err)
 	}
-	if len(rep.Experiments) != 0 || len(rep.Scale) != 0 {
-		t.Errorf("unrequested sections must stay empty: experiments=%d scale=%d",
-			len(rep.Experiments), len(rep.Scale))
-	}
-	if len(rep.Stores) == 0 || len(rep.Netsim) == 0 || len(rep.Schedule) == 0 ||
-		len(rep.Engine) == 0 || len(rep.CellSharding.Cells) == 0 ||
-		len(rep.Gossip.Runs) == 0 || len(rep.EvidencePlane.Kinds) == 0 {
-		t.Fatalf("requested section missing from report: stores=%d netsim=%d schedule=%d engine=%d cells=%d gossip=%d evidence=%d",
-			len(rep.Stores), len(rep.Netsim), len(rep.Schedule), len(rep.Engine),
-			len(rep.CellSharding.Cells), len(rep.Gossip.Runs), len(rep.EvidencePlane.Kinds))
-	}
-	if len(rep.AssessorPath) == 0 {
-		t.Fatal("assessor_path section missing")
+	for name, rows := range map[string]int{
+		"assessor_path":        len(rep.AssessorPath),
+		"cell_sharding.cells":  len(rep.CellSharding.Cells),
+		"engine_sessions":      len(rep.Engine),
+		"evidence_codec.modes": len(rep.EvidenceCodec.Modes),
+		"evidence_plane.kinds": len(rep.EvidencePlane.Kinds),
+		"gossip.runs":          len(rep.Gossip.Runs),
+		"netsim_timer_wheel":   len(rep.Netsim),
+		"schedule_fast_path":   len(rep.Schedule),
+		"store_contention":     len(rep.Stores),
+		"trustd":               len(rep.Trustd),
+	} {
+		if rows == 0 {
+			t.Errorf("%s: no rows", name)
+		}
 	}
 	for _, row := range rep.AssessorPath {
 		if row.ScanNsPerDecision <= 0 || row.AggregateNsPerDecision <= 0 {
@@ -68,6 +108,81 @@ func TestRunQuickSections(t *testing.T) {
 			t.Errorf("profile %s is empty", p)
 		}
 	}
+}
+
+// newestArtifactWith returns the highest-numbered committed BENCH_PR<n>.json
+// at the repository root that records the top-level key, and its value.
+func newestArtifactWith(t *testing.T, key string) (string, any) {
+	t.Helper()
+	paths, err := filepath.Glob("../../BENCH_PR*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := func(path string) int {
+		n, _ := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_PR"), ".json"))
+		return n
+	}
+	slices.SortFunc(paths, func(a, b string) int { return pr(b) - pr(a) })
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var artifact map[string]any
+		if err := json.Unmarshal(raw, &artifact); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if v, ok := artifact[key]; ok {
+			return filepath.Base(path), v
+		}
+	}
+	return "", nil
+}
+
+// keyShapeDiff compares the object key structure of two decoded JSON values,
+// ignoring every scalar value. Arrays compare row by row over their common
+// prefix: a quick run records fewer rows than a full one, but each row
+// keeps its shape. A null or empty array where the artifact has rows is a
+// difference, so a section that produced no rows cannot pass.
+func keyShapeDiff(got, want any, path string) []string {
+	if w, ok := want.([]any); ok && len(w) > 0 {
+		if g, ok := got.([]any); !ok || len(g) == 0 {
+			return []string{fmt.Sprintf("%s: no rows where the artifact has %d", path, len(w))}
+		}
+	}
+	switch g := got.(type) {
+	case map[string]any:
+		w, ok := want.(map[string]any)
+		if !ok {
+			return []string{path + ": object where the artifact has a scalar or array"}
+		}
+		var diffs []string
+		for k := range g {
+			if _, ok := w[k]; !ok {
+				diffs = append(diffs, path+"."+k+": not in the artifact")
+			}
+		}
+		for k, wv := range w {
+			gv, ok := g[k]
+			if !ok {
+				diffs = append(diffs, path+"."+k+": missing")
+				continue
+			}
+			diffs = append(diffs, keyShapeDiff(gv, wv, path+"."+k)...)
+		}
+		return diffs
+	case []any:
+		w, ok := want.([]any)
+		if !ok {
+			return []string{path + ": array where the artifact has a scalar or object"}
+		}
+		var diffs []string
+		for i := range min(len(g), len(w)) {
+			diffs = append(diffs, keyShapeDiff(g[i], w[i], fmt.Sprintf("%s[%d]", path, i))...)
+		}
+		return diffs
+	}
+	return nil
 }
 
 // TestRunScaleCeilingWritesReportThenFails pins the CI-guard contract of
@@ -125,6 +240,11 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-scale-agents", "nope"},
 		{"-gossip", "not-a-spec:bogus:bogus:bogus"},
 		{"-definitely-not-a-flag"},
+		{"-sections", "nope"},
+		// The scale guard must not be disarmed by a run without scale rows,
+		// whether by a typo or by leaving the section out.
+		{"-sections", "scal", "-scale-ceiling-ns", "1"},
+		{"-sections", "netsim", "-scale-ceiling-ns", "1"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) did not error", args)

@@ -1,6 +1,7 @@
 // Package stats is a small, dependency-free statistics toolkit used by the
-// experiment harness: streaming moments, percentiles, histograms, linear
-// regression, inequality measures and probability-forecast scores.
+// experiment harness: streaming moments, percentiles, latency
+// distributions, linear regression, inequality measures and prediction
+// error.
 //
 // Every accumulator is a plain value type whose zero value is ready to use.
 package stats
@@ -194,4 +195,24 @@ func Gini(xs []float64) float64 {
 	}
 	n := float64(len(sorted))
 	return (2*weighted - (n+1)*cum) / (n * cum)
+}
+
+// MAE returns the mean absolute error between paired predictions and truths.
+// It returns an error when the slices differ in length.
+func MAE(pred, truth []float64) (float64, error) {
+	if len(pred) != len(truth) {
+		return 0, fmt.Errorf("mae: length mismatch %d vs %d", len(pred), len(truth))
+	}
+	if len(pred) == 0 {
+		return 0, nil
+	}
+	sum := 0.0
+	for i := range pred {
+		d := pred[i] - truth[i]
+		if d < 0 {
+			d = -d
+		}
+		sum += d
+	}
+	return sum / float64(len(pred)), nil
 }

@@ -207,24 +207,7 @@ func TestFitPowerLaw(t *testing.T) {
 	}
 }
 
-func TestBrier(t *testing.T) {
-	fs := []Forecast{
-		{P: 1, Outcome: true},
-		{P: 0, Outcome: false},
-	}
-	if b := Brier(fs); b != 0 {
-		t.Errorf("perfect Brier = %g, want 0", b)
-	}
-	fs = []Forecast{{P: 0.5, Outcome: true}, {P: 0.5, Outcome: false}}
-	if b := Brier(fs); !almostEqual(b, 0.25, 1e-12) {
-		t.Errorf("coin-flip Brier = %g, want 0.25", b)
-	}
-	if b := Brier(nil); b != 0 {
-		t.Errorf("empty Brier = %g, want 0", b)
-	}
-}
-
-func TestMAEAndRMSE(t *testing.T) {
+func TestMAE(t *testing.T) {
 	mae, err := MAE([]float64{1, 2, 3}, []float64{2, 2, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -232,84 +215,8 @@ func TestMAEAndRMSE(t *testing.T) {
 	if !almostEqual(mae, 1, 1e-12) {
 		t.Errorf("MAE = %g, want 1", mae)
 	}
-	rmse, err := RMSE([]float64{0, 0}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(rmse, math.Sqrt(12.5), 1e-12) {
-		t.Errorf("RMSE = %g, want %g", rmse, math.Sqrt(12.5))
-	}
 	if _, err := MAE([]float64{1}, nil); err == nil {
 		t.Error("want MAE length error")
-	}
-	if _, err := RMSE([]float64{1}, nil); err == nil {
-		t.Error("want RMSE length error")
-	}
-}
-
-func TestCalibration(t *testing.T) {
-	var fs []Forecast
-	rng := rand.New(rand.NewSource(7))
-	// Perfectly calibrated forecaster.
-	for i := 0; i < 20000; i++ {
-		p := rng.Float64()
-		fs = append(fs, Forecast{P: p, Outcome: rng.Float64() < p})
-	}
-	bins := Calibration(fs, 10)
-	if len(bins) != 10 {
-		t.Fatalf("bins = %d, want 10", len(bins))
-	}
-	for _, b := range bins {
-		if b.N == 0 {
-			t.Fatalf("empty bin [%g,%g) with 20000 uniform forecasts", b.Lo, b.Hi)
-		}
-		if b.GapAbs > 0.05 {
-			t.Errorf("bin [%g,%g): gap %g too large for calibrated forecasts", b.Lo, b.Hi, b.GapAbs)
-		}
-	}
-	// Degenerate bin request falls back to 10.
-	if got := Calibration(fs, 0); len(got) != 10 {
-		t.Errorf("Calibration(_, 0) bins = %d, want fallback 10", len(got))
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Count() != 8 {
-		t.Fatalf("Count = %d, want 8", h.Count())
-	}
-	bins := h.Bins()
-	want := []int{3, 1, 1, 0, 3} // clamped: -1,0,1.9 | 2 | 5 | | 9.99,10,42→last
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d (all: %v)", i, bins[i], want[i], bins)
-		}
-	}
-	lo, hi := h.BinRange(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("BinRange(1) = [%g, %g), want [2, 4)", lo, hi)
-	}
-	var sb strings.Builder
-	if err := h.Fprint(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "#") {
-		t.Errorf("Fprint produced no bars:\n%s", sb.String())
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("want error for zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("want error for empty range")
 	}
 }
 
