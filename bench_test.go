@@ -183,15 +183,6 @@ func openComplaintStoreBench(b *testing.B, spec string, ids []trust.PeerID) comp
 	return store
 }
 
-// closeComplaintStoreBench stops a closable store's background workers so
-// one sub-benchmark's goroutines cannot pollute the next one's timing.
-func closeComplaintStoreBench(b *testing.B, store complaints.Store) {
-	b.Helper()
-	if err := benchutil.CloseStore(store); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // complaintStoreBenchSpecs are the concurrency-safe reputation backends the
 // store benchmarks compare (pgrid is single-threaded by design).
 var complaintStoreBenchSpecs = []string{"memory", "sharded", "async:sharded"}
@@ -223,7 +214,6 @@ func BenchmarkComplaintStoreFile(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			closeComplaintStoreBench(b, store)
 		})
 	}
 }
@@ -250,7 +240,6 @@ func BenchmarkComplaintStoreAssess(b *testing.B) {
 					}
 				}
 			})
-			closeComplaintStoreBench(b, store)
 		})
 	}
 }

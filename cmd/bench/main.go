@@ -1155,11 +1155,6 @@ func assessorRow(c config, backend string, pop int) (row assessorPathRun, err er
 	if err != nil {
 		return row, err
 	}
-	defer func() {
-		if cerr := benchutil.CloseStore(store); err == nil {
-			err = cerr
-		}
-	}()
 	// Pre-file two complaints per peer on average so both paths read a
 	// store with realistic occupancy.
 	if err := complaints.FileAll(store, complaintStream(ids, 2*pop)); err != nil {
@@ -1376,8 +1371,8 @@ func benchFileBatch(c config) ([]batchFileRun, error) {
 		var ns [2]float64
 		for i, fill := range []func(complaints.Store) error{single, batched} {
 			_, best, err := bestOf(c.reps, false, func() (_ struct{}, d time.Duration, err error) {
-				// Deterministic async mode: both paths pay the drain inline,
-				// so the comparison isolates locking, not goroutine handoff.
+				// An async store drains on the filing goroutine, so both
+				// paths pay the drain inside the timed span.
 				store, err := complaints.Open(openSpec, bc)
 				if err != nil {
 					return struct{}{}, 0, err
@@ -1387,9 +1382,6 @@ func benchFileBatch(c config) ([]batchFileRun, error) {
 					err = flush(store)
 				}
 				d = time.Since(start)
-				if cerr := benchutil.CloseStore(store); err == nil {
-					err = cerr
-				}
 				return struct{}{}, d, err
 			})
 			if err != nil {
@@ -1554,12 +1546,6 @@ func (w storeWork) run(spec string, goroutines int, dists []stats.Distribution) 
 	if err != nil {
 		return run, 0, err
 	}
-	// Stop any background flush workers before the next cell is timed.
-	defer func() {
-		if cerr := benchutil.CloseStore(store); err == nil {
-			err = cerr
-		}
-	}()
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)

@@ -22,12 +22,11 @@ func StorePeers(n int) []trust.PeerID {
 
 // OpenStore builds a store for one benchmark run, pre-populated with one
 // complaint per peer so the steady-state maps are warm and allocs/op
-// measures the hot path, not initial growth. Async backends get background
-// workers (the throughput configuration). Close the result with CloseStore.
+// measures the hot path, not initial growth. Async backends drain in
+// batches of 32.
 func OpenStore(spec string, ids []trust.PeerID) (complaints.Store, error) {
 	cfg := complaints.BackendConfig{}
 	if base, _, _ := strings.Cut(spec, ":"); base == "async" {
-		cfg.Workers = 2
 		cfg.BatchSize = 32
 	}
 	store, err := complaints.Open(spec, cfg)
@@ -45,14 +44,4 @@ func OpenStore(spec string, ids []trust.PeerID) (complaints.Store, error) {
 		}
 	}
 	return store, nil
-}
-
-// CloseStore stops a closable store's background workers so one benchmark
-// cell's goroutines cannot pollute the next cell's timing; read-through
-// stores pass through as a no-op.
-func CloseStore(store complaints.Store) error {
-	if c, ok := store.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
 }

@@ -174,7 +174,7 @@ func All() map[string]Runner {
 	}
 }
 
-// IDs lists the experiment ids in numeric order (E1, E2, …, E10).
+// IDs lists the experiment ids in numeric order (E1, E2, …, E13).
 func IDs() []string {
 	m := All()
 	ids := make([]string, 0, len(m))

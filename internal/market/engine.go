@@ -303,16 +303,9 @@ func (e *Engine) FinishRun() (Result, error) {
 		e.finish(e.sessions[id], reputation.Event{Aborted: true})
 	}
 	// Drain a write-behind reputation store so post-run assessments (and the
-	// final table rows) see every complaint the run filed. Engines run once,
-	// so a closable store is closed outright — that also stops any background
-	// flush workers instead of leaking them; reads stay valid after Close.
-	switch s := e.repStore.(type) {
-	case interface{ Close() error }:
-		if err := s.Close(); err != nil && e.runErr == nil {
-			e.runErr = fmt.Errorf("market: close reputation store: %w", err)
-		}
-	case complaints.Flusher:
-		if err := s.Flush(); err != nil && e.runErr == nil {
+	// final table rows) see every complaint the run filed.
+	if f, ok := e.repStore.(complaints.Flusher); ok {
+		if err := f.Flush(); err != nil && e.runErr == nil {
 			e.runErr = fmt.Errorf("market: flush reputation store: %w", err)
 		}
 	}

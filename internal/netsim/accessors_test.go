@@ -37,9 +37,9 @@ func TestDefaultHandlerAndAccessors(t *testing.T) {
 
 // TestStatsAdd pins the fold used when merging sharded simulation runs.
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Sent: 1, Delivered: 2, Dropped: 3, Partitioned: 4, NoRoute: 5}
-	a.Add(Stats{Sent: 10, Delivered: 20, Dropped: 30, Partitioned: 40, NoRoute: 50})
-	want := Stats{Sent: 11, Delivered: 22, Dropped: 33, Partitioned: 44, NoRoute: 55}
+	a := Stats{Sent: 1, Delivered: 2, Dropped: 3, NoRoute: 5}
+	a.Add(Stats{Sent: 10, Delivered: 20, Dropped: 30, NoRoute: 50})
+	want := Stats{Sent: 11, Delivered: 22, Dropped: 33, NoRoute: 55}
 	if a != want {
 		t.Fatalf("Add: got %+v, want %+v", a, want)
 	}

@@ -41,11 +41,10 @@ func (c ConstLatency) Latency(_, _ NodeID, _ *rand.Rand) Time { return Time(c) }
 
 // Stats counts network activity.
 type Stats struct {
-	Sent        int // Send calls
-	Delivered   int // messages that reached their handler
-	Dropped     int // lost to the drop rate
-	Partitioned int // blocked by a partition
-	NoRoute     int // destination not registered
+	Sent      int // Send calls
+	Delivered int // messages that reached their handler
+	Dropped   int // lost to the drop rate
+	NoRoute   int // destination not registered
 }
 
 // Add folds other into s, as if both networks' activity had been counted on
@@ -54,7 +53,6 @@ func (s *Stats) Add(other Stats) {
 	s.Sent += other.Sent
 	s.Delivered += other.Delivered
 	s.Dropped += other.Dropped
-	s.Partitioned += other.Partitioned
 	s.NoRoute += other.NoRoute
 }
 
@@ -93,14 +91,13 @@ func (d *delivery) fire() {
 }
 
 // Network delivers messages between registered nodes over a Simulator with
-// configurable latency, random loss and partitions. Like the Simulator it is
+// configurable latency and random loss. Like the Simulator it is
 // single-threaded.
 type Network struct {
 	sim        *Simulator
 	latency    LatencyModel
 	handlers   map[NodeID]Handler
-	defHandler Handler        // fallback for ids with no Register entry
-	groups     map[NodeID]int // partition group; absent means group 0
+	defHandler Handler // fallback for ids with no Register entry
 	dropRate   float64
 	pool       []*delivery // recycled in-flight message structs
 	stats      Stats
@@ -114,7 +111,6 @@ func NewNetwork(sim *Simulator, latency LatencyModel) *Network {
 		sim:      sim,
 		latency:  latency,
 		handlers: make(map[NodeID]Handler),
-		groups:   make(map[NodeID]int),
 	}
 	if v := deliveryFreePool.Get(); v != nil {
 		n.pool = v.([]*delivery)
@@ -164,25 +160,13 @@ func (n *Network) SetDropRate(r float64) {
 	n.dropRate = r
 }
 
-// Partition assigns nodes to groups; messages cross groups only if both
-// endpoints share a group. Nodes not mentioned stay in group 0.
-func (n *Network) Partition(groups map[NodeID]int) {
-	n.groups = make(map[NodeID]int, len(groups))
-	for id, g := range groups {
-		n.groups[id] = g
-	}
-}
-
-// Heal removes all partitions.
-func (n *Network) Heal() { n.groups = make(map[NodeID]int) }
-
 // Stats returns a copy of the activity counters.
 func (n *Network) Stats() Stats { return n.stats }
 
 // Send queues msg for delivery from from to to after the model latency.
-// Undeliverable messages (unknown destination, partition, random loss) are
-// counted and silently discarded — like the real network the model stands
-// in for, the sender learns nothing.
+// Undeliverable messages (unknown destination, random loss) are counted and
+// silently discarded — like the real network the model stands in for, the
+// sender learns nothing.
 func (n *Network) Send(from, to NodeID, msg Message) {
 	n.SendSeeded(from, to, msg, n.sim.Rand())
 }
@@ -200,10 +184,6 @@ func (n *Network) SendSeeded(from, to NodeID, msg Message, rng *rand.Rand) {
 			n.stats.NoRoute++
 			return
 		}
-	}
-	if len(n.groups) > 0 && n.groups[from] != n.groups[to] {
-		n.stats.Partitioned++
-		return
 	}
 	if n.dropRate > 0 && rng.Float64() < n.dropRate {
 		n.stats.Dropped++

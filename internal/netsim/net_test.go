@@ -95,30 +95,6 @@ func TestDropRate(t *testing.T) {
 	}
 }
 
-func TestPartitionBlocksAndHeals(t *testing.T) {
-	sim := NewSimulator(1)
-	net := NewNetwork(sim, ConstLatency(0))
-	got := 0
-	if err := net.Register(1, func(NodeID, Message) { got++ }); err != nil {
-		t.Fatal(err)
-	}
-	net.Partition(map[NodeID]int{1: 1, 2: 2})
-	net.Send(2, 1, "blocked")
-	sim.Run(0)
-	if got != 0 {
-		t.Fatal("message crossed partition")
-	}
-	if st := net.Stats(); st.Partitioned != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	net.Heal()
-	net.Send(2, 1, "through")
-	sim.Run(0)
-	if got != 1 {
-		t.Error("message lost after heal")
-	}
-}
-
 func TestUniformLatencyBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	u := UniformLatency{Min: 3, Max: 9}

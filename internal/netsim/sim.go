@@ -1,9 +1,9 @@
 // Package netsim is a deterministic discrete-event network simulator: a
 // virtual clock, an event queue, and a message-passing network with
-// configurable latency, loss and partitions. Experiments run on it instead
-// of real goroutines and sockets so that every run is exactly reproducible
-// from a seed; the chans subpackage provides a real concurrent transport
-// with the same shape for the runnable examples.
+// configurable latency and loss. Experiments run on it instead of real
+// goroutines and sockets so that every run is exactly reproducible from a
+// seed; the chans subpackage provides a real concurrent transport with the
+// same shape for the runnable examples.
 //
 // A Simulator (and the Network on top of it) is single-threaded by design:
 // events run one at a time in timestamp order. None of the types in this

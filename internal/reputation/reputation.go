@@ -61,19 +61,6 @@ func (l *Ledger) Events() []Event {
 	return out
 }
 
-// ByPeer returns the events in which the peer took part.
-func (l *Ledger) ByPeer(p trust.PeerID) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	for _, e := range l.events {
-		if e.Supplier == p || e.Consumer == p {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // DefectionsBy counts how often the peer walked away.
 func (l *Ledger) DefectionsBy(p trust.PeerID) int {
 	l.mu.Lock()

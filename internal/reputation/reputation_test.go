@@ -18,9 +18,6 @@ func TestLedgerAppendAndQueries(t *testing.T) {
 	if l.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", l.Len())
 	}
-	if got := len(l.ByPeer("s1")); got != 2 {
-		t.Errorf("ByPeer(s1) = %d events, want 2", got)
-	}
 	if got := l.DefectionsBy("s1"); got != 1 {
 		t.Errorf("DefectionsBy(s1) = %d, want 1", got)
 	}

@@ -170,33 +170,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Gini returns the Gini inequality coefficient of the non-negative values in
-// xs: 0 for perfect equality, approaching 1 for maximal inequality. Negative
-// inputs are clamped to 0; an empty or all-zero input yields 0.
-func Gini(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if x < 0 {
-			x = 0
-		}
-		sorted = append(sorted, x)
-	}
-	sort.Float64s(sorted)
-	var cum, weighted float64
-	for i, x := range sorted {
-		cum += x
-		weighted += float64(i+1) * x
-	}
-	if cum == 0 {
-		return 0
-	}
-	n := float64(len(sorted))
-	return (2*weighted - (n+1)*cum) / (n * cum)
-}
-
 // MAE returns the mean absolute error between paired predictions and truths.
 // It returns an error when the slices differ in length.
 func MAE(pred, truth []float64) (float64, error) {

@@ -125,39 +125,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	if g := Gini([]float64{1, 1, 1, 1}); !almostEqual(g, 0, 1e-12) {
-		t.Errorf("Gini(equal) = %g, want 0", g)
-	}
-	// One person owns everything among n: Gini = (n-1)/n.
-	if g := Gini([]float64{0, 0, 0, 10}); !almostEqual(g, 0.75, 1e-12) {
-		t.Errorf("Gini(concentrated) = %g, want 0.75", g)
-	}
-	if g := Gini(nil); g != 0 {
-		t.Errorf("Gini(nil) = %g, want 0", g)
-	}
-	if g := Gini([]float64{0, 0}); g != 0 {
-		t.Errorf("Gini(zeros) = %g, want 0", g)
-	}
-}
-
-func TestGiniInUnitRange(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, x := range raw {
-			xs[i] = math.Abs(math.Mod(x, 1000))
-		}
-		g := Gini(xs)
-		return g >= 0 && g < 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFitLinearRecoversLine(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := make([]float64, len(xs))

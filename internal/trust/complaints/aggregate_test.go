@@ -101,7 +101,7 @@ func TestAggregateMatchesScanOnEveryBackend(t *testing.T) {
 				}
 			}
 			check("after gossip-shaped applies")
-			drainAndClose(t, store)
+			drain(t, store)
 			check("after drain")
 		})
 	}

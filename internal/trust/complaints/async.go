@@ -20,18 +20,6 @@ type AsyncConfig struct {
 	// BatchSize is the number of queued complaints that triggers a flush to
 	// the inner store; 0 means DefaultBatchSize.
 	BatchSize int
-	// Workers is the number of background flush goroutines. 0 (the default)
-	// runs the pipeline in deterministic drain mode: complaints buffer on
-	// the filing goroutine and are applied synchronously whenever a full
-	// batch has accumulated (or on Flush) — fully reproducible, yet reads
-	// between batch boundaries still see stale counts, which is the
-	// staleness-vs-throughput tradeoff experiments measure. Workers > 0
-	// moves application to background goroutines for wall-clock throughput;
-	// the inner store must then be safe for concurrent use, and the order in
-	// which batches land is scheduling-dependent (harmless for the
-	// commutative counter stores, unsuitable for single-threaded ones like
-	// pgrid).
-	Workers int
 }
 
 // AsyncStats is a snapshot of the pipeline's accounting.
@@ -48,38 +36,29 @@ type AsyncStats struct {
 }
 
 // AsyncStore is a write-behind decorator over any inner Store: File
-// enqueues, and complaints are applied to the inner store in batches —
-// synchronously at batch boundaries in deterministic mode, or by background
-// workers. Reads pass straight through to the inner store, so they see
-// counts that lag filing by up to a batch (plus whatever the workers have
-// not drained): exactly the staler-evidence information structure a real
-// deployment with an asynchronous reputation pipeline has. Flush drains the
-// backlog deterministically; Close flushes and stops the workers.
+// buffers, and the buffer is applied to the inner store synchronously, on
+// the filing goroutine, whenever a full batch has accumulated (or on Flush).
+// Reads pass straight through to the inner store, so they see counts that
+// lag filing by up to a batch: exactly the staler-evidence information
+// structure a real deployment with an asynchronous reputation pipeline has,
+// yet a File/read sequence is fully reproducible. The store is safe for
+// concurrent use when the inner store is: reads run concurrently with a
+// drain.
 type AsyncStore struct {
-	inner   Store
-	batch   int
-	workers int
+	inner Store
+	batch int
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []Complaint // deterministic-mode buffer
-	err     error       // first inner-store failure, sticky
+	pending []Complaint
+	err     error // first inner-store failure, sticky
 	closed  bool
 
 	// Accounting is atomic so the read path (noteRead) never touches mu —
 	// otherwise every Received/Filed/Counts would serialise on this one
-	// store-wide mutex and defeat a lock-striped inner store. enqueued and
-	// applied are additionally only *advanced* under mu where Flush's
-	// condition-wait depends on them (applied in apply/applyPendingLocked).
+	// store-wide mutex and defeat a lock-striped inner store.
 	enqueued, applied atomic.Int64
 	batches           atomic.Int64
 	reads, staleReads atomic.Int64
-
-	// background mode: sendMu serialises sends against Close's channel
-	// close; workers drain ch in batches.
-	sendMu sync.RWMutex
-	ch     chan Complaint
-	wg     sync.WaitGroup
 }
 
 var (
@@ -99,93 +78,44 @@ func NewAsyncStore(inner Store, cfg AsyncConfig) *AsyncStore {
 	if batch <= 0 {
 		batch = DefaultBatchSize
 	}
-	s := &AsyncStore{inner: inner, batch: batch, workers: cfg.Workers}
-	s.cond = sync.NewCond(&s.mu)
-	if s.workers > 0 {
-		s.ch = make(chan Complaint, 4*batch*s.workers)
-		for i := 0; i < s.workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
-	}
-	return s
+	return &AsyncStore{inner: inner, batch: batch}
 }
 
-// File implements Store: the complaint is enqueued, not yet visible to
-// reads. The returned error is a sticky earlier failure of the inner store
-// (or the synchronous batch application this File triggered in
-// deterministic mode) — complaints are never silently dropped.
+// File implements Store: the complaint is buffered, not yet visible to
+// reads. The returned error is a sticky earlier failure of the inner store,
+// or of the batch application this File triggered — complaints are never
+// silently dropped.
 func (s *AsyncStore) File(c Complaint) error {
-	if s.workers == 0 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			return ErrClosed
-		}
-		s.pending = append(s.pending, c)
-		s.enqueued.Add(1)
-		if len(s.pending) >= s.batch {
-			return s.applyPendingLocked()
-		}
-		return s.err
-	}
-	s.sendMu.RLock()
-	defer s.sendMu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.mu.Lock()
-	s.enqueued.Add(1)
-	err := s.err
-	s.mu.Unlock()
-	s.ch <- c
-	return err
+	return s.FileBatch([]Complaint{c})
 }
 
-// FileBatch implements BatchFiler: the whole batch is enqueued with one
-// bookkeeping pass (deterministic mode: one mutex acquisition; background
-// mode: one send-gate hold), and it drains to the inner store through the
-// inner's own FileBatch — so a batch travels the entire write-behind
-// pipeline with per-batch, not per-complaint, locking. The returned error
-// follows the File contract: a sticky earlier inner-store failure, or the
-// synchronous drain this batch triggered in deterministic mode.
+// FileBatch implements BatchFiler: the whole batch is buffered under one
+// mutex acquisition, and it drains to the inner store through the inner's
+// own FileBatch — so a batch travels the entire write-behind pipeline with
+// per-batch, not per-complaint, locking. The returned error follows the
+// File contract.
 func (s *AsyncStore) FileBatch(batch []Complaint) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if s.workers == 0 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			return ErrClosed
-		}
-		s.pending = append(s.pending, batch...)
-		s.enqueued.Add(int64(len(batch)))
-		if len(s.pending) >= s.batch {
-			return s.applyPendingLocked()
-		}
-		return s.err
-	}
-	s.sendMu.RLock()
-	defer s.sendMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.mu.Lock()
+	s.pending = append(s.pending, batch...)
 	s.enqueued.Add(int64(len(batch)))
-	err := s.err
-	s.mu.Unlock()
-	for _, c := range batch {
-		s.ch <- c
+	if len(s.pending) >= s.batch {
+		return s.applyPendingLocked()
 	}
-	return err
+	return s.err
 }
 
-// applyPendingLocked applies the deterministic-mode buffer to the inner
-// store in filing order, as one batch (FileAll uses the inner store's
-// BatchFiler when it has one, so a lock-striped inner store is locked once
-// per shard per drain). Every buffered complaint is attempted even after a
-// failure; the first error is kept sticky.
+// applyPendingLocked applies the buffer to the inner store in filing order,
+// as one batch (FileAll uses the inner store's BatchFiler when it has one,
+// so a lock-striped inner store is locked once per shard per drain). Every
+// buffered complaint is attempted even after a failure; the first error is
+// kept sticky.
 func (s *AsyncStore) applyPendingLocked() error {
 	if len(s.pending) == 0 {
 		return s.err
@@ -197,46 +127,6 @@ func (s *AsyncStore) applyPendingLocked() error {
 	s.batches.Add(1)
 	s.pending = s.pending[:0]
 	return s.err
-}
-
-// worker drains the channel: it blocks for the first complaint of a batch,
-// then greedily collects whatever else is immediately available (up to the
-// batch size) before applying, so it never sits on a partial batch while
-// more work is queued.
-func (s *AsyncStore) worker() {
-	defer s.wg.Done()
-	buf := make([]Complaint, 0, s.batch)
-	for c := range s.ch {
-		buf = append(buf[:0], c)
-	refill:
-		for len(buf) < s.batch {
-			select {
-			case c2, ok := <-s.ch:
-				if !ok {
-					break refill
-				}
-				buf = append(buf, c2)
-			default:
-				break refill
-			}
-		}
-		s.apply(buf)
-	}
-}
-
-// apply lands one collected batch on the inner store — through the inner's
-// BatchFiler when it has one, so background drain also locks per batch, not
-// per complaint.
-func (s *AsyncStore) apply(buf []Complaint) {
-	firstErr := FileAll(s.inner, buf)
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = firstErr
-	}
-	s.applied.Add(int64(len(buf)))
-	s.batches.Add(1)
-	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // noteRead updates the staleness accounting for one read, without touching
@@ -308,47 +198,22 @@ func (s *AsyncStore) Mutations() (gen uint64, ok bool) {
 // Stats' stale-read fraction is identical whichever path the assessor takes.
 func (s *AsyncStore) NoteScanReads(peers int) { s.noteReads(peers) }
 
-// Flush implements Flusher: it blocks until every complaint filed so far is
-// applied to the inner store and returns the first sticky storage error. In
-// deterministic mode the remaining partial batch is applied on the calling
-// goroutine, so a File-sequence followed by Flush is exactly reproducible.
+// Flush implements Flusher: it applies the remaining partial batch to the
+// inner store on the calling goroutine, so a File sequence followed by Flush
+// is exactly reproducible, and returns the first sticky storage error.
 func (s *AsyncStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.workers == 0 {
-		return s.applyPendingLocked()
-	}
-	for s.applied.Load() != s.enqueued.Load() {
-		s.cond.Wait()
-	}
-	return s.err
+	return s.applyPendingLocked()
 }
 
-// Close flushes the backlog and stops the background workers. Filing after
-// Close returns ErrClosed; reads stay valid.
+// Close flushes the backlog and refuses further filing: File and FileBatch
+// after Close return ErrClosed, while reads stay valid.
 func (s *AsyncStore) Close() error {
-	if s.workers == 0 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		err := s.applyPendingLocked()
-		s.closed = true
-		return err
-	}
-	// Drain before closing so no File blocked on a full channel is cut off.
-	_ = s.Flush()
-	s.sendMu.Lock()
-	alreadyClosed := s.closed
-	if !alreadyClosed {
-		s.closed = true
-		close(s.ch)
-	}
-	s.sendMu.Unlock()
-	if !alreadyClosed {
-		s.wg.Wait()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.err
+	s.closed = true
+	return s.applyPendingLocked()
 }
 
 // Stats snapshots the pipeline accounting.

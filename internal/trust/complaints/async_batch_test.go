@@ -20,11 +20,11 @@ func batchOf(n, salt int) []Complaint {
 	return batch
 }
 
-// TestAsyncFileBatchDeterministicDrainAccounting: in deterministic mode a
-// FileBatch buffers with one lock pass and drains whenever a full batch has
-// accumulated; the staleness accounting must track it exactly — enqueued
-// counts every accepted complaint, applied advances in drain-sized steps,
-// and reads between drains are stale.
+// TestAsyncFileBatchDeterministicDrainAccounting: a FileBatch buffers with
+// one lock pass and drains whenever a full batch has accumulated; the
+// staleness accounting must track it exactly — enqueued counts every
+// accepted complaint, applied advances in drain-sized steps, and reads
+// between drains are stale.
 func TestAsyncFileBatchDeterministicDrainAccounting(t *testing.T) {
 	inner := NewMemoryStore()
 	s := NewAsyncStore(inner, AsyncConfig{BatchSize: 8})
@@ -133,38 +133,36 @@ func TestAsyncFileBatchStickyErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestAsyncFileBatchAfterCloseErrors: in both modes a FileBatch after Close
-// is refused with ErrClosed, while reads stay valid.
+// TestAsyncFileBatchAfterCloseErrors: a FileBatch after Close is refused
+// with ErrClosed, while reads stay valid.
 func TestAsyncFileBatchAfterCloseErrors(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		s := NewAsyncStore(NewShardedStore(4), AsyncConfig{BatchSize: 4, Workers: workers})
-		if err := s.FileBatch(batchOf(9, 0)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.FileBatch(batchOf(2, 1)); !errors.Is(err, ErrClosed) {
-			t.Errorf("workers=%d: FileBatch after Close = %v, want ErrClosed", workers, err)
-		}
-		if _, err := s.Received("about-0"); err != nil {
-			t.Errorf("workers=%d: read after Close failed: %v", workers, err)
-		}
-		st := s.Stats()
-		if st.Enqueued != 9 || st.Applied != 9 {
-			t.Errorf("workers=%d: stats after close = %+v", workers, st)
-		}
+	s := NewAsyncStore(NewShardedStore(4), AsyncConfig{BatchSize: 4})
+	if err := s.FileBatch(batchOf(9, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FileBatch(batchOf(2, 1)); !errors.Is(err, ErrClosed) {
+		t.Errorf("FileBatch after Close = %v, want ErrClosed", err)
+	}
+	if _, err := s.Received("about-0"); err != nil {
+		t.Errorf("read after Close failed: %v", err)
+	}
+	st := s.Stats()
+	if st.Enqueued != 9 || st.Applied != 9 {
+		t.Errorf("stats after close = %+v", st)
 	}
 }
 
-// TestAsyncFlushDuringFileBatchConcurrent hammers the background pipeline
+// TestAsyncFlushDuringFileBatchConcurrent hammers the write-behind store
 // from three sides at once — batch writers, a flusher, and bulk readers —
 // and checks conservation at the end. Run with -race (the CI race job does):
 // this is the test that catches a drain path touching the pending buffer or
 // the accounting outside the store mutex.
 func TestAsyncFlushDuringFileBatchConcurrent(t *testing.T) {
 	inner := NewShardedStore(8)
-	s := NewAsyncStore(inner, AsyncConfig{BatchSize: 4, Workers: 3})
+	s := NewAsyncStore(inner, AsyncConfig{BatchSize: 4})
 	const writers, batches, batchLen = 4, 25, 8
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestAsyncStoreStaleUntilBatch pins the staleness contract of the
-// deterministic drain mode: reads lag filing by up to BatchSize−1
+// write-behind drain: reads lag filing by up to BatchSize−1
 // complaints, and the batch boundary (or Flush) makes them visible.
 func TestAsyncStoreStaleUntilBatch(t *testing.T) {
 	s := NewAsyncStore(NewMemoryStore(), AsyncConfig{BatchSize: 4})
@@ -75,12 +75,14 @@ func TestAsyncStoreDeterministicModeReproducible(t *testing.T) {
 	}
 }
 
-// TestAsyncStoreBackgroundWorkers drains concurrent File/Received/Filed
-// through background workers into a sharded inner store (run under -race in
-// CI); after Flush the inner store must hold every complaint.
-func TestAsyncStoreBackgroundWorkers(t *testing.T) {
+// TestAsyncStoreConcurrentFileAndRead drains concurrent File and
+// Counts/Received/Filed calls into a sharded inner store — the shape of
+// trustd's shared async:sharded store under concurrent ingest and query
+// (run under -race in CI); after Flush the inner store must hold every
+// complaint.
+func TestAsyncStoreConcurrentFileAndRead(t *testing.T) {
 	inner := NewShardedStore(8)
-	s := NewAsyncStore(inner, AsyncConfig{BatchSize: 8, Workers: 4})
+	s := NewAsyncStore(inner, AsyncConfig{BatchSize: 8})
 	var population []trust.PeerID
 	for i := 0; i < 16; i++ {
 		population = append(population, trust.PeerID(fmt.Sprintf("p%d", i)))
@@ -144,8 +146,7 @@ func TestAsyncStoreBackgroundWorkers(t *testing.T) {
 }
 
 // TestAsyncStoreSurfacesInnerErrors: a failing inner store must not lose the
-// error — it surfaces on the triggering File (deterministic mode) and stays
-// sticky on Flush.
+// error — it surfaces on the triggering File and stays sticky on Flush.
 func TestAsyncStoreSurfacesInnerErrors(t *testing.T) {
 	boom := errors.New("routing broke")
 	s := NewAsyncStore(faultyStore{err: boom}, AsyncConfig{BatchSize: 2})
@@ -158,23 +159,11 @@ func TestAsyncStoreSurfacesInnerErrors(t *testing.T) {
 	if err := s.Flush(); !errors.Is(err, boom) {
 		t.Errorf("Flush = %v, want the sticky inner error", err)
 	}
-
-	// Background mode: the error surfaces on Flush at the latest.
-	bg := NewAsyncStore(faultyStore{err: boom}, AsyncConfig{BatchSize: 2, Workers: 2})
-	for i := 0; i < 8; i++ {
-		_ = bg.File(Complaint{From: "a", About: "b"})
-	}
-	if err := bg.Flush(); !errors.Is(err, boom) {
-		t.Errorf("background Flush = %v, want the sticky inner error", err)
-	}
-	if err := bg.Close(); !errors.Is(err, boom) {
-		t.Errorf("Close = %v, want the sticky inner error", err)
-	}
 }
 
 func TestAsyncStoreCloseDrains(t *testing.T) {
 	inner := NewMemoryStore()
-	s := NewAsyncStore(inner, AsyncConfig{BatchSize: 64, Workers: 2})
+	s := NewAsyncStore(inner, AsyncConfig{BatchSize: 64})
 	for i := 0; i < 10; i++ {
 		if err := s.File(Complaint{From: "a", About: "b"}); err != nil {
 			t.Fatal(err)

@@ -15,9 +15,6 @@ type BackendConfig struct {
 	Shards int
 	// BatchSize is the AsyncStore flush batch; 0 means DefaultBatchSize.
 	BatchSize int
-	// Workers is the AsyncStore background worker count; 0 means the
-	// deterministic drain mode (see AsyncConfig).
-	Workers int
 	// Inner names the backend an AsyncStore decorates; "" means "memory".
 	// The "async:<inner>" spelling accepted by Open overrides it.
 	Inner string
@@ -130,6 +127,6 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewAsyncStore(inner, AsyncConfig{BatchSize: cfg.BatchSize, Workers: cfg.Workers}), nil
+		return NewAsyncStore(inner, AsyncConfig{BatchSize: cfg.BatchSize}), nil
 	})
 }

@@ -348,7 +348,7 @@ func TestRingStaleReadsPerRecipient(t *testing.T) {
 }
 
 // TestNodeDelegatesStoreExtensions: the node forwards the batched write and
-// bulk read extensions and settles write-behind inner stores on Close.
+// bulk read extensions and drains write-behind inner stores on Flush.
 func TestNodeDelegatesStoreExtensions(t *testing.T) {
 	ids := testPeers(4)
 	f, err := NewFabric(Config{Period: 2}, 1234, 2)
@@ -393,10 +393,10 @@ func TestNodeDelegatesStoreExtensions(t *testing.T) {
 	if got != 2 {
 		t.Errorf("peer shard received(%s) = %d, want 2 after exchange", ids[1], got)
 	}
-	if err := f.Node(0).Close(); err != nil {
+	if err := f.Node(0).Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Node(1).Close(); err != nil {
+	if err := f.Node(1).Flush(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -316,20 +316,3 @@ func (n *Node) Flush() error {
 	}
 	return nil
 }
-
-// Close settles the inner store: Close when it is closable, Flush when it is
-// only write-behind. Reads stay valid afterwards (the inner stores'
-// contract), which post-run assessment relies on. Typed-carrier nodes have
-// nothing to settle.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	inner := n.inner
-	n.mu.Unlock()
-	switch s := inner.(type) {
-	case interface{ Close() error }:
-		return s.Close()
-	case complaints.Flusher:
-		return s.Flush()
-	}
-	return nil
-}

@@ -322,13 +322,6 @@ func (b *Beta) Peers() []PeerID {
 	return out
 }
 
-// Forget discards all evidence about a peer.
-func (b *Beta) Forget(peer PeerID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.counts, peer)
-}
-
 // Oracle is a ground-truth estimator for baseline comparisons: it answers
 // with the true cooperation probabilities it was constructed with.
 type Oracle struct {

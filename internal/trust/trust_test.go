@@ -97,20 +97,13 @@ func TestBetaDecayTracksBehaviourChange(t *testing.T) {
 	}
 }
 
-func TestBetaForgetAndPeers(t *testing.T) {
+func TestBetaPeers(t *testing.T) {
 	b := NewBeta(BetaConfig{})
 	b.Record("b", Outcome{Cooperated: true})
 	b.Record("a", Outcome{Cooperated: false})
 	peers := b.Peers()
 	if len(peers) != 2 || peers[0] != "a" || peers[1] != "b" {
 		t.Errorf("Peers = %v, want sorted [a b]", peers)
-	}
-	b.Forget("a")
-	if got := b.Peers(); len(got) != 1 || got[0] != "b" {
-		t.Errorf("after Forget: %v", got)
-	}
-	if est := b.Estimate("a"); est.Samples != 0 {
-		t.Errorf("forgotten peer still has samples: %+v", est)
 	}
 }
 

@@ -317,6 +317,10 @@ func (s *Server) noteBatchLocked(batch []complaints.Complaint) {
 	}
 }
 
+// errEmptyBatch rejects an empty complaint batch; over HTTP it is the
+// client's error (400).
+var errEmptyBatch = errors.New("trustd: empty complaint batch")
+
 // Ingest makes one complaint batch durable and applies it: WAL append first
 // (the ack barrier — an error here, injected crash included, means the batch
 // does not count), then the store's batched write path, then the generation
@@ -325,7 +329,7 @@ func (s *Server) noteBatchLocked(batch []complaints.Complaint) {
 // lie about durability.
 func (s *Server) Ingest(batch []complaints.Complaint) error {
 	if len(batch) == 0 {
-		return errors.New("trustd: empty complaint batch")
+		return errEmptyBatch
 	}
 	start := time.Now()
 	s.mu.Lock()
@@ -573,10 +577,10 @@ func (s *Server) walSeq() uint64 {
 	return s.wal.seq
 }
 
-// Close drains in-flight state through the existing Flusher/Close contracts
-// and releases the WAL — the graceful shutdown. Durable state is complete at
-// this point: every acked batch is in the log, so a Close-less death loses
-// nothing either (that is Kill, and the crash harness's whole point).
+// Close drains the store's write-behind backlog and releases the WAL — the
+// graceful shutdown. Durable state is complete at this point: every acked
+// batch is in the log, so a Close-less death loses nothing either (that is
+// Kill, and the crash harness's whole point).
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -585,11 +589,8 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	var first error
-	switch st := s.store.(type) {
-	case interface{ Close() error }:
-		first = st.Close()
-	case complaints.Flusher:
-		first = st.Flush()
+	if f, ok := s.store.(complaints.Flusher); ok {
+		first = f.Flush()
 	}
 	if err := s.wal.close(); first == nil {
 		first = err
@@ -673,6 +674,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	batch := d.(*complaints.Delta).Complaints
+	if len(batch) == 0 {
+		httpError(w, http.StatusBadRequest, errEmptyBatch)
+		return
+	}
 	if err := s.Ingest(batch); err != nil {
 		httpError(w, http.StatusServiceUnavailable, err)
 		return

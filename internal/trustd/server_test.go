@@ -169,8 +169,8 @@ func TestServerIngestQueryHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Error("empty batch accepted")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("empty batch: status %d", resp.StatusCode)
 	}
 	resp, err = http.Get(hs.URL + "/v1/score")
 	if err != nil {
