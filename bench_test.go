@@ -1,10 +1,11 @@
 package trustcoop
 
-// The repository-wide benchmark harness: one benchmark per experiment
-// (E1–E10, the evaluation suite that stands in for the paper's missing
-// quantitative section — see EXPERIMENTS.md) plus micro-benchmarks for the
-// hot paths whose complexity the paper makes claims about (the quadratic
-// scheduler and the logarithmic P-Grid lookup).
+// The repository-wide benchmark harness: one benchmark for each of E1–E10
+// of the evaluation suite that stands in for the paper's missing
+// quantitative section (eval.IDs lists all thirteen experiments, cmd/evalrun
+// regenerates them, docs/PERF.md records reference tables) plus
+// micro-benchmarks for the hot paths whose complexity the paper makes claims
+// about (the quadratic scheduler and the logarithmic P-Grid lookup).
 //
 // Run with: go test -bench=. -benchmem
 

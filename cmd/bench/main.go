@@ -161,7 +161,7 @@ type gossipRun struct {
 	ComplaintsUnscheduled int64 `json:"complaints_unscheduled"`
 	Rounds                int64 `json:"rounds"`
 	// ExchangeLatency distributes the wall time of each inter-window
-	// Fabric.Exchange (eval.RunCellObserved hook), from one instrumented run
+	// Fabric.Exchange (eval.RunCell hook), from one instrumented run
 	// after the timed reps; absent for period 0 (no exchanges).
 	ExchangeLatency latencyDist `json:"exchange_latency,omitzero"`
 }
@@ -416,7 +416,7 @@ var sections = []section{
 		"per complaint there, so its speedup_batch_vs_single is ~1.0 by " +
 		"design — the grouped map would cost more than the shallow walks " +
 		"it saves)", benchCells},
-	{"gossip", "gossip times one trust-aware cell sharded x4 (eval.RunCellStats) at " +
+	{"gossip", "gossip times one trust-aware cell sharded x4 (eval.RunCell) at " +
 		"cross-shard sync periods {inf,64,16,4,1}: bytes_per_session is the " +
 		"delivered exchange traffic amortised over the cell's sessions, " +
 		"apply_ns_per_complaint the cost of landing remote batches through " +
@@ -749,7 +749,7 @@ func benchCells(c config, r *report) error {
 			}
 			prev = engines
 			_, best, err := bestOf(c.reps, false, timed(func() error {
-				_, err := eval.RunCell(cfg, shards, engines)
+				_, _, err := eval.RunCell(cfg, shards, engines, nil)
 				return err
 			}))
 			if err != nil {
@@ -792,7 +792,7 @@ func benchGossip(c config, r *report) error {
 		cfg.Gossip = gossip.Config{Period: period, Topology: c.gossip.Topology, Fanout: c.gossip.Fanout}
 		st, best, err := bestOf(c.reps, false, func() (gossip.Stats, time.Duration, error) {
 			start := time.Now()
-			_, st, err := eval.RunCellStats(cfg, shards, 0)
+			_, st, err := eval.RunCell(cfg, shards, 0, nil)
 			return st, time.Since(start), err
 		})
 		if err != nil {
@@ -817,7 +817,7 @@ func benchGossip(c config, r *report) error {
 			// hook distributes each inter-window exchange's wall time. Period
 			// 0 has no exchanges, so it reports no distribution.
 			var ex stats.Distribution
-			if _, _, err := eval.RunCellObserved(cfg, shards, 0, func(d time.Duration) {
+			if _, _, err := eval.RunCell(cfg, shards, 0, func(d time.Duration) {
 				ex.Add(float64(d.Nanoseconds()))
 			}); err != nil {
 				return err
@@ -890,7 +890,7 @@ func benchEvidence(c config, r *report) error {
 			} else {
 				cfg.RepStore = "sharded"
 			}
-			_, st, err := eval.RunCellStats(cfg, shards, 0)
+			_, st, err := eval.RunCell(cfg, shards, 0, nil)
 			return st, err
 		}
 		mesh, err := cellStats(gossip.TopologyMesh)
@@ -969,7 +969,7 @@ func benchCodec(c config, r *report) error {
 		cfg.Evidence = trust.EvidencePosterior
 		cfg.Beta = trust.BetaConfig{Export: pol}
 		cfg.Gossip = gossip.Config{Period: period, Topology: gossip.TopologyMesh}
-		_, st, err := eval.RunCellStats(cfg, shards, 0)
+		_, st, err := eval.RunCell(cfg, shards, 0, nil)
 		if err != nil {
 			return err
 		}

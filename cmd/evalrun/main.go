@@ -1,6 +1,7 @@
 // Command evalrun regenerates the experiment tables (E1–E13) that stand in
-// for the paper's evaluation. See EXPERIMENTS.md for the claim → experiment
-// mapping and the reference output.
+// for the paper's evaluation. Each experiment's doc comment in
+// internal/eval (the ids eval.IDs lists) says which claim of the paper it
+// measures; docs/PERF.md records the reference output.
 //
 // Trials shard across a worker pool sized to GOMAXPROCS by default; tables
 // are identical for every worker count (each trial draws from its own
@@ -36,9 +37,9 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "trial worker pool size; 0 means GOMAXPROCS")
 	engines := fs.Int("engines", 0, "concurrent sub-engines per sharded experiment cell; 0 means min(GOMAXPROCS, cell shard count) — pure parallelism, tables are identical for every value")
 	repstore := fs.String("repstore", "", "restrict the reputation-backend experiments (E10) to these comma-separated complaint-store specs (e.g. sharded,async:sharded); empty runs the default portfolio")
-	gossipSpec := fs.String("gossip", "", "cross-shard evidence gossip for the sharded-cell experiments (E2, E3, E6; topology/fanout also steer E11's and E12's sweeps), spec PERIOD[:TOPOLOGY[:FANOUT]] e.g. 16, 16:ring, 4:mesh:2, 8:ring2; empty or 'off' keeps shards isolated — enabling gossip changes the information structure and the affected table titles say so")
-	evidence := fs.String("evidence", "", "evidence kind gossiping cells exchange, spec KIND[+OPTION...]: 'complaints' (default; the shared complaint model over -repstore backends) or 'posterior' (per-agent Beta estimators gossiping posterior deltas); posterior options pick the export policy — 'posterior+columnar' (interned columnar codec), 'posterior+q6' (lossy fixed point, 6 fractional bits), 'posterior+top4' (top-4 subjects per export), 'posterior+conf0.7+eps0.5' (defer low-confidence subjects) — restricts E12's kind sweep and replaces E13's policy sweep; part of the experiment definition, shown in titles")
-	exchangeLatency := fs.Bool("exchange-latency", false, "add wall-clock exchange-latency percentile columns (p50/p95/p99 µs) to E12's table; off by default because the timings are nondeterministic")
+	gossipSpec := fs.String("gossip", "", "cross-shard evidence gossip for the sharded-cell experiments (E2, E3, E6; topology/fanout also steer E11's, E12's and E13's sweeps, and E13 takes the period too), spec PERIOD[:TOPOLOGY[:FANOUT]] e.g. 16, 16:ring, 4:mesh:2, 8:ring2; empty or 'off' keeps shards isolated — enabling gossip changes the information structure and the affected table titles say so")
+	evidence := fs.String("evidence", "", "evidence kind gossiping cells exchange, spec KIND[+OPTION...]: 'complaints' (default; the shared complaint model, which gossiping cells always run over the sharded backend — -repstore reaches only E10) or 'posterior' (per-agent Beta estimators gossiping posterior deltas); posterior options pick the export policy — 'posterior+columnar' (interned columnar codec), 'posterior+q6' (lossy fixed point, 6 fractional bits), 'posterior+top4' (top-4 subjects per export), 'posterior+conf0.7+eps0.5' (defer low-confidence subjects) — restricts E12's kind sweep and replaces E13's policy sweep; part of the experiment definition, shown in titles")
+	exchangeLatency := fs.Bool("exchange-latency", false, "add wall-clock exchange-latency percentile columns (p50/p95/p99 µs) to E11's and E12's tables; off by default because the timings are nondeterministic")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

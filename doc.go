@@ -4,8 +4,9 @@
 // distrustful parties in online communities.
 //
 // The public surface lives in the internal packages (this repository is a
-// self-contained research artifact); see DESIGN.md for the system inventory,
-// EXPERIMENTS.md for the evaluation, and examples/ for runnable entry points.
+// self-contained research artifact); see docs/ARCHITECTURE.md for the system
+// inventory, cmd/evalrun (experiments E1–E13, listed by eval.IDs) and
+// docs/PERF.md for the evaluation, and examples/ for runnable entry points.
 //
 // The root package intentionally contains no code besides the repository-wide
 // benchmark harness (bench_test.go), which regenerates every experiment table.

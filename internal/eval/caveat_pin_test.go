@@ -23,20 +23,15 @@ func TestCellCaveatsUnchangedByAggregateMaintenance(t *testing.T) {
 		want string
 	}{
 		{"none", cellCaveats{}, "E2 title"},
-		{"sharded-store-only", cellCaveats{RepStore: "sharded"}, "E2 title"},
 		{
 			"shards",
 			cellCaveats{Shards: 4},
 			"E2 title (cells sharded ×4: trust learned per shard)",
 		},
 		{
-			"shards+gossip+async",
-			cellCaveats{
-				Shards:   4,
-				Gossip:   gossip.Config{Period: 16},
-				RepStore: "async:sharded",
-			},
-			"E2 title (cells sharded ×4: trust learned per shard; complaint gossip every 16 sessions over mesh; async evidence via async:sharded)",
+			"shards+gossip",
+			cellCaveats{Shards: 4, Gossip: gossip.Config{Period: 16}},
+			"E2 title (cells sharded ×4: trust learned per shard; complaint gossip every 16 sessions over mesh)",
 		},
 		{
 			"posterior-gossip",

@@ -10,15 +10,18 @@ import (
 	"trustcoop/internal/trust/gossip"
 )
 
-// DefaultCellShards is the sub-engine count a sharded experiment cell
-// decomposes into when its config leaves CellShards at zero. Four keeps the
+// DefaultCellShards is the fixed sub-engine count every sharded marketplace
+// experiment cell (E2, E3, E6, E11–E13) decomposes into. Four keeps the
 // per-shard learning horizon long enough for trust to form while giving the
 // scheduler four independent engines to spread across cores.
 const DefaultCellShards = 4
 
 // RunCell executes one experiment cell — a marketplace described by cfg —
 // sharded across `shards` sub-engines, running at most `engines` of them
-// concurrently, and merges their results in shard order.
+// concurrently, and merges their results in shard order. It also returns
+// the cell's gossip accounting: the zero gossip.Stats when the cell ran
+// without gossip (shards <= 1 or cfg.Gossip.Period == 0), the exchange
+// fabric's snapshot otherwise.
 //
 // The decomposition is part of the experiment definition: cfg.Sessions is
 // partitioned into `shards` contiguous chunks, and sub-engine k runs its
@@ -35,34 +38,19 @@ const DefaultCellShards = 4
 // Result — and any table rendered from it — is byte-identical for every
 // engines value. That is the knob RunConfig.EnginesPerCell (cmd/evalrun
 // -engines) turns, and the determinism harness enforces the invariant for
-// engines ∈ {1, 2, 4} across E1–E11 — with and without gossip.
+// engines ∈ {1, 2, 4} across E1–E13 — with and without gossip.
+//
+// onExchange (nil-safe) is called once per inter-window Fabric.Exchange
+// with that exchange's wall-clock duration. The hook observes the
+// coordinating goroutine only — it cannot perturb the lockstep protocol or
+// the merged Result, which stays byte-identical with and without it.
 //
 // shards <= 1 runs the cell on a single engine, exactly as an unsharded
 // experiment would. engines <= 0 means min(DefaultWorkers(), shards).
 // cfg.Agents is shared by the sub-engines and must not be mutated during the
 // run (agents are read-only to the engine; behaviours and policies are
 // stateless).
-func RunCell(cfg market.Config, shards, engines int) (market.Result, error) {
-	res, _, err := RunCellStats(cfg, shards, engines)
-	return res, err
-}
-
-// RunCellStats is RunCell plus the cell's gossip accounting: the zero
-// gossip.Stats when the cell ran without gossip (shards <= 1 or
-// cfg.Gossip.Period == 0), the exchange fabric's snapshot otherwise. E11 and
-// the bench gossip section consume the stats; everything else calls RunCell.
-func RunCellStats(cfg market.Config, shards, engines int) (market.Result, gossip.Stats, error) {
-	return RunCellObserved(cfg, shards, engines, nil)
-}
-
-// RunCellObserved is RunCellStats with a timing hook: onExchange (nil-safe;
-// nil is exactly RunCellStats) is called once per inter-window
-// Fabric.Exchange with that exchange's wall-clock duration. The hook observes
-// the coordinating goroutine only — it cannot perturb the lockstep protocol
-// or the merged Result, which stays byte-identical with and without it (the
-// golden E2/E11 determinism contract). The bench gossip section feeds these
-// durations into a stats.Distribution for exchange-latency percentiles.
-func RunCellObserved(cfg market.Config, shards, engines int, onExchange func(time.Duration)) (market.Result, gossip.Stats, error) {
+func RunCell(cfg market.Config, shards, engines int, onExchange func(time.Duration)) (market.Result, gossip.Stats, error) {
 	if shards <= 1 {
 		if cfg.Gossip.Enabled() {
 			// Silently dropping the config would leave a table whose title
@@ -182,14 +170,12 @@ func runCellGossip(cfg market.Config, shards, engines int, subConfig func(int) m
 		for k := range remaining {
 			remaining[k] -= window[k]
 		}
+		start := time.Now()
+		err := fabric.Exchange()
 		if onExchange != nil {
-			start := time.Now()
-			err := fabric.Exchange()
 			onExchange(time.Since(start))
-			if err != nil {
-				return market.Result{}, gossip.Stats{}, err
-			}
-		} else if err := fabric.Exchange(); err != nil {
+		}
+		if err != nil {
 			return market.Result{}, gossip.Stats{}, err
 		}
 	}
@@ -211,10 +197,10 @@ func runCellGossip(cfg market.Config, shards, engines int, subConfig func(int) m
 
 // cellCaveats collects the information-structure changes a cell runs under,
 // per the ROADMAP caveat that every one of them must be visible in the table
-// itself: the fixed shard decomposition, cross-shard gossip, and a
-// write-behind (async) evidence backend. annotate composes whichever apply
-// into one title suffix, so combined caveats read as one parenthetical
-// instead of nested or duplicated ones.
+// itself: the fixed shard decomposition, cross-shard gossip with the
+// evidence kind it moves, and a non-default posterior export policy.
+// annotate composes whichever apply into one title suffix, so combined
+// caveats read as one parenthetical instead of nested or duplicated ones.
 type cellCaveats struct {
 	// Shards is the cell decomposition; <= 1 adds nothing.
 	Shards int
@@ -231,10 +217,6 @@ type cellCaveats struct {
 	// export-everything dense wire — adds nothing, keeping default titles
 	// byte-identical.
 	Export trust.ExportPolicy
-	// RepStore is the complaint backend spec; only write-behind specs
-	// (containing "async") add a caveat — exact backends don't change the
-	// information structure.
-	RepStore string
 }
 
 // annotate appends the applicable caveats to a table title.
@@ -253,51 +235,76 @@ func (c cellCaveats) annotate(title string) string {
 	if c.Export != (trust.ExportPolicy{}) {
 		parts = append(parts, fmt.Sprintf("posterior export %s", c.Export))
 	}
-	if strings.Contains(c.RepStore, "async") {
-		parts = append(parts, fmt.Sprintf("async evidence via %s", c.RepStore))
-	}
 	if len(parts) == 0 {
 		return title
 	}
 	return fmt.Sprintf("%s (%s)", title, strings.Join(parts, "; "))
 }
 
-// gossipEvidence resolves the evidence kind of a gossiping cell: "" while
-// gossip is off (the cell keeps its pre-gossip trust wiring), the
-// configured kind or the complaints default while it is on. E2/E3/E6 share
-// this policy from their withDefaults.
-func gossipEvidence(gc gossip.Config, evidence trust.EvidenceKind) trust.EvidenceKind {
-	if !gc.Enabled() {
-		return ""
-	}
-	if evidence == "" {
-		return trust.EvidenceComplaints
-	}
-	return evidence
+// CellSpec is the sharded-marketplace cell spec E2, E3 and E6 share: the
+// pools that run their cells and the evidence exchange between a cell's
+// DefaultCellShards sub-engines. Gossip, Evidence and Export are part of the
+// experiment definition (they change the information structure) and show in
+// the table title; Workers and EnginesPerCell are pure parallelism.
+type CellSpec struct {
+	// Workers is the trial worker pool; 0 means DefaultWorkers().
+	Workers int
+	// EnginesPerCell bounds how many sub-engines of one cell run at once.
+	EnginesPerCell int
+	// Gossip enables cross-shard evidence gossip between a cell's
+	// sub-engines. While it is off the cells keep their private Beta
+	// estimators, the pre-gossip behaviour, and Evidence and Export are
+	// ignored.
+	Gossip gossip.Config
+	// Evidence selects the kind the gossiping cells exchange: complaints
+	// (the default; the shared complaint model over the sharded backend) or
+	// posterior (per-agent Beta estimators whose posterior deltas gossip).
+	Evidence trust.EvidenceKind
+	// Export is the posterior gossip export policy (codec, quantization,
+	// selective export); the zero value is the PR 5 dense wire. Ignored
+	// unless the cells gossip posterior evidence.
+	Export trust.ExportPolicy
 }
 
-// gossipExport resolves the posterior export policy of a gossiping cell: the
-// zero policy unless the cell actually gossips posterior deltas — the policy
-// tunes the posterior wire, so it is meaningless (and market.Config rejects
-// it) anywhere else. E2/E3/E6 share this policy from their withDefaults.
-func gossipExport(gc gossip.Config, evidence trust.EvidenceKind, pol trust.ExportPolicy) trust.ExportPolicy {
-	if !gc.Enabled() || evidence != trust.EvidencePosterior {
-		return trust.ExportPolicy{}
+// resolved settles the evidence plane: no kind and no export policy while
+// gossip is off, complaints by default while it is on, and an export policy
+// only for posterior evidence (market.Config rejects it anywhere else).
+func (s CellSpec) resolved() CellSpec {
+	if !s.Gossip.Enabled() {
+		s.Evidence, s.Export = "", trust.ExportPolicy{}
+		return s
 	}
-	return pol
+	if s.Evidence == "" {
+		s.Evidence = trust.EvidenceComplaints
+	}
+	if s.Evidence != trust.EvidencePosterior {
+		s.Export = trust.ExportPolicy{}
+	}
+	return s
 }
 
-// gossipRepStore resolves the complaint backend a gossiping cell runs over:
-// "" while gossip is off (the cell keeps its pre-gossip trust wiring) and
-// for posterior evidence (the posterior lives in per-agent estimators, not
-// a complaint store), the configured spec or the "sharded" default
-// otherwise. E2/E3/E6 share this policy from their withDefaults.
-func gossipRepStore(gc gossip.Config, evidence trust.EvidenceKind, repStore string) string {
-	if !gc.Enabled() || evidence == trust.EvidencePosterior {
-		return ""
-	}
-	if repStore == "" {
+// repStore is the complaint backend of a resolved spec's cells: "sharded"
+// for gossiping complaint cells, none otherwise (the posterior lives in
+// per-agent estimators, not a complaint store).
+func (s CellSpec) repStore() string {
+	if s.Evidence == trust.EvidenceComplaints {
 		return "sharded"
 	}
-	return repStore
+	return ""
+}
+
+// annotate appends a resolved spec's caveats to a table title.
+func (s CellSpec) annotate(title string) string {
+	return cellCaveats{Shards: DefaultCellShards, Gossip: s.Gossip, Evidence: s.Evidence, Export: s.Export}.annotate(title)
+}
+
+// runCell runs one marketplace under a resolved spec: cfg sharded across
+// DefaultCellShards sub-engines with the spec's evidence plane wired in.
+func (s CellSpec) runCell(cfg market.Config) (market.Result, error) {
+	cfg.RepStore = s.repStore()
+	cfg.Evidence = s.Evidence
+	cfg.Beta = trust.BetaConfig{Export: s.Export}
+	cfg.Gossip = s.Gossip
+	res, _, err := RunCell(cfg, DefaultCellShards, s.EnginesPerCell, nil)
+	return res, err
 }

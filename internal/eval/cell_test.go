@@ -36,7 +36,7 @@ func TestRunCellUnshardedMatchesSingleEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{0, 1} {
-		got, err := RunCell(cellConfig(t, 50), shards, 3)
+		got, _, err := RunCell(cellConfig(t, 50), shards, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,12 +51,12 @@ func TestRunCellUnshardedMatchesSingleEngine(t *testing.T) {
 // for a fixed decomposition, the merged result is identical however many
 // sub-engines run concurrently.
 func TestRunCellEngineCountInvariant(t *testing.T) {
-	base, err := RunCell(cellConfig(t, 101), 4, 1)
+	base, _, err := RunCell(cellConfig(t, 101), 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, engines := range []int{2, 3, 4, 16} {
-		got, err := RunCell(cellConfig(t, 101), 4, engines)
+		got, _, err := RunCell(cellConfig(t, 101), 4, engines, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestRunCellEngineCountInvariant(t *testing.T) {
 // once, whatever the remainder of sessions/shards.
 func TestRunCellPartitionsAllSessions(t *testing.T) {
 	for _, tc := range []struct{ sessions, shards int }{{100, 4}, {101, 4}, {7, 7}, {10, 3}} {
-		res, err := RunCell(cellConfig(t, tc.sessions), tc.shards, 2)
+		res, _, err := RunCell(cellConfig(t, tc.sessions), tc.shards, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +91,11 @@ func TestRunCellPartitionsAllSessions(t *testing.T) {
 // same marketplace (seed derivation decorrelates them), so the merged result
 // differs from any single shard scaled up.
 func TestRunCellShardsDrawIndependentStreams(t *testing.T) {
-	res2, err := RunCell(cellConfig(t, 80), 2, 2)
+	res2, _, err := RunCell(cellConfig(t, 80), 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res4, err := RunCell(cellConfig(t, 80), 4, 2)
+	res4, _, err := RunCell(cellConfig(t, 80), 4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRunCellShardsDrawIndependentStreams(t *testing.T) {
 // TestRunCellRejectsOverSharding: a cell cannot be split into more engines
 // than it has sessions.
 func TestRunCellRejectsOverSharding(t *testing.T) {
-	if _, err := RunCell(cellConfig(t, 3), 4, 2); err == nil {
+	if _, _, err := RunCell(cellConfig(t, 3), 4, 2, nil); err == nil {
 		t.Error("sharding 3 sessions across 4 engines accepted")
 	}
 }
@@ -130,7 +130,7 @@ func TestRunCellGossipEngineCountInvariant(t *testing.T) {
 		cfg.Strategy = market.StrategyTrustAware
 		cfg.RepStore = "sharded"
 		cfg.Gossip = gc
-		base, err := RunCell(cfg, 4, 1)
+		base, _, err := RunCell(cfg, 4, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestRunCellGossipEngineCountInvariant(t *testing.T) {
 			cfg.Strategy = market.StrategyTrustAware
 			cfg.RepStore = "sharded"
 			cfg.Gossip = gc
-			got, err := RunCell(cfg, 4, engines)
+			got, _, err := RunCell(cfg, 4, engines, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestRunCellGossipChangesOutcomes(t *testing.T) {
 		cfg.Strategy = market.StrategyTrustAware
 		cfg.RepStore = "sharded"
 		cfg.Gossip = gc
-		res, err := RunCell(cfg, 4, 2)
+		res, _, err := RunCell(cfg, 4, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestRunCellGossipStats(t *testing.T) {
 	cfg.Strategy = market.StrategyTrustAware
 	cfg.RepStore = "sharded"
 	cfg.Gossip = gossip.Config{Period: 4}
-	res, stats, err := RunCellStats(cfg, 4, 2)
+	res, stats, err := RunCell(cfg, 4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRunCellGossipStats(t *testing.T) {
 func TestRunCellGossipRequiresRepStore(t *testing.T) {
 	cfg := cellConfig(t, 60)
 	cfg.Gossip = gossip.Config{Period: 4}
-	if _, err := RunCell(cfg, 4, 2); err == nil {
+	if _, _, err := RunCell(cfg, 4, 2, nil); err == nil {
 		t.Error("gossip without RepStore accepted")
 	}
 }
@@ -219,7 +219,7 @@ func TestRunCellGossipRejectsUnshardedCell(t *testing.T) {
 	cfg := cellConfig(t, 60)
 	cfg.RepStore = "sharded"
 	cfg.Gossip = gossip.Config{Period: 4}
-	if _, err := RunCell(cfg, 1, 1); err == nil {
+	if _, _, err := RunCell(cfg, 1, 1, nil); err == nil {
 		t.Error("gossip on an unsharded cell accepted")
 	}
 }
@@ -241,7 +241,7 @@ func TestRunCellWithRepStore(t *testing.T) {
 		Strategy: market.StrategyTrustAware,
 		RepStore: "async:sharded",
 	}
-	res, err := RunCell(cfg, 3, 2)
+	res, _, err := RunCell(cfg, 3, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math/rand"
 
 	"trustcoop/internal/agent"
 	"trustcoop/internal/market"
@@ -16,8 +15,7 @@ import (
 type E10Config struct {
 	Seed       int64
 	Sessions   int      // marketplace sessions per backend; 0 means 300
-	Population int      // agents; 0 means 18
-	Cheaters   int      // cheating agents; 0 means Population/3
+	Population int      // agents, a third of them cheaters; 0 means 18
 	Backends   []string // complaint-store specs; nil means DefaultE10Backends
 	BatchSize  int      // async flush batch; 0 means 16
 	GridPeers  int      // pgrid storage peers; 0 means 64
@@ -37,9 +35,6 @@ func (c E10Config) withDefaults() E10Config {
 	}
 	if c.Population <= 0 {
 		c.Population = 18
-	}
-	if c.Cheaters <= 0 {
-		c.Cheaters = c.Population / 3
 	}
 	if len(c.Backends) == 0 {
 		c.Backends = DefaultE10Backends()
@@ -109,33 +104,21 @@ func E10BackendAblation(cfg E10Config) (*Table, error) {
 
 func runE10Cell(cfg E10Config, ci int) (e10Cell, error) {
 	// The population (and thus the cheater ground truth) is identical across
-	// backends, and so is the engine seed below: every cell runs the same
-	// marketplace, isolating the data plane as the only varying factor.
-	pop := agent.PopConfig{
-		Honest:      cfg.Population - cfg.Cheaters,
-		Opportunist: cfg.Cheaters / 2,
-		Backstabber: cfg.Cheaters - cfg.Cheaters/2,
-		Stake:       0, // cooperation must come from trust-aware exposure caps
-	}
-	agents, err := agent.NewPopulation(pop, rand.New(rand.NewSource(cfg.Seed)))
+	// backends, and so is the engine seed: every cell runs the same
+	// marketplace, isolating the data plane as the only varying factor —
+	// that is the ablation.
+	mc, err := ablationMarket(cfg.Seed, cfg.Sessions, cfg.Population)
 	if err != nil {
 		return e10Cell{}, err
 	}
 	backend := cfg.Backends[ci]
-	eng, err := market.NewEngine(market.Config{
-		// All cells share one seed: the marketplace is identical, only the
-		// data plane differs — that is the ablation.
-		Seed:     DeriveSeed(cfg.Seed, 1),
-		Sessions: cfg.Sessions,
-		Agents:   agents,
-		Strategy: market.StrategyTrustAware,
-		RepStore: backend,
-		RepStoreConfig: complaints.BackendConfig{
-			BatchSize: cfg.BatchSize,
-			GridPeers: cfg.GridPeers,
-			Seed:      DeriveSeed(cfg.Seed, 2),
-		},
-	})
+	mc.RepStore = backend
+	mc.RepStoreConfig = complaints.BackendConfig{
+		BatchSize: cfg.BatchSize,
+		GridPeers: cfg.GridPeers,
+		Seed:      DeriveSeed(cfg.Seed, 2),
+	}
+	eng, err := market.NewEngine(mc)
 	if err != nil {
 		return e10Cell{}, fmt.Errorf("%s: %w", backend, err)
 	}
@@ -153,10 +136,9 @@ func runE10Cell(cfg E10Config, ci int) (e10Cell, error) {
 
 	// Post-run detection quality over the backend's final counts (the engine
 	// drained any write-behind backlog at the end of Run).
-	ids := agent.IDs(agents)
-	assessor := complaints.Assessor{Store: store, Population: ids}
+	assessor := complaints.Assessor{Store: store, Population: agent.IDs(mc.Agents)}
 	var tp, fp, fn int
-	for _, a := range agents {
+	for _, a := range mc.Agents {
 		ok, err := assessor.Trustworthy(a.ID)
 		if err != nil {
 			return e10Cell{}, fmt.Errorf("%s: assess %s: %w", backend, a.ID, err)

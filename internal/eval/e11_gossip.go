@@ -1,13 +1,6 @@
 package eval
 
 import (
-	"fmt"
-	"math/rand"
-	"time"
-
-	"trustcoop/internal/agent"
-	"trustcoop/internal/market"
-	"trustcoop/internal/stats"
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/gossip"
 )
@@ -16,26 +9,21 @@ import (
 type E11Config struct {
 	Seed       int64
 	Sessions   int // marketplace sessions per cell; 0 means 400
-	Population int // agents; 0 means 18
-	Cheaters   int // cheating agents; 0 means Population/3
+	Population int // agents, a third of them cheaters; 0 means 18
 	// Periods is the sync-period sweep; a 0 entry means ∞ (gossip off,
 	// isolated shards — exactly the PR 3 information structure). nil means
 	// DefaultE11Periods.
 	Periods []int
 	// Trials replicates every cell (and the baseline) over seed-derived
-	// marketplaces and reports per-row means; 0 means 3. Honest-loss noise
-	// between independent stream draws is comparable to the gossip effect
-	// itself, so the single-draw gap column would be noise-dominated —
-	// replication is what makes "the gap shrinks with the period" visible.
+	// marketplaces and reports per-row means; 0 means 3.
 	Trials int
 	// Topology and Fanout shape the exchange fabric of every gossiping
 	// cell; zero values mean full mesh.
 	Topology gossip.Topology
 	Fanout   int
-	// CellShards is the fixed cell decomposition; 0 means DefaultCellShards.
-	CellShards int
-	// RepStore is the per-shard complaint backend; "" means "sharded".
-	RepStore string
+	// ExchangeLatency adds the wall-clock exchange-latency percentile
+	// column, exactly as E12Config.ExchangeLatency does.
+	ExchangeLatency bool
 	// Workers is the trial worker pool; 0 means DefaultWorkers().
 	Workers int
 	// EnginesPerCell bounds concurrent sub-engines per cell; pure
@@ -46,41 +34,6 @@ type E11Config struct {
 // DefaultE11Periods is the sweep of the ablation: from isolated shards
 // (∞, spelled 0) through coarse and fine gossip down to per-session sync.
 func DefaultE11Periods() []int { return []int{0, 64, 16, 4, 1} }
-
-func (c E11Config) withDefaults() E11Config {
-	if c.Sessions <= 0 {
-		c.Sessions = 400
-	}
-	if c.Population <= 0 {
-		c.Population = 18
-	}
-	if c.Cheaters <= 0 {
-		c.Cheaters = c.Population / 3
-	}
-	if len(c.Periods) == 0 {
-		c.Periods = DefaultE11Periods()
-	}
-	if c.Trials <= 0 {
-		c.Trials = 3
-	}
-	if c.CellShards == 0 {
-		c.CellShards = DefaultCellShards
-	}
-	if c.RepStore == "" {
-		c.RepStore = "sharded"
-	}
-	return c
-}
-
-// e11Cell is one period's measured outcome. exch is the cell's wall-clock
-// exchange-latency sample in microseconds, populated only when the ablation
-// asked to observe it (E12Config.ExchangeLatency) — it is measurement, not
-// part of the deterministic result.
-type e11Cell struct {
-	res   market.Result
-	stats gossip.Stats
-	exch  stats.Distribution
-}
 
 // E11GossipPeriod sweeps the cross-shard gossip period of a sharded
 // trust-aware cell: the same marketplace decomposition (same seed, same
@@ -95,192 +48,22 @@ type e11Cell struct {
 // improvement. Decreasing the period monotonically shrinks the gap: cheap
 // second-hand monitoring substitutes for first-hand experience, exactly the
 // trust-as-reduced-monitoring reading of the paper's reputation mechanism.
+//
+// E11 is E12's complaint-kind sweep without the evidence column.
 func E11GossipPeriod(cfg E11Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	gc := func(period int) gossip.Config {
-		return gossip.Config{Period: period, Topology: cfg.Topology, Fanout: cfg.Fanout}
-	}
-	tbl := &Table{
-		ID: "E11",
-		Title: cellCaveats{Shards: cfg.CellShards, RepStore: cfg.RepStore}.annotate(
-			fmt.Sprintf("gossip-period ablation: cross-shard complaint exchange over %s (period ∞ = isolated shards)", fabricShape(cfg.Topology, cfg.Fanout))),
-		Cols: []string{"period", "trade rate", "completion", "welfare", "honest loss", "loss gap vs 1 engine", "evidence gossiped", "sync rounds"},
-	}
-	// Each table row averages Trials replicated marketplaces; the cells are
-	// laid out trial-major (trial t's baseline, then its period sweep), each
-	// drawing its streams from DeriveSeed(Seed, trial) so every replicate is
-	// an independent marketplace while all rows of one trial share streams
-	// (within a trial, the gossip schedule is the only varying factor).
-	perTrial := len(cfg.Periods) + 1
-	results, err := RunTrials(cfg.Workers, cfg.Trials*perTrial, func(ci int) (e11Cell, error) {
-		trial, slot := ci/perTrial, ci%perTrial
-		tcfg := cfg
-		tcfg.Seed = DeriveSeed(cfg.Seed, trial)
-		if slot == 0 {
-			return runE11Cell(tcfg, gossip.Config{}, 1)
-		}
-		return runE11Cell(tcfg, gc(cfg.Periods[slot-1]), cfg.CellShards)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// mean folds one slot's replicates.
-	mean := func(slot int, f func(e11Cell) float64) float64 {
-		var sum float64
-		for t := 0; t < cfg.Trials; t++ {
-			sum += f(results[t*perTrial+slot])
-		}
-		return sum / float64(cfg.Trials)
-	}
-	loss := func(c e11Cell) float64 { return c.res.HonestVictimLoss.Float64() }
-	baseLoss := mean(0, loss)
-	addRow := func(label string, slot int, gossiped string) {
-		gap := "-"
-		if slot != 0 {
-			// Signed, not |·|: overshooting below the baseline must read as
-			// negative, not fold back and fake a growing gap.
-			gap = f1(mean(slot, loss) - baseLoss)
-		}
-		rounds := "-"
-		if r := mean(slot, func(c e11Cell) float64 { return float64(c.stats.Rounds) }); r > 0 {
-			rounds = itoa(int(r))
-		}
-		tbl.AddRow(
-			label,
-			pct(mean(slot, func(c e11Cell) float64 { return c.res.TradeRate() })),
-			pct(mean(slot, func(c e11Cell) float64 { return c.res.CompletionRate() })),
-			f1(mean(slot, func(c e11Cell) float64 { return c.res.Welfare.Float64() })),
-			f1(mean(slot, loss)),
-			gap,
-			gossiped,
-			rounds,
-		)
-	}
-	for pi, period := range cfg.Periods {
-		slot := pi + 1
-		label := itoa(period)
-		gossiped := fmt.Sprintf("%.0f (%s)",
-			mean(slot, func(c e11Cell) float64 { return float64(c.stats.ComplaintsDelivered) }),
-			fmtBytes(int64(mean(slot, func(c e11Cell) float64 { return float64(c.stats.BytesDelivered) }))))
-		if period == 0 {
-			label, gossiped = "∞", "-"
-		}
-		addRow(label, slot, gossiped)
-	}
-	addRow("single engine", 0, "-")
-	return tbl, nil
-}
-
-// runE11Cell runs one marketplace cell of the ablation. Every cell shares
-// the population and the cell seed, so the only varying factor across the
-// period rows is the gossip schedule; the shards=1 call is the single-engine
-// baseline. E12 runs the same cells (its complaint rows are byte-identical
-// to E11's at matched shape) through the shared ablation-cell runner.
-func runE11Cell(cfg E11Config, gc gossip.Config, shards int) (e11Cell, error) {
-	return runAblationCell(ablationCell{
-		Seed:       cfg.Seed,
-		Sessions:   cfg.Sessions,
-		Population: cfg.Population,
-		Cheaters:   cfg.Cheaters,
-		RepStore:   cfg.RepStore,
-		Gossip:     gc,
-		Shards:     shards,
-		Engines:    cfg.EnginesPerCell,
-	})
-}
-
-// ablationCell describes one marketplace cell of a gossip ablation (E11,
-// E12): the shared population/seed shape where only the evidence kind and
-// the gossip schedule vary.
-type ablationCell struct {
-	Seed       int64
-	Sessions   int
-	Population int
-	Cheaters   int
-	// Evidence "" (or complaints) runs the shared complaint model over
-	// RepStore — exactly the E11 cell; posterior runs per-agent Beta
-	// estimators gossiping posterior deltas.
-	Evidence trust.EvidenceKind
-	// Beta tunes the posterior estimators (posterior kind only);
-	// Beta.Export selects their gossip export policy.
-	Beta     trust.BetaConfig
-	RepStore string
-	Gossip   gossip.Config
-	Shards   int
-	Engines  int
-	// ObserveExchange samples each inter-window exchange's wall-clock
-	// duration into the cell's latency distribution (RunCellObserved). Pure
-	// measurement: the merged result is byte-identical either way.
-	ObserveExchange bool
-}
-
-// marketConfig renders the cell as the market configuration RunCellStats
-// consumes. Exposed separately so the byte-identity tests can run the very
-// same configuration through an independent reference implementation.
-func (c ablationCell) marketConfig() (market.Config, error) {
-	pop := agent.PopConfig{
-		Honest:      c.Population - c.Cheaters,
-		Opportunist: c.Cheaters / 2,
-		Backstabber: c.Cheaters - c.Cheaters/2,
-		Stake:       0, // cooperation must come from trust-aware exposure caps
-	}
-	agents, err := agent.NewPopulation(pop, rand.New(rand.NewSource(c.Seed)))
-	if err != nil {
-		return market.Config{}, err
-	}
-	mc := market.Config{
-		Seed:     DeriveSeed(c.Seed, 1),
-		Sessions: c.Sessions,
-		Agents:   agents,
-		Strategy: market.StrategyTrustAware,
-		Gossip:   c.Gossip,
-	}
-	if c.Evidence == trust.EvidencePosterior {
-		mc.Evidence = c.Evidence
-		mc.Beta = c.Beta
-	} else {
-		// The complaint path leaves Evidence at the default — the exact
-		// configuration E11 has always built, so matched-shape rows stay
-		// byte-identical.
-		mc.RepStore = c.RepStore
-	}
-	return mc, nil
-}
-
-func runAblationCell(c ablationCell) (e11Cell, error) {
-	mc, err := c.marketConfig()
-	if err != nil {
-		return e11Cell{}, err
-	}
-	var cell e11Cell
-	var onExchange func(time.Duration)
-	if c.ObserveExchange {
-		onExchange = func(d time.Duration) { cell.exch.Add(float64(d.Nanoseconds()) / 1e3) }
-	}
-	cell.res, cell.stats, err = RunCellObserved(mc, c.Shards, c.Engines, onExchange)
-	if err != nil {
-		return e11Cell{}, fmt.Errorf("gossip %s: %w", c.Gossip, err)
-	}
-	return cell, nil
-}
-
-// fabricShape renders the fabric shape for the table title — topology plus
-// the fanout cap, which is an information-structure change of its own
-// (fanout-limited meshes permanently skip peers) and so must be visible.
-func fabricShape(t gossip.Topology, fanout int) string {
-	if t == "" {
-		t = gossip.TopologyMesh
-	}
-	if t == gossip.TopologyMesh && fanout > 0 {
-		return fmt.Sprintf("%s fanout %d", t, fanout)
-	}
-	return string(t)
-}
-
-// fmtBytes renders a byte count compactly for table cells.
-func fmtBytes(b int64) string {
-	if b >= 10*1024 {
-		return fmt.Sprintf("%.0fKiB", float64(b)/1024)
-	}
-	return fmt.Sprintf("%dB", b)
+	return periodSweep("E11",
+		"gossip-period ablation: cross-shard complaint exchange over %s (period ∞ = isolated shards)",
+		E12Config{
+			Seed:            cfg.Seed,
+			Sessions:        cfg.Sessions,
+			Population:      cfg.Population,
+			Periods:         cfg.Periods,
+			Trials:          cfg.Trials,
+			Kinds:           []trust.EvidenceKind{trust.EvidenceComplaints},
+			Topology:        cfg.Topology,
+			Fanout:          cfg.Fanout,
+			ExchangeLatency: cfg.ExchangeLatency,
+			Workers:         cfg.Workers,
+			EnginesPerCell:  cfg.EnginesPerCell,
+		}, false)
 }

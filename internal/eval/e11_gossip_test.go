@@ -10,6 +10,7 @@ import (
 	"trustcoop/internal/agent"
 	"trustcoop/internal/market"
 	"trustcoop/internal/testutil"
+	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/gossip"
 )
 
@@ -23,10 +24,11 @@ func e11Quick() E11Config {
 // decomposition, same backend, no Gossip config at all) produces — gossip
 // off is not a new code path, it IS the old one.
 func TestE11PeriodInfinityIsPR3ShardedOutput(t *testing.T) {
-	cfg := e11Quick().withDefaults()
-	// The E11 ∞ cell: runE11Cell with the zero gossip config.
+	cfg := e11Quick()
+	// The E11 ∞ cell: a complaint cell sharded with the zero gossip config.
 	e11 := testutil.Variant{Name: "E11 period=∞ cell", Run: func() (string, error) {
-		cell, err := runE11Cell(cfg, gossip.Config{}, cfg.CellShards)
+		cell, err := runAblationCell(ablationCell{Seed: cfg.Seed, Sessions: cfg.Sessions, Population: cfg.Population,
+			Evidence: trust.EvidenceComplaints, Shards: DefaultCellShards})
 		if err != nil {
 			return "", err
 		}
@@ -35,23 +37,24 @@ func TestE11PeriodInfinityIsPR3ShardedOutput(t *testing.T) {
 	// The PR 3 shape: the same marketplace handed to RunCell exactly as the
 	// pre-gossip experiments built it — no Gossip field at all.
 	pr3 := testutil.Variant{Name: "PR 3 RunCell (no gossip config)", Run: func() (string, error) {
+		cheaters := cfg.Population / 3
 		pop := agent.PopConfig{
-			Honest:      cfg.Population - cfg.Cheaters,
-			Opportunist: cfg.Cheaters / 2,
-			Backstabber: cfg.Cheaters - cfg.Cheaters/2,
+			Honest:      cfg.Population - cheaters,
+			Opportunist: cheaters / 2,
+			Backstabber: cheaters - cheaters/2,
 			Stake:       0,
 		}
 		agents, err := agent.NewPopulation(pop, rand.New(rand.NewSource(cfg.Seed)))
 		if err != nil {
 			return "", err
 		}
-		res, err := RunCell(market.Config{
+		res, _, err := RunCell(market.Config{
 			Seed:     DeriveSeed(cfg.Seed, 1),
 			Sessions: cfg.Sessions,
 			Agents:   agents,
 			Strategy: market.StrategyTrustAware,
-			RepStore: cfg.RepStore,
-		}, cfg.CellShards, 0)
+			RepStore: "sharded",
+		}, DefaultCellShards, 0, nil)
 		if err != nil {
 			return "", err
 		}

@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 
-	"trustcoop/internal/stats"
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/gossip"
 )
@@ -12,8 +11,7 @@ import (
 type E12Config struct {
 	Seed       int64
 	Sessions   int // marketplace sessions per cell; 0 means 400
-	Population int // agents; 0 means 18
-	Cheaters   int // cheating agents; 0 means Population/3
+	Population int // agents, a third of them cheaters; 0 means 18
 	// Periods is the sync-period sweep shared by every kind; a 0 entry
 	// means ∞ (gossip off, isolated shards). nil means DefaultE11Periods —
 	// the matched shape that makes the complaint rows byte-identical to
@@ -23,28 +21,17 @@ type E12Config struct {
 	// as E11 does; 0 means 3.
 	Trials int
 	// Kinds is the evidence-kind sweep; nil means complaints then
-	// posterior.
+	// posterior. The posterior rows' estimators start from the
+	// complaint-matched prior Beta(4, 1).
 	Kinds []trust.EvidenceKind
 	// Topology and Fanout shape the exchange fabric of every gossiping
 	// cell; zero values mean full mesh.
 	Topology gossip.Topology
 	Fanout   int
-	// CellShards is the fixed cell decomposition; 0 means DefaultCellShards.
-	CellShards int
-	// RepStore is the complaint rows' backend; "" means "sharded".
-	RepStore string
-	// Beta tunes the posterior rows' estimators. The zero value means the
-	// evidence-free-trust-matched prior Beta(4, 1): an unseen peer
-	// estimates at 0.8, exactly the probability the complaint model's
-	// decision rule assigns a peer with no complaints (Factor/(Factor+1)
-	// at the default factor 4) — so the two kinds start from the same
-	// optimism and the sweep isolates how each kind's *gossip* claws the
-	// false trust back, not how their priors differ.
-	Beta trust.BetaConfig
 	// Export is the posterior rows' gossip export policy (codec,
-	// quantization, selective export; folded into Beta.Export); the zero
-	// value keeps the PR 5 dense wire. Complaint rows ignore it. Non-zero
-	// policies show in the title; E13 sweeps this axis.
+	// quantization, selective export); the zero value keeps the PR 5 dense
+	// wire. Complaint rows ignore it. Non-zero policies show in the title;
+	// E13 sweeps this axis.
 	Export trust.ExportPolicy
 	// ExchangeLatency adds wall-clock exchange-latency percentile columns
 	// (p50/p95/p99 µs per kind and period, merged across trials). Off by
@@ -71,9 +58,6 @@ func (c E12Config) withDefaults() E12Config {
 	if c.Population <= 0 {
 		c.Population = 18
 	}
-	if c.Cheaters <= 0 {
-		c.Cheaters = c.Population / 3
-	}
 	if len(c.Periods) == 0 {
 		c.Periods = DefaultE11Periods()
 	}
@@ -82,18 +66,6 @@ func (c E12Config) withDefaults() E12Config {
 	}
 	if len(c.Kinds) == 0 {
 		c.Kinds = DefaultE12Kinds()
-	}
-	if c.CellShards == 0 {
-		c.CellShards = DefaultCellShards
-	}
-	if c.RepStore == "" {
-		c.RepStore = "sharded"
-	}
-	if c.Beta == (trust.BetaConfig{}) {
-		c.Beta = trust.BetaConfig{PriorAlpha: 4, PriorBeta: 1}
-	}
-	if c.Export != (trust.ExportPolicy{}) {
-		c.Beta.Export = c.Export
 	}
 	return c
 }
@@ -112,121 +84,47 @@ func (c E12Config) withDefaults() E12Config {
 // unsharded estimator plane — every shard's book bit-equal to one shared
 // set of per-agent estimators (test-enforced).
 func E12EvidencePlane(cfg E12Config) (*Table, error) {
+	return periodSweep("E12",
+		"evidence-plane ablation: complaint vs posterior gossip over %s (period ∞ = isolated shards, gap vs own single-engine baseline, posterior prior matched to complaint evidence-free trust)",
+		cfg, true)
+}
+
+// periodSweep renders the E11/E12 period sweep: one block per evidence
+// kind, each the period rows followed by that kind's single-engine
+// baseline, which every row of the block measures its gap against. kindCol
+// adds the leading evidence column; titleFmt receives the fabric shape.
+func periodSweep(id, titleFmt string, cfg E12Config, kindCol bool) (*Table, error) {
 	cfg = cfg.withDefaults()
-	gc := func(period int) gossip.Config {
-		return gossip.Config{Period: period, Topology: cfg.Topology, Fanout: cfg.Fanout}
-	}
-	tbl := &Table{
-		ID: "E12",
-		Title: cellCaveats{Shards: cfg.CellShards, Export: cfg.Export, RepStore: cfg.RepStore}.annotate(
-			fmt.Sprintf("evidence-plane ablation: complaint vs posterior gossip over %s (period ∞ = isolated shards, gap vs own single-engine baseline, posterior prior matched to complaint evidence-free trust)",
-				fabricShape(cfg.Topology, cfg.Fanout))),
-		Cols: []string{"evidence", "period", "trade rate", "completion", "welfare", "honest loss", "loss gap vs 1 engine", "evidence gossiped", "sync rounds"},
-	}
-	if cfg.ExchangeLatency {
-		// Wall-clock measurement, merged across trials — deliberately not
-		// part of the deterministic table contract, hence opt-in.
-		tbl.Title += " — exchange latency wall-clock, nondeterministic"
-		tbl.Cols = append(tbl.Cols, "exchange p50/p95/p99 µs")
-	}
-	// Cells are laid out trial-major, kind-major within a trial: trial t's
-	// (kind 0 baseline, kind 0 period sweep, kind 1 baseline, …). Every
-	// trial derives its streams from DeriveSeed(Seed, trial) exactly as E11
-	// does, so within a trial the evidence kind and the gossip schedule are
-	// the only varying factors — and the complaint cells are E11's cells.
-	perKind := len(cfg.Periods) + 1
-	perTrial := len(cfg.Kinds) * perKind
-	cell := func(trial, ki, slot int) ablationCell {
-		c := ablationCell{
-			Seed:            DeriveSeed(cfg.Seed, trial),
-			Sessions:        cfg.Sessions,
-			Population:      cfg.Population,
-			Cheaters:        cfg.Cheaters,
-			Evidence:        cfg.Kinds[ki],
-			Beta:            cfg.Beta,
-			RepStore:        cfg.RepStore,
-			Shards:          1,
-			Engines:         cfg.EnginesPerCell,
-			ObserveExchange: cfg.ExchangeLatency,
-		}
-		if slot > 0 {
-			c.Gossip = gc(cfg.Periods[slot-1])
-			c.Shards = cfg.CellShards
-		}
-		return c
-	}
-	results, err := RunTrials(cfg.Workers, cfg.Trials*perTrial, func(ci int) (e11Cell, error) {
-		trial, rest := ci/perTrial, ci%perTrial
-		ki, slot := rest/perKind, rest%perKind
-		out, err := runAblationCell(cell(trial, ki, slot))
-		if err != nil {
-			return e11Cell{}, fmt.Errorf("%s: %w", cfg.Kinds[ki], err)
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	mean := func(ki, slot int, f func(e11Cell) float64) float64 {
-		var sum float64
-		for t := 0; t < cfg.Trials; t++ {
-			sum += f(results[t*perTrial+ki*perKind+slot])
-		}
-		return sum / float64(cfg.Trials)
-	}
-	loss := func(c e11Cell) float64 { return c.res.HonestVictimLoss.Float64() }
-	// exchangeLatency folds one (kind, slot)'s wall-clock exchange samples
-	// across trials into a p50/p95/p99 cell; "-" when nothing gossiped.
-	exchangeLatency := func(ki, slot int) string {
-		var d stats.Distribution
-		for t := 0; t < cfg.Trials; t++ {
-			d.Merge(results[t*perTrial+ki*perKind+slot].exch)
-		}
-		if d.Count() == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.0f/%.0f/%.0f", d.Percentile(0.50), d.Percentile(0.95), d.Percentile(0.99))
-	}
-	for ki, kind := range cfg.Kinds {
-		baseLoss := mean(ki, 0, loss)
-		addRow := func(label string, slot int, gossiped string) {
-			gap := "-"
-			if slot != 0 {
-				// Signed, exactly as E11 reports it.
-				gap = f1(mean(ki, slot, loss) - baseLoss)
+	a := &ablation{seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers, latency: cfg.ExchangeLatency}
+	for _, kind := range cfg.Kinds {
+		baseRow := len(a.rows) + len(cfg.Periods)
+		add := func(label string, c ablationCell) {
+			labels := []string{label}
+			if kindCol {
+				labels = []string{string(kind), label}
 			}
-			rounds := "-"
-			if r := mean(ki, slot, func(c e11Cell) float64 { return float64(c.stats.Rounds) }); r > 0 {
-				rounds = itoa(int(r))
-			}
-			row := []string{
-				string(kind),
-				label,
-				pct(mean(ki, slot, func(c e11Cell) float64 { return c.res.TradeRate() })),
-				pct(mean(ki, slot, func(c e11Cell) float64 { return c.res.CompletionRate() })),
-				f1(mean(ki, slot, func(c e11Cell) float64 { return c.res.Welfare.Float64() })),
-				f1(mean(ki, slot, loss)),
-				gap,
-				gossiped,
-				rounds,
-			}
-			if cfg.ExchangeLatency {
-				row = append(row, exchangeLatency(ki, slot))
-			}
-			tbl.AddRow(row...)
+			a.rows = append(a.rows, ablationRow{labels: labels, cell: c, base: baseRow})
 		}
-		for pi, period := range cfg.Periods {
-			slot := pi + 1
+		base := ablationCell{Sessions: cfg.Sessions, Population: cfg.Population, Evidence: kind,
+			Export: cfg.Export, Shards: 1, Engines: cfg.EnginesPerCell}
+		for _, period := range cfg.Periods {
+			c := base
+			c.Shards = DefaultCellShards
+			c.Gossip = gossip.Config{Period: period, Topology: cfg.Topology, Fanout: cfg.Fanout}
 			label := itoa(period)
-			gossiped := fmt.Sprintf("%.0f (%s)",
-				mean(ki, slot, func(c e11Cell) float64 { return float64(c.stats.ComplaintsDelivered) }),
-				fmtBytes(int64(mean(ki, slot, func(c e11Cell) float64 { return float64(c.stats.BytesDelivered) }))))
 			if period == 0 {
-				label, gossiped = "∞", "-"
+				label = "∞"
 			}
-			addRow(label, slot, gossiped)
+			add(label, c)
 		}
-		addRow("single engine", 0, "-")
+		add("single engine", base)
 	}
-	return tbl, nil
+	var labelCols []string
+	if kindCol {
+		labelCols = []string{"evidence"}
+	}
+	title := cellCaveats{Shards: DefaultCellShards, Export: cfg.Export}.annotate(
+		fmt.Sprintf(titleFmt, fabricShape(cfg.Topology, cfg.Fanout)))
+	return a.table(id, title, append(labelCols, "period"), []string{"sync rounds"},
+		func(r int) []string { return []string{a.syncRounds(r)} })
 }

@@ -110,7 +110,7 @@ func (v *sharedPlaneView) Estimate(peer trust.PeerID) trust.Estimate {
 }
 
 // runSharedPlaneReference executes the same sharded session decomposition
-// RunCellStats builds — same per-shard seeds, same session split, same
+// RunCell builds — same per-shard seeds, same session split, same
 // lockstep windows of one session — against ONE shared set of per-agent
 // Beta estimators, with each window's records applied at the window
 // boundary in shard order. It is an independent reimplementation of the
@@ -198,18 +198,16 @@ func TestE12PosteriorPeriodOneEqualsSharedEstimatorPlane(t *testing.T) {
 			Seed:       DeriveSeed(cfg.Seed, trial),
 			Sessions:   cfg.Sessions,
 			Population: cfg.Population,
-			Cheaters:   cfg.Cheaters,
 			Evidence:   trust.EvidencePosterior,
-			Beta:       cfg.Beta,
 			Gossip:     gossip.Config{Period: 1},
-			Shards:     cfg.CellShards,
+			Shards:     DefaultCellShards,
 		}
 		mc, err := cell.marketConfig()
 		if err != nil {
 			t.Fatal(err)
 		}
 		gossiped := testutil.Variant{Name: fmt.Sprintf("trial %d posterior period-1 mesh", trial), Run: func() (string, error) {
-			res, _, err := RunCellStats(mc, cell.Shards, 0)
+			res, _, err := RunCell(mc, cell.Shards, 0, nil)
 			if err != nil {
 				return "", err
 			}
@@ -304,50 +302,63 @@ func TestGossipEvidenceOnSharded(t *testing.T) {
 }
 
 // TestE12ExchangeLatencyColumnIsOptInAndPure: the wall-clock latency column
-// (PR 9 carry-over satellite) appears only when asked for, renders
-// p50/p95/p99 on gossiping rows and "-" on baselines — and observing it must
-// not perturb the deterministic table: every pre-existing column is
-// byte-identical with the column on and off.
+// of the shared ablation sweep — on E12 and on E11 — appears only when asked
+// for, renders p50/p95/p99 on gossiping rows and "-" on the ∞ and baseline
+// rows — and observing it must not perturb the deterministic table: every
+// pre-existing column is byte-identical with the column on and off.
 func TestE12ExchangeLatencyColumnIsOptInAndPure(t *testing.T) {
-	plain, err := E12EvidencePlane(e12Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := e12Quick()
-	cfg.ExchangeLatency = true
-	timed, err := E12EvidencePlane(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(timed.Cols), len(plain.Cols)+1; got != want {
-		t.Fatalf("cols = %d, want %d", got, want)
-	}
-	if timed.Cols[len(timed.Cols)-1] != "exchange p50/p95/p99 µs" {
-		t.Fatalf("latency column header %q", timed.Cols[len(timed.Cols)-1])
-	}
-	if !strings.Contains(timed.Title, "wall-clock") || strings.Contains(plain.Title, "wall-clock") {
-		t.Errorf("wall-clock caveat: timed %q / plain %q", timed.Title, plain.Title)
-	}
-	if len(timed.Rows) != len(plain.Rows) {
-		t.Fatalf("rows = %d vs %d", len(timed.Rows), len(plain.Rows))
-	}
-	perKind := len(cfg.Periods) + 1
-	for ri, row := range timed.Rows {
-		for ci, cell := range plain.Rows[ri] {
-			if row[ci] != cell {
-				t.Errorf("row %d col %d: %q with latency vs %q without — observation perturbed the table", ri, ci, row[ci], cell)
-			}
+	for _, tc := range []struct {
+		id        string
+		periodCol int
+		run       func(latency bool) (*Table, error)
+	}{
+		{"E12", 1, func(latency bool) (*Table, error) {
+			cfg := e12Quick()
+			cfg.ExchangeLatency = latency
+			return E12EvidencePlane(cfg)
+		}},
+		{"E11", 0, func(latency bool) (*Table, error) {
+			cfg := e11Quick()
+			cfg.ExchangeLatency = latency
+			return E11GossipPeriod(cfg)
+		}},
+	} {
+		plain, err := tc.run(false)
+		if err != nil {
+			t.Fatal(err)
 		}
-		lat := row[len(row)-1]
-		slot := ri % perKind
-		if slot == perKind-1 || plain.Rows[ri][1] == "∞" {
-			if lat != "-" {
-				t.Errorf("non-gossiping row %d reports latency %q", ri, lat)
-			}
-			continue
+		timed, err := tc.run(true)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if parts := strings.Split(lat, "/"); len(parts) != 3 {
-			t.Errorf("gossiping row %d latency %q, want p50/p95/p99", ri, lat)
+		if got, want := len(timed.Cols), len(plain.Cols)+1; got != want {
+			t.Fatalf("%s: cols = %d, want %d", tc.id, got, want)
+		}
+		if timed.Cols[len(timed.Cols)-1] != "exchange p50/p95/p99 µs" {
+			t.Fatalf("%s: latency column header %q", tc.id, timed.Cols[len(timed.Cols)-1])
+		}
+		if !strings.Contains(timed.Title, "wall-clock") || strings.Contains(plain.Title, "wall-clock") {
+			t.Errorf("%s: wall-clock caveat: timed %q / plain %q", tc.id, timed.Title, plain.Title)
+		}
+		if len(timed.Rows) != len(plain.Rows) {
+			t.Fatalf("%s: rows = %d vs %d", tc.id, len(timed.Rows), len(plain.Rows))
+		}
+		for ri, row := range timed.Rows {
+			for ci, cell := range plain.Rows[ri] {
+				if row[ci] != cell {
+					t.Errorf("%s row %d col %d: %q with latency vs %q without — observation perturbed the table", tc.id, ri, ci, row[ci], cell)
+				}
+			}
+			lat := row[len(row)-1]
+			if period := row[tc.periodCol]; period == "∞" || period == "single engine" {
+				if lat != "-" {
+					t.Errorf("%s: non-gossiping row %d reports latency %q", tc.id, ri, lat)
+				}
+				continue
+			}
+			if parts := strings.Split(lat, "/"); len(parts) != 3 {
+				t.Errorf("%s: gossiping row %d latency %q, want p50/p95/p99", tc.id, ri, lat)
+			}
 		}
 	}
 }

@@ -11,8 +11,7 @@ import (
 type E13Config struct {
 	Seed       int64
 	Sessions   int // marketplace sessions per cell; 0 means 400
-	Population int // agents; 0 means 18
-	Cheaters   int // cheating agents; 0 means Population/3
+	Population int // agents, a third of them cheaters; 0 means 18
 	// Period is the gossip period every compressed cell shares — unlike
 	// E11/E12 the schedule is fixed and the export policy is the sweep
 	// axis; 0 means 4 (the finest non-trivial period of the E11 sweep,
@@ -26,29 +25,16 @@ type E13Config struct {
 	// means DefaultE13Policies. The dense reference row and the
 	// single-engine baseline always run in addition — every ratio and gap
 	// in the table is against those shared anchors.
-	Policies []E13Policy
+	Policies []trust.ExportPolicy
 	// Topology and Fanout shape the exchange fabric of every gossiping
 	// cell; zero values mean full mesh.
 	Topology gossip.Topology
 	Fanout   int
-	// CellShards is the fixed cell decomposition; 0 means DefaultCellShards.
-	CellShards int
-	// Beta tunes the posterior estimators; the zero value means the
-	// complaint-matched prior Beta(4, 1), exactly as E12 defaults (the
-	// policy under sweep is folded into Beta.Export per row).
-	Beta trust.BetaConfig
 	// Workers is the trial worker pool; 0 means DefaultWorkers().
 	Workers int
 	// EnginesPerCell bounds concurrent sub-engines per cell; pure
 	// parallelism, never changes the table.
 	EnginesPerCell int
-}
-
-// E13Policy is one row of the sweep: an export policy and its table label
-// ("" derives the label from the policy itself).
-type E13Policy struct {
-	Label  string
-	Export trust.ExportPolicy
 }
 
 // DefaultE13Policies is the sweep: the codec axis (columnar lossless, then
@@ -57,15 +43,15 @@ type E13Policy struct {
 // thresholds at ε = 0.5 deferring subjects until ~2, ~4 and ~8 pending
 // observations — each must cost strictly fewer bytes and can only widen the
 // honest-loss gap, since deferred evidence arrives later). The dense
-// reference row is implicit and always runs.
-func DefaultE13Policies() []E13Policy {
-	pol := func(p trust.ExportPolicy) E13Policy { return E13Policy{Export: p} }
-	return []E13Policy{
-		pol(trust.ExportPolicy{Codec: trust.PosteriorColumnar}),
-		pol(trust.ExportPolicy{QuantizeBits: 6}),
-		pol(trust.ExportPolicy{Codec: trust.PosteriorColumnar, MinConfidence: 0.2, Epsilon: 0.5}),
-		pol(trust.ExportPolicy{Codec: trust.PosteriorColumnar, MinConfidence: 0.7, Epsilon: 0.5}),
-		pol(trust.ExportPolicy{Codec: trust.PosteriorColumnar, MinConfidence: 0.95, Epsilon: 0.5}),
+// reference row is implicit and always runs. Rows are labelled by the
+// policy's spec spelling.
+func DefaultE13Policies() []trust.ExportPolicy {
+	return []trust.ExportPolicy{
+		{Codec: trust.PosteriorColumnar},
+		{QuantizeBits: 6},
+		{Codec: trust.PosteriorColumnar, MinConfidence: 0.2, Epsilon: 0.5},
+		{Codec: trust.PosteriorColumnar, MinConfidence: 0.7, Epsilon: 0.5},
+		{Codec: trust.PosteriorColumnar, MinConfidence: 0.95, Epsilon: 0.5},
 	}
 }
 
@@ -76,9 +62,6 @@ func (c E13Config) withDefaults() E13Config {
 	if c.Population <= 0 {
 		c.Population = 18
 	}
-	if c.Cheaters <= 0 {
-		c.Cheaters = c.Population / 3
-	}
 	if c.Period <= 0 {
 		c.Period = 4
 	}
@@ -87,12 +70,6 @@ func (c E13Config) withDefaults() E13Config {
 	}
 	if len(c.Policies) == 0 {
 		c.Policies = DefaultE13Policies()
-	}
-	if c.CellShards == 0 {
-		c.CellShards = DefaultCellShards
-	}
-	if c.Beta == (trust.BetaConfig{}) {
-		c.Beta = trust.BetaConfig{PriorAlpha: 4, PriorBeta: 1}
 	}
 	return c
 }
@@ -114,96 +91,35 @@ func (c E13Config) withDefaults() E13Config {
 func E13CompressionFrontier(cfg E13Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	gc := gossip.Config{Period: cfg.Period, Topology: cfg.Topology, Fanout: cfg.Fanout}
-	tbl := &Table{
-		ID: "E13",
-		Title: cellCaveats{Shards: cfg.CellShards}.annotate(
-			fmt.Sprintf("posterior compression frontier: export-policy sweep at gossip period %d over %s (gap vs single-engine baseline, prior matched to complaint evidence-free trust; selective rows defer evidence, never drop it)",
-				cfg.Period, fabricShape(cfg.Topology, cfg.Fanout))),
-		Cols: []string{"export policy", "trade rate", "completion", "welfare", "honest loss", "loss gap vs 1 engine", "evidence gossiped", "bytes/session", "vs dense"},
+	// Rows: the dense reference, the policy sweep, then the single-engine
+	// baseline every gap is measured against. Every cell is a posterior
+	// cell, so within a trial the export policy is the only varying factor.
+	a := &ablation{seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers}
+	baseRow := len(cfg.Policies) + 1
+	dense := ablationCell{Sessions: cfg.Sessions, Population: cfg.Population, Evidence: trust.EvidencePosterior,
+		Gossip: gc, Shards: DefaultCellShards, Engines: cfg.EnginesPerCell}
+	a.rows = append(a.rows, ablationRow{labels: []string{"dense (PR 5 wire)"}, cell: dense, base: baseRow})
+	for _, p := range cfg.Policies {
+		c := dense
+		c.Export = p
+		a.rows = append(a.rows, ablationRow{labels: []string{p.String()}, cell: c, base: baseRow})
 	}
-	// Cells are laid out trial-major: trial t's single-engine baseline
-	// (slot 0), dense reference (slot 1), then the policy sweep. Every trial
-	// derives its streams from DeriveSeed(Seed, trial) exactly as E11/E12
-	// do, so within a trial the export policy is the only varying factor.
-	perTrial := len(cfg.Policies) + 2
-	cell := func(trial, slot int) ablationCell {
-		c := ablationCell{
-			Seed:       DeriveSeed(cfg.Seed, trial),
-			Sessions:   cfg.Sessions,
-			Population: cfg.Population,
-			Cheaters:   cfg.Cheaters,
-			Evidence:   trust.EvidencePosterior,
-			Beta:       cfg.Beta,
-			Shards:     1,
-			Engines:    cfg.EnginesPerCell,
+	single := dense
+	single.Gossip, single.Shards = gossip.Config{}, 1
+	a.rows = append(a.rows, ablationRow{labels: []string{"single engine"}, cell: single, base: baseRow})
+
+	bytesPerSession := func(r int) float64 { return a.mean(r, bytesDelivered) / float64(cfg.Sessions) }
+	title := cellCaveats{Shards: DefaultCellShards}.annotate(
+		fmt.Sprintf("posterior compression frontier: export-policy sweep at gossip period %d over %s (gap vs single-engine baseline, prior matched to complaint evidence-free trust; selective rows defer evidence, never drop it)",
+			cfg.Period, fabricShape(cfg.Topology, cfg.Fanout)))
+	return a.table("E13", title, []string{"export policy"}, []string{"bytes/session", "vs dense"}, func(r int) []string {
+		if r == baseRow {
+			return []string{"-", "-"}
 		}
-		if slot > 0 {
-			c.Gossip = gc
-			c.Shards = cfg.CellShards
-			if slot >= 2 {
-				c.Beta.Export = cfg.Policies[slot-2].Export
-			}
+		b, vsDense := bytesPerSession(r), "-"
+		if b > 0 {
+			vsDense = ratio(bytesPerSession(0) / b)
 		}
-		return c
-	}
-	results, err := RunTrials(cfg.Workers, cfg.Trials*perTrial, func(ci int) (e11Cell, error) {
-		trial, slot := ci/perTrial, ci%perTrial
-		out, err := runAblationCell(cell(trial, slot))
-		if err != nil {
-			return e11Cell{}, fmt.Errorf("E13 slot %d: %w", slot, err)
-		}
-		return out, nil
+		return []string{f1(b), vsDense}
 	})
-	if err != nil {
-		return nil, err
-	}
-	mean := func(slot int, f func(e11Cell) float64) float64 {
-		var sum float64
-		for t := 0; t < cfg.Trials; t++ {
-			sum += f(results[t*perTrial+slot])
-		}
-		return sum / float64(cfg.Trials)
-	}
-	loss := func(c e11Cell) float64 { return c.res.HonestVictimLoss.Float64() }
-	bytesPerSession := func(slot int) float64 {
-		return mean(slot, func(c e11Cell) float64 { return float64(c.stats.BytesDelivered) }) / float64(cfg.Sessions)
-	}
-	baseLoss := mean(0, loss)
-	denseBytes := bytesPerSession(1)
-	addRow := func(label string, slot int) {
-		gap, gossiped, perSession, vsDense := "-", "-", "-", "-"
-		if slot != 0 {
-			// Signed, exactly as E11/E12 report it.
-			gap = f1(mean(slot, loss) - baseLoss)
-			gossiped = fmt.Sprintf("%.0f (%s)",
-				mean(slot, func(c e11Cell) float64 { return float64(c.stats.ComplaintsDelivered) }),
-				fmtBytes(int64(mean(slot, func(c e11Cell) float64 { return float64(c.stats.BytesDelivered) }))))
-			b := bytesPerSession(slot)
-			perSession = f1(b)
-			if b > 0 {
-				vsDense = fmt.Sprintf("%.2f×", denseBytes/b)
-			}
-		}
-		tbl.AddRow(
-			label,
-			pct(mean(slot, func(c e11Cell) float64 { return c.res.TradeRate() })),
-			pct(mean(slot, func(c e11Cell) float64 { return c.res.CompletionRate() })),
-			f1(mean(slot, func(c e11Cell) float64 { return c.res.Welfare.Float64() })),
-			f1(mean(slot, loss)),
-			gap,
-			gossiped,
-			perSession,
-			vsDense,
-		)
-	}
-	addRow("dense (PR 5 wire)", 1)
-	for pi, p := range cfg.Policies {
-		label := p.Label
-		if label == "" {
-			label = p.Export.String()
-		}
-		addRow(label, pi+2)
-	}
-	addRow("single engine", 0)
-	return tbl, nil
 }

@@ -14,10 +14,15 @@ type E1Config struct {
 	Seed    int64
 	Trials  int   // bundles per (n, dist) cell; 0 means 300
 	Sizes   []int // bundle sizes; nil means {2, 4, 8, 16, 32}
-	Dists   []goods.Distribution
-	StakePc []float64 // stakes as fraction of total bundle cost; nil means {0, 0.05, 0.1, 0.25}
-	Workers int       // trial worker pool; 0 means DefaultWorkers()
+	Workers int   // trial worker pool; 0 means DefaultWorkers()
 }
+
+// e1Dists are the valuation distributions, one row each per bundle size.
+var e1Dists = []goods.Distribution{goods.Uniform, goods.Pareto}
+
+// e1Stakes are the stake levels, one column each, as a fraction of the
+// bundle's total production cost.
+var e1Stakes = []float64{0, 0.05, 0.1, 0.25}
 
 func (c E1Config) withDefaults() E1Config {
 	if c.Trials <= 0 {
@@ -25,12 +30,6 @@ func (c E1Config) withDefaults() E1Config {
 	}
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int{2, 4, 8, 16, 32}
-	}
-	if len(c.Dists) == 0 {
-		c.Dists = []goods.Distribution{goods.Uniform, goods.Pareto}
-	}
-	if len(c.StakePc) == 0 {
-		c.StakePc = []float64{0, 0.05, 0.1, 0.25}
 	}
 	return c
 }
@@ -50,7 +49,7 @@ func E1SafeExistence(cfg E1Config) (*Table, error) {
 		Title: "safe-sequence existence vs reputation stakes (fraction of bundles schedulable)",
 		Cols:  []string{"items", "dist"},
 	}
-	for _, s := range cfg.StakePc {
+	for _, s := range e1Stakes {
 		tbl.Cols = append(tbl.Cols, fmt.Sprintf("δ=%.0f%%cost", 100*s))
 	}
 	tbl.Cols = append(tbl.Cols, "median Δ*/cost")
@@ -61,7 +60,7 @@ func E1SafeExistence(cfg E1Config) (*Table, error) {
 	}
 	var cells []cellKey
 	for _, n := range cfg.Sizes {
-		for _, dist := range cfg.Dists {
+		for _, dist := range e1Dists {
 			cells = append(cells, cellKey{n, dist})
 		}
 	}
@@ -75,7 +74,7 @@ func E1SafeExistence(cfg E1Config) (*Table, error) {
 		gen := goods.DefaultGenConfig()
 		gen.Items = cell.n
 		gen.Dist = cell.dist
-		res := cellResult{exists: make([]int, len(cfg.StakePc))}
+		res := cellResult{exists: make([]int, len(e1Stakes))}
 		for trial := 0; trial < cfg.Trials; trial++ {
 			bundle, err := goods.Generate(gen, rng)
 			if err != nil {
@@ -83,7 +82,7 @@ func E1SafeExistence(cfg E1Config) (*Table, error) {
 			}
 			terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
 			cost := bundle.TotalCost()
-			for i, s := range cfg.StakePc {
+			for i, s := range e1Stakes {
 				stake := goods.Money(s * float64(cost))
 				_, err := exchange.ScheduleSafe(terms, exchange.Stakes{Supplier: stake}, exchange.Options{})
 				switch {

@@ -6,8 +6,6 @@ import (
 	"trustcoop/internal/agent"
 	"trustcoop/internal/goods"
 	"trustcoop/internal/market"
-	"trustcoop/internal/trust"
-	"trustcoop/internal/trust/gossip"
 )
 
 // E2Config parameterises the strategy-comparison experiment.
@@ -16,74 +14,39 @@ type E2Config struct {
 	Sessions   int       // 0 means 400
 	Population int       // 0 means 24
 	CheaterPct []float64 // nil means {0, 0.25, 0.5}
-	Strategies []market.Strategy
-	// Concurrency is the engine's in-flight session window per cell; 0 means
-	// 1 (sequential sessions, the paper-faithful information structure).
-	Concurrency int
-	Workers     int // trial worker pool; 0 means DefaultWorkers()
-	// CellShards is the fixed sub-engine decomposition of each cell (see
-	// RunCell); 0 means DefaultCellShards. Part of the experiment definition,
-	// noted in the table title.
-	CellShards int
-	// EnginesPerCell bounds how many sub-engines of one cell run at once;
-	// pure parallelism, never changes the table.
-	EnginesPerCell int
-	// Gossip enables cross-shard complaint gossip between a cell's
-	// sub-engines — part of the experiment definition (it changes the
-	// information structure), annotated in the title. When enabled the
-	// cells learn trust from the shared complaint model over RepStore.
-	Gossip gossip.Config
-	// RepStore is the complaint backend the gossiping cells run over; ""
-	// means "sharded". Ignored while Gossip is off (cells keep their
-	// private Beta estimators, the pre-gossip behaviour) and for posterior
-	// evidence.
-	RepStore string
-	// Evidence selects the kind the gossiping cells exchange: complaints
-	// (default; the shared complaint model over RepStore) or posterior
-	// (per-agent Beta estimators whose posterior deltas gossip). Ignored
-	// while Gossip is off.
-	Evidence trust.EvidenceKind
-	// Export is the posterior gossip export policy (codec, quantization,
-	// selective export); the zero value is the PR 5 dense wire. Ignored
-	// unless the cells gossip posterior evidence; non-zero policies show in
-	// the title.
-	Export trust.ExportPolicy
+	CellSpec
 }
 
 func (c E2Config) withDefaults() E2Config {
 	if c.Sessions <= 0 {
 		c.Sessions = 400
 	}
-	if c.CellShards == 0 {
-		c.CellShards = DefaultCellShards
-	}
-	c.Evidence = gossipEvidence(c.Gossip, c.Evidence)
-	c.RepStore = gossipRepStore(c.Gossip, c.Evidence, c.RepStore)
-	c.Export = gossipExport(c.Gossip, c.Evidence, c.Export)
 	if c.Population <= 0 {
 		c.Population = 24
 	}
 	if len(c.CheaterPct) == 0 {
 		c.CheaterPct = []float64{0, 0.25, 0.5}
 	}
-	if len(c.Strategies) == 0 {
-		c.Strategies = []market.Strategy{market.StrategyNaive, market.StrategySafeOnly, market.StrategyTrustAware}
-	}
+	c.CellSpec = c.resolved()
 	return c
 }
+
+// e2Strategies are the compared strategies, one row each per cheater
+// fraction.
+var e2Strategies = []market.Strategy{market.StrategyNaive, market.StrategySafeOnly, market.StrategyTrustAware}
 
 // E2CompletionWelfare compares the three scheduling strategies across
 // populations with growing cheater fractions: the paper's core promise is
 // that trust-aware scheduling trades (almost) as often as naive exchange
 // while losing (almost) as little as safe-only refusal. Each (cheater
 // fraction, strategy) cell is an independent marketplace sharded across
-// CellShards sub-engines (RunCell) and over the trial worker pool, so even a
-// single slow cell exploits multiple cores.
+// DefaultCellShards sub-engines (CellSpec) and over the trial worker pool,
+// so even a single slow cell exploits multiple cores.
 func E2CompletionWelfare(cfg E2Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	tbl := &Table{
 		ID:    "E2",
-		Title: cellCaveats{Shards: cfg.CellShards, Gossip: cfg.Gossip, Evidence: cfg.Evidence, Export: cfg.Export, RepStore: cfg.RepStore}.annotate("strategy comparison: trade rate, completion, welfare, honest losses"),
+		Title: cfg.annotate("strategy comparison: trade rate, completion, welfare, honest losses"),
 		Cols:  []string{"cheaters", "strategy", "trade rate", "completion", "welfare", "honest loss", "safe plans"},
 	}
 	type cell struct {
@@ -92,7 +55,7 @@ func E2CompletionWelfare(cfg E2Config) (*Table, error) {
 	}
 	var cells []cell
 	for _, cheatPct := range cfg.CheaterPct {
-		for _, strat := range cfg.Strategies {
+		for _, strat := range e2Strategies {
 			cells = append(cells, cell{cheatPct, strat})
 		}
 	}
@@ -111,17 +74,12 @@ func E2CompletionWelfare(cfg E2Config) (*Table, error) {
 		if err != nil {
 			return market.Result{}, err
 		}
-		return RunCell(market.Config{
-			Seed:        DeriveSeed(cfg.Seed, ci),
-			Sessions:    cfg.Sessions,
-			Agents:      agents,
-			Strategy:    c.strat,
-			Concurrency: cfg.Concurrency,
-			RepStore:    cfg.RepStore,
-			Evidence:    cfg.Evidence,
-			Beta:        trust.BetaConfig{Export: cfg.Export},
-			Gossip:      cfg.Gossip,
-		}, cfg.CellShards, cfg.EnginesPerCell)
+		return cfg.runCell(market.Config{
+			Seed:     DeriveSeed(cfg.Seed, ci),
+			Sessions: cfg.Sessions,
+			Agents:   agents,
+			Strategy: c.strat,
+		})
 	})
 	if err != nil {
 		return nil, err

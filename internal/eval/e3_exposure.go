@@ -6,8 +6,6 @@ import (
 	"trustcoop/internal/agent"
 	"trustcoop/internal/market"
 	"trustcoop/internal/stats"
-	"trustcoop/internal/trust"
-	"trustcoop/internal/trust/gossip"
 )
 
 // E3Config parameterises the loss-bounding experiment.
@@ -16,44 +14,20 @@ type E3Config struct {
 	Sessions   int       // 0 means 400
 	Population int       // 0 means 20
 	CheaterPct []float64 // nil means {0.2, 0.4, 0.6}
-	Workers    int       // trial worker pool; 0 means DefaultWorkers()
-	// CellShards is the fixed sub-engine decomposition of each cell (see
-	// RunCell); 0 means DefaultCellShards.
-	CellShards int
-	// EnginesPerCell bounds how many sub-engines of one cell run at once;
-	// pure parallelism, never changes the table.
-	EnginesPerCell int
-	// Gossip enables cross-shard complaint gossip (see E2Config.Gossip);
-	// the exposure bound is a per-session property, so it must survive any
-	// gossip schedule.
-	Gossip gossip.Config
-	// RepStore is the complaint backend for gossiping cells; "" means
-	// "sharded". Ignored while Gossip is off and for posterior evidence.
-	RepStore string
-	// Evidence selects the kind the gossiping cells exchange (see
-	// E2Config.Evidence). Ignored while Gossip is off.
-	Evidence trust.EvidenceKind
-	// Export is the posterior gossip export policy (see E2Config.Export).
-	// Ignored unless the cells gossip posterior evidence.
-	Export trust.ExportPolicy
+	CellSpec
 }
 
 func (c E3Config) withDefaults() E3Config {
 	if c.Sessions <= 0 {
 		c.Sessions = 400
 	}
-	if c.CellShards == 0 {
-		c.CellShards = DefaultCellShards
-	}
-	c.Evidence = gossipEvidence(c.Gossip, c.Evidence)
-	c.RepStore = gossipRepStore(c.Gossip, c.Evidence, c.RepStore)
-	c.Export = gossipExport(c.Gossip, c.Evidence, c.Export)
 	if c.Population <= 0 {
 		c.Population = 20
 	}
 	if len(c.CheaterPct) == 0 {
 		c.CheaterPct = []float64{0.2, 0.4, 0.6}
 	}
+	c.CellSpec = c.resolved()
 	return c
 }
 
@@ -64,14 +38,15 @@ func (c E3Config) withDefaults() E3Config {
 // land; both sides are reported, with the count of sessions whose realised
 // loss exceeded the planned worst case (must be 0 on both sides). Each
 // cheater-fraction cell runs as an independent trial, itself sharded across
-// CellShards sub-engines (RunCell); the exposure bound is a per-session
-// property, so it survives any decomposition — merged realised maxima stay
-// below merged planned maxima shard by shard.
+// DefaultCellShards sub-engines (CellSpec); the exposure bound is a
+// per-session property, so it survives any decomposition and any gossip
+// schedule — merged realised maxima stay below merged planned maxima shard
+// by shard.
 func E3LossExposure(cfg E3Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	tbl := &Table{
 		ID:    "E3",
-		Title: cellCaveats{Shards: cfg.CellShards, Gossip: cfg.Gossip, Evidence: cfg.Evidence, Export: cfg.Export, RepStore: cfg.RepStore}.annotate("planned exposure bounds realised losses (trust-aware strategy)"),
+		Title: cfg.annotate("planned exposure bounds realised losses (trust-aware strategy)"),
 		Cols: []string{"cheaters", "side", "planned mean", "planned max",
 			"realised mean", "realised max", "violations"},
 	}
@@ -87,16 +62,12 @@ func E3LossExposure(cfg E3Config) (*Table, error) {
 		if err != nil {
 			return market.Result{}, err
 		}
-		return RunCell(market.Config{
+		return cfg.runCell(market.Config{
 			Seed:     DeriveSeed(cfg.Seed, ci),
 			Sessions: cfg.Sessions,
 			Agents:   agents,
 			Strategy: market.StrategyTrustAware,
-			RepStore: cfg.RepStore,
-			Evidence: cfg.Evidence,
-			Beta:     trust.BetaConfig{Export: cfg.Export},
-			Gossip:   cfg.Gossip,
-		}, cfg.CellShards, cfg.EnginesPerCell)
+		})
 	})
 	if err != nil {
 		return nil, err

@@ -22,16 +22,17 @@ type E4Config struct {
 	// deltas over a gossip fabric — the evidence plane's proof that the
 	// *estimator* models shard exactly like the complaint store: the Beta
 	// and witness models gossip posterior deltas, the complaint model
-	// complaint deltas. <= 1 (the default) replays unsharded, the
-	// historical table.
+	// complaint deltas, every e4GossipPeriod interactions per shard. <= 1
+	// (the default) replays unsharded, the historical table.
 	CellShards int
-	// GossipPeriod is the per-shard interaction count between exchanges
-	// when sharded; 0 means 32. Every stage ends with an exchange + drain
-	// before measurement, so the decay-free models reproduce the unsharded
-	// table exactly (trust.Beta's posterior is a plain sum there); only
-	// beta+decay drifts within float rounding of the windowed apply order.
-	GossipPeriod int
 }
+
+// e4GossipPeriod is the per-shard interaction count between exchanges when
+// E4 replays sharded. Every stage ends with an exchange + drain before
+// measurement, so the decay-free models reproduce the unsharded table
+// exactly (trust.Beta's posterior is a plain sum there); only beta+decay
+// drifts within float rounding of the windowed apply order.
+const e4GossipPeriod = 32
 
 func (c E4Config) withDefaults() E4Config {
 	if c.Population <= 0 {
@@ -39,9 +40,6 @@ func (c E4Config) withDefaults() E4Config {
 	}
 	if len(c.Rounds) == 0 {
 		c.Rounds = []int{5, 20, 80, 320}
-	}
-	if c.GossipPeriod <= 0 {
-		c.GossipPeriod = 32
 	}
 	return c
 }
@@ -72,7 +70,7 @@ func E4TrustLearning(cfg E4Config) (*Table, error) {
 		// complaints for the complaint model), so the caveat is spelled
 		// out here instead of through cellCaveats.
 		title = fmt.Sprintf("%s (models sharded ×%d: evidence gossiped every %d interactions per shard, measured at shard 0)",
-			title, cfg.CellShards, cfg.GossipPeriod)
+			title, cfg.CellShards, e4GossipPeriod)
 	}
 	tbl := &Table{
 		ID:    "E4",
@@ -163,7 +161,7 @@ func E4TrustLearning(cfg E4Config) (*Table, error) {
 	// interactions per shard and draining at stage ends before measurement.
 	shardedReplay := func(mk func(f *gossip.Fabric) (func(k int, ia e4Interaction) error, func(obs, sub trust.PeerID) (float64, bool), error)) func() ([]float64, error) {
 		return func() ([]float64, error) {
-			fab, err := gossip.NewFabric(gossip.Config{Period: cfg.GossipPeriod}, DeriveSeed(cfg.Seed, 99), cfg.CellShards)
+			fab, err := gossip.NewFabric(gossip.Config{Period: e4GossipPeriod}, DeriveSeed(cfg.Seed, 99), cfg.CellShards)
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +177,7 @@ func E4TrustLearning(cfg E4Config) (*Table, error) {
 						return nil, err
 					}
 					step++
-					if step%(cfg.CellShards*cfg.GossipPeriod) == 0 {
+					if step%(cfg.CellShards*e4GossipPeriod) == 0 {
 						if err := fab.Exchange(); err != nil {
 							return nil, err
 						}

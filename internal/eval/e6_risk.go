@@ -7,8 +7,6 @@ import (
 	"trustcoop/internal/agent"
 	"trustcoop/internal/decision"
 	"trustcoop/internal/market"
-	"trustcoop/internal/trust"
-	"trustcoop/internal/trust/gossip"
 )
 
 // E6Config parameterises the risk-averseness sweep.
@@ -17,42 +15,20 @@ type E6Config struct {
 	Sessions   int       // 0 means 400
 	Population int       // 0 means 18
 	Alphas     []float64 // CARA coefficients; nil means {0, 0.05, 0.2, 0.8}
-	Workers    int       // trial worker pool; 0 means DefaultWorkers()
-	// CellShards is the fixed sub-engine decomposition of each cell (see
-	// RunCell); 0 means DefaultCellShards.
-	CellShards int
-	// EnginesPerCell bounds how many sub-engines of one cell run at once;
-	// pure parallelism, never changes the table.
-	EnginesPerCell int
-	// Gossip enables cross-shard complaint gossip (see E2Config.Gossip).
-	Gossip gossip.Config
-	// RepStore is the complaint backend for gossiping cells; "" means
-	// "sharded". Ignored while Gossip is off and for posterior evidence.
-	RepStore string
-	// Evidence selects the kind the gossiping cells exchange (see
-	// E2Config.Evidence). Ignored while Gossip is off.
-	Evidence trust.EvidenceKind
-	// Export is the posterior gossip export policy (see E2Config.Export).
-	// Ignored unless the cells gossip posterior evidence.
-	Export trust.ExportPolicy
+	CellSpec
 }
 
 func (c E6Config) withDefaults() E6Config {
 	if c.Sessions <= 0 {
 		c.Sessions = 400
 	}
-	if c.CellShards == 0 {
-		c.CellShards = DefaultCellShards
-	}
-	c.Evidence = gossipEvidence(c.Gossip, c.Evidence)
-	c.RepStore = gossipRepStore(c.Gossip, c.Evidence, c.RepStore)
-	c.Export = gossipExport(c.Gossip, c.Evidence, c.Export)
 	if c.Population <= 0 {
 		c.Population = 18
 	}
 	if len(c.Alphas) == 0 {
 		c.Alphas = []float64{0, 0.05, 0.2, 0.8}
 	}
+	c.CellSpec = c.resolved()
 	return c
 }
 
@@ -67,7 +43,7 @@ func E6RiskAversion(cfg E6Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	tbl := &Table{
 		ID:    "E6",
-		Title: cellCaveats{Shards: cfg.CellShards, Gossip: cfg.Gossip, Evidence: cfg.Evidence, Export: cfg.Export, RepStore: cfg.RepStore}.annotate("risk averseness (CARA α) vs welfare and worst-case loss, backstabber adversary"),
+		Title: cfg.annotate("risk averseness (CARA α) vs welfare and worst-case loss, backstabber adversary"),
 		Cols:  []string{"policy", "trade rate", "completion", "welfare", "honest loss", "max loss"},
 	}
 	results, err := RunTrials(cfg.Workers, len(cfg.Alphas), func(ci int) (market.Result, error) {
@@ -89,16 +65,12 @@ func E6RiskAversion(cfg E6Config) (*Table, error) {
 		if err != nil {
 			return market.Result{}, err
 		}
-		return RunCell(market.Config{
+		return cfg.runCell(market.Config{
 			Seed:     DeriveSeed(cfg.Seed+100, ci),
 			Sessions: cfg.Sessions,
 			Agents:   agents,
 			Strategy: market.StrategyTrustAware,
-			RepStore: cfg.RepStore,
-			Evidence: cfg.Evidence,
-			Beta:     trust.BetaConfig{Export: cfg.Export},
-			Gossip:   cfg.Gossip,
-		}, cfg.CellShards, cfg.EnginesPerCell)
+		})
 	})
 	if err != nil {
 		return nil, err

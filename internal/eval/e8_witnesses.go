@@ -13,9 +13,8 @@ import (
 // E8Config parameterises the adversarial-witness experiment.
 type E8Config struct {
 	Seed         int64
-	Peers        int       // population size; 0 means 60
+	Peers        int       // population size, a sixth of them cheaters; 0 means 60
 	GridPeers    int       // storage peers; 0 means 128
-	Cheaters     int       // cheating peers; 0 means Peers/6
 	Interactions int       // 0 means 60 × Peers
 	LiarPct      []float64 // lying-reporter fractions; nil means {0, 0.15, 0.3, 0.45}
 	Replicas     []int     // replica queries per count; nil means {1, 3, 7}
@@ -26,12 +25,14 @@ type E8Config struct {
 	// evidence plane as everything else. <= 1 (the default) files into one
 	// grid, the historical table. Detection reads shard 0's grid; with
 	// honest storage a drained fabric leaves it holding every complaint, so
-	// the liars=0 rows reproduce the unsharded detection exactly.
+	// the liars=0 rows reproduce the unsharded detection exactly. The
+	// shards exchange every e8GossipPeriod complaints per shard.
 	CellShards int
-	// GossipPeriod is the per-shard complaint count between exchanges when
-	// sharded; 0 means 16.
-	GossipPeriod int
 }
+
+// e8GossipPeriod is the per-shard complaint count between exchanges when E8
+// runs sharded.
+const e8GossipPeriod = 16
 
 func (c E8Config) withDefaults() E8Config {
 	if c.Peers <= 0 {
@@ -39,9 +40,6 @@ func (c E8Config) withDefaults() E8Config {
 	}
 	if c.GridPeers <= 0 {
 		c.GridPeers = 128
-	}
-	if c.Cheaters <= 0 {
-		c.Cheaters = c.Peers / 6
 	}
 	if c.Interactions <= 0 {
 		c.Interactions = 60 * c.Peers
@@ -51,9 +49,6 @@ func (c E8Config) withDefaults() E8Config {
 	}
 	if len(c.Replicas) == 0 {
 		c.Replicas = []int{1, 3, 7}
-	}
-	if c.GossipPeriod <= 0 {
-		c.GossipPeriod = 16
 	}
 	return c
 }
@@ -73,7 +68,7 @@ func E8AdversarialWitnesses(cfg E8Config) (*Table, error) {
 	if cfg.CellShards > 1 {
 		title = cellCaveats{
 			Shards:   cfg.CellShards,
-			Gossip:   gossip.Config{Period: cfg.GossipPeriod},
+			Gossip:   gossip.Config{Period: e8GossipPeriod},
 			Evidence: trust.EvidenceComplaints,
 		}.annotate(title)
 	}
@@ -114,16 +109,18 @@ func E8AdversarialWitnesses(cfg E8Config) (*Table, error) {
 func runE8Cell(cfg E8Config, liarPct float64, replicas int) (precision, recall float64, err error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(liarPct*1000) + int64(replicas)))
 
+	// The first sixth of the population cheats.
+	cheaters := cfg.Peers / 6
 	population := make([]trust.PeerID, cfg.Peers)
-	isCheater := make(map[trust.PeerID]bool, cfg.Cheaters)
+	isCheater := make(map[trust.PeerID]bool, cheaters)
 	isLiar := make(map[trust.PeerID]bool)
 	for i := range population {
 		population[i] = trust.PeerID(fmt.Sprintf("p%d", i))
 	}
-	for i := 0; i < cfg.Cheaters; i++ {
+	for i := 0; i < cheaters; i++ {
 		isCheater[population[i]] = true
 	}
-	honest := population[cfg.Cheaters:]
+	honest := population[cheaters:]
 	for _, idx := range rng.Perm(len(honest))[:int(liarPct*float64(len(honest)))] {
 		isLiar[honest[idx]] = true
 	}
@@ -204,7 +201,7 @@ func runE8Cell(cfg E8Config, liarPct float64, replicas int) (precision, recall f
 // malicious — the decentralised deployment where even the storage overlay
 // is partitioned.
 func runE8Sharded(cfg E8Config, liarPct float64, replicas int, gridSeed int64, stream []complaints.Complaint) (complaints.Store, error) {
-	fab, err := gossip.NewFabric(gossip.Config{Period: cfg.GossipPeriod}, DeriveSeed(gridSeed, 99), cfg.CellShards)
+	fab, err := gossip.NewFabric(gossip.Config{Period: e8GossipPeriod}, DeriveSeed(gridSeed, 99), cfg.CellShards)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +221,7 @@ func runE8Sharded(cfg E8Config, liarPct float64, replicas int, gridSeed int64, s
 			}
 			idx++
 			step++
-			if step%(cfg.CellShards*cfg.GossipPeriod) == 0 {
+			if step%(cfg.CellShards*e8GossipPeriod) == 0 {
 				if err := fab.Exchange(); err != nil {
 					return nil, err
 				}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"trustcoop/internal/trust"
-	"trustcoop/internal/trust/gossip"
 )
 
 // Runner regenerates one experiment.
@@ -17,15 +16,16 @@ type Runner func(rc RunConfig) (*Table, error)
 // trial counts for smoke tests and benchmarks; RunConfig.Workers bounds the
 // trial worker pool and RunConfig.EnginesPerCell the per-cell sub-engine
 // pool (tables are identical for every worker and engine count).
-// RunConfig.Gossip turns on cross-shard complaint gossip for the
-// sharded-cell experiments (E2, E3, E6; topology/fanout for E11's sweep) —
-// an information-structure change, reflected in their table titles.
+// RunConfig.Gossip turns on cross-shard evidence gossip for the
+// sharded-cell experiments (E2, E3, E6; topology/fanout for the E11–E13
+// sweeps) — an information-structure change, reflected in their table
+// titles.
 func All() map[string]Runner {
 	// withGossip parses RunConfig.Gossip and RunConfig.Evidence once for
-	// the gossip-aware experiments; Run additionally rejects malformed
-	// specs for every id, so a typo fails fast even when only gossip-blind
-	// experiments run.
-	withGossip := func(build func(gc gossip.Config, kind trust.EvidenceKind, pol trust.ExportPolicy, rc RunConfig) (*Table, error)) Runner {
+	// the gossip-aware experiments into the cell spec they share; Run
+	// additionally rejects malformed specs for every id, so a typo fails
+	// fast even when only gossip-blind experiments run.
+	withGossip := func(build func(spec CellSpec, rc RunConfig) (*Table, error)) Runner {
 		return func(rc RunConfig) (*Table, error) {
 			gc, err := rc.gossipCfg()
 			if err != nil {
@@ -35,7 +35,7 @@ func All() map[string]Runner {
 			if err != nil {
 				return nil, err
 			}
-			return build(gc, kind, pol, rc)
+			return build(CellSpec{Workers: rc.workers(), EnginesPerCell: rc.EnginesPerCell, Gossip: gc, Evidence: kind, Export: pol}, rc)
 		}
 	}
 	return map[string]Runner{
@@ -47,8 +47,8 @@ func All() map[string]Runner {
 			}
 			return E1SafeExistence(cfg)
 		},
-		"E2": withGossip(func(gc gossip.Config, kind trust.EvidenceKind, pol trust.ExportPolicy, rc RunConfig) (*Table, error) {
-			cfg := E2Config{Seed: rc.Seed, Workers: rc.workers(), EnginesPerCell: rc.EnginesPerCell, Gossip: gc, Evidence: kind, Export: pol}
+		"E2": withGossip(func(spec CellSpec, rc RunConfig) (*Table, error) {
+			cfg := E2Config{Seed: rc.Seed, CellSpec: spec}
 			if rc.Quick {
 				cfg.Sessions = 60
 				cfg.Population = 10
@@ -56,8 +56,8 @@ func All() map[string]Runner {
 			}
 			return E2CompletionWelfare(cfg)
 		}),
-		"E3": withGossip(func(gc gossip.Config, kind trust.EvidenceKind, pol trust.ExportPolicy, rc RunConfig) (*Table, error) {
-			cfg := E3Config{Seed: rc.Seed, Workers: rc.workers(), EnginesPerCell: rc.EnginesPerCell, Gossip: gc, Evidence: kind, Export: pol}
+		"E3": withGossip(func(spec CellSpec, rc RunConfig) (*Table, error) {
+			cfg := E3Config{Seed: rc.Seed, CellSpec: spec}
 			if rc.Quick {
 				cfg.Sessions = 60
 				cfg.Population = 10
@@ -83,8 +83,8 @@ func All() map[string]Runner {
 			}
 			return E5Complexity(cfg)
 		},
-		"E6": withGossip(func(gc gossip.Config, kind trust.EvidenceKind, pol trust.ExportPolicy, rc RunConfig) (*Table, error) {
-			cfg := E6Config{Seed: rc.Seed, Workers: rc.workers(), EnginesPerCell: rc.EnginesPerCell, Gossip: gc, Evidence: kind, Export: pol}
+		"E6": withGossip(func(spec CellSpec, rc RunConfig) (*Table, error) {
+			cfg := E6Config{Seed: rc.Seed, CellSpec: spec}
 			if rc.Quick {
 				cfg.Sessions = 60
 				cfg.Population = 9
@@ -129,9 +129,9 @@ func All() map[string]Runner {
 			}
 			return E10BackendAblation(cfg)
 		},
-		"E11": withGossip(func(gc gossip.Config, _ trust.EvidenceKind, _ trust.ExportPolicy, rc RunConfig) (*Table, error) {
-			cfg := E11Config{Seed: rc.Seed, Workers: rc.workers(), EnginesPerCell: rc.EnginesPerCell,
-				Topology: gc.Topology, Fanout: gc.Fanout}
+		"E11": withGossip(func(spec CellSpec, rc RunConfig) (*Table, error) {
+			cfg := E11Config{Seed: rc.Seed, Workers: spec.Workers, EnginesPerCell: spec.EnginesPerCell,
+				Topology: spec.Gossip.Topology, Fanout: spec.Gossip.Fanout, ExchangeLatency: rc.ExchangeLatency}
 			if rc.Quick {
 				cfg.Sessions = 80
 				cfg.Population = 9
@@ -139,11 +139,11 @@ func All() map[string]Runner {
 			}
 			return E11GossipPeriod(cfg)
 		}),
-		"E12": withGossip(func(gc gossip.Config, kind trust.EvidenceKind, pol trust.ExportPolicy, rc RunConfig) (*Table, error) {
-			cfg := E12Config{Seed: rc.Seed, Workers: rc.workers(), EnginesPerCell: rc.EnginesPerCell,
-				Topology: gc.Topology, Fanout: gc.Fanout, Export: pol, ExchangeLatency: rc.ExchangeLatency}
-			if kind != "" {
-				cfg.Kinds = []trust.EvidenceKind{kind}
+		"E12": withGossip(func(spec CellSpec, rc RunConfig) (*Table, error) {
+			cfg := E12Config{Seed: rc.Seed, Workers: spec.Workers, EnginesPerCell: spec.EnginesPerCell,
+				Topology: spec.Gossip.Topology, Fanout: spec.Gossip.Fanout, Export: spec.Export, ExchangeLatency: rc.ExchangeLatency}
+			if spec.Evidence != "" {
+				cfg.Kinds = []trust.EvidenceKind{spec.Evidence}
 			}
 			if rc.Quick {
 				cfg.Sessions = 80
@@ -153,16 +153,16 @@ func All() map[string]Runner {
 			}
 			return E12EvidencePlane(cfg)
 		}),
-		"E13": withGossip(func(gc gossip.Config, kind trust.EvidenceKind, pol trust.ExportPolicy, rc RunConfig) (*Table, error) {
-			cfg := E13Config{Seed: rc.Seed, Workers: rc.workers(), EnginesPerCell: rc.EnginesPerCell,
-				Topology: gc.Topology, Fanout: gc.Fanout, Period: gc.Period}
-			if kind != "" && kind != trust.EvidencePosterior {
+		"E13": withGossip(func(spec CellSpec, rc RunConfig) (*Table, error) {
+			cfg := E13Config{Seed: rc.Seed, Workers: spec.Workers, EnginesPerCell: spec.EnginesPerCell,
+				Topology: spec.Gossip.Topology, Fanout: spec.Gossip.Fanout, Period: spec.Gossip.Period}
+			if kind := spec.Evidence; kind != "" && kind != trust.EvidencePosterior {
 				return nil, fmt.Errorf("eval: E13 sweeps posterior export policies; -evidence %s does not apply", kind)
 			}
-			if pol != (trust.ExportPolicy{}) {
+			if spec.Export != (trust.ExportPolicy{}) {
 				// A single explicit policy replaces the sweep: run just that
 				// row (plus the shared dense reference and baseline).
-				cfg.Policies = []E13Policy{{Label: pol.String(), Export: pol}}
+				cfg.Policies = []trust.ExportPolicy{spec.Export}
 			}
 			if rc.Quick {
 				cfg.Sessions = 80

@@ -35,26 +35,27 @@ type RunConfig struct {
 	// Gossip enables cross-shard evidence gossip on the sharded-cell
 	// experiments (E2, E3, E6), spec "PERIOD[:TOPOLOGY[:FANOUT]]" (e.g.
 	// "16", "16:ring", "4:mesh:2"); for E11 and E12 only the topology and
-	// fanout apply (the period is the sweep axis). Gossip is part of the
-	// experiment definition — enabling it changes the information
-	// structure and the affected table titles say so. Empty (or "off")
-	// keeps shards isolated.
+	// fanout apply (the period is the sweep axis), E13 takes the period as
+	// its fixed schedule. Gossip is part of the experiment definition —
+	// enabling it changes the information structure and the affected table
+	// titles say so. Empty (or "off") keeps shards isolated.
 	Gossip string
 	// Evidence selects the evidence kind gossiping cells exchange, spec
 	// "KIND[+OPTION...]" (trust.ParseEvidenceSpec): "complaints" (the
-	// default) runs the shared complaint model over RepStore, "posterior"
-	// runs per-agent Beta estimators whose Beta-posterior deltas gossip
-	// instead (E2, E3, E6 under Gossip); for E12 it restricts the kind
-	// sweep to one kind. Posterior options select the export policy —
+	// default) runs the shared complaint model, over the sharded backend in
+	// every gossiping cell (RepStore reaches only E10); "posterior" runs
+	// per-agent Beta estimators whose Beta-posterior deltas gossip instead
+	// (E2, E3, E6 under Gossip); for E12 it restricts the kind sweep to one
+	// kind. Posterior options select the export policy —
 	// "posterior+columnar", "posterior+q6", "posterior+top4",
-	// "posterior+conf0.7+eps0.5" — the bandwidth/accuracy knobs E13
-	// sweeps. Like Gossip it is part of the experiment definition and
-	// shows in the affected titles.
+	// "posterior+conf0.7+eps0.5" — the bandwidth/accuracy knobs E13 sweeps
+	// (an explicit policy replaces E13's sweep). Like Gossip it is part of
+	// the experiment definition and shows in the affected titles.
 	Evidence string
 	// ExchangeLatency adds wall-clock exchange-latency percentile columns
-	// to E12's table. Off by default: the timings are nondeterministic, so
-	// the column would break the byte-identical-table contract the golden
-	// suite pins.
+	// to E11's and E12's tables. Off by default: the timings are
+	// nondeterministic, so the column would break the byte-identical-table
+	// contract the golden suite pins.
 	ExchangeLatency bool
 }
 

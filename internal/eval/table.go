@@ -1,9 +1,10 @@
 // Package eval implements the evaluation suite: the paper (a 2-page short
 // paper) has no quantitative evaluation of its own, so each claim in the
-// text is turned into a measurable experiment (E1–E11, see EXPERIMENTS.md).
-// Every experiment is deterministic given its config and renders its results
-// as a Table; cmd/evalrun regenerates all of them and bench_test.go measures
-// them.
+// text is turned into a measurable experiment (E1–E13, listed by IDs; each
+// experiment's doc comment names the claim it measures). Every experiment is
+// deterministic given its config and renders its results as a Table;
+// cmd/evalrun regenerates all of them, docs/PERF.md records reference
+// tables and bench_test.go measures them.
 package eval
 
 import (
