@@ -7,9 +7,10 @@ import (
 )
 
 func TestTableRendering(t *testing.T) {
-	tbl := &Table{ID: "T", Title: "demo", Cols: []string{"a", "long-header"}}
-	tbl.AddRow("1", "2")
+	tbl := &Table{ID: "T", Title: "demo", Cols: []string{"a", "long-header", "z"}}
+	tbl.AddRow("1", "2", "x")
 	tbl.AddRow("only-one")
+	tbl.AddRow("∞", "CARA α=0.2", "×")
 	var sb strings.Builder
 	if err := tbl.Fprint(&sb); err != nil {
 		t.Fatal(err)
@@ -19,9 +20,16 @@ func TestTableRendering(t *testing.T) {
 		t.Errorf("render:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 { // title, header, separator, 2 rows → 5? title+header+sep+2 = 5
-		if len(lines) != 5 {
-			t.Errorf("line count = %d:\n%s", len(lines), out)
+	if len(lines) != 6 { // title, header, separator, 3 rows
+		t.Fatalf("line count = %d:\n%s", len(lines), out)
+	}
+	// Columns align by rune, multi-byte cells included: the third column
+	// starts after the 8-rune first and 11-rune second columns and their
+	// two-space gutters on every line that has it.
+	for _, li := range []int{1, 2, 3, 5} {
+		runes := []rune(lines[li])
+		if len(runes) <= 23 || runes[22] != ' ' || runes[23] == ' ' {
+			t.Errorf("line %d misaligned: %q", li, lines[li])
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a rendered experiment result.
@@ -28,16 +29,17 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Fprint renders the table with aligned columns.
+// Fprint renders the table with aligned columns. Widths count runes, not
+// bytes, so cells such as "∞" or "CARA α=0.2" pad like their ASCII peers.
 func (t *Table) Fprint(w io.Writer) error {
 	widths := make([]int, len(t.Cols))
 	for i, c := range t.Cols {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if n := utf8.RuneCountInString(cell); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -51,7 +53,7 @@ func (t *Table) Fprint(w io.Writer) error {
 				sb.WriteString("  ")
 			}
 			sb.WriteString(cell)
-			sb.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
+			sb.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(cell)))
 		}
 		_, err := fmt.Fprintln(w, strings.TrimRight(sb.String(), " "))
 		return err
