@@ -74,9 +74,6 @@ type Planner struct {
 	// Options forwards scheduling options (payment policy, quantum, search
 	// budget).
 	Options exchange.Options
-	// SkipSafe disables the fully-safe attempt, forcing trust-aware
-	// scheduling (for ablations).
-	SkipSafe bool
 	// RequireBeneficial rejects terms where either party's nominal gain is
 	// negative. Default false keeps the library permissive; the marketplace
 	// sets it.
@@ -89,8 +86,9 @@ type Planner struct {
 //     no trust is required at all.
 //  2. Otherwise compute each party's trust in the other, derive exposure
 //     caps via the risk policies, and search for a schedule that respects
-//     both caps (keeping the stake-widened safety band as an additional
-//     constraint when it helps, per the combined band).
+//     both caps (the paper's pure exposure band). The stake-widened safety
+//     band is not kept as an extra constraint: step 1 proved it
+//     unschedulable, and intersecting it with the caps only narrows it.
 //
 // It returns ErrNoAgreement (wrapped, with the tightest caps attempted) when
 // neither succeeds.
@@ -104,12 +102,10 @@ func (pl Planner) PlanExchange(supplier, consumer Participant, terms exchange.Te
 	}
 	stakes := exchange.Stakes{Supplier: supplier.Stake, Consumer: consumer.Stake}
 
-	if !pl.SkipSafe {
-		if plan, err := exchange.ScheduleSafe(terms, stakes, pl.Options); err == nil {
-			return PlanResult{Plan: plan, Mode: ModeSafe}, nil
-		} else if !errors.Is(err, exchange.ErrNoSafeSequence) {
-			return PlanResult{}, err
-		}
+	if plan, err := exchange.ScheduleSafe(terms, stakes, pl.Options); err == nil {
+		return PlanResult{Plan: plan, Mode: ModeSafe}, nil
+	} else if !errors.Is(err, exchange.ErrNoSafeSequence) {
+		return PlanResult{}, err
 	}
 
 	// Trust-aware path: each party caps its own exposure based on its trust
@@ -121,7 +117,7 @@ func (pl Planner) PlanExchange(supplier, consumer Participant, terms exchange.Te
 		Consumer: consumer.Policy.ExposureLimit(pInSupplier, terms.ConsumerGain()),
 	}
 
-	plan, err := pl.scheduleTrustAware(terms, stakes, caps)
+	plan, err := exchange.ScheduleTrustAware(terms, caps, pl.Options)
 	if err != nil {
 		if errors.Is(err, exchange.ErrNoFeasibleSequence) || errors.Is(err, exchange.ErrBudgetExhausted) {
 			return PlanResult{}, fmt.Errorf("%w: caps Ls=%v Lc=%v (trust %0.2f/%0.2f): %v",
@@ -138,21 +134,6 @@ func (pl Planner) PlanExchange(supplier, consumer Participant, terms exchange.Te
 		ExpectedConsumerGain: decision.ExpectedGain(pInSupplier, terms.ConsumerGain(), plan.Report.MaxConsumerExposure),
 		ExpectedSupplierGain: decision.ExpectedGain(pInConsumer, terms.SupplierGain(), plan.Report.MaxSupplierExposure),
 	}, nil
-}
-
-// scheduleTrustAware prefers the combined band (exposure caps plus the
-// stake-widened safety band — strictly less residual temptation) and falls
-// back to the paper's pure exposure band when the combination is
-// unschedulable.
-func (pl Planner) scheduleTrustAware(terms exchange.Terms, stakes exchange.Stakes, caps exchange.ExposureCaps) (exchange.Plan, error) {
-	combined, err := exchange.Schedule(terms, exchange.CombinedBands(stakes, caps), pl.Options)
-	if err == nil {
-		return combined, nil
-	}
-	if !errors.Is(err, exchange.ErrNoFeasibleSequence) && !errors.Is(err, exchange.ErrBudgetExhausted) {
-		return exchange.Plan{}, err
-	}
-	return exchange.ScheduleTrustAware(terms, caps, pl.Options)
 }
 
 func estimate(e trust.Estimator, peer trust.PeerID) float64 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"trustcoop/internal/decision"
@@ -141,16 +142,29 @@ func TestParanoidPolicyOnlyAcceptsSafe(t *testing.T) {
 	}
 }
 
-func TestSkipSafeForcesTrustAware(t *testing.T) {
+func TestZeroStakeGoesTrustAware(t *testing.T) {
+	// Zero stakes on generated bundles, whose every cost is positive: the
+	// isolated exchange is never safe, so a trusting pair must land on a
+	// plan under the pure exposure band, whatever the bundle size.
 	truth := map[trust.PeerID]float64{"s": 0.9, "c": 0.9}
-	sup := participant("s", truth, 10)
-	con := participant("c", truth, 10)
-	res, err := (Planner{SkipSafe: true}).PlanExchange(sup, con, twoItemTerms())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeTrustAware {
-		t.Fatalf("mode = %v, want trust-aware with SkipSafe", res.Mode)
+	sup := participant("s", truth, 0)
+	con := participant("c", truth, 0)
+	rng := rand.New(rand.NewSource(5))
+	gen := goods.DefaultGenConfig()
+	for trial := 0; trial < 50; trial++ {
+		gen.Items = 1 + rng.Intn(16)
+		bundle := goods.MustGenerate(gen, rng)
+		terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
+		res, err := (Planner{}).PlanExchange(sup, con, terms)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if res.Mode != ModeTrustAware {
+			t.Fatalf("trial %d: mode = %v, want trust-aware at zero stakes", trial, res.Mode)
+		}
+		if want := exchange.TrustAwareBands(res.Caps); res.Plan.Bands != want {
+			t.Fatalf("trial %d: bands = %+v, want %+v", trial, res.Plan.Bands, want)
+		}
 	}
 }
 
@@ -177,18 +191,25 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestCombinedPreferredOverPureExposure(t *testing.T) {
-	// With stakes present, the planner should keep the safety band when it
-	// can: the residual temptation of the plan stays within the stakes.
-	// Stake 4 covers the minimal Δ, so the combined band is schedulable.
+func TestSafeInfeasiblePlanUsesExposureBand(t *testing.T) {
+	// Stake 3 is one short of the minimal Δ = 4, so no safe sequence exists.
+	// The safety band at those stakes is then unschedulable under any caps,
+	// and the planner schedules under the pure exposure band.
 	truth := map[trust.PeerID]float64{"s": 0.9, "c": 0.9}
-	sup := participant("s", truth, 4)
+	sup := participant("s", truth, 3)
 	con := participant("c", truth, 0)
-	res, err := (Planner{SkipSafe: true}).PlanExchange(sup, con, twoItemTerms())
+	stakes := exchange.Stakes{Supplier: 3}
+	if _, err := exchange.ScheduleSafe(twoItemTerms(), stakes, exchange.Options{}); !errors.Is(err, exchange.ErrNoSafeSequence) {
+		t.Fatalf("ScheduleSafe err = %v, want ErrNoSafeSequence", err)
+	}
+	res, err := (Planner{}).PlanExchange(sup, con, twoItemTerms())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.Bands.String() != "combined" {
-		t.Errorf("bands = %v, want combined", res.Plan.Bands)
+	if res.Mode != ModeTrustAware {
+		t.Fatalf("mode = %v, want trust-aware", res.Mode)
+	}
+	if want := exchange.TrustAwareBands(res.Caps); res.Plan.Bands != want {
+		t.Errorf("bands = %+v, want %+v", res.Plan.Bands, want)
 	}
 }

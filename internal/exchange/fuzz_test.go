@@ -1,6 +1,7 @@
 package exchange_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -42,8 +43,13 @@ func fuzzMoney(v int64) goods.Money {
 // configurations: it must never panic, and every plan it does return must
 // conserve totals — the payments sum exactly to the agreed price and the
 // deliveries are exactly the bundle, validated step by step against the
-// requested bands by the package's own Validate.
+// requested bands by the package's own Validate. On valid inputs of up to
+// oracleItems items it also checks the verdict against brute force: a plan
+// exactly when some delivery order admits one, and a combined band that is
+// infeasible whenever ScheduleSafe proves the safety band at the same
+// stakes infeasible (the fact the planner relies on to skip it).
 func FuzzSchedule(f *testing.F) {
+	const oracleItems = 6
 	f.Add(int64(10*goods.Unit), []byte{8, 12, 4, 2, 0, 9}, int64(goods.Unit), int64(0), int64(0), int64(0), byte(1))
 	f.Add(int64(3*goods.Unit), []byte{0, 5, 3, 0}, int64(0), int64(0), int64(2*goods.Unit), int64(goods.Unit), byte(2))
 	f.Add(int64(0), []byte{}, int64(-1), int64(5), int64(5), int64(5), byte(3))
@@ -61,6 +67,19 @@ func FuzzSchedule(f *testing.F) {
 			opt.Policy = exchange.PayEager
 		}
 		plan, err := exchange.Schedule(terms, bands, opt)
+		if terms.Validate() == nil && bands.Validate() == nil && terms.Bundle.Len() <= oracleItems {
+			if want := exchange.OracleFeasible(terms, bands); want != (err == nil) {
+				t.Fatalf("Schedule feasible=%v, permutation oracle=%v (err: %v)\nbands: %+v\nterms: %+v",
+					err == nil, want, err, bands, terms)
+			}
+			combined := exchange.CombinedBands(bands.Stakes, bands.Caps)
+			if _, errSafe := exchange.ScheduleSafe(terms, bands.Stakes, opt); errors.Is(errSafe, exchange.ErrNoSafeSequence) && combined.Validate() == nil {
+				if _, errComb := exchange.Schedule(terms, combined, opt); !errors.Is(errComb, exchange.ErrNoFeasibleSequence) {
+					t.Fatalf("safe infeasible (%v) but combined band gave err=%v\nbands: %+v\nterms: %+v",
+						errSafe, errComb, combined, terms)
+				}
+			}
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}

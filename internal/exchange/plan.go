@@ -83,17 +83,19 @@ func PlanForOrder(t Terms, b Bands, order []goods.Item, opt Options) (Plan, erro
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return planForOrderCtx(newBandCtx(t, b), t, b, order, opt, sc)
+	return planForOrderCtx(newBandCtx(t, b), t, b, order, opt, sc, true)
 }
 
 // planForOrderCtx is PlanForOrder after input validation, with the band
 // context (cached bundle totals) and scratch buffers supplied by the caller
 // so Schedule pays for neither more than once across its candidate orders.
-func planForOrderCtx(ctx bandCtx, t Terms, b Bands, order []goods.Item, opt Options, sc *schedScratch) (Plan, error) {
+// explain selects paymentsForOrder's detailed infeasibility error over the
+// unformatted errOrderInfeasible.
+func planForOrderCtx(ctx bandCtx, t Terms, b Bands, order []goods.Item, opt Options, sc *schedScratch, explain bool) (Plan, error) {
 	if len(order) != t.Bundle.Len() {
 		return Plan{}, fmt.Errorf("exchange: order has %d items, bundle has %d", len(order), t.Bundle.Len())
 	}
-	scratch, err := paymentsForOrder(ctx, t.Price, order, opt, sc.seq[:0])
+	scratch, err := paymentsForOrder(ctx, t.Price, order, opt, sc.seq[:0], explain)
 	sc.seq = scratch[:0] // keep any capacity growth for the next attempt
 	if err != nil {
 		return Plan{}, err
@@ -117,10 +119,17 @@ func planForOrderCtx(ctx bandCtx, t Terms, b Bands, order []goods.Item, opt Opti
 // raises m to the edge. A delivery of x from delivered-set D is therefore
 // admissible iff lo(D∪{x}) ≤ hi(D), and an order is feasible iff every step
 // satisfies that inequality plus the boundary conditions at start and end.
-func paymentsForOrder(ctx bandCtx, price goods.Money, order []goods.Item, opt Options, seq Sequence) (Sequence, error) {
+//
+// An infeasible order yields a detailed error when explain is set, and the
+// preformatted errOrderInfeasible otherwise, for callers that only need to
+// know the order failed.
+func paymentsForOrder(ctx bandCtx, price goods.Money, order []goods.Item, opt Options, seq Sequence, explain bool) (Sequence, error) {
 	var m, cd, wd goods.Money
 	lo0, hi0 := ctx.rangeAt(0, 0)
 	if m < lo0 || m > hi0 {
+		if !explain {
+			return seq, errOrderInfeasible
+		}
 		return seq, fmt.Errorf("%w: initial state outside band [%v, %v]", ErrNoFeasibleSequence, lo0, hi0)
 	}
 	if need := len(seq) + 2*len(order) + 1; cap(seq) < need {
@@ -132,6 +141,9 @@ func paymentsForOrder(ctx bandCtx, price goods.Money, order []goods.Item, opt Op
 		_, hiHere := ctx.rangeAt(cd, wd)
 		loNext, _ := ctx.rangeAt(cd+it.Cost, wd+it.Worth)
 		if loNext > hiHere {
+			if !explain {
+				return seq, errOrderInfeasible
+			}
 			return seq, fmt.Errorf("%w: delivering %q needs m ≥ %v but band tops out at %v", ErrNoFeasibleSequence, it.ID, loNext, hiHere)
 		}
 		target := paymentTarget(m, loNext, hiHere, price, opt)
@@ -144,17 +156,26 @@ func paymentsForOrder(ctx bandCtx, price goods.Money, order []goods.Item, opt Op
 		wd += it.Worth
 	}
 	if m > price {
+		if !explain {
+			return seq, errOrderInfeasible
+		}
 		return seq, fmt.Errorf("%w: cumulative payments %v exceed price %v", ErrNoFeasibleSequence, m, price)
 	}
 	if m < price {
 		loEnd, hiEnd := ctx.rangeAt(cd, wd)
 		if price < loEnd || price > hiEnd {
+			if !explain {
+				return seq, errOrderInfeasible
+			}
 			return seq, fmt.Errorf("%w: final settlement %v outside band [%v, %v]", ErrNoFeasibleSequence, price, loEnd, hiEnd)
 		}
 		seq = append(seq, Step{Kind: StepPay, Amount: price - m})
 	}
 	return seq, nil
 }
+
+// errOrderInfeasible is paymentsForOrder's unformatted failure.
+var errOrderInfeasible = fmt.Errorf("%w: delivery order admits no payment plan", ErrNoFeasibleSequence)
 
 // paymentTarget computes the cumulative payment to reach before the next
 // delivery, according to the payment policy and quantum.

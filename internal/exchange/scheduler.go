@@ -16,12 +16,23 @@ func ScheduleSafe(t Terms, s Stakes, opt Options) (Plan, error) {
 	plan, err := Schedule(t, SafeBands(s), opt)
 	if err != nil {
 		if errors.Is(err, ErrNoFeasibleSequence) {
-			return Plan{}, fmt.Errorf("%w (stakes δs=%v δc=%v)", ErrNoSafeSequence, s.Supplier, s.Consumer)
+			return Plan{}, &noSafeError{stakes: s}
 		}
 		return Plan{}, err
 	}
 	return plan, nil
 }
+
+// noSafeError is ScheduleSafe's ErrNoSafeSequence together with the stakes
+// it was proven at. It formats only when read: the planner merely tests it
+// with errors.Is before going trust-aware, in nearly every session.
+type noSafeError struct{ stakes Stakes }
+
+func (e *noSafeError) Error() string {
+	return fmt.Sprintf("%v (stakes δs=%v δc=%v)", ErrNoSafeSequence, e.stakes.Supplier, e.stakes.Consumer)
+}
+
+func (e *noSafeError) Unwrap() error { return ErrNoSafeSequence }
 
 // ScheduleTrustAware finds an exchange sequence that keeps each party's
 // worst-case exposure within its trust-derived cap (paper §3). It returns
@@ -32,19 +43,25 @@ func ScheduleTrustAware(t Terms, c ExposureCaps, opt Options) (Plan, error) {
 
 // Schedule finds an exchange sequence satisfying the requested bands.
 //
-// Delivery orders are tried in this sequence:
-//  1. the greedy order that is provably optimal for the enabled band family
+// Infeasibility is proven, and delivery orders tried, in this sequence:
+//  1. the last-delivery boundary: every order must end on some item x with
+//     lo(G) ≤ hi(G∖{x}); when no item qualifies, no order exists (O(n)).
+//     At zero stakes this is the paper's isolated-exchange impossibility;
+//  2. the greedy order that is provably optimal for the enabled band family
 //     when every item has non-negative surplus (Lawler order for safety,
-//     ascending-cost for exposure);
-//  2. a small portfolio of alternative orders (covers most mixed instances);
-//  3. an exact memoised subset search, bounded by Options.SearchBudget.
+//     ascending-cost for exposure) — under those conditions its failure is
+//     itself the proof;
+//  3. a small portfolio of alternative orders (covers most mixed instances);
+//  4. an exact memoised subset search, bounded by Options.SearchBudget.
 //
 // The overall cost is O(n²) for the common case; the exact search only runs
 // when every heuristic order fails. The hot path is allocation-lean: sorted
 // item views, the payment construction buffer and the validation set all come
 // from a pooled scratch, and candidate orders are derived lazily from at most
 // two sorts, so a call that succeeds on its first candidate allocates only
-// the returned plan.
+// the returned plan. A rejected candidate order formats no message, so a
+// call that fails by one of the first two proofs allocates nothing; the
+// error names the proof that fired.
 func Schedule(t Terms, b Bands, opt Options) (Plan, error) {
 	if err := t.Validate(); err != nil {
 		return Plan{}, err
@@ -53,27 +70,49 @@ func Schedule(t Terms, b Bands, opt Options) (Plan, error) {
 		return Plan{}, err
 	}
 	ctx := newBandCtx(t, b)
+	if !ctx.someItemCanGoLast(t.Bundle.Items) {
+		return Plan{}, errNoLastDelivery
+	}
 	sc := getScratch()
 	defer putScratch(sc)
-	for _, kind := range candidateKinds(b) {
-		plan, err := planForOrderCtx(ctx, t, b, sc.orderOf(kind, t.Bundle), opt, sc)
+	for i, kind := range candidateKinds(b) {
+		plan, err := planForOrderCtx(ctx, t, b, sc.orderOf(kind, t.Bundle), opt, sc, false)
 		if err == nil {
 			return plan, nil
 		}
 		if !errors.Is(err, ErrNoFeasibleSequence) {
 			return Plan{}, err
 		}
-	}
-	if b.Safety != b.Exposure && allNonNegativeSurplus(t.Bundle) {
-		// With a single band family and no negative-surplus items the first
-		// candidate order is provably optimal: failure is a proof.
-		return Plan{}, fmt.Errorf("%w: proven by optimal greedy order (all item surpluses ≥ 0)", ErrNoFeasibleSequence)
+		if i == 0 && b.Safety != b.Exposure && allNonNegativeSurplus(t.Bundle) {
+			return Plan{}, errGreedyOptimal
+		}
 	}
 	order, err := searchOrder(t, b, opt.budget())
 	if err != nil {
 		return Plan{}, err
 	}
-	return planForOrderCtx(ctx, t, b, order, opt, sc)
+	return planForOrderCtx(ctx, t, b, order, opt, sc, true)
+}
+
+// Schedule's static infeasibility proofs: fixed messages, so returning one
+// allocates nothing.
+var (
+	errNoLastDelivery = fmt.Errorf("%w: proven at the boundary (no item can be delivered last)", ErrNoFeasibleSequence)
+	errGreedyOptimal  = fmt.Errorf("%w: proven by optimal greedy order (all item surpluses ≥ 0)", ErrNoFeasibleSequence)
+)
+
+// someItemCanGoLast reports whether any item x satisfies lo(G) ≤ hi(G∖{x}),
+// the admissibility of delivering x last. It is necessary for every order,
+// as paymentsForOrder and searchOrder check it at the final step, so a false
+// result proves infeasibility and a true one decides nothing.
+func (c bandCtx) someItemCanGoLast(items []goods.Item) bool {
+	loAll, _ := c.rangeAt(c.totalCost, c.totalWorth)
+	for _, it := range items {
+		if _, hi := c.rangeAt(c.totalCost-it.Cost, c.totalWorth-it.Worth); loAll <= hi {
+			return true
+		}
+	}
+	return false
 }
 
 // lawlerOrder computes the delivery order that maximises the minimum safety

@@ -234,24 +234,39 @@ func randomBeneficialTerms(rng *rand.Rand, n int, negSurplus bool) Terms {
 	return Terms{Bundle: b, Price: price}
 }
 
+// randomSlack draws a stake or cap that is zero one time in three, so the
+// market's real case (zero stakes, every cost positive: the isolated
+// exchange) and zero-cap exposure bands come up often, not once in a
+// thousand draws.
+func randomSlack(rng *rand.Rand) goods.Money {
+	if rng.Intn(3) == 0 {
+		return 0
+	}
+	return goods.Money(1 + rng.Intn(39))
+}
+
 func randomBands(rng *rand.Rand) Bands {
-	stake := func() goods.Money { return goods.Money(rng.Intn(40)) }
-	cap := func() goods.Money { return goods.Money(rng.Intn(40)) }
+	stakes := func() Stakes { return Stakes{Supplier: randomSlack(rng), Consumer: randomSlack(rng)} }
+	caps := func() ExposureCaps { return ExposureCaps{Supplier: randomSlack(rng), Consumer: randomSlack(rng)} }
 	switch rng.Intn(3) {
 	case 0:
-		return SafeBands(Stakes{Supplier: stake(), Consumer: stake()})
+		return SafeBands(stakes())
 	case 1:
-		return TrustAwareBands(ExposureCaps{Supplier: cap(), Consumer: cap()})
+		return TrustAwareBands(caps())
 	default:
-		return CombinedBands(Stakes{Supplier: stake(), Consumer: stake()},
-			ExposureCaps{Supplier: cap(), Consumer: cap()})
+		return CombinedBands(stakes(), caps())
 	}
 }
 
+// OracleFeasible exposes the permutation oracle to the external fuzz tests.
+var OracleFeasible = oracleFeasible
+
 func TestScheduleMatchesPermutationOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 400; trial++ {
-		tm := randomBeneficialTerms(rng, 1+rng.Intn(6), trial%2 == 1)
+	const trials = 400
+	boundary := 0
+	for trial := 0; trial < trials; trial++ {
+		tm := randomBeneficialTerms(rng, 1+rng.Intn(8), trial%2 == 1)
 		bands := randomBands(rng)
 		want := oracleFeasible(tm, bands)
 		plan, err := Schedule(tm, bands, Options{})
@@ -268,6 +283,45 @@ func TestScheduleMatchesPermutationOracle(t *testing.T) {
 				t.Fatalf("trial %d: schedule failed independent validation: %v", trial, err)
 			}
 		}
+		if errors.Is(err, errNoLastDelivery) {
+			boundary++
+		}
+	}
+	// The last-delivery proof must have been checked against the oracle on
+	// a real share of the trials, not on a handful.
+	if boundary < trials/10 {
+		t.Errorf("boundary proof fired on %d of %d trials, want ≥ %d", boundary, trials, trials/10)
+	}
+}
+
+// TestSafeInfeasibleImpliesCombinedInfeasible is the fact the planner
+// relies on to skip the combined band: the combined band only narrows the
+// safety band at the same stakes, so once ScheduleSafe proves no safe
+// sequence exists, no caps can make the combination schedulable.
+func TestSafeInfeasibleImpliesCombinedInfeasible(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const trials = 400
+	proven := 0
+	for trial := 0; trial < trials; trial++ {
+		tm := randomBeneficialTerms(rng, 1+rng.Intn(8), trial%2 == 1)
+		stakes := Stakes{Supplier: randomSlack(rng), Consumer: randomSlack(rng)}
+		if _, err := ScheduleSafe(tm, stakes, Options{}); !errors.Is(err, ErrNoSafeSequence) {
+			continue
+		}
+		proven++
+		for _, caps := range []ExposureCaps{
+			{Supplier: goods.Money(rng.Intn(80)), Consumer: goods.Money(rng.Intn(80))},
+			{},
+			{Supplier: goods.Unlimited, Consumer: goods.Unlimited},
+		} {
+			if _, err := Schedule(tm, CombinedBands(stakes, caps), Options{}); !errors.Is(err, ErrNoFeasibleSequence) {
+				t.Fatalf("trial %d: safe infeasible at %+v but combined with caps %+v gave err=%v\nterms: %+v",
+					trial, stakes, caps, err, tm)
+			}
+		}
+	}
+	if proven < trials/4 {
+		t.Errorf("only %d of %d trials were safe-infeasible, want ≥ %d", proven, trials, trials/4)
 	}
 }
 
