@@ -1,9 +1,9 @@
 package trustcoop
 
-// The repository-wide benchmark harness: one benchmark for each of E1–E10
-// of the evaluation suite that stands in for the paper's missing
-// quantitative section (eval.IDs lists all thirteen experiments, cmd/evalrun
-// regenerates them, docs/PERF.md records reference tables) plus
+// The repository-wide benchmark harness: one sub-benchmark for each
+// experiment of the evaluation suite that stands in for the paper's missing
+// quantitative section (eval.IDs lists all thirteen, cmd/evalrun regenerates
+// them, docs/PERF.md records reference tables) plus
 // micro-benchmarks for the hot paths whose complexity the paper makes claims
 // about (the quadratic scheduler and the logarithmic P-Grid lookup).
 //
@@ -28,40 +28,31 @@ import (
 	"trustcoop/internal/trust/mui"
 )
 
-// benchExperiment measures one experiment regeneration at each worker-pool
-// width of interest: serial (workers=1) and the hardware width (GOMAXPROCS).
-// The ratio of the two is the shard runner's wall-clock speedup.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
+// BenchmarkExperiments regenerates every quick experiment table (eval.IDs)
+// at each worker-pool width of interest: serial (workers=1) and the
+// hardware width (GOMAXPROCS). The ratio of the two is the shard runner's
+// wall-clock speedup.
+func BenchmarkExperiments(b *testing.B) {
 	widths := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		widths = append(widths, n)
 	}
-	for _, workers := range widths {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tbl, err := eval.Run(id, eval.RunConfig{Seed: 42, Quick: true, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
+	for _, id := range eval.IDs() {
+		for _, workers := range widths {
+			b.Run(fmt.Sprintf("%s/workers=%d", id, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tbl, err := eval.Run(id, eval.RunConfig{Seed: 42, Quick: true, Workers: workers})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(tbl.Rows) == 0 {
+						b.Fatal("empty table")
+					}
 				}
-				if len(tbl.Rows) == 0 {
-					b.Fatal("empty table")
-				}
-			}
-		})
+			})
+		}
 	}
 }
-
-func BenchmarkE1SafeExistence(b *testing.B)        { benchExperiment(b, "E1") }
-func BenchmarkE2CompletionWelfare(b *testing.B)    { benchExperiment(b, "E2") }
-func BenchmarkE3LossExposure(b *testing.B)         { benchExperiment(b, "E3") }
-func BenchmarkE4TrustLearning(b *testing.B)        { benchExperiment(b, "E4") }
-func BenchmarkE5Complexity(b *testing.B)           { benchExperiment(b, "E5") }
-func BenchmarkE6RiskAversion(b *testing.B)         { benchExperiment(b, "E6") }
-func BenchmarkE7MinimalStake(b *testing.B)         { benchExperiment(b, "E7") }
-func BenchmarkE8AdversarialWitnesses(b *testing.B) { benchExperiment(b, "E8") }
-func BenchmarkE9Ablation(b *testing.B)             { benchExperiment(b, "E9") }
-func BenchmarkE10BackendAblation(b *testing.B)     { benchExperiment(b, "E10") }
 
 // BenchmarkMarketSessionsConcurrent measures the engine's in-flight session
 // window: the same workload with sessions strictly sequential vs interleaved

@@ -2,9 +2,7 @@ package main
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -15,7 +13,6 @@ import (
 	"trustcoop/internal/stats"
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/complaints"
-	"trustcoop/internal/trustd"
 )
 
 // The measurement harness. Every timed figure in the report comes from
@@ -23,18 +20,13 @@ import (
 // latency object from observe (a separate instrumented pass), so the two
 // kinds of number never share a loop: bulk means pay no per-op clock reads.
 
-// bestOf runs op reps times, after one untimed warm-up run when warm is set,
-// and returns the result and time of the fastest run (the first on ties).
-// op reports the span it timed, so per-rep set-up and tear-down stay out of
-// the comparison; timed adapts an op that is timed whole.
-func bestOf[T any](reps int, warm bool, op func() (T, time.Duration, error)) (T, time.Duration, error) {
+// bestOf runs op reps times and returns the result and time of the fastest
+// run (the first on ties). op reports the span it timed, so per-rep set-up
+// and tear-down stay out of the comparison; timed adapts an op that is timed
+// whole.
+func bestOf[T any](reps int, op func() (T, time.Duration, error)) (T, time.Duration, error) {
 	var best T
 	var bestD time.Duration
-	if warm {
-		if _, _, err := op(); err != nil {
-			return best, 0, err
-		}
-	}
 	for r := range reps {
 		v, d, err := op()
 		if err != nil {
@@ -45,14 +37,6 @@ func bestOf[T any](reps int, warm bool, op func() (T, time.Duration, error)) (T,
 		}
 	}
 	return best, bestD, nil
-}
-
-// fastest folds a rep's time into a best-so-far, where 0 means no rep yet.
-func fastest(best, t float64) float64 {
-	if best == 0 || t < best {
-		return t
-	}
-	return best
 }
 
 // timed adapts f for bestOf, timing the whole call.
@@ -77,7 +61,7 @@ func repeat(n int, op func(i int) error) error {
 // nsPerOp times reps passes of n ops each and returns the fastest pass's
 // mean ns per op.
 func nsPerOp(reps, n int, op func(i int) error) (float64, error) {
-	_, best, err := bestOf(reps, false, timed(func() error { return repeat(n, op) }))
+	_, best, err := bestOf(reps, timed(func() error { return repeat(n, op) }))
 	return float64(best.Nanoseconds()) / float64(n), err
 }
 
@@ -243,31 +227,4 @@ func codec(kind trust.EvidenceKind, delta trust.EvidenceDelta) (payload []byte, 
 		return err
 	}
 	return payload, encode, decode
-}
-
-// withTrustd opens a trustd server on a fresh temporary directory and hands
-// it to each fn in turn, closing it and reopening the same directory between
-// them (each reopen replays the WAL). The server is closed and the directory
-// removed on every path.
-func withTrustd(opts trustd.Options, fns ...func(*trustd.Server) error) error {
-	dir, err := os.MkdirTemp("", "bench-trustd-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	opts.Dir = dir
-	for _, fn := range fns {
-		srv, err := trustd.Open(opts)
-		if err != nil {
-			return err
-		}
-		if err := fn(srv); err != nil {
-			srv.Close() // the fn error is the one to report
-			return err
-		}
-		if err := srv.Close(); err != nil {
-			return fmt.Errorf("close: %w", err)
-		}
-	}
-	return nil
 }

@@ -1,12 +1,8 @@
 // Command bench records the repository's performance trajectory as a JSON
 // snapshot (BENCH_PR<n>.json by convention) so successive changes can be
-// compared. It runs a registry of sections, each timing one layer:
+// compared. It runs a registry of sections, each timing one layer that
+// neither `go test -bench` nor perfbench (the repository benchmark) covers:
 //
-//   - experiments: every E-table's wall clock at worker-pool widths 1, 4
-//     and GOMAXPROCS
-//   - schedule: allocations and time per op of the exchange scheduler's
-//     fast path
-//   - engine: market-engine session throughput at concurrency 1 and 16
 //   - stores: complaint-store backends under concurrent File and mixed
 //     file+assess load
 //   - cells: one experiment cell split across sub-engines at growing pool
@@ -15,17 +11,15 @@
 //   - evidence: the evidence plane per kind (codec, merge, cell traffic,
 //     redundant-path dedup)
 //   - codec: the posterior export policies against the dense wire
-//   - netsim: the simulator's timer wheel on two event shapes
 //   - assessor: one trust decision by population scan and by the O(1)
 //     aggregate
-//   - trustd: the trust service's ingest, query and recovery costs
 //   - scale: one engine at 10⁴–10⁶ agents (only when asked for)
 //
 // The report's notes field documents every section's columns.
 //
 // Usage:
 //
-//	bench [-o bench.json] [-seed 42] [-quick] [-reps 3] [-sections stores,trustd] [-scale] [-repstore memory,sharded] [-gossip 0:ring]
+//	bench [-o bench.json] [-seed 42] [-quick] [-reps 3] [-sections stores,codec] [-scale]
 package main
 
 import (
@@ -41,45 +35,17 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"trustcoop/internal/agent"
 	"trustcoop/internal/benchutil"
 	"trustcoop/internal/eval"
-	"trustcoop/internal/exchange"
-	"trustcoop/internal/goods"
 	"trustcoop/internal/market"
-	"trustcoop/internal/netsim"
 	"trustcoop/internal/stats"
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/complaints"
 	"trustcoop/internal/trust/gossip"
-	"trustcoop/internal/trustd"
 )
-
-type experimentRun struct {
-	Workers int     `json:"workers"`
-	Seconds float64 `json:"seconds"`
-}
-
-type experimentReport struct {
-	ID              string          `json:"id"`
-	Runs            []experimentRun `json:"runs"`
-	SpeedupVsSerial float64         `json:"speedup_numcpu_vs_1"`
-}
-
-type scheduleReport struct {
-	Items       int     `json:"items"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	NsPerOp     float64 `json:"ns_per_op"`
-}
-
-type engineReport struct {
-	Concurrency int     `json:"concurrency"`
-	Sessions    int     `json:"sessions"`
-	Seconds     float64 `json:"seconds"`
-}
 
 type storeRun struct {
 	Goroutines       int     `json:"goroutines"`
@@ -256,37 +222,6 @@ type assessorPathRun struct {
 	AggregateLatency latencyDist `json:"aggregate_latency,omitzero"`
 }
 
-// trustdRun is one row of the trustd section: the service wrapper's own
-// costs on top of the evidence plane (PR 8) — durable ingest (WAL append +
-// store apply per batch), the query path cold (snapshot-cache miss: one
-// population average + one combined counts read) and warm (cache hit), and
-// crash recovery measured as WAL-replay throughput on a fresh Open of the
-// ingested directory.
-type trustdRun struct {
-	Backend    string `json:"backend"`
-	Batches    int    `json:"batches"`
-	BatchSize  int    `json:"batch_size"`
-	Population int    `json:"population"`
-	// Ingest costs are the in-process Server.Ingest path (no HTTP), fsync
-	// off — the same write-through the crash tests tear.
-	IngestNsPerBatch     float64 `json:"ingest_ns_per_batch"`
-	IngestNsPerComplaint float64 `json:"ingest_ns_per_complaint"`
-	QueryNsCold          float64 `json:"query_ns_cold"`
-	QueryNsWarm          float64 `json:"query_ns_warm"`
-	WALBytes             int64   `json:"wal_bytes"`
-	// Per-op latency distributions from a separate instrumented pass on a
-	// fresh server (chained clock reads), so the best-of-reps means above
-	// stay clean: ingest per batch, queries per ScoreOf split by cache
-	// outcome — the same cold/warm split trustd's own /metrics plane serves
-	// live as trustd_ingest_latency_ns and trustd_query_latency_ns.
-	IngestLatency    latencyDist `json:"ingest_latency,omitzero"`
-	QueryColdLatency latencyDist `json:"query_cold_latency,omitzero"`
-	QueryWarmLatency latencyDist `json:"query_warm_latency,omitzero"`
-	// Recovery replays the whole WAL (no checkpoint) into a fresh store.
-	RecoverySeconds          float64 `json:"recovery_seconds"`
-	RecoveryComplaintsPerSec float64 `json:"recovery_complaints_per_sec"`
-}
-
 type report struct {
 	Generated     string              `json:"generated"`
 	GoVersion     string              `json:"go_version"`
@@ -295,13 +230,8 @@ type report struct {
 	Seed          int64               `json:"seed"`
 	Quick         bool                `json:"quick"`
 	Reps          int                 `json:"reps"`
-	Experiments   []experimentReport  `json:"experiments,omitempty"`
-	Schedule      []scheduleReport    `json:"schedule_fast_path,omitempty"`
-	Engine        []engineReport      `json:"engine_sessions,omitempty"`
-	Netsim        []netsimReport      `json:"netsim_timer_wheel,omitempty"`
 	Scale         []scaleRun          `json:"scale,omitempty"`
 	AssessorPath  []assessorPathRun   `json:"assessor_path,omitempty"`
-	Trustd        []trustdRun         `json:"trustd,omitempty"`
 	Stores        []storeReport       `json:"store_contention,omitempty"`
 	CellSharding  cellShardingReport  `json:"cell_sharding,omitzero"`
 	Gossip        gossipReport        `json:"gossip,omitzero"`
@@ -344,16 +274,6 @@ type scaleRun struct {
 	WindowNsPerEvent latencyDist `json:"window_ns_per_event,omitzero"`
 }
 
-type netsimReport struct {
-	Workload string `json:"workload"`
-	Events   int    `json:"events"`
-	// TotalNs is the whole workload's wall clock (Events scheduled and
-	// drained once); NsPerEvent is the per-event cost every other section's
-	// ns_per_op fields are comparable to.
-	TotalNs    float64 `json:"total_ns"`
-	NsPerEvent float64 `json:"ns_per_event"`
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -366,9 +286,6 @@ type config struct {
 	seed       int64
 	quick      bool
 	reps       int
-	repstore   []string // complaint-store specs for the stores section
-	gossip     gossip.Config
-	evidence   []string // evidence kinds for the evidence section
 	scaleSizes []int
 }
 
@@ -384,13 +301,6 @@ type section struct {
 // vocabulary and the order of the report's notes. scale runs only when
 // -scale or -sections names it.
 var sections = []section{
-	{"experiments", "experiments' speedup is workers=1 time over time at the widest pool, reported as 1.0 " +
-		"on single-CPU hosts where the multi-worker runs only measure pool overhead", benchExperiments},
-	{"schedule", "schedule_fast_path is testing.AllocsPerRun plus per-op timing of " +
-		"exchange.ScheduleSafe on an all-non-negative-surplus bundle " +
-		"(seed implementation: ~47 allocs/op)", benchSchedule},
-	{"engine", "engine_sessions is one 20-agent market engine's wall clock over 400 sessions at " +
-		"concurrency 1 and 16 (one run each, construction excluded)", benchEngine},
 	{"stores", "store_contention compares complaint-store backends per workload: " +
 		"'file+assess' is the marketplace's operation mix (1 File + a " +
 		"population-wide complaint-product scan per session), where the " +
@@ -442,11 +352,6 @@ var sections = []section{
 		"is the artifact guard's >=2x floor, and the quantized/selective " +
 		"rows price the bytes beyond it (selection defers evidence, never " +
 		"drops it, so its savings are latency, not loss)", benchCodec},
-	{"netsim", "netsim_timer_wheel times the simulator's hierarchical timer wheel " +
-		"(which replaced a bucketed heap) on the same-tick shape " +
-		"(64 events per timestamp, served by the draining-slot fast path) " +
-		"and the spread shape (one event per tick — the shape the wheel's " +
-		"O(1) slot indexing wins over a heap's O(log n) sift)", benchNetsim},
 	{"assessor", "assessor_path times one trust decision — " +
 		"Assessor.NormalisedScore, the population average plus the " +
 		"per-peer product — both ways on the same pre-filled store: " +
@@ -457,17 +362,6 @@ var sections = []section{
 		"aggregate-equals-scan property test pins it), so " +
 		"speedup_aggregate_vs_scan is pure algorithmic O(N) to O(1) and " +
 		"grows linearly with the population", benchAssessor},
-	{"trustd", "trustd prices the service wrapper per backend: " +
-		"ingest_ns_per_batch is the in-process durable ingest path — " +
-		"length-prefixed checksummed WAL append (the ack barrier), " +
-		"FileBatch apply, generation bump — fsync off and no " +
-		"auto-checkpoint so the recovery row replays the whole log; " +
-		"query_ns_cold is a generation's first read of a peer (one " +
-		"population average plus one combined counts read, exactly a " +
-		"direct NormalisedScore), query_ns_warm the snapshot-cache hit " +
-		"that skips both; recovery_complaints_per_sec is a fresh Open " +
-		"replaying the ingested directory, from the server's own " +
-		"recovery clock (store construction excluded)", benchTrustd},
 	{"scale", "scale (present when bench ran with -scale) runs one marketplace " +
 		"engine at 1e4/1e5/1e6 agents with a fixed session count: " +
 		"events_per_sec/ns_per_event track throughput as the population " +
@@ -512,13 +406,7 @@ func run(args []string) error {
 	out := fs.String("o", "", "output JSON path (default stdout)")
 	seed := fs.Int64("seed", 42, "random seed")
 	quick := fs.Bool("quick", false, "reduced trial counts")
-	reps := fs.Int("reps", 3, "timing repetitions per cell (best is kept)")
-	repstore := fs.String("repstore", "memory,sharded,async:sharded",
-		"comma-separated complaint-store specs for the contention benchmark (concurrency-safe backends only; pgrid is single-threaded by design)")
-	gossipSpec := fs.String("gossip", "0:mesh",
-		"fabric shape for the gossip benchmark section, spec PERIOD[:TOPOLOGY[:FANOUT]] (e.g. 0:mesh, 0:ring, 0:ring2, 0:mesh:2); the section always sweeps the standard periods, and a non-zero PERIOD is added to the sweep")
-	evidence := fs.String("evidence", "complaints,posterior",
-		"comma-separated evidence kinds for the evidence_plane benchmark section")
+	reps := fs.Int("reps", 3, "timing repetitions per cell (best is kept; at least 1)")
 	scale := fs.Bool("scale", false,
 		"run the scale section: one marketplace engine per estimator at 1e4/1e5/1e6 agents (slow; needs ~1.5 GB at the top size)")
 	scaleAgents := fs.String("scale-agents", "10000,100000,1000000",
@@ -532,12 +420,16 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c := config{seed: *seed, quick: *quick, reps: *reps,
-		repstore: splitList(*repstore), evidence: splitList(*evidence)}
-	var err error
-	if c.gossip, err = gossip.ParseSpec(*gossipSpec); err != nil {
-		return err
+	// A run with no reps times nothing and would report zeros as results;
+	// a negative ceiling would silently disarm the scale guard.
+	if *reps < 1 {
+		return fmt.Errorf("-reps must be at least 1, got %d", *reps)
 	}
+	if *scaleCeiling < 0 {
+		return fmt.Errorf("-scale-ceiling-ns must be non-negative (0 disables), got %v", *scaleCeiling)
+	}
+	c := config{seed: *seed, quick: *quick, reps: *reps}
+	var err error
 	if c.scaleSizes, err = parseSizes(*scaleAgents); err != nil {
 		return fmt.Errorf("-scale-agents: %w", err)
 	}
@@ -655,74 +547,6 @@ func parseSizes(spec string) ([]int, error) {
 	return out, nil
 }
 
-func benchExperiments(c config, r *report) error {
-	// Always measure a multi-worker width even on single-CPU hosts: there it
-	// records the pool's overhead (expected ≈1.0× vs serial), elsewhere the
-	// speedup.
-	widths := widen([]int{1, 4}, runtime.GOMAXPROCS(0))
-	for _, id := range eval.IDs() {
-		er := experimentReport{ID: id}
-		for _, workers := range widths {
-			_, best, err := bestOf(c.reps, false, timed(func() error {
-				_, err := eval.Run(id, eval.RunConfig{Seed: c.seed, Quick: c.quick, Workers: workers})
-				return err
-			}))
-			if err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			er.Runs = append(er.Runs, experimentRun{Workers: workers, Seconds: best.Seconds()})
-		}
-		er.SpeedupVsSerial = parallelSpeedup(er.Runs[0].Seconds, er.Runs[len(er.Runs)-1].Seconds)
-		r.Experiments = append(r.Experiments, er)
-		fmt.Fprintf(os.Stderr, "%s: %v\n", id, er.Runs)
-	}
-	return nil
-}
-
-func benchSchedule(c config, r *report) error {
-	for _, items := range []int{16, 64, 256} {
-		gen := goods.DefaultGenConfig()
-		gen.Items = items
-		bundle := goods.MustGenerate(gen, rand.New(rand.NewSource(3)))
-		terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
-		stakes := exchange.Stakes{Supplier: exchange.MinimalStake(terms)}
-		sched := func(int) error {
-			_, err := exchange.ScheduleSafe(terms, stakes, exchange.Options{})
-			return err
-		}
-		// AllocsPerRun warms the scratch pool with one untimed call. The
-		// inputs are fixed, so a failing call fails the timed pass too.
-		allocs := testing.AllocsPerRun(200, func() { _ = sched(0) })
-		ns, err := nsPerOp(1, 200, sched)
-		if err != nil {
-			return fmt.Errorf("%d items: %w", items, err)
-		}
-		r.Schedule = append(r.Schedule, scheduleReport{Items: items, AllocsPerOp: allocs, NsPerOp: ns})
-	}
-	return nil
-}
-
-func benchEngine(c config, r *report) error {
-	const sessions = 400
-	for _, conc := range []int{1, 16} {
-		agents, err := agent.NewPopulation(agent.PopConfig{Honest: 16, Opportunist: 4, Stake: 2 * goods.Unit},
-			rand.New(rand.NewSource(1)))
-		if err != nil {
-			return err
-		}
-		eng, err := market.NewEngine(market.Config{Seed: c.seed, Sessions: sessions, Agents: agents, Concurrency: conc})
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		if _, err := eng.Run(); err != nil {
-			return err
-		}
-		r.Engine = append(r.Engine, engineReport{Concurrency: conc, Sessions: sessions, Seconds: time.Since(start).Seconds()})
-	}
-	return nil
-}
-
 // benchCells measures one experiment cell — a
 // trust-aware marketplace that previously serialised on a single engine —
 // sharded across sub-engines (eval.RunCell) at growing engine-pool widths.
@@ -748,7 +572,7 @@ func benchCells(c config, r *report) error {
 				continue
 			}
 			prev = engines
-			_, best, err := bestOf(c.reps, false, timed(func() error {
+			_, best, err := bestOf(c.reps, timed(func() error {
 				_, _, err := eval.RunCell(cfg, shards, engines, nil)
 				return err
 			}))
@@ -770,27 +594,19 @@ func benchCells(c config, r *report) error {
 // at gossip periods {∞, 64, 16, 4, 1}, recording wall clock, exchange
 // traffic per session, the per-complaint cost of landing remote batches
 // (the complaints.FileAll fast path), and the stale-read fraction the
-// period leaves behind. The topology and fanout come from the -gossip flag
-// (default full mesh).
+// period leaves behind, over the full mesh.
 func benchGossip(c config, r *report) error {
 	const shards = 4
 	sessions := cellSessions(c.quick)
-	periods := []int{0, 64, 16, 4, 1}
-	if c.gossip.Period > 0 && !slices.Contains(periods, c.gossip.Period) {
-		periods = append(periods, c.gossip.Period)
-	}
-	gr := gossipReport{Topology: string(c.gossip.Topology), Fanout: c.gossip.Fanout, Shards: shards, Sessions: sessions}
-	if gr.Topology == "" {
-		gr.Topology = string(gossip.TopologyMesh)
-	}
-	for _, period := range periods {
+	gr := gossipReport{Topology: string(gossip.TopologyMesh), Shards: shards, Sessions: sessions}
+	for _, period := range []int{0, 64, 16, 4, 1} {
 		cfg, err := cellConfig(c.seed, sessions)
 		if err != nil {
 			return err
 		}
 		cfg.RepStore = "sharded"
-		cfg.Gossip = gossip.Config{Period: period, Topology: c.gossip.Topology, Fanout: c.gossip.Fanout}
-		st, best, err := bestOf(c.reps, false, func() (gossip.Stats, time.Duration, error) {
+		cfg.Gossip = gossip.Config{Period: period, Topology: gossip.TopologyMesh}
+		st, best, err := bestOf(c.reps, func() (gossip.Stats, time.Duration, error) {
 			start := time.Now()
 			_, st, err := eval.RunCell(cfg, shards, 0, nil)
 			return st, time.Since(start), err
@@ -843,20 +659,16 @@ func benchEvidence(c config, r *report) error {
 	const shards, period = 4, 4
 	sessions := cellSessions(c.quick)
 	ep := evidencePlaneReport{Shards: shards, Sessions: sessions, Period: period}
-	for _, kindName := range c.evidence {
-		kind := trust.EvidenceKind(kindName)
-		run := evidenceKindRun{Kind: kindName}
-
-		// Micro: a 64-item delta of the kind's typical shape.
-		var delta trust.EvidenceDelta
-		switch kind {
-		case trust.EvidenceComplaints:
-			delta = complaints.NewDelta(complaintStream(benchutil.StorePeers(64), 64))
-		case trust.EvidencePosterior:
-			delta = posteriorDelta()
-		default:
-			return fmt.Errorf("unknown evidence kind %q", kindName)
-		}
+	// Each kind's micro-costs run on a 64-item delta of its typical shape.
+	for _, k := range []struct {
+		kind  trust.EvidenceKind
+		delta trust.EvidenceDelta
+	}{
+		{trust.EvidenceComplaints, complaints.NewDelta(complaintStream(benchutil.StorePeers(64), 64))},
+		{trust.EvidencePosterior, posteriorDelta()},
+	} {
+		kind, delta := k.kind, k.delta
+		run := evidenceKindRun{Kind: string(kind)}
 		payload, encode, decode := codec(kind, delta)
 		run.DeltaBytes = len(payload)
 		var err error
@@ -912,7 +724,7 @@ func benchEvidence(c config, r *report) error {
 		}
 		ep.Kinds = append(ep.Kinds, run)
 		fmt.Fprintf(os.Stderr, "evidence %s: %dB/delta, encode %.0f decode %.0f merge %.0f ns, %.1f B/session, dedup hit rate %.2f\n",
-			kindName, run.DeltaBytes, run.EncodeNsPerDelta, run.DecodeNsPerDelta, run.MergeNsPerDelta,
+			kind, run.DeltaBytes, run.EncodeNsPerDelta, run.DecodeNsPerDelta, run.MergeNsPerDelta,
 			run.BytesPerSession, run.DedupHitRateRing2)
 	}
 	r.EvidencePlane = ep
@@ -1189,144 +1001,6 @@ func assessorRow(c config, backend string, pop int) (row assessorPathRun, err er
 	return row, nil
 }
 
-// benchTrustd measures the trustd service wrapper (PR 8) per backend: what
-// the durability and serving layers add on top of the raw evidence plane.
-// Ingest is the in-process Server.Ingest path — WAL append (the ack
-// barrier), store apply, generation bump — fsync off, no auto-checkpoint, so
-// recovery below replays the whole log. Queries split by the snapshot cache:
-// cold is a per-generation first read of each peer (one population average
-// plus one combined counts read), warm is the memoised hit. Recovery is a
-// fresh Open of the ingested directory, reported as replayed complaints per
-// second from the server's own recovery clock.
-func benchTrustd(c config, r *report) error {
-	const pop, batchSize = 64, 16
-	batches, warmQueries := 4096, 200_000
-	if c.quick {
-		batches, warmQueries = 512, 20_000
-	}
-	ids := benchutil.StorePeers(pop)
-	stream := complaintStream(ids, batches*batchSize)
-	ingest := func(srv *trustd.Server) func(int) error {
-		return func(i int) error { return srv.Ingest(stream[i*batchSize : (i+1)*batchSize]) }
-	}
-	// The first read of each peer after a generation bump is a cold miss
-	// that computes and memoises; every later read is a warm hit.
-	query := func(srv *trustd.Server) func(int) error {
-		return func(i int) error {
-			_, err := srv.ScoreOf(ids[i%pop])
-			return err
-		}
-	}
-	for _, backend := range []string{"sharded", "async:sharded"} {
-		// Ingest, cold and warm query and recovery each keep their own
-		// best over the reps.
-		opts := trustd.Options{Backend: backend, Population: ids}
-		row := trustdRun{Backend: backend, Batches: batches, BatchSize: batchSize, Population: pop}
-		_, ingestTime, err := bestOf(c.reps, false, func() (_ struct{}, ingestTime time.Duration, err error) {
-			err = withTrustd(opts, func(srv *trustd.Server) (err error) {
-				start := time.Now()
-				if err = repeat(batches, ingest(srv)); err == nil {
-					err = srv.Flush()
-				}
-				ingestTime = time.Since(start)
-				if err != nil {
-					return err
-				}
-				row.WALBytes = srv.Stats().WALBytes
-				cold, err := nsPerOp(1, pop, query(srv))
-				if err != nil {
-					return err
-				}
-				warm, err := nsPerOp(1, warmQueries, query(srv))
-				row.QueryNsCold, row.QueryNsWarm = fastest(row.QueryNsCold, cold), fastest(row.QueryNsWarm, warm)
-				return err
-			}, func(srv *trustd.Server) error {
-				st := srv.Stats()
-				if got := int(st.RecoveredBatches); got != batches {
-					return fmt.Errorf("%s: recovery replayed %d batches, ingested %d", backend, got, batches)
-				}
-				row.RecoverySeconds = fastest(row.RecoverySeconds, time.Duration(st.RecoveryNs).Seconds())
-				return nil
-			})
-			return struct{}{}, ingestTime, err
-		})
-		if err != nil {
-			return err
-		}
-		row.IngestNsPerBatch = float64(ingestTime.Nanoseconds()) / float64(batches)
-		row.IngestNsPerComplaint = row.IngestNsPerBatch / batchSize
-		if row.RecoverySeconds > 0 {
-			row.RecoveryComplaintsPerSec = float64(batches*batchSize) / row.RecoverySeconds
-		}
-
-		// Instrumented pass on a fresh server, with the same cold/warm split.
-		if err := withTrustd(opts, func(srv *trustd.Server) (err error) {
-			if row.IngestLatency, err = observe(batches, ingest(srv)); err != nil {
-				return err
-			}
-			if err = srv.Flush(); err != nil {
-				return err
-			}
-			if row.QueryColdLatency, err = observe(pop, query(srv)); err != nil {
-				return err
-			}
-			row.QueryWarmLatency, err = observe(warmQueries, query(srv))
-			return err
-		}); err != nil {
-			return err
-		}
-		r.Trustd = append(r.Trustd, row)
-		fmt.Fprintf(os.Stderr, "trustd %s: ingest %.0f ns/batch (p50/p99/p999 %.0f/%.0f/%.0f), query %.0f/%.0f ns cold/warm (warm p99 %.0f), recovery %.0f complaints/s\n",
-			backend, row.IngestNsPerBatch, row.IngestLatency.P50Ns, row.IngestLatency.P99Ns, row.IngestLatency.P999Ns,
-			row.QueryNsCold, row.QueryNsWarm, row.QueryWarmLatency.P99Ns, row.RecoveryComplaintsPerSec)
-	}
-	return nil
-}
-
-// benchNetsim measures the simulator's event loop on the two shapes the
-// tick-level batching distinguishes: many deliveries sharing a timestamp
-// (the large-Concurrency engine profile) versus fully spread timestamps.
-// Since PR 6 the queue is the hierarchical timer wheel, whose point is the
-// spread shape; the same-tick shape rides the draining-slot fast path and
-// must not regress against the PR 5 bucketed queue.
-func benchNetsim(c config, r *report) error {
-	const events = 4096
-	for _, shape := range []struct {
-		name  string
-		ticks int
-	}{
-		{"same_tick_64_per_tick", events / 64},
-		{"spread_one_per_tick", events},
-	} {
-		// A rep is ~200µs, far too short for best-of-3 on a noisy shared
-		// host, so this section always takes at least best-of-10 and burns
-		// one untimed warm-up rep (allocator spans and wheel pages cold on
-		// the first pass).
-		_, best, err := bestOf(max(c.reps, 10), true, timed(func() error {
-			s := netsim.NewSimulator(1)
-			for e := range events {
-				s.Schedule(netsim.Time(e%shape.ticks), func() {})
-			}
-			if n := s.Run(0); n != events {
-				return fmt.Errorf("%s: ran %d of %d events", shape.name, n, events)
-			}
-			return nil
-		}))
-		if err != nil {
-			return err
-		}
-		row := netsimReport{
-			Workload:   shape.name,
-			Events:     events,
-			TotalNs:    float64(best.Nanoseconds()),
-			NsPerEvent: float64(best.Nanoseconds()) / events,
-		}
-		r.Netsim = append(r.Netsim, row)
-		fmt.Fprintf(os.Stderr, "netsim %s: %.0f ns/event\n", shape.name, row.NsPerEvent)
-	}
-	return nil
-}
-
 // benchFileBatch compares the batched write path against per-complaint File
 // on each centralised backend plus the decentralised pgrid store (its
 // FileBatch routes once per distinct grid key per batch instead of twice per
@@ -1370,7 +1044,7 @@ func benchFileBatch(c config) ([]batchFileRun, error) {
 		}
 		var ns [2]float64
 		for i, fill := range []func(complaints.Store) error{single, batched} {
-			_, best, err := bestOf(c.reps, false, func() (_ struct{}, d time.Duration, err error) {
+			_, best, err := bestOf(c.reps, func() (_ struct{}, d time.Duration, err error) {
 				// An async store drains on the filing goroutine, so both
 				// paths pay the drain inside the timed span.
 				store, err := complaints.Open(openSpec, bc)
@@ -1439,25 +1113,17 @@ func benchStores(c config, r *report) error {
 	}
 	widths := widen([]int{1, 8}, 2*runtime.GOMAXPROCS(0))
 
-	// The memory baseline always runs first so every backend's
-	// speedup_vs_memory has a same-snapshot denominator.
-	ordered := []string{"memory"}
-	for _, spec := range c.repstore {
-		if strings.Contains(spec, "pgrid") {
-			fmt.Fprintf(os.Stderr, "store %s: skipped (not safe for concurrent use)\n", spec)
-		} else if !slices.Contains(ordered, spec) {
-			ordered = append(ordered, spec)
-		}
-	}
-
-	// memBaseline[workload] is the memory backend's widest-run ns/op.
+	// memBaseline[workload] is the memory backend's widest-run ns/op. The
+	// backends are the concurrency-safe ones (pgrid is single-threaded by
+	// design), memory first so every backend's speedup_vs_memory has a
+	// same-snapshot denominator.
 	memBaseline := map[string]float64{}
-	for _, spec := range ordered {
+	for _, spec := range []string{"memory", "sharded", "async:sharded"} {
 		for _, workload := range []string{"file", "file+assess"} {
 			w.workload = workload
 			sr := storeReport{Backend: spec, Workload: workload, Gomaxprocs: runtime.GOMAXPROCS(0)}
 			for _, g := range widths {
-				best, _, err := bestOf(c.reps, false, func() (storeRun, time.Duration, error) {
+				best, _, err := bestOf(c.reps, func() (storeRun, time.Duration, error) {
 					return w.run(spec, g, nil)
 				})
 				if err != nil {

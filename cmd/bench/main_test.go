@@ -13,8 +13,7 @@ import (
 
 // TestRunQuickSections drives run() end to end the way the CI smoke jobs
 // do: a quick single-rep pass over every registered section except the
-// experiment tables and the scale sweep, writing the JSON report and both
-// pprof profiles. It pins the -sections contract — requested sections
+// scale sweep, writing the JSON report and both pprof profiles. It pins the -sections contract — requested sections
 // appear in the report, omitted ones stay absent — that every section keeps
 // the key structure of the newest committed artifact that recorded it, and
 // that assessor_path records a real aggregate-vs-scan speedup even at quick
@@ -22,7 +21,7 @@ import (
 func TestRunQuickSections(t *testing.T) {
 	var picked []string
 	for _, s := range sections {
-		if s.name != "experiments" && s.name != "scale" {
+		if s.name != "scale" {
 			picked = append(picked, s.name)
 		}
 	}
@@ -53,11 +52,11 @@ func TestRunQuickSections(t *testing.T) {
 		got = append(got, k)
 	}
 	slices.Sort(got)
-	want := []string{"assessor_path", "cell_sharding", "engine_sessions", "evidence_codec", "evidence_plane",
-		"generated", "go_version", "gomaxprocs", "gossip", "netsim_timer_wheel", "notes", "num_cpu", "quick",
-		"reps", "schedule_fast_path", "seed", "store_contention", "trustd"}
+	want := []string{"assessor_path", "cell_sharding", "evidence_codec", "evidence_plane",
+		"generated", "go_version", "gomaxprocs", "gossip", "notes", "num_cpu", "quick",
+		"reps", "seed", "store_contention"}
 	if !slices.Equal(got, want) {
-		t.Errorf("report keys = %v, want %v (experiments and scale unrequested)", got, want)
+		t.Errorf("report keys = %v, want %v (scale unrequested)", got, want)
 	}
 	for k, v := range keyed {
 		artifact, ref := newestArtifactWith(t, k)
@@ -77,14 +76,10 @@ func TestRunQuickSections(t *testing.T) {
 	for name, rows := range map[string]int{
 		"assessor_path":        len(rep.AssessorPath),
 		"cell_sharding.cells":  len(rep.CellSharding.Cells),
-		"engine_sessions":      len(rep.Engine),
 		"evidence_codec.modes": len(rep.EvidenceCodec.Modes),
 		"evidence_plane.kinds": len(rep.EvidencePlane.Kinds),
 		"gossip.runs":          len(rep.Gossip.Runs),
-		"netsim_timer_wheel":   len(rep.Netsim),
-		"schedule_fast_path":   len(rep.Schedule),
 		"store_contention":     len(rep.Stores),
-		"trustd":               len(rep.Trustd),
 	} {
 		if rows == 0 {
 			t.Errorf("%s: no rows", name)
@@ -238,13 +233,16 @@ func TestParseSizes(t *testing.T) {
 func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale-agents", "nope"},
-		{"-gossip", "not-a-spec:bogus:bogus:bogus"},
 		{"-definitely-not-a-flag"},
 		{"-sections", "nope"},
+		// A run with no reps would report zeros as measurements.
+		{"-reps", "0"},
+		{"-reps", "-1"},
 		// The scale guard must not be disarmed by a run without scale rows,
 		// whether by a typo or by leaving the section out.
 		{"-sections", "scal", "-scale-ceiling-ns", "1"},
-		{"-sections", "netsim", "-scale-ceiling-ns", "1"},
+		{"-sections", "codec", "-scale-ceiling-ns", "1"},
+		{"-sections", "scale", "-scale-ceiling-ns", "-1"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) did not error", args)

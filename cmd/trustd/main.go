@@ -2,7 +2,8 @@
 // complaint batches over HTTP, serves the complaint model's trust scores, and
 // survives kill -9 via its write-ahead log and checkpoints.
 //
-// Serve mode (the default) recovers state from -dir and listens:
+// Serve mode (the default) recovers state from -dir and listens until
+// SIGINT or SIGTERM, then drains in-flight requests and closes the WAL:
 //
 //	trustd -addr :7654 -dir /var/lib/trustd -backend sharded -checkpoint-every 4096
 //
@@ -16,14 +17,30 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"trustcoop/internal/trustd"
+)
+
+// Serve-mode connection bounds: a client gets readHeaderTimeout to send its
+// request headers and readTimeout for the whole request, an idle keep-alive
+// connection is dropped after idleTimeout, and a shutdown waits at most
+// shutdownTimeout for in-flight requests before closing anyway.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 10 * time.Second
 )
 
 func main() {
@@ -54,6 +71,10 @@ func run(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("serve mode requires -dir")
 	}
+	// Catch the signals before recovery starts, so a stop request that
+	// arrives at any point ends in a clean close rather than a kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	srv, err := trustd.Open(trustd.Options{
 		Dir:             *dir,
 		Backend:         *backend,
@@ -64,12 +85,40 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return errors.Join(err, srv.Close())
+	}
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "trustd: recovered %d checkpoint peers + %d WAL batches (%d complaints, %d torn bytes) in %.3fs; serving on %s (Prometheus scrape: GET /metrics)\n",
 		st.RecoveredCheckpointPeers, st.RecoveredBatches, st.RecoveredComplaints, st.TornTailBytes,
 		float64(st.RecoveryNs)/1e9, *addr)
-	return http.ListenAndServe(*addr, srv.Handler())
+	return serve(ctx, ln, srv)
+}
+
+// serve answers srv's HTTP surface on ln until ctx is done or the listener
+// fails. It then stops accepting, drains in-flight requests (bounded by
+// shutdownTimeout) and closes srv, which drains any write-behind backlog
+// and closes the WAL (syncing it first under -fsync). srv is closed on
+// every path.
+func serve(ctx context.Context, ln net.Listener, srv *trustd.Server) error {
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		shutdown, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		err = hs.Shutdown(shutdown)
+		cancel()
+	}
+	return errors.Join(err, srv.Close())
 }
 
 // runLoadgen is the self-contained closed loop: real listener, real HTTP
