@@ -55,7 +55,7 @@ func run(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:7654", "listen address (serve mode)")
 	dir := fs.String("dir", "", "durability directory (serve mode; required)")
 	backend := fs.String("backend", "sharded", "complaint store backend spec (memory | sharded | async:sharded | ...)")
-	every := fs.Int("checkpoint-every", 4096, "complaints between automatic checkpoints (0 = manual only)")
+	every := fs.Int("checkpoint-every", trustd.DefaultCheckpointEvery, "complaints between checkpoints, at least 1; also bounds the complaints held for the next one")
 	factor := fs.Float64("factor", 0, "trust decision threshold (0 = model default)")
 	fsync := fs.Bool("fsync", false, "fsync the WAL on every append")
 	loadgen := fs.Bool("loadgen", false, "run the closed-loop load generator instead of serving")
@@ -64,6 +64,9 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "loadgen: simulation seed")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *every < 1 {
+		return fmt.Errorf("-checkpoint-every must be at least 1, got %d", *every)
 	}
 	if *loadgen {
 		return runLoadgen(*backend, *every, *factor, *sessions, *batch, *seed)

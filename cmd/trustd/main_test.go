@@ -28,6 +28,17 @@ func TestServeModeRequiresDir(t *testing.T) {
 	}
 }
 
+func TestCheckpointEveryMustBePositive(t *testing.T) {
+	for _, args := range [][]string{
+		{"-dir", t.TempDir(), "-checkpoint-every", "0"},
+		{"-loadgen", "-checkpoint-every", "-1"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
+			t.Errorf("run(%q) returned %v, want a -checkpoint-every error", args, err)
+		}
+	}
+}
+
 func TestBadFlag(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("unknown flag accepted")

@@ -11,15 +11,15 @@ import (
 	"trustcoop/internal/trust/complaints"
 )
 
-// A checkpoint is one atomic snapshot of the evidence plane: every peer with
-// a nonzero complaint tally, taken after the store's write-behind backlog has
-// drained, plus the WAL segment sequence that starts after it. Recovery loads
-// the newest valid checkpoint and replays only WAL segments with seq >= its
-// WALSeq — older segments are fully covered by the snapshot. The file is
-// written to a temp name, synced, and renamed, so a crash mid-checkpoint
-// leaves either the previous checkpoint (plus the still-intact WAL) or the
-// new one — never a half state; a trailing CRC-32C guards against torn or
-// hostile bytes that slip past the rename protocol anyway.
+// A checkpoint is one atomic snapshot of the evidence plane: the complaint
+// tallies of every peer a batch before a WAL cut named, plus the WAL segment
+// sequence the cut started. Recovery loads the newest valid checkpoint and
+// replays only WAL segments with seq >= its WALSeq — older segments are
+// fully covered by the snapshot. The file is written to a temp name, synced,
+// and renamed, so a crash mid-checkpoint leaves either the previous
+// checkpoint (plus the still-intact WAL) or the new one — never a half
+// state; a trailing CRC-32C guards against torn or hostile bytes that slip
+// past the rename protocol anyway.
 //
 //	[4 bytes magic "TCKP"][1 byte version]
 //	[uvarint walSeq][uvarint npeers]
@@ -35,93 +35,185 @@ var checkpointMagic = [4]byte{'T', 'C', 'K', 'P'}
 // WAL segment seq (the two share a sequence number by construction).
 func checkpointName(seq uint64) string { return fmt.Sprintf("checkpoint-%06d.ckpt", seq) }
 
-// encodeCheckpoint serialises one snapshot. Peers must be sorted by the
-// caller so equal states encode to equal bytes — the determinism harness
-// compares checkpoints directly.
-func encodeCheckpoint(walSeq uint64, peers []trust.PeerID, tallies []complaints.Tally) []byte {
-	n := len(checkpointMagic) + 1 + trust.UvarintLen(walSeq) + trust.UvarintLen(uint64(len(peers)))
-	for i, p := range peers {
-		n += trust.UvarintLen(uint64(len(p))) + len(p)
-		n += trust.UvarintLen(uint64(tallies[i].Received)) + trust.UvarintLen(uint64(tallies[i].Filed))
-	}
-	out := make([]byte, 0, n+4)
-	out = append(out, checkpointMagic[:]...)
-	out = append(out, checkpointVersion)
-	out = binary.AppendUvarint(out, walSeq)
-	out = binary.AppendUvarint(out, uint64(len(peers)))
-	for i, p := range peers {
-		out = binary.AppendUvarint(out, uint64(len(p)))
-		out = append(out, p...)
-		out = binary.AppendUvarint(out, uint64(tallies[i].Received))
-		out = binary.AppendUvarint(out, uint64(tallies[i].Filed))
-	}
+// appendCheckpointHeader starts a checkpoint: magic, version, the WAL
+// segment replay resumes at, and the number of entries that follow.
+func appendCheckpointHeader(dst []byte, walSeq uint64, npeers int) []byte {
+	dst = append(dst, checkpointMagic[:]...)
+	dst = append(dst, checkpointVersion)
+	dst = binary.AppendUvarint(dst, walSeq)
+	return binary.AppendUvarint(dst, uint64(npeers))
+}
+
+// appendCheckpointEntry encodes one peer's tallies — the only entry encoder.
+// Entries must come in strictly increasing peer order, so equal states
+// encode to equal bytes.
+func appendCheckpointEntry(dst []byte, peer trust.PeerID, t complaints.Tally) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(peer)))
+	dst = append(dst, peer...)
+	dst = binary.AppendUvarint(dst, uint64(t.Received))
+	return binary.AppendUvarint(dst, uint64(t.Filed))
+}
+
+// sealCheckpoint appends the CRC-32C of everything before it.
+func sealCheckpoint(out []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// checkpointReader walks the entries of a checkpoint whose checksum and
+// header openCheckpoint has already verified. next is the only entry
+// decoder, shared by decodeCheckpoint and the fold.
+type checkpointReader struct {
+	body []byte // entries not yet read
+	left uint64 // entries the header promises beyond those read
+
+	// The entry next decoded: its peer ID, aliasing the checkpoint bytes, its
+	// whole encoding, which the fold copies verbatim when it is untouched,
+	// and its tallies.
+	id, raw []byte
+	tally   complaints.Tally
+}
+
+// openCheckpoint validates a checkpoint's length, checksum, magic and
+// version, and returns its WAL sequence and a reader over its entries.
+func openCheckpoint(data []byte) (walSeq uint64, r checkpointReader, err error) {
+	if len(data) < len(checkpointMagic)+1+4 {
+		return 0, r, fmt.Errorf("trustd: checkpoint truncated (%d bytes)", len(data))
+	}
+	body, tail := data[:len(data)-4], data[len(data)-4:]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
+		return 0, r, fmt.Errorf("trustd: checkpoint checksum mismatch")
+	}
+	if [4]byte(body[:4]) != checkpointMagic || body[4] != checkpointVersion {
+		return 0, r, fmt.Errorf("trustd: not a version-%d checkpoint", checkpointVersion)
+	}
+	r.body = body[5:]
+	if walSeq, err = r.uvarint("wal seq"); err != nil {
+		return 0, r, err
+	}
+	if r.left, err = r.uvarint("peer count"); err != nil {
+		return 0, r, err
+	}
+	if r.left > uint64(len(r.body)) { // every peer needs at least one byte
+		return 0, r, fmt.Errorf("trustd: checkpoint claims %d peers in %d bytes", r.left, len(r.body))
+	}
+	return walSeq, r, nil
+}
+
+// uvarint decodes a header varint; what names it in the error.
+func (r *checkpointReader) uvarint(what string) (uint64, error) {
+	v, n := binary.Uvarint(r.body)
+	if n <= 0 {
+		return 0, fmt.Errorf("trustd: checkpoint truncated in %s", what)
+	}
+	r.body = r.body[n:]
+	return v, nil
+}
+
+// next decodes the following entry into r.id, r.raw and r.tally. It reports
+// false once every promised entry is read; a checkpoint with bytes left over
+// at that point is an error. The fold calls it once per peer, so its varints
+// are decoded inline rather than through uvarint.
+func (r *checkpointReader) next() (bool, error) {
+	if r.left == 0 {
+		if len(r.body) != 0 {
+			return false, fmt.Errorf("trustd: %d trailing bytes after checkpoint", len(r.body))
+		}
+		return false, nil
+	}
+	b := r.body
+	l, n := binary.Uvarint(b)
+	if n <= 0 || l > uint64(len(b)-n) {
+		return false, fmt.Errorf("trustd: checkpoint truncated in peer ID")
+	}
+	id, b := b[n:n+int(l)], b[n+int(l):]
+	rc, n := binary.Uvarint(b)
+	if n <= 0 {
+		return false, fmt.Errorf("trustd: checkpoint truncated in received count")
+	}
+	b = b[n:]
+	fc, n := binary.Uvarint(b)
+	if n <= 0 {
+		return false, fmt.Errorf("trustd: checkpoint truncated in filed count")
+	}
+	b = b[n:]
+	if int64(rc) < 0 || int64(fc) < 0 || int(rc) < 0 || int(fc) < 0 {
+		return false, fmt.Errorf("trustd: checkpoint count overflows int")
+	}
+	r.left--
+	r.id, r.raw, r.body = id, r.body[:len(r.body)-len(b)], b
+	r.tally = complaints.Tally{Received: int(rc), Filed: int(fc)}
+	return true, nil
 }
 
 // decodeCheckpoint parses and validates a checkpoint file. Any malformation —
 // wrong magic, bad CRC, truncation, trailing garbage, counts overflowing an
-// int — is an error: recovery then falls back to the previous checkpoint and
-// the WAL, never to a partial snapshot.
+// int, peers not strictly increasing — is an error: recovery then falls back
+// to the previous checkpoint and the WAL, never to a partial snapshot. A
+// checkpoint it accepts is a valid base for the fold.
 func decodeCheckpoint(data []byte) (walSeq uint64, peers []trust.PeerID, tallies []complaints.Tally, err error) {
-	if len(data) < len(checkpointMagic)+1+4 {
-		return 0, nil, nil, fmt.Errorf("trustd: checkpoint truncated (%d bytes)", len(data))
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
-		return 0, nil, nil, fmt.Errorf("trustd: checkpoint checksum mismatch")
-	}
-	if [4]byte(body[:4]) != checkpointMagic || body[4] != checkpointVersion {
-		return 0, nil, nil, fmt.Errorf("trustd: not a version-%d checkpoint", checkpointVersion)
-	}
-	body = body[5:]
-	next := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(body)
-		if n <= 0 {
-			return 0, fmt.Errorf("trustd: checkpoint truncated in %s", what)
-		}
-		body = body[n:]
-		return v, nil
-	}
-	if walSeq, err = next("wal seq"); err != nil {
-		return 0, nil, nil, err
-	}
-	npeers, err := next("peer count")
+	walSeq, r, err := openCheckpoint(data)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if npeers > uint64(len(body)) { // every peer needs at least one byte
-		return 0, nil, nil, fmt.Errorf("trustd: checkpoint claims %d peers in %d bytes", npeers, len(body))
-	}
-	peers = make([]trust.PeerID, 0, npeers)
-	tallies = make([]complaints.Tally, 0, npeers)
-	for i := uint64(0); i < npeers; i++ {
-		l, err := next("peer ID length")
+	peers = make([]trust.PeerID, 0, r.left)
+	tallies = make([]complaints.Tally, 0, r.left)
+	for {
+		ok, err := r.next()
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		if l > uint64(len(body)) {
-			return 0, nil, nil, fmt.Errorf("trustd: checkpoint truncated in peer ID")
+		if !ok {
+			return walSeq, peers, tallies, nil
 		}
-		id := trust.PeerID(body[:l])
-		body = body[l:]
-		r, err := next("received count")
-		if err != nil {
-			return 0, nil, nil, err
+		if len(peers) > 0 && string(r.id) <= string(peers[len(peers)-1]) {
+			return 0, nil, nil, fmt.Errorf("trustd: checkpoint peers out of order")
 		}
-		f, err := next("filed count")
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if int64(r) < 0 || int64(f) < 0 || int(r) < 0 || int(f) < 0 {
-			return 0, nil, nil, fmt.Errorf("trustd: checkpoint count overflows int")
-		}
-		peers = append(peers, id)
-		tallies = append(tallies, complaints.Tally{Received: int(r), Filed: int(f)})
+		peers = append(peers, trust.PeerID(r.id))
+		tallies = append(tallies, r.tally)
 	}
-	if len(body) != 0 {
-		return 0, nil, nil, fmt.Errorf("trustd: %d trailing bytes after checkpoint", len(body))
+}
+
+// foldCheckpoint builds the checkpoint at walSeq from the previous one's
+// bytes (nil for none) and the per-peer tally deltas of every batch applied
+// since: a streaming merge of two sorted runs, so its cost is one pass over
+// the previous file plus the deltas, and it reads no store. peers must be
+// sorted and distinct, deltas parallel to them. npeers is the entry count of
+// the result — every peer either run names. The output is appended to dst
+// and is byte-identical to encoding the same state from scratch.
+func foldCheckpoint(dst, prev []byte, walSeq uint64, npeers int, peers []trust.PeerID, deltas []complaints.Tally) ([]byte, error) {
+	var r checkpointReader
+	if prev != nil {
+		var err error
+		if _, r, err = openCheckpoint(prev); err != nil {
+			return nil, err
+		}
 	}
-	return walSeq, peers, tallies, nil
+	out := appendCheckpointHeader(dst, walSeq, npeers)
+	written := 0
+	ok, err := r.next()
+	for err == nil && (ok || len(peers) > 0) {
+		switch {
+		case ok && (len(peers) == 0 || string(r.id) < string(peers[0])):
+			out = append(out, r.raw...)
+			ok, err = r.next()
+		case ok && string(r.id) == string(peers[0]):
+			t, d := r.tally, deltas[0]
+			out = appendCheckpointEntry(out, peers[0], complaints.Tally{Received: t.Received + d.Received, Filed: t.Filed + d.Filed})
+			peers, deltas = peers[1:], deltas[1:]
+			ok, err = r.next()
+		default:
+			out = appendCheckpointEntry(out, peers[0], deltas[0])
+			peers, deltas = peers[1:], deltas[1:]
+		}
+		written++
+	}
+	if err != nil {
+		return nil, err
+	}
+	if written != npeers {
+		return nil, fmt.Errorf("trustd: checkpoint fold wrote %d peers, the seen set holds %d", written, npeers)
+	}
+	return sealCheckpoint(out), nil
 }
 
 // CheckpointCrash names an injection point of the checkpoint protocol for
@@ -138,12 +230,15 @@ const (
 	// rename: same recovery obligation as CrashMidTemp.
 	CrashAfterTemp
 	// CrashAfterRename dies after the checkpoint is durable but before the
-	// WAL rotates: recovery must use the new checkpoint and replay nothing.
+	// files it supersedes are removed: recovery must use the new checkpoint
+	// and replay only the segments the cut started, never the older ones.
 	CrashAfterRename
 )
 
 // writeCheckpoint lands the encoded snapshot atomically (temp + sync +
-// rename), firing the requested injection point on the way.
+// rename + directory sync), firing the requested injection point on the
+// way. The directory sync makes the rename itself survive a power loss, so
+// the files the new checkpoint supersedes may be removed once it returns.
 func writeCheckpoint(dir string, seq uint64, data []byte, crash CheckpointCrash) error {
 	tmp := filepath.Join(dir, checkpointName(seq)+".tmp")
 	if crash == CrashMidTemp {
@@ -171,8 +266,25 @@ func writeCheckpoint(dir string, seq uint64, data []byte, crash CheckpointCrash)
 	if err := os.Rename(tmp, filepath.Join(dir, checkpointName(seq))); err != nil {
 		return err
 	}
+	if err := syncDir(dir); err != nil {
+		return err
+	}
 	if crash == CrashAfterRename {
 		return ErrInjectedCrash
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the creations, renames and removals
+// in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

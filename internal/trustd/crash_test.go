@@ -57,7 +57,7 @@ func (s *Server) lastCheckpointErr() error {
 // assertRecoversExactly kills the server, reopens the directory with no
 // injection, and byte-compares the recovered state against a fresh reference
 // store fed exactly the acked batches.
-func assertRecoversExactly(t *testing.T, dir, backend string, srv *Server, acked [][]complaints.Complaint, label string) {
+func assertRecoversExactly(t *testing.T, dir, backend string, srv *Server, acked [][]complaints.Complaint, label string) Stats {
 	t.Helper()
 	srv.Kill()
 	srv2, err := Open(Options{Dir: dir, Backend: backend})
@@ -76,6 +76,7 @@ func assertRecoversExactly(t *testing.T, dir, backend string, srv *Server, acked
 	if int(st.RecoveredBatches)+int(st.RecoveredCheckpointPeers) == 0 && len(acked) > 0 {
 		t.Errorf("%s: %d acked batches but recovery reports nothing restored", label, len(acked))
 	}
+	return st
 }
 
 // TestCrashAtFuzzedWALOffsets kills the WAL at structured offsets around
@@ -124,9 +125,13 @@ func TestCrashAtFuzzedWALOffsets(t *testing.T) {
 }
 
 // TestCrashMidCheckpoint fires each checkpoint-protocol injection point
-// during an automatic checkpoint and requires exact recovery: a torn temp
-// file is ignored, a completed-but-unrenamed temp is ignored, and a renamed
-// checkpoint with an unrotated WAL must not double-apply history.
+// during a fold and requires exact recovery: a torn temp file is ignored, a
+// completed-but-unrenamed temp is ignored, and a renamed checkpoint whose
+// superseded segments survive must not double-apply history. It does so
+// once for an automatic checkpoint, and once with batches acked between the
+// cut and its fold, which land in the post-cut segment: recovery must then
+// replay the pre-cut segment (unless the new checkpoint landed) and the
+// post-cut one.
 func TestCrashMidCheckpoint(t *testing.T) {
 	batches := testBatches(12, 6)
 	for _, crash := range []CheckpointCrash{CrashMidTemp, CrashAfterTemp, CrashAfterRename} {
@@ -146,6 +151,46 @@ func TestCrashMidCheckpoint(t *testing.T) {
 				t.Fatal("checkpoint injection never fired")
 			}
 			assertRecoversExactly(t, dir, "", srv, acked, label)
+		})
+		t.Run(label+"/post-cut-batches", func(t *testing.T) {
+			dir := t.TempDir()
+			srv, err := Open(Options{
+				Dir:             dir,
+				CheckpointEvery: 1 << 20, // only the explicit cut below
+				Crash:           CrashPlan{Checkpoint: crash},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pre, post := batches[:7], batches[7:]
+			for _, b := range pre {
+				if err := srv.Ingest(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv.mu.Lock()
+			err = srv.cutLocked()
+			srv.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range post { // acked into the post-cut segment
+				if err := srv.Ingest(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := srv.fold(); !errors.Is(err, ErrInjectedCrash) {
+				t.Fatalf("fold returned %v, want the injected crash", err)
+			}
+			st := assertRecoversExactly(t, dir, "", srv, batches, label)
+			wantBatches, wantPeers := len(batches), false
+			if crash == CrashAfterRename {
+				wantBatches, wantPeers = len(post), true
+			}
+			if int(st.RecoveredBatches) != wantBatches || (st.RecoveredCheckpointPeers > 0) != wantPeers {
+				t.Errorf("recovery replayed %d batches over %d checkpoint peers; want %d batches, checkpoint used = %v",
+					st.RecoveredBatches, st.RecoveredCheckpointPeers, wantBatches, wantPeers)
+			}
 		})
 	}
 }

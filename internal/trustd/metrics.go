@@ -51,12 +51,13 @@ func (l *lockedDist) Snapshot() stats.Distribution {
 // Counter-shaped series live on Server.stats and the WAL (they predate this
 // plane); the registry only owns what needs bucketing.
 type serverMetrics struct {
-	start       time.Time
-	ingest      lockedDist // Ingest wall time, WAL append included
-	queryCold   lockedDist // ScoreOf misses: full assessor computation
-	queryWarm   lockedDist // ScoreOf hits: cache lookup + read accounting
-	queryCounts lockedDist // /v1/counts raw tally reads
-	checkpoint  lockedDist // checkpointLocked wall time
+	start         time.Time
+	ingest        lockedDist // Ingest wall time, WAL append included
+	queryCold     lockedDist // ScoreOf misses: full assessor computation
+	queryWarm     lockedDist // ScoreOf hits: cache lookup + read accounting
+	queryCounts   lockedDist // /v1/counts raw tally reads
+	checkpoint    lockedDist // whole checkpoint: cut through cleanup
+	checkpointCut lockedDist // the cut alone: the time it holds Server.mu
 }
 
 // summaryQuantiles are the fixed quantile labels every summary exports.
@@ -141,8 +142,10 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.counter("trustd_wal_fsyncs_total", "WAL fsync calls this process (0 unless -fsync).", st.WALFsyncs)
 
 	p.counter("trustd_checkpoints_total", "Checkpoints written this process.", st.Checkpoints)
-	p.header("trustd_checkpoint_duration_ns", "summary", "Checkpoint wall time: flush, scan, atomic write, WAL rotation.")
+	p.header("trustd_checkpoint_duration_ns", "summary", "Checkpoint wall time: WAL cut, fold, atomic write, cleanup.")
 	p.summary("trustd_checkpoint_duration_ns", "", s.metrics.checkpoint.Snapshot())
+	p.header("trustd_checkpoint_cut_duration_ns", "summary", "Time a checkpoint's WAL cut holds the ingest mutex.")
+	p.summary("trustd_checkpoint_cut_duration_ns", "", s.metrics.checkpointCut.Snapshot())
 
 	p.counter("trustd_snapshot_cache_hits_total", "Score queries served from the generation-keyed snapshot cache.", st.CacheHits)
 	p.counter("trustd_snapshot_cache_misses_total", "Score queries that recomputed through the assessor.", st.CacheMisses)
@@ -190,6 +193,7 @@ func MetricFamilies(text string) []string {
 // RequiredMetricFamilies is the acceptance surface: a scrape missing any of
 // these is a regression, whatever else it carries.
 var RequiredMetricFamilies = []string{
+	"trustd_checkpoint_cut_duration_ns",
 	"trustd_checkpoint_duration_ns",
 	"trustd_checkpoints_total",
 	"trustd_ingest_latency_ns",

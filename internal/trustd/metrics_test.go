@@ -195,6 +195,7 @@ func TestMetricsLatencySummariesPopulated(t *testing.T) {
 		{"trustd_query_latency_ns", `path="warm",`},
 		{"trustd_query_latency_ns", `path="counts",`},
 		{"trustd_checkpoint_duration_ns", ""},
+		{"trustd_checkpoint_cut_duration_ns", ""},
 	}
 	for _, s := range summaries {
 		countSeries := s.name + "_count"

@@ -4,9 +4,10 @@
 // write-ahead log *before* acking, and applies it to a pluggable complaint
 // store through the batched write path; the query path serves the decision
 // rule's trust scores through the assessor's O(1) aggregate read behind a
-// generation-keyed snapshot cache; periodic checkpoints snapshot the store
-// (Snapshotter.CountsAll) and rotate the WAL, so a restarted — or killed —
-// node replays checkpoint + WAL tail to the exact pre-crash state. "Exact"
+// generation-keyed snapshot cache; periodic checkpoints cut the WAL and fold
+// the complaints applied before the cut into the previous checkpoint, so a
+// restarted — or killed — node replays checkpoint + WAL tail to the exact
+// pre-crash state. "Exact"
 // means bit-identical per-peer counts and population aggregate, proven by
 // the crash-injection harness against an uncrashed reference store.
 package trustd
@@ -19,6 +20,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,8 +52,8 @@ type Options struct {
 	// Dir is the durability directory (WAL segments + checkpoints).
 	Dir string
 	// Backend is the complaint-store spec ("memory", "sharded",
-	// "async:sharded", …); empty means "sharded". Checkpointing requires a
-	// backend with the complaints.TallyLoader restore extension.
+	// "async:sharded", …); empty means "sharded". The backend must restore
+	// checkpoints (the complaints.TallyLoader extension).
 	Backend string
 	// BackendConfig tunes the selected backend.
 	BackendConfig complaints.BackendConfig
@@ -61,8 +63,9 @@ type Options struct {
 	// Factor is the decision threshold; 0 means complaints.DefaultFactor.
 	Factor float64
 	// CheckpointEvery triggers an automatic checkpoint after that many
-	// complaints have been ingested since the last one; 0 checkpoints only
-	// on demand (the Checkpoint method / endpoint).
+	// complaints have been ingested since the last one; 0 or less means
+	// DefaultCheckpointEvery. It also bounds the complaints the server
+	// retains for the next checkpoint: CheckpointEvery plus one batch.
 	CheckpointEvery int
 	// Fsync syncs the WAL on every append. Off by default: the tests
 	// simulate crashes at the file level, where write-through already holds.
@@ -70,6 +73,10 @@ type Options struct {
 	// Crash is the test harness's injection plan; zero disables.
 	Crash CrashPlan
 }
+
+// DefaultCheckpointEvery is the checkpoint interval, in complaints, that
+// Options.CheckpointEvery falls back to.
+const DefaultCheckpointEvery = 4096
 
 // Stats is a snapshot of the server's accounting.
 type Stats struct {
@@ -106,22 +113,32 @@ type Stats struct {
 
 // Server is one trustd node. Open recovers it from its directory; Close
 // drains and releases it; Kill abandons it mid-flight (the crash harness's
-// kill -9). Ingest and checkpointing serialise on one mutex so a checkpoint
-// is always a consistent cut of the acked history; queries run concurrently
-// against the thread-safe store and the snapshot cache.
+// kill -9). A checkpoint has two halves. The cut serialises with ingest on
+// mu, so it is always a consistent cut of the acked history: it rotates the
+// WAL and takes the complaints applied since the previous cut, nothing more.
+// The fold runs outside mu, on the goroutine that made the cut, and merges
+// those complaints into the previous checkpoint file; foldMu serialises
+// folds with each other and with Close and Kill (lock order foldMu → mu).
+// Queries run concurrently against the thread-safe store and the snapshot
+// cache.
 type Server struct {
 	opts   Options
 	store  complaints.Store
 	factor float64
 	fixed  []trust.PeerID // Options.Population, nil for dynamic
 
-	mu        sync.Mutex // ingest + checkpoint + seen-set critical section
-	wal       *wal
-	seen      map[trust.PeerID]struct{}
-	seenList  []trust.PeerID // sorted snapshot of seen; nil when stale
-	sinceCkpt int
-	failed    error // injected crash or storage failure, sticky
-	closed    bool
+	foldMu  sync.Mutex
+	baseSeq uint64 // the newest checkpoint's WAL sequence, 0 before the first
+
+	mu       sync.Mutex // ingest + cut + seen-set critical section
+	wal      *wal
+	seen     map[trust.PeerID]struct{}
+	seenList []trust.PeerID         // sorted and copy-on-write: read outside mu
+	newPeers []trust.PeerID         // seen peers not yet merged into seenList
+	log      []complaints.Complaint // applied since the last cut
+	cuts     []cut                  // cut but not yet folded, oldest first
+	failed   error                  // injected crash or storage failure, sticky
+	closed   bool
 
 	gen   atomic.Uint64
 	stats struct {
@@ -138,6 +155,19 @@ type Server struct {
 	cache   scoreCache
 	metrics serverMetrics
 }
+
+// cut is a checkpoint between its halves: the WAL segment it started, the
+// complaints applied before it since the previous cut, the number of peers
+// seen by then, and when it began.
+type cut struct {
+	seq    uint64
+	log    []complaints.Complaint
+	npeers int
+	start  time.Time
+}
+
+// errClosed refuses work on a closed or killed server.
+var errClosed = errors.New("trustd: server closed")
 
 // scoreCache memoises fully computed trust scores keyed by the store's write
 // generation: every applied batch invalidates it wholesale, so a cached
@@ -177,8 +207,11 @@ func Open(opts Options) (*Server, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("trustd: Options.Dir is required")
 	}
-	if _, ok := store.(complaints.TallyLoader); !ok && opts.CheckpointEvery > 0 {
+	if _, ok := store.(complaints.TallyLoader); !ok {
 		return nil, fmt.Errorf("trustd: backend %q cannot restore checkpoints (no TallyLoader)", backend)
+	}
+	if opts.CheckpointEvery <= 0 {
+		opts.CheckpointEvery = DefaultCheckpointEvery
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
@@ -249,6 +282,8 @@ func (s *Server) recover() error {
 		for _, p := range peers {
 			s.seen[p] = struct{}{}
 		}
+		s.seenList = peers // decodeCheckpoint accepts only sorted, distinct peers
+		s.baseSeq = walSeq
 		s.stats.recoveredPeers = int64(len(peers))
 		replayFrom = walSeq
 		break
@@ -273,6 +308,7 @@ func (s *Server) recover() error {
 				return fmt.Errorf("trustd: replaying %s: %w", walName(seq), err)
 			}
 			s.noteBatchLocked(batch)
+			s.log = append(s.log, batch...)
 			s.stats.recoveredBatches++
 			s.stats.recoveredComplaints += int64(len(batch))
 		}
@@ -290,11 +326,16 @@ func (s *Server) recover() error {
 		return err
 	}
 	s.wal.crashLimit = s.opts.Crash.WALByteLimit
-	// Segments below the replay horizon are covered by the checkpoint and
-	// only survive a crash between checkpoint write and cleanup.
+	// Files below the replay horizon are covered by the checkpoint and only
+	// survive a crash between checkpoint write and cleanup.
 	for _, seq := range walSeqs {
 		if seq < replayFrom {
 			os.Remove(filepath.Join(s.opts.Dir, walName(seq)))
+		}
+	}
+	for _, seq := range ckptSeqs {
+		if seq < s.baseSeq {
+			os.Remove(filepath.Join(s.opts.Dir, checkpointName(seq)))
 		}
 	}
 	s.stats.recoveryNs = time.Since(start).Nanoseconds()
@@ -308,11 +349,11 @@ func (s *Server) noteBatchLocked(batch []complaints.Complaint) {
 	for _, c := range batch {
 		if _, ok := s.seen[c.From]; !ok {
 			s.seen[c.From] = struct{}{}
-			s.seenList = nil
+			s.newPeers = append(s.newPeers, c.From)
 		}
 		if _, ok := s.seen[c.About]; !ok {
 			s.seen[c.About] = struct{}{}
-			s.seenList = nil
+			s.newPeers = append(s.newPeers, c.About)
 		}
 	}
 }
@@ -326,39 +367,22 @@ var errEmptyBatch = errors.New("trustd: empty complaint batch")
 // does not count), then the store's batched write path, then the generation
 // bump that invalidates the snapshot cache. Empty batches are rejected: the
 // WAL has no empty-record encoding, and an unloggable no-op ack would be a
-// lie about durability.
+// lie about durability. The ingest that brings the complaints since the
+// last cut to Options.CheckpointEvery cuts the WAL, and folds the checkpoint
+// after releasing mu, before it returns.
 func (s *Server) Ingest(batch []complaints.Complaint) error {
 	if len(batch) == 0 {
 		return errEmptyBatch
 	}
 	start := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("trustd: server closed")
-	}
-	if s.failed != nil {
-		return s.failed
-	}
-	if err := s.wal.append(batch); err != nil {
-		s.failed = err
+	didCut, err := s.apply(batch)
+	if err != nil {
 		return err
 	}
-	if err := complaints.FileAll(s.store, batch); err != nil {
-		s.failed = err
-		return err
-	}
-	s.noteBatchLocked(batch)
-	s.gen.Add(1)
-	s.stats.batches.Add(1)
-	s.stats.complaints.Add(int64(len(batch)))
-	s.sinceCkpt += len(batch)
-	if s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery {
-		if err := s.checkpointLocked(); err != nil {
-			// The batch is durable and applied — it stays acked; only the
-			// snapshot failed, and the server refuses further traffic.
-			s.failed = err
-		}
+	if didCut {
+		// The batch is durable and applied — it stays acked; a failed fold
+		// only marks the server failed, refusing further traffic.
+		_ = s.fold()
 	}
 	// Acked batches only: failed ingests never count toward the latency
 	// distribution, so its percentiles describe the service users got.
@@ -366,63 +390,186 @@ func (s *Server) Ingest(batch []complaints.Complaint) error {
 	return nil
 }
 
-// Checkpoint snapshots the store and rotates the WAL on demand.
-func (s *Server) Checkpoint() error {
+// apply is Ingest's critical section. It reports whether it cut the WAL.
+func (s *Server) apply(batch []complaints.Complaint) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return false, errClosed
+	}
 	if s.failed != nil {
-		return s.failed
+		return false, s.failed
 	}
-	if err := s.checkpointLocked(); err != nil {
+	if err := s.wal.append(batch); err != nil {
 		s.failed = err
-		return err
+		return false, err
 	}
-	return nil
+	if err := complaints.FileAll(s.store, batch); err != nil {
+		s.failed = err
+		return false, err
+	}
+	s.noteBatchLocked(batch)
+	s.log = append(s.log, batch...)
+	s.gen.Add(1)
+	s.stats.batches.Add(1)
+	s.stats.complaints.Add(int64(len(batch)))
+	if len(s.log) < s.opts.CheckpointEvery {
+		return false, nil
+	}
+	if err := s.cutLocked(); err != nil {
+		s.failed = err // the batch stays acked
+		return false, nil
+	}
+	return true, nil
 }
 
-// checkpointLocked is the snapshot protocol: drain the store's write-behind
-// backlog, scan every seen peer's tallies, write the checkpoint atomically,
-// rotate the WAL to the checkpoint's sequence, then retire the files the new
-// checkpoint supersedes. Caller holds mu, so the cut is consistent: no batch
-// can land between the scan and the rotation.
-func (s *Server) checkpointLocked() error {
-	start := time.Now()
-	if f, ok := s.store.(complaints.Flusher); ok {
-		if err := f.Flush(); err != nil {
-			return err
+// Checkpoint cuts the WAL and folds the checkpoint on demand.
+func (s *Server) Checkpoint() error {
+	s.mu.Lock()
+	err := s.failed
+	if s.closed {
+		err = errClosed
+	}
+	if err == nil {
+		if err = s.cutLocked(); err != nil {
+			s.failed = err
 		}
 	}
-	peers := s.seenLocked()
-	tallies, err := complaints.CountsAll(s.store, peers)
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	newSeq := s.wal.seq + 1
-	if err := writeCheckpoint(s.opts.Dir, newSeq, encodeCheckpoint(newSeq, peers, tallies), s.opts.Crash.Checkpoint); err != nil {
+	return s.fold()
+}
+
+// cutLocked is the checkpoint's locked half: rotate the WAL to the next
+// segment and queue the complaints applied before it for the fold. Caller
+// holds mu, so no batch lands between the hand-over and the rotation.
+func (s *Server) cutLocked() error {
+	start := time.Now()
+	seq := s.wal.seq + 1
+	if err := s.wal.rotate(seq); err != nil {
 		return err
 	}
-	if err := s.wal.rotate(newSeq); err != nil {
-		return err
-	}
-	os.Remove(filepath.Join(s.opts.Dir, walName(newSeq-1)))
-	os.Remove(filepath.Join(s.opts.Dir, checkpointName(newSeq-1)))
-	s.stats.checkpoints.Add(1)
-	s.sinceCkpt = 0
-	s.metrics.checkpoint.Observe(time.Since(start))
+	s.cuts = append(s.cuts, cut{seq: seq, log: s.log, npeers: len(s.seen), start: start})
+	s.log = make([]complaints.Complaint, 0, len(s.log))
+	s.metrics.checkpointCut.Observe(time.Since(start))
 	return nil
 }
 
-// seenLocked returns the sorted seen-peer list, rebuilding the cached
-// snapshot only when the set grew. Caller holds mu.
-func (s *Server) seenLocked() []trust.PeerID {
-	if s.seenList == nil {
-		s.seenList = make([]trust.PeerID, 0, len(s.seen))
-		for p := range s.seen {
-			s.seenList = append(s.seenList, p)
-		}
-		sort.Slice(s.seenList, func(i, j int) bool { return s.seenList[i] < s.seenList[j] })
+// fold is the checkpoint's unlocked half. It takes every queued cut, merges
+// their complaints' tally deltas into the previous checkpoint file to build
+// the checkpoint at the newest cut, lands it atomically, and then removes
+// the WAL segments and the checkpoint it supersedes. It reads no store, and
+// holds no checkpoint in memory between folds. A queue emptied by an earlier
+// fold leaves nothing to do; a failure marks the server failed.
+func (s *Server) fold() error {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
+	s.mu.Lock()
+	cuts, err := s.cuts, s.failed
+	if s.closed {
+		err = errClosed
 	}
-	return s.seenList
+	s.cuts = nil
+	s.mu.Unlock()
+	if err != nil || len(cuts) == 0 {
+		return err
+	}
+	last := cuts[len(cuts)-1]
+	var prev []byte
+	if s.baseSeq > 0 {
+		prev, err = os.ReadFile(filepath.Join(s.opts.Dir, checkpointName(s.baseSeq)))
+	}
+	if err == nil {
+		peers, deltas := tallyDeltas(cuts)
+		var data []byte
+		// Sized for the usual fold: mostly known peers, their entries a byte
+		// or two longer.
+		dst := make([]byte, 0, len(prev)+16*len(peers)+64)
+		if data, err = foldCheckpoint(dst, prev, last.seq, last.npeers, peers, deltas); err == nil {
+			err = writeCheckpoint(s.opts.Dir, last.seq, data, s.opts.Crash.Checkpoint)
+		}
+	}
+	if err != nil {
+		s.mu.Lock()
+		if s.failed == nil {
+			s.failed = err
+		}
+		s.mu.Unlock()
+		return err
+	}
+	for seq := max(s.baseSeq, 1); seq < last.seq; seq++ {
+		os.Remove(filepath.Join(s.opts.Dir, walName(seq)))
+	}
+	if s.baseSeq > 0 {
+		os.Remove(filepath.Join(s.opts.Dir, checkpointName(s.baseSeq)))
+	}
+	s.baseSeq = last.seq
+	s.stats.checkpoints.Add(int64(len(cuts)))
+	for _, c := range cuts {
+		s.metrics.checkpoint.Observe(time.Since(c.start))
+	}
+	return nil
+}
+
+// tallyDeltas sums what the cuts' complaints add to each peer's tallies —
+// About's received and From's filed counter, exactly as a store files them
+// — and returns the peers sorted with their deltas alongside. Sorting the
+// two roles' peers and merging the runs costs less than tallying in a map
+// and sorting its keys, and a fold's caller waits for it.
+func tallyDeltas(cuts []cut) ([]trust.PeerID, []complaints.Tally) {
+	n := 0
+	for _, c := range cuts {
+		n += len(c.log)
+	}
+	about, from := make([]trust.PeerID, 0, n), make([]trust.PeerID, 0, n)
+	for _, c := range cuts {
+		for _, x := range c.log {
+			about, from = append(about, x.About), append(from, x.From)
+		}
+	}
+	slices.Sort(about)
+	slices.Sort(from)
+	peers := make([]trust.PeerID, 0, len(about)+len(from))
+	deltas := make([]complaints.Tally, 0, cap(peers))
+	for len(about) > 0 || len(from) > 0 {
+		p := about
+		if len(about) == 0 || len(from) > 0 && from[0] < about[0] {
+			p = from
+		}
+		peer, t := p[0], complaints.Tally{}
+		for ; len(about) > 0 && about[0] == peer; about = about[1:] {
+			t.Received++
+		}
+		for ; len(from) > 0 && from[0] == peer; from = from[1:] {
+			t.Filed++
+		}
+		peers, deltas = append(peers, peer), append(deltas, t)
+	}
+	return peers, deltas
+}
+
+// seenLocked returns the sorted seen-peer list. Peers seen since the last
+// call are sorted and merged into a fresh slice, never into the published
+// one, because callers read the list outside mu. Caller holds mu.
+func (s *Server) seenLocked() []trust.PeerID {
+	if len(s.newPeers) == 0 {
+		return s.seenList
+	}
+	slices.Sort(s.newPeers)
+	old, add := s.seenList, s.newPeers
+	merged := make([]trust.PeerID, 0, len(old)+len(add))
+	for len(old) > 0 && len(add) > 0 {
+		if old[0] < add[0] {
+			merged, old = append(merged, old[0]), old[1:]
+		} else {
+			merged, add = append(merged, add[0]), add[1:]
+		}
+	}
+	merged = append(append(merged, old...), add...)
+	s.seenList, s.newPeers = merged, nil // a growth phase's backlog is not kept
+	return merged
 }
 
 // population is the normalisation population of the query path: the fixed
@@ -577,11 +724,13 @@ func (s *Server) walSeq() uint64 {
 	return s.wal.seq
 }
 
-// Close drains the store's write-behind backlog and releases the WAL — the
-// graceful shutdown. Durable state is complete at this point: every acked
+// Close waits for a running fold, drains the store's write-behind backlog and
+// releases the WAL — the graceful shutdown. Durable state is complete at this point: every acked
 // batch is in the log, so a Close-less death loses nothing either (that is
 // Kill, and the crash harness's whole point).
 func (s *Server) Close() error {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -607,10 +756,13 @@ func (s *Server) Close() error {
 }
 
 // Kill abandons the server without any draining — the in-process stand-in
-// for kill -9. Only the file descriptor is released; no flush, no sync, no
-// checkpoint. Whatever the WAL and checkpoint files contain at this instant
+// for kill -9. It waits only for a running fold to finish its file writes,
+// so the next Open never races one. Only the file descriptor is released; no
+// flush, no sync, no further checkpoint. Whatever the WAL and checkpoint files contain at this instant
 // is what the next Open recovers.
 func (s *Server) Kill() {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -290,6 +292,36 @@ func TestServerCheckpointRotation(t *testing.T) {
 	}
 }
 
+// TestServerFsyncRecovers: with fsync on, every append is synced, and a
+// run across several checkpoints and a kill recovers exactly.
+func TestServerFsyncRecovers(t *testing.T) {
+	batches := testBatches(30, 7)
+	peers := batchPeers(batches)
+	opts := Options{Dir: t.TempDir(), CheckpointEvery: 20, Fsync: true}
+	srv, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if err := srv.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.Stats(); st.Checkpoints == 0 || st.WALFsyncs != st.WALAppends {
+		t.Fatalf("%d checkpoints, %d fsyncs for %d appends; want > 0 and one fsync per append", st.Checkpoints, st.WALFsyncs, st.WALAppends)
+	}
+	srv.Kill()
+	srv2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	want := referenceServerState(t, "", batches, peers)
+	if got := renderServerState(t, srv2, peers); got != want {
+		t.Errorf("fsync recovery diverged:\n%s", testutil.FirstDiff(want, got))
+	}
+}
+
 // TestServerScoreCache: repeated queries at one generation hit the cache and
 // still serve the exact same bits; any ingest invalidates.
 func TestServerScoreCache(t *testing.T) {
@@ -332,12 +364,14 @@ func TestServerScoreCache(t *testing.T) {
 	}
 }
 
-// TestTrustdHammer is the named -race CI step's target: ingest, query and
-// checkpoint run concurrently, then the surviving state must equal a serial
-// reference run of exactly the batches that were acked.
+// TestTrustdHammer is the named -race CI step's target: ingest, query,
+// automatic folds and manual checkpoints run concurrently, then the
+// surviving state must equal a serial reference run of exactly the batches
+// that were acked.
 func TestTrustdHammer(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := Open(Options{Dir: dir, Backend: "sharded"})
+	// A small interval makes automatic folds overlap ingests and queries.
+	srv, err := Open(Options{Dir: dir, Backend: "sharded", CheckpointEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,5 +458,121 @@ func TestTrustdHammer(t *testing.T) {
 	defer srv2.Close()
 	if got := renderServerState(t, srv2, peers); got != want {
 		t.Errorf("post-hammer recovery diverged:\n%s", testutil.FirstDiff(want, got))
+	}
+	if srv.Stats().Checkpoints <= 6 {
+		t.Errorf("%d checkpoints: no automatic fold overlapped the traffic", srv.Stats().Checkpoints)
+	}
+}
+
+// randomBatch draws a batch of 1..maxSize complaints between peers p0..p(n-1).
+func randomBatch(rng *rand.Rand, maxSize, n int) []complaints.Complaint {
+	batch := make([]complaints.Complaint, 1+rng.Intn(maxSize))
+	for j := range batch {
+		batch[j] = complaints.Complaint{
+			From:  trust.PeerID(fmt.Sprintf("p%d", rng.Intn(n))),
+			About: trust.PeerID(fmt.Sprintf("p%d", rng.Intn(n))),
+		}
+	}
+	return batch
+}
+
+// TestRetainedComplaintsBounded: the complaints a server holds for its next
+// fold stay below CheckpointEvery between ingests, and a cut hands over at
+// most CheckpointEvery plus one batch, then holds nothing — across a restart
+// too, which retains the replayed WAL tail.
+func TestRetainedComplaintsBounded(t *testing.T) {
+	const every = 50
+	opts := Options{Dir: t.TempDir(), CheckpointEvery: every}
+	srv, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { srv.Close() }()
+	retained := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		n := len(srv.log)
+		for _, c := range srv.cuts {
+			n += len(c.log)
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(5))
+	cuts := 0
+	for i := 0; i < 400; i++ {
+		if i == 200 {
+			srv.Kill()
+			if srv, err = Open(opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch := randomBatch(rng, 20, 300)
+		before, ckpts := retained(), srv.Stats().Checkpoints
+		if before >= every {
+			t.Fatalf("batch %d: %d complaints retained before ingest, want < %d", i, before, every)
+		}
+		if err := srv.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		after := retained()
+		if srv.Stats().Checkpoints == ckpts {
+			if after != before+len(batch) {
+				t.Fatalf("batch %d: retained %d → %d without a cut", i, before, after)
+			}
+			continue
+		}
+		cuts++
+		if handed := before + len(batch); handed > every-1+len(batch) || after != 0 {
+			t.Fatalf("batch %d: cut handed over %d complaints and kept %d; bound %d and 0", i, handed, after, every-1+len(batch))
+		}
+	}
+	if cuts < 50 {
+		t.Fatalf("only %d cuts", cuts)
+	}
+}
+
+// TestSeenListIncremental: after random batches, with reads at random
+// points and a restart mid-run, the seen list equals sort(keys(seen)), and
+// every list handed out earlier is unchanged (readers hold it outside mu).
+func TestSeenListIncremental(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), CheckpointEvery: 40}
+	srv, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { srv.Close() }()
+	type handout struct{ list, copy []trust.PeerID }
+	var handouts []handout
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 300; i++ {
+		if i == 150 {
+			srv.Kill()
+			if srv, err = Open(opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv.Ingest(randomBatch(rng, 6, 10+2*i)); err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(3) != 0 {
+			continue // later reads merge several batches' new peers at once
+		}
+		srv.mu.Lock()
+		got := srv.seenLocked()
+		want := make([]trust.PeerID, 0, len(srv.seen))
+		for p := range srv.seen {
+			want = append(want, p)
+		}
+		srv.mu.Unlock()
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if !slices.Equal(got, want) {
+			t.Fatalf("batch %d: seen list (%d peers) != sort(keys(seen)) (%d peers)", i, len(got), len(want))
+		}
+		handouts = append(handouts, handout{got, slices.Clone(got)})
+	}
+	for i, h := range handouts {
+		if !slices.Equal(h.list, h.copy) {
+			t.Fatalf("seen list handed out at read %d was modified later", i)
+		}
 	}
 }

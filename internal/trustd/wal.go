@@ -112,7 +112,8 @@ type wal struct {
 
 // openWAL opens (creating if needed) segment seq for appending at offset
 // size — recovery passes the valid-prefix length so a torn tail is overwritten
-// rather than left in front of new records.
+// rather than left in front of new records. With fsync on, the directory is
+// synced so a newly created segment's name is durable.
 func openWAL(dir string, seq uint64, size int64, fsync bool) (*wal, error) {
 	f, err := os.OpenFile(filepath.Join(dir, walName(seq)), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -125,6 +126,12 @@ func openWAL(dir string, seq uint64, size int64, fsync bool) (*wal, error) {
 	if _, err := f.Seek(size, 0); err != nil {
 		f.Close()
 		return nil, err
+	}
+	if fsync {
+		if err := syncDir(dir); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
 	return &wal{f: f, dir: dir, seq: seq, size: size, fsync: fsync}, nil
 }
@@ -161,11 +168,18 @@ func (w *wal) append(batch []complaints.Complaint) error {
 }
 
 // rotate closes the active segment and starts segment seq fresh, preserving
-// the crash budget across the switch.
+// the crash budget across the switch. With fsync on, the directory is synced
+// too, so the new segment's name is as durable as the records synced into it.
 func (w *wal) rotate(seq uint64) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, walName(seq)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
+	}
+	if w.fsync {
+		if err := syncDir(w.dir); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	w.f.Close()
 	w.f, w.seq, w.size = f, seq, 0
