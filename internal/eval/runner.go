@@ -110,7 +110,7 @@ func DeriveSeed(base int64, idx int) int64 {
 
 // shardRng returns the random stream of trial idx under base.
 func shardRng(base int64, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(DeriveSeed(base, idx)))
+	return seedmix.NewRand(DeriveSeed(base, idx))
 }
 
 // RunTrials executes fn(0), …, fn(n−1) on a pool of at most workers

@@ -69,6 +69,7 @@ type Engine struct {
 	sessions map[int]*session // live sessions by ID
 	nextID   int              // next session to start
 	limit    int              // sessions allowed to start (window budget)
+	rngs     []*rand.Rand     // finished sessions' streams, reseeded by startSession
 	windowed bool             // RunWindow drives the budget (gossip mode)
 	finished bool             // FinishRun has settled the engine
 	runErr   error            // first error raised inside the event loop
@@ -87,7 +88,7 @@ type stepMsg struct {
 // per-step hot path never needs an ID→node lookup.
 type session struct {
 	id      int
-	rng     *rand.Rand // per-session stream: bundle, defections, network draws
+	rng     *rand.Rand // per-session stream: bundle, defections, network draws; nil once finished
 	sup     *agent.Agent
 	con     *agent.Agent
 	supNode netsim.NodeID
@@ -109,7 +110,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		pairRng:  rand.New(rand.NewSource(seedmix.Derive(cfg.Seed, 0))),
+		pairRng:  seedmix.NewRand(seedmix.Derive(cfg.Seed, 0)),
 		sim:      netsim.NewSimulator(cfg.Seed + 1),
 		ledger:   &reputation.Ledger{},
 		agents:   cfg.Agents,
@@ -339,7 +340,18 @@ func (e *Engine) fill() {
 }
 
 func (e *Engine) startSession(id int) error {
-	srng := rand.New(rand.NewSource(seedmix.Derive(e.cfg.Seed, uint64(id)+1)))
+	// A finished session's stream is reseeded rather than reallocated; the
+	// seedmix source makes the reseed O(1) and yields the same stream as a
+	// fresh math/rand source would.
+	seed := seedmix.Derive(e.cfg.Seed, uint64(id)+1)
+	var srng *rand.Rand
+	if k := len(e.rngs); k > 0 {
+		srng = e.rngs[k-1]
+		e.rngs = e.rngs[:k-1]
+		srng.Seed(seed)
+	} else {
+		srng = seedmix.NewRand(seed)
+	}
 	supIdx, conIdx, err := e.pickPair()
 	if err != nil {
 		return err
@@ -355,6 +367,7 @@ func (e *Engine) startSession(id int) error {
 	if err != nil {
 		if errors.Is(err, errNoTrade) {
 			e.result.NoTrade++
+			e.rngs = append(e.rngs, srng)
 			return nil
 		}
 		return err
@@ -514,6 +527,11 @@ func (e *Engine) finish(s *session, ev reputation.Event) {
 	}
 	s.done = true
 	delete(e.sessions, s.id)
+	// Late step messages for s are dropped by handle, so nothing draws from
+	// its stream again; nil it so a use after finish panics instead of
+	// drawing from the next session's stream.
+	e.rngs = append(e.rngs, s.rng)
+	s.rng = nil
 	ev.Supplier = s.sup.ID
 	ev.Consumer = s.con.ID
 	ev.Round = s.id

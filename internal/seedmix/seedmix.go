@@ -1,8 +1,9 @@
-// Package seedmix is the repository's single seed-derivation rule: every
-// component that fans one base seed out into independent random streams
-// (market sessions, eval trials) derives them here, so shard boundaries and
-// concurrency windows never shift results and the streams stay decorrelated
-// across packages.
+// Package seedmix is the repository's single seed-derivation and
+// stream-construction rule: every component that fans one base seed out into
+// independent random streams (market sessions and pairing, eval trials,
+// gossip schedules) derives the seeds with Derive and builds the streams
+// with NewRand, so shard boundaries and concurrency windows never shift
+// results and the streams stay decorrelated across packages.
 package seedmix
 
 // Derive mixes a base seed with a stream index through SplitMix64. Adjacent

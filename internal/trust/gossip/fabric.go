@@ -232,7 +232,7 @@ func (f *Fabric) exchangeMesh(envs []*envelope, deliver func(int, envelope)) {
 	// never on what the shards did — reproducible and decorrelated.
 	var rng *rand.Rand
 	if f.cfg.Fanout > 0 && f.cfg.Fanout < n-1 {
-		rng = rand.New(rand.NewSource(seedmix.Derive(f.seed, uint64(f.round))))
+		rng = seedmix.NewRand(seedmix.Derive(f.seed, uint64(f.round)))
 	}
 	for k, env := range envs {
 		if env == nil {
