@@ -1,23 +1,20 @@
-// mp3market: the paper's P2P file-trading scenario under real concurrency.
-// Peers run as goroutines connected by the chans router; each peer sells
-// tracks (chunked into pieces) for money, schedules every sale with the
-// trust-aware planner, and files complaints about cheaters into a shared
-// P-Grid — the full Aberer–Despotovic deployment of reference [2].
+// mp3market: the paper's P2P file-trading scenario. Each round a random
+// peer offers a track (chunked into pieces) to another for money; the buyer
+// consults the complaint record before accepting, the sale is scheduled
+// with the trust-aware planner, and victims file complaints about cheaters
+// into a shared P-Grid — the full Aberer–Despotovic deployment of
+// reference [2].
 package main
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
-	"time"
 
 	"trustcoop/internal/core"
 	"trustcoop/internal/decision"
 	"trustcoop/internal/exchange"
 	"trustcoop/internal/goods"
-	"trustcoop/internal/netsim/chans"
 	"trustcoop/internal/pgrid"
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/complaints"
@@ -28,34 +25,6 @@ const (
 	numRounds = 40
 	cheaters  = 2 // peers that take the money and keep the tracks
 )
-
-// sharedGrid serialises access to the single-threaded P-Grid from the peer
-// goroutines.
-type sharedGrid struct {
-	mu    sync.Mutex
-	store *pgrid.ComplaintStore
-}
-
-func (s *sharedGrid) File(c complaints.Complaint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store.File(c)
-}
-func (s *sharedGrid) Received(p trust.PeerID) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store.Received(p)
-}
-func (s *sharedGrid) Filed(p trust.PeerID) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store.Filed(p)
-}
-
-type offer struct {
-	round int
-	reply chan<- bool // buyer's accept/reject of the proposed schedule
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -69,45 +38,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	shared := &sharedGrid{store: &pgrid.ComplaintStore{Grid: grid, Replicas: 3}}
+	store := &pgrid.ComplaintStore{Grid: grid, Replicas: 3}
 
 	ids := make([]trust.PeerID, numPeers)
 	for i := range ids {
 		ids[i] = trust.PeerID(fmt.Sprintf("peer%d", i))
 	}
-	assessor := complaints.Assessor{Store: shared, Population: ids}
+	assessor := complaints.Assessor{Store: store, Population: ids}
 
-	var mu sync.Mutex
 	completed, cheated, refused := 0, 0, 0
-
-	router := chans.NewRouter(64)
-	// Every peer answers trade offers; sellers initiate them.
-	for _, id := range ids {
-		if err := router.Spawn(chans.Addr(id), func(ctx context.Context, inbox <-chan chans.Envelope, send chans.SendFunc) {
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case env, ok := <-inbox:
-					if !ok {
-						return
-					}
-					if off, isOffer := env.Payload.(offer); isOffer {
-						// The buyer consults the complaint record before
-						// accepting: the paper's decision module in action.
-						p, err := assessor.Probability(trust.PeerID(env.From))
-						off.reply <- err == nil && p >= 0.75
-					}
-				}
-			}
-		}); err != nil {
-			return err
-		}
-	}
 
 	rng := rand.New(rand.NewSource(99))
 	planner := core.Planner{}
-	for round := 0; round < numRounds; round++ {
+	for range numRounds {
 		sellerIdx := rng.Intn(numPeers)
 		buyerIdx := rng.Intn(numPeers - 1)
 		if buyerIdx >= sellerIdx {
@@ -124,27 +67,12 @@ func run() error {
 		}
 		terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
 
-		// The buyer's inbox decides using the complaint record.
-		reply := make(chan bool, 1)
-		if err := router.Send(chans.Addr(seller), chans.Addr(buyer), offer{round: round, reply: reply}); err != nil {
-			return err
-		}
-		var accepted bool
-		select {
-		case accepted = <-reply:
-		case <-time.After(2 * time.Second):
-			return fmt.Errorf("round %d: buyer did not answer", round)
-		}
-		if !accepted {
-			mu.Lock()
-			refused++
-			mu.Unlock()
-			continue
-		}
-
+		// The buyer consults the complaint record before accepting: the
+		// paper's decision module in action.
 		pSeller, err := assessor.Probability(seller)
-		if err != nil {
-			return err
+		if err != nil || pSeller < 0.75 {
+			refused++
+			continue
 		}
 		pBuyer, err := assessor.Probability(buyer)
 		if err != nil {
@@ -156,31 +84,19 @@ func run() error {
 			terms,
 		)
 		if err != nil {
-			mu.Lock()
 			refused++
-			mu.Unlock()
 			continue
 		}
 
 		// Execute: cheating sellers defect mid-plan; the victim complains.
 		if sellerIdx < cheaters && len(res.Plan.Steps) > 2 {
-			mu.Lock()
 			cheated++
-			mu.Unlock()
-			if err := shared.File(complaints.Complaint{From: buyer, About: seller}); err != nil {
+			if err := store.File(complaints.Complaint{From: buyer, About: seller}); err != nil {
 				return err
 			}
 			continue
 		}
-		mu.Lock()
 		completed++
-		mu.Unlock()
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := router.Shutdown(ctx); err != nil {
-		return err
 	}
 
 	fmt.Printf("rounds %d: completed %d, cheated %d, refused-by-trust %d\n",

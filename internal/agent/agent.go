@@ -140,7 +140,7 @@ type Agent struct {
 	TrueHonesty float64
 }
 
-// PopConfig describes a population mix. Counts may be zero.
+// PopConfig describes a population mix. Counts may be zero, not negative.
 type PopConfig struct {
 	Honest      int
 	Rational    int
@@ -150,17 +150,21 @@ type PopConfig struct {
 
 	// OpportunistThreshold is the Opportunist trigger; 0 means 5 units.
 	OpportunistThreshold goods.Money
-	// RandomP is the RandomDefector step probability; 0 means 0.1.
-	RandomP float64
-	// BackstabAfter is the Backstabber trigger progress; 0 means 0.7.
-	BackstabAfter float64
 	// Stake applied to every agent.
 	Stake goods.Money
 	// Policy factory; nil means risk-neutral for everyone.
 	Policy func(i int) decision.Policy
-	// LiarFraction of the population inverts its witness reports.
+	// LiarFraction of the population, in [0, 1], inverts its witness
+	// reports.
 	LiarFraction float64
 }
+
+// randomDefectP is every RandomDefector's step probability, and
+// backstabAfter every Backstabber's trigger progress.
+const (
+	randomDefectP = 0.1
+	backstabAfter = 0.7
+)
 
 // Size is the total number of agents the config describes.
 func (c PopConfig) Size() int {
@@ -172,20 +176,18 @@ func (c PopConfig) Size() int {
 // 1.0; rational 0.9 (kept honest by stakes in well-designed exchanges);
 // random 1−P per step; backstabber 0.15; opportunist 0.25.
 func NewPopulation(cfg PopConfig, rng *rand.Rand) ([]*Agent, error) {
+	if min(cfg.Honest, cfg.Rational, cfg.Opportunist, cfg.Random, cfg.Backstabber) < 0 {
+		return nil, fmt.Errorf("agent: negative behaviour count in %+v", cfg)
+	}
+	if !(cfg.LiarFraction >= 0 && cfg.LiarFraction <= 1) {
+		return nil, fmt.Errorf("agent: liar fraction %v outside [0, 1]", cfg.LiarFraction)
+	}
 	if cfg.Size() == 0 {
 		return nil, fmt.Errorf("agent: empty population")
 	}
 	thr := cfg.OpportunistThreshold
 	if thr == 0 {
 		thr = 5 * goods.Unit
-	}
-	randP := cfg.RandomP
-	if randP == 0 {
-		randP = 0.1
-	}
-	after := cfg.BackstabAfter
-	if after == 0 {
-		after = 0.7
 	}
 	policy := cfg.Policy
 	if policy == nil {
@@ -209,8 +211,8 @@ func NewPopulation(cfg PopConfig, rng *rand.Rand) ([]*Agent, error) {
 	add("honest", cfg.Honest, func() (Behavior, float64) { return Honest{}, 1.0 })
 	add("rational", cfg.Rational, func() (Behavior, float64) { return Rational{}, 0.9 })
 	add("opportunist", cfg.Opportunist, func() (Behavior, float64) { return Opportunist{Threshold: thr}, 0.25 })
-	add("random", cfg.Random, func() (Behavior, float64) { return RandomDefector{P: randP}, 1 - randP })
-	add("backstabber", cfg.Backstabber, func() (Behavior, float64) { return Backstabber{After: after}, 0.15 })
+	add("random", cfg.Random, func() (Behavior, float64) { return RandomDefector{P: randomDefectP}, 1 - randomDefectP })
+	add("backstabber", cfg.Backstabber, func() (Behavior, float64) { return Backstabber{After: backstabAfter}, 0.15 })
 
 	if cfg.LiarFraction > 0 {
 		n := int(cfg.LiarFraction * float64(len(agents)))

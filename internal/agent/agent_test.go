@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -132,6 +133,15 @@ func TestNewPopulationCountsAndDefaults(t *testing.T) {
 }
 
 func TestNewPopulationLiarFraction(t *testing.T) {
+	// A fraction outside [0, 1] must fail, not slice past the population.
+	for _, frac := range []float64{1.5, -0.1, math.NaN()} {
+		if _, err := NewPopulation(PopConfig{Honest: 4, LiarFraction: frac}, rand.New(rand.NewSource(5))); err == nil {
+			t.Errorf("liar fraction %v accepted", frac)
+		}
+	}
+	if _, err := NewPopulation(PopConfig{Honest: 4, LiarFraction: 1}, rand.New(rand.NewSource(5))); err != nil {
+		t.Errorf("liar fraction 1 rejected: %v", err)
+	}
 	cfg := PopConfig{Honest: 10, LiarFraction: 0.3}
 	agents, err := NewPopulation(cfg, rand.New(rand.NewSource(5)))
 	if err != nil {
@@ -161,9 +171,13 @@ func TestNewPopulationCustomPolicy(t *testing.T) {
 	}
 }
 
+// TestNewPopulationEmpty: no agents, or a negative count that would make
+// Size disagree with the agents built, is rejected.
 func TestNewPopulationEmpty(t *testing.T) {
-	if _, err := NewPopulation(PopConfig{}, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("empty population accepted")
+	for _, cfg := range []PopConfig{{}, {Honest: 5, Backstabber: -3}, {Honest: -1, Rational: 2}} {
+		if _, err := NewPopulation(cfg, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("population %+v accepted", cfg)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"trustcoop/internal/stats"
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/complaints"
-	"trustcoop/internal/trust/gossip"
 	"trustcoop/internal/trust/mui"
 )
 
@@ -17,22 +16,7 @@ type E4Config struct {
 	Population int   // 0 means 40
 	Rounds     []int // interactions per peer pair stage; nil means {5, 20, 80, 320}
 	Workers    int   // trial worker pool; 0 means DefaultWorkers()
-	// CellShards splits every model's replay across sub-models that learn
-	// from round-robin-partitioned interactions and exchange evidence
-	// deltas over a gossip fabric — the evidence plane's proof that the
-	// *estimator* models shard exactly like the complaint store: the Beta
-	// and witness models gossip posterior deltas, the complaint model
-	// complaint deltas, every e4GossipPeriod interactions per shard. <= 1
-	// (the default) replays unsharded, the historical table.
-	CellShards int
 }
-
-// e4GossipPeriod is the per-shard interaction count between exchanges when
-// E4 replays sharded. Every stage ends with an exchange + drain before
-// measurement, so the decay-free models reproduce the unsharded table
-// exactly (trust.Beta's posterior is a plain sum there); only beta+decay
-// drifts within float rounding of the windowed apply order.
-const e4GossipPeriod = 32
 
 func (c E4Config) withDefaults() E4Config {
 	if c.Population <= 0 {
@@ -64,17 +48,9 @@ type e4Interaction struct {
 // worker count).
 func E4TrustLearning(cfg E4Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	title := "trust-model accuracy (MAE vs ground truth) as interactions accumulate"
-	if cfg.CellShards > 1 {
-		// Mixed evidence kinds (posterior for the estimator models,
-		// complaints for the complaint model), so the caveat is spelled
-		// out here instead of through cellCaveats.
-		title = fmt.Sprintf("%s (models sharded ×%d: evidence gossiped every %d interactions per shard, measured at shard 0)",
-			title, cfg.CellShards, e4GossipPeriod)
-	}
 	tbl := &Table{
 		ID:    "E4",
-		Title: title,
+		Title: "trust-model accuracy (MAE vs ground truth) as interactions accumulate",
 		Cols:  []string{"interactions", "beta", "beta+decay", "mui", "complaints"},
 	}
 
@@ -125,9 +101,7 @@ func E4TrustLearning(cfg E4Config) (*Table, error) {
 	}
 
 	// Each model owns its private state and replays the schedule stage by
-	// stage, reporting one MAE per stage. With CellShards > 1 the replay
-	// instead runs through buildSharded: per-shard sub-models over a gossip
-	// fabric of the model's evidence kind.
+	// stage, reporting one MAE per stage.
 	type model struct {
 		name   string
 		replay func() ([]float64, error)
@@ -154,107 +128,6 @@ func E4TrustLearning(cfg E4Config) (*Table, error) {
 			}
 			return maes, nil
 		}
-	}
-	// shardedReplay partitions the schedule round-robin across a gossiping
-	// fabric built by mk (which attaches one sub-model per node and returns
-	// the record and shard-0 estimate hooks), exchanging every GossipPeriod
-	// interactions per shard and draining at stage ends before measurement.
-	shardedReplay := func(mk func(f *gossip.Fabric) (func(k int, ia e4Interaction) error, func(obs, sub trust.PeerID) (float64, bool), error)) func() ([]float64, error) {
-		return func() ([]float64, error) {
-			fab, err := gossip.NewFabric(gossip.Config{Period: e4GossipPeriod}, DeriveSeed(cfg.Seed, 99), cfg.CellShards)
-			if err != nil {
-				return nil, err
-			}
-			record, est, err := mk(fab)
-			if err != nil {
-				return nil, err
-			}
-			step := 0
-			var maes []float64
-			for _, stage := range stages {
-				for _, ia := range stage {
-					if err := record(step%cfg.CellShards, ia); err != nil {
-						return nil, err
-					}
-					step++
-					if step%(cfg.CellShards*e4GossipPeriod) == 0 {
-						if err := fab.Exchange(); err != nil {
-							return nil, err
-						}
-					}
-				}
-				// Stage boundary: ship and drain, then measure from shard 0.
-				if err := fab.Exchange(); err != nil {
-					return nil, err
-				}
-				if err := fab.Drain(); err != nil {
-					return nil, err
-				}
-				m, err := maeOf(est)
-				if err != nil {
-					return nil, err
-				}
-				maes = append(maes, m)
-			}
-			return maes, nil
-		}
-	}
-	betaSharded := func(decay float64) func() ([]float64, error) {
-		return shardedReplay(func(f *gossip.Fabric) (func(int, e4Interaction) error, func(obs, sub trust.PeerID) (float64, bool), error) {
-			books := make([]*gossip.Book, f.Shards())
-			for k := range books {
-				books[k] = f.Node(k).AttachBook(trust.BetaConfig{Decay: decay})
-			}
-			record := func(k int, ia e4Interaction) error {
-				books[k].Estimator(ia.obs).Record(ia.sub, trust.Outcome{Cooperated: ia.coop})
-				return nil
-			}
-			est := func(obs, sub trust.PeerID) (float64, bool) {
-				e := books[0].Beta(obs).Estimate(sub)
-				return e.P, e.Samples > 0
-			}
-			return record, est, nil
-		})
-	}
-	muiSharded := func() ([]float64, error) {
-		return shardedReplay(func(f *gossip.Fabric) (func(int, e4Interaction) error, func(obs, sub trust.PeerID) (float64, bool), error) {
-			nets := make([]*mui.Network, f.Shards())
-			for k := range nets {
-				nets[k] = mui.NewNetwork(mui.Config{MaxWitnesses: 24})
-				f.Node(k).AttachCarrier(nets[k])
-			}
-			record := func(k int, ia e4Interaction) error {
-				nets[k].Record(ia.obs, ia.sub, trust.Outcome{Cooperated: ia.coop})
-				f.Node(k).NoteRecorded(1)
-				return nil
-			}
-			est := func(obs, sub trust.PeerID) (float64, bool) {
-				return nets[0].Estimate(obs, sub).P, true
-			}
-			return record, est, nil
-		})()
-	}
-	complaintsSharded := func() ([]float64, error) {
-		return shardedReplay(func(f *gossip.Fabric) (func(int, e4Interaction) error, func(obs, sub trust.PeerID) (float64, bool), error) {
-			for k := 0; k < f.Shards(); k++ {
-				f.Node(k).Attach(complaints.NewMemoryStore())
-			}
-			assessor := complaints.Assessor{Store: f.Node(0), Population: ids}
-			record := func(k int, ia e4Interaction) error {
-				if ia.coop {
-					return nil
-				}
-				return f.Node(k).File(complaints.Complaint{From: ia.obs, About: ia.sub})
-			}
-			est := func(obs, sub trust.PeerID) (float64, bool) {
-				p, err := assessor.Probability(sub)
-				if err != nil {
-					return 0, false
-				}
-				return p, true
-			}
-			return record, est, nil
-		})()
 	}
 	models := []model{
 		{"beta", betaReplay(0)},
@@ -303,14 +176,6 @@ func E4TrustLearning(cfg E4Config) (*Table, error) {
 			}
 			return maes, nil
 		}},
-	}
-	if cfg.CellShards > 1 {
-		models = []model{
-			{"beta", betaSharded(0)},
-			{"beta+decay", betaSharded(0.98)},
-			{"mui", muiSharded},
-			{"complaints", complaintsSharded},
-		}
 	}
 
 	columns, err := RunTrials(cfg.Workers, len(models), func(mi int) ([]float64, error) {

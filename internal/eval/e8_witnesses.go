@@ -7,7 +7,6 @@ import (
 	"trustcoop/internal/pgrid"
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/complaints"
-	"trustcoop/internal/trust/gossip"
 )
 
 // E8Config parameterises the adversarial-witness experiment.
@@ -19,20 +18,7 @@ type E8Config struct {
 	LiarPct      []float64 // lying-reporter fractions; nil means {0, 0.15, 0.3, 0.45}
 	Replicas     []int     // replica queries per count; nil means {1, 3, 7}
 	Workers      int       // trial worker pool; 0 means DefaultWorkers()
-	// CellShards splits each cell's complaint stream round-robin across
-	// that many independent P-Grids whose stores exchange complaint deltas
-	// over a gossip fabric — the decentralised store riding the same
-	// evidence plane as everything else. <= 1 (the default) files into one
-	// grid, the historical table. Detection reads shard 0's grid; with
-	// honest storage a drained fabric leaves it holding every complaint, so
-	// the liars=0 rows reproduce the unsharded detection exactly. The
-	// shards exchange every e8GossipPeriod complaints per shard.
-	CellShards int
 }
-
-// e8GossipPeriod is the per-shard complaint count between exchanges when E8
-// runs sharded.
-const e8GossipPeriod = 16
 
 func (c E8Config) withDefaults() E8Config {
 	if c.Peers <= 0 {
@@ -64,17 +50,9 @@ func (c E8Config) withDefaults() E8Config {
 // with identical tables for every worker count.
 func E8AdversarialWitnesses(cfg E8Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	title := "cheater detection under lying reporters and Byzantine storage (pgrid)"
-	if cfg.CellShards > 1 {
-		title = cellCaveats{
-			Shards:   cfg.CellShards,
-			Gossip:   gossip.Config{Period: e8GossipPeriod},
-			Evidence: trust.EvidenceComplaints,
-		}.annotate(title)
-	}
 	tbl := &Table{
 		ID:    "E8",
-		Title: title,
+		Title: "cheater detection under lying reporters and Byzantine storage (pgrid)",
 		Cols:  []string{"liars", "replicas", "precision", "recall", "F1"},
 	}
 	type cell struct {
@@ -125,45 +103,28 @@ func runE8Cell(cfg E8Config, liarPct float64, replicas int) (precision, recall f
 		isLiar[honest[idx]] = true
 	}
 
-	// Draw the complaint stream first — the population stream is identical
-	// whether it then lands on one grid or shards across several.
-	var stream []complaints.Complaint
+	// The grid draws from its own seed, so filing as the stream is drawn
+	// leaves the population stream untouched.
+	grid, err := pgrid.New(pgrid.Config{Peers: cfg.GridPeers, Seed: cfg.Seed + int64(replicas)})
+	if err != nil {
+		return 0, 0, err
+	}
+	grid.MarkMalicious(liarPct)
+	store := &pgrid.ComplaintStore{Grid: grid, Replicas: replicas}
 	for k := 0; k < cfg.Interactions; k++ {
 		a := population[rng.Intn(len(population))]
 		b := population[rng.Intn(len(population))]
-		if a == b {
+		if a == b || !isCheater[b] {
 			continue
 		}
-		if isCheater[b] {
-			if isLiar[a] {
-				// Liars shield cheaters and frame an honest peer instead.
-				victim := honest[rng.Intn(len(honest))]
-				stream = append(stream, complaints.Complaint{From: a, About: victim})
-			} else {
-				stream = append(stream, complaints.Complaint{From: a, About: b})
-			}
+		c := complaints.Complaint{From: a, About: b}
+		if isLiar[a] {
+			// Liars shield cheaters and frame an honest peer instead.
+			c.About = honest[rng.Intn(len(honest))]
 		}
-	}
-
-	gridSeed := cfg.Seed + int64(replicas)
-	var store complaints.Store
-	if cfg.CellShards > 1 {
-		store, err = runE8Sharded(cfg, liarPct, replicas, gridSeed, stream)
-	} else {
-		grid, gerr := pgrid.New(pgrid.Config{Peers: cfg.GridPeers, Seed: gridSeed})
-		if gerr != nil {
-			return 0, 0, gerr
+		if err := store.File(c); err != nil {
+			return 0, 0, err
 		}
-		grid.MarkMalicious(liarPct)
-		store = &pgrid.ComplaintStore{Grid: grid, Replicas: replicas}
-		for _, c := range stream {
-			if err = store.File(c); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
-		return 0, 0, err
 	}
 
 	assessor := complaints.Assessor{Store: store, Population: population}
@@ -190,49 +151,4 @@ func runE8Cell(cfg E8Config, liarPct float64, replicas int) (precision, recall f
 		recall = float64(tp) / float64(tp+fn)
 	}
 	return precision, recall, nil
-}
-
-// runE8Sharded files the cell's complaint stream round-robin across
-// CellShards independent P-Grids wired as gossip nodes, exchanging
-// complaint deltas every GossipPeriod complaints per shard, and returns
-// shard 0's store (drained — it holds every complaint the schedule
-// delivers) for detection. Each shard's grid derives its construction seed
-// from the cell's, and each marks its own liarPct storage fraction
-// malicious — the decentralised deployment where even the storage overlay
-// is partitioned.
-func runE8Sharded(cfg E8Config, liarPct float64, replicas int, gridSeed int64, stream []complaints.Complaint) (complaints.Store, error) {
-	fab, err := gossip.NewFabric(gossip.Config{Period: e8GossipPeriod}, DeriveSeed(gridSeed, 99), cfg.CellShards)
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < cfg.CellShards; k++ {
-		grid, err := pgrid.New(pgrid.Config{Peers: cfg.GridPeers, Seed: DeriveSeed(gridSeed, k)})
-		if err != nil {
-			return nil, err
-		}
-		grid.MarkMalicious(liarPct)
-		fab.Node(k).Attach(&pgrid.ComplaintStore{Grid: grid, Replicas: replicas})
-	}
-	step := 0
-	for idx := 0; idx < len(stream); {
-		for k := 0; k < cfg.CellShards && idx < len(stream); k++ {
-			if err := fab.Node(k).File(stream[idx]); err != nil {
-				return nil, err
-			}
-			idx++
-			step++
-			if step%(cfg.CellShards*e8GossipPeriod) == 0 {
-				if err := fab.Exchange(); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if err := fab.Exchange(); err != nil {
-		return nil, err
-	}
-	if err := fab.Drain(); err != nil {
-		return nil, err
-	}
-	return fab.Node(0), nil
 }

@@ -31,7 +31,7 @@ func (p PaymentPolicy) String() string {
 }
 
 // Options tunes schedule construction. The zero value selects lazy
-// continuous payments and the default search budget.
+// continuous payments.
 type Options struct {
 	// Policy selects the payment policy; zero means PayLazy.
 	Policy PaymentPolicy
@@ -39,12 +39,10 @@ type Options struct {
 	// of this amount where the band permits (the final payment settles the
 	// exact remainder).
 	Quantum goods.Money
-	// SearchBudget caps the number of subset states the exact fallback
-	// search may visit; zero means DefaultSearchBudget.
-	SearchBudget int
 }
 
-// DefaultSearchBudget bounds the exact search's state visits per call.
+// DefaultSearchBudget bounds the exact fallback search's subset-state
+// visits per call.
 const DefaultSearchBudget = 1 << 18
 
 func (o Options) policy() PaymentPolicy {
@@ -52,13 +50,6 @@ func (o Options) policy() PaymentPolicy {
 		return PayLazy
 	}
 	return o.Policy
-}
-
-func (o Options) budget() int {
-	if o.SearchBudget <= 0 {
-		return DefaultSearchBudget
-	}
-	return o.SearchBudget
 }
 
 // Plan is a concrete, validated exchange schedule.

@@ -52,7 +52,7 @@ func ScheduleTrustAware(t Terms, c ExposureCaps, opt Options) (Plan, error) {
 //     ascending-cost for exposure) — under those conditions its failure is
 //     itself the proof;
 //  3. a small portfolio of alternative orders (covers most mixed instances);
-//  4. an exact memoised subset search, bounded by Options.SearchBudget.
+//  4. an exact memoised subset search, bounded by DefaultSearchBudget.
 //
 // The overall cost is O(n²) for the common case; the exact search only runs
 // when every heuristic order fails. The hot path is allocation-lean: sorted
@@ -87,7 +87,7 @@ func Schedule(t Terms, b Bands, opt Options) (Plan, error) {
 			return Plan{}, errGreedyOptimal
 		}
 	}
-	order, err := searchOrder(t, b, opt.budget())
+	order, err := searchOrder(t, b, DefaultSearchBudget)
 	if err != nil {
 		return Plan{}, err
 	}

@@ -42,7 +42,6 @@ type GenConfig struct {
 	MarginMin    float64      // minimum consumer margin: Worth = Cost·(1+margin)
 	MarginMax    float64      // maximum consumer margin
 	NegFraction  float64      // fraction of items forced to negative surplus
-	ParetoAlpha  float64      // Pareto shape (only for Dist == Pareto)
 	ZeroCostLast bool         // force one zero-cost item (digital-goods tail)
 }
 
@@ -50,14 +49,16 @@ type GenConfig struct {
 // 8 uniform items with mean cost 10 units and 20–60% consumer margins.
 func DefaultGenConfig() GenConfig {
 	return GenConfig{
-		Items:       8,
-		Dist:        Uniform,
-		MeanCost:    10 * Unit,
-		MarginMin:   0.2,
-		MarginMax:   0.6,
-		ParetoAlpha: 1.5,
+		Items:     8,
+		Dist:      Uniform,
+		MeanCost:  10 * Unit,
+		MarginMin: 0.2,
+		MarginMax: 0.6,
 	}
 }
+
+// paretoAlpha is the shape of Pareto-distributed item costs.
+const paretoAlpha = 1.5
 
 // Generate draws a random bundle according to cfg using rng. It returns an
 // error when cfg is malformed. Item IDs are "g0", "g1", … in generation
@@ -108,17 +109,13 @@ func drawCost(cfg GenConfig, rng *rand.Rand) Money {
 	case Equal:
 		return cfg.MeanCost
 	case Pareto:
-		alpha := cfg.ParetoAlpha
-		if alpha <= 1 {
-			alpha = 1.5
-		}
 		// Pareto with mean = xm·alpha/(alpha−1) == MeanCost.
-		xm := float64(cfg.MeanCost) * (alpha - 1) / alpha
+		xm := float64(cfg.MeanCost) * (paretoAlpha - 1) / paretoAlpha
 		u := rng.Float64()
 		if u == 0 {
 			u = 1e-12
 		}
-		v := xm / math.Pow(u, 1/alpha)
+		v := xm / math.Pow(u, 1/paretoAlpha)
 		// Cap at 20× mean so a single draw cannot dominate a whole experiment.
 		if max := 20 * float64(cfg.MeanCost); v > max {
 			v = max

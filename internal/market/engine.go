@@ -361,7 +361,7 @@ func (e *Engine) startSession(id int) error {
 	if err != nil {
 		return err
 	}
-	terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(e.cfg.SupplierShare)}
+	terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(supplierShare)}
 
 	steps, planned, err := e.plan(sup, con, terms)
 	if err != nil {
@@ -421,7 +421,7 @@ func (e *Engine) plan(sup, con *agent.Agent, terms exchange.Terms) (exchange.Seq
 		return naivePlan(terms), core.PlanResult{Mode: core.ModeTrustAware}, nil
 	case StrategySafeOnly:
 		stakes := exchange.Stakes{Supplier: sup.Stake, Consumer: con.Stake}
-		plan, err := exchange.ScheduleSafe(terms, stakes, e.cfg.Planner.Options)
+		plan, err := exchange.ScheduleSafe(terms, stakes, exchange.Options{})
 		if err != nil {
 			if errors.Is(err, exchange.ErrNoSafeSequence) {
 				return nil, core.PlanResult{}, errNoTrade
@@ -430,7 +430,7 @@ func (e *Engine) plan(sup, con *agent.Agent, terms exchange.Terms) (exchange.Seq
 		}
 		return plan.Steps, core.PlanResult{Plan: plan, Mode: core.ModeSafe}, nil
 	default: // StrategyTrustAware
-		res, err := e.cfg.Planner.PlanExchange(e.participant(sup), e.participant(con), terms)
+		res, err := planner.PlanExchange(e.participant(sup), e.participant(con), terms)
 		if err != nil {
 			if errors.Is(err, core.ErrNoAgreement) {
 				return nil, core.PlanResult{}, errNoTrade

@@ -107,7 +107,7 @@ type Config struct {
 	// engine reaches a sync point, where the cell's exchange fabric ships
 	// complaint batches between shards. The config travels with the cell
 	// definition — period, topology and fan-out change the information
-	// structure, so they are part of the experiment, like CellShards. The
+	// structure, so they are part of the experiment, like the shard count. The
 	// zero value (Period 0, "period = ∞") disables gossip and leaves the
 	// engine's execution byte-identical to the ungossiped path.
 	Gossip gossip.Config
@@ -122,18 +122,23 @@ type Config struct {
 	// Gen configures bundle generation; zero value means
 	// goods.DefaultGenConfig.
 	Gen goods.GenConfig
-	// SupplierShare is the surplus share priced to the supplier; 0 means 0.5.
-	SupplierShare float64
 	// Strategy selects the scheduler; 0 means StrategyTrustAware.
 	Strategy Strategy
-	// DropRate is the per-message loss probability of the network.
+	// DropRate is the per-message loss probability of the network, in
+	// [0, 1].
 	DropRate float64
 	// Latency is the per-message latency model; nil means
 	// UniformLatency{1, 10}.
 	Latency netsim.LatencyModel
-	// Planner tunes trust-aware planning.
-	Planner core.Planner
 }
+
+// supplierShare is the surplus share every session's price gives the
+// supplier.
+const supplierShare = 0.5
+
+// planner is the trust-aware planner every engine uses: the marketplace
+// rejects terms where either party's nominal gain is negative.
+var planner = core.Planner{RequireBeneficial: true}
 
 func (c Config) withDefaults() (Config, error) {
 	if len(c.Agents) < 2 {
@@ -147,6 +152,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Concurrency == 0 {
 		c.Concurrency = 1
+	}
+	if !(c.DropRate >= 0 && c.DropRate <= 1) {
+		return c, fmt.Errorf("market: drop rate must be in [0, 1], have %v", c.DropRate)
 	}
 	if c.RepStore != "" && c.EstimatorOf != nil {
 		return c, errors.New("market: RepStore and EstimatorOf are mutually exclusive")
@@ -180,16 +188,12 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Gen.Items == 0 {
 		c.Gen = goods.DefaultGenConfig()
 	}
-	if c.SupplierShare == 0 {
-		c.SupplierShare = 0.5
-	}
 	if c.Strategy == 0 {
 		c.Strategy = StrategyTrustAware
 	}
 	if c.Latency == nil {
 		c.Latency = netsim.UniformLatency{Min: 1, Max: 10}
 	}
-	c.Planner.RequireBeneficial = true
 	return c, nil
 }
 

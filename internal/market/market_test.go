@@ -1,6 +1,7 @@
 package market
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -29,6 +30,16 @@ func TestConfigValidation(t *testing.T) {
 	dup := []*agent.Agent{agents[0], agents[0]}
 	if _, err := NewEngine(Config{Agents: dup, Sessions: 1}); err == nil {
 		t.Error("duplicate IDs accepted")
+	}
+	for _, drop := range []float64{-0.5, 1.5, math.NaN()} {
+		if _, err := NewEngine(Config{Agents: agents, Sessions: 1, DropRate: drop}); err == nil {
+			t.Errorf("drop rate %v accepted", drop)
+		}
+	}
+	for _, drop := range []float64{0, 1} {
+		if _, err := NewEngine(Config{Agents: agents, Sessions: 1, DropRate: drop}); err != nil {
+			t.Errorf("drop rate %v rejected: %v", drop, err)
+		}
 	}
 }
 

@@ -2,8 +2,7 @@
 // virtual clock, an event queue, and a message-passing network with
 // configurable latency and loss. Experiments run on it instead of real
 // goroutines and sockets so that every run is exactly reproducible from a
-// seed; the chans subpackage provides a real concurrent transport with the
-// same shape for the runnable examples.
+// seed.
 //
 // A Simulator (and the Network on top of it) is single-threaded by design:
 // events run one at a time in timestamp order. None of the types in this

@@ -5,10 +5,9 @@
 // references to peers on the opposite side of the trie. Queries resolve one
 // key bit per hop, giving O(log N) routing.
 //
-// Two construction modes are provided: the deterministic balanced assignment
-// used by the experiments, and the randomized pairwise "exchange" bootstrap
-// protocol from the original paper. Storage peers can be marked malicious to
-// study Byzantine answer corruption with replica voting (experiment E8).
+// The grid is built by a deterministic balanced assignment of paths to
+// peers. Storage peers can be marked malicious to study Byzantine answer
+// corruption with replica voting (experiment E8).
 //
 // Grid methods are not safe for concurrent use; the simulator drives them
 // from a single goroutine.
@@ -25,7 +24,7 @@ import (
 // Errors reported by grid operations.
 var (
 	// ErrUnreachable reports that routing could not reach a responsible
-	// peer (missing references in a sparsely bootstrapped grid).
+	// peer (missing routing references).
 	ErrUnreachable = errors.New("pgrid: no route to responsible peer")
 )
 
@@ -49,23 +48,11 @@ func CorruptDuplicate(k int) CorruptFunc {
 
 // Config parameterises grid construction.
 type Config struct {
-	// Peers is the number of peers; must be at least 2^Depth for the
-	// balanced construction.
+	// Peers is the number of peers; must be at least 2^Depth.
 	Peers int
 	// Depth is the trie depth: keys are Depth-bit strings. 0 picks the
-	// largest depth that still gives every leaf at least MinReplicas peers.
+	// largest depth that still gives every leaf at least minReplicas peers.
 	Depth int
-	// RefsPerLevel caps the routing references kept per path bit; 0 means 3.
-	RefsPerLevel int
-	// MinReplicas is the minimum leaf population the automatic depth targets;
-	// 0 means 2.
-	MinReplicas int
-	// Bootstrap selects the randomized exchange protocol instead of the
-	// balanced assignment.
-	Bootstrap bool
-	// BootstrapMeetings is the number of random pairwise meetings; 0 means
-	// 40 × Peers.
-	BootstrapMeetings int
 	// Seed drives all randomness in construction and routing.
 	Seed int64
 	// Corrupt is how malicious peers distort answers; nil means CorruptHide.
@@ -81,19 +68,20 @@ type Config struct {
 	DeferReplication bool
 }
 
+// refsPerLevel caps the routing references kept per path bit, and
+// minReplicas is the minimum leaf population the automatic depth targets.
+const (
+	refsPerLevel = 3
+	minReplicas  = 2
+)
+
 func (c Config) withDefaults() (Config, error) {
 	if c.Peers < 2 {
 		return c, fmt.Errorf("pgrid: need at least 2 peers, have %d", c.Peers)
 	}
-	if c.RefsPerLevel <= 0 {
-		c.RefsPerLevel = 3
-	}
-	if c.MinReplicas <= 0 {
-		c.MinReplicas = 2
-	}
 	if c.Depth <= 0 {
 		d := 0
-		for (1<<(d+1))*c.MinReplicas <= c.Peers {
+		for (1<<(d+1))*minReplicas <= c.Peers {
 			d++
 		}
 		if d == 0 {
@@ -101,11 +89,8 @@ func (c Config) withDefaults() (Config, error) {
 		}
 		c.Depth = d
 	}
-	if !c.Bootstrap && c.Peers < 1<<c.Depth {
+	if c.Peers < 1<<c.Depth {
 		return c, fmt.Errorf("pgrid: %d peers cannot populate depth %d (need ≥ %d)", c.Peers, c.Depth, 1<<c.Depth)
-	}
-	if c.BootstrapMeetings <= 0 {
-		c.BootstrapMeetings = 40 * c.Peers
 	}
 	if c.Corrupt == nil {
 		c.Corrupt = CorruptHide
@@ -157,11 +142,7 @@ func New(cfg Config) (*Grid, error) {
 	for i := range g.peers {
 		g.peers[i] = &Peer{Index: i, store: make(map[string][]string)}
 	}
-	if cfg.Bootstrap {
-		g.bootstrap()
-	} else {
-		g.buildBalanced()
-	}
+	g.buildBalanced()
 	return g, nil
 }
 
@@ -185,7 +166,7 @@ func (g *Grid) buildBalanced() {
 		for l := 0; l < d; l++ {
 			opposite := p.Path[:l] + flip(p.Path[l])
 			candidates := byPrefix[opposite]
-			p.refs[l] = g.pickRefs(candidates, g.cfg.RefsPerLevel)
+			p.refs[l] = g.pickRefs(candidates, refsPerLevel)
 		}
 	}
 }

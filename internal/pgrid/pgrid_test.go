@@ -31,7 +31,7 @@ func TestAutomaticDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With MinReplicas 2 and 64 peers: largest d with 2^d·2 ≤ 64 → d = 5
+	// With minReplicas 2 and 64 peers: largest d with 2^d·2 ≤ 64 → d = 5
 	// (32 leaves × 2 replicas).
 	if g.Depth() != 5 {
 		t.Errorf("auto depth = %d, want 5", g.Depth())
@@ -218,57 +218,6 @@ func TestMarkMaliciousFractionAndClamping(t *testing.T) {
 	g2 := balancedGrid(t, 10, 2)
 	if got := g2.MarkMalicious(5); len(got) != 10 {
 		t.Errorf("fraction > 1 marked %d, want all 10", len(got))
-	}
-}
-
-func TestBootstrapConvergesAndRoutes(t *testing.T) {
-	g, err := New(Config{Peers: 64, Depth: 3, Seed: 11, Bootstrap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullPaths, refCoverage := g.BootstrapQuality()
-	if fullPaths < 0.9 {
-		t.Errorf("full paths = %.2f, want ≥ 0.9 after 40n meetings", fullPaths)
-	}
-	if refCoverage < 0.9 {
-		t.Errorf("ref coverage = %.2f, want ≥ 0.9", refCoverage)
-	}
-	// Most queries should route; count successes over many keys.
-	succ, total := 0, 0
-	for i := 0; i < 50; i++ {
-		key := g.KeyFor(fmt.Sprintf("id%d", i))
-		if err := g.Insert(key, "v"); err == nil {
-			if _, _, err := g.Query(key); err == nil {
-				succ++
-			}
-		}
-		total++
-	}
-	if frac := float64(succ) / float64(total); frac < 0.85 {
-		t.Errorf("bootstrap routing success = %.2f, want ≥ 0.85", frac)
-	}
-}
-
-func TestBootstrapPathsArePrefixStable(t *testing.T) {
-	// All refs must point at peers that truly diverge at the ref level —
-	// the invariant that keeps routing correct as paths extend.
-	g, err := New(Config{Peers: 48, Depth: 4, Seed: 13, Bootstrap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < g.Size(); i++ {
-		p := g.Peer(i)
-		for l, refs := range p.refs {
-			if l >= len(p.Path) {
-				continue
-			}
-			for _, r := range refs {
-				rp := g.Peer(r)
-				if commonPrefixLen(rp.Path, p.Path) != l {
-					t.Fatalf("peer %d (path %s) ref at level %d points to peer %d (path %s)", i, p.Path, l, r, rp.Path)
-				}
-			}
-		}
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 // routeFrom walks references from the start peer towards a peer responsible
 // for key (path a prefix of key), returning its index and the hop count.
 // Each hop resolves at least one more key bit, so the walk terminates within
-// Depth hops on a well-formed grid; a defensive guard catches sparse
-// bootstrap tables.
+// Depth hops on a well-formed grid; a defensive guard catches damaged
+// reference tables.
 func (g *Grid) routeFrom(start int, key string) (peer, hops int, err error) {
 	cur := start
 	guard := 4*g.cfg.Depth + 4

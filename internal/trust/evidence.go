@@ -248,8 +248,7 @@ func (d *PosteriorDelta) Merge(other EvidenceDelta) error {
 // ApplyPerObserver folds the delta into per-observer estimators: rows
 // group by consecutive Observer runs (the canonical order guarantees each
 // observer's rows are contiguous) and each group lands on lookup(observer)
-// through Beta.ApplyDelta. This is the one routing loop every
-// posterior-carrying collection (gossip.Book, mui.Network) shares.
+// through Beta.ApplyDelta — the apply half of gossip.Book.
 func (d *PosteriorDelta) ApplyPerObserver(lookup func(PeerID) *Beta) error {
 	for lo := 0; lo < len(d.Rows); {
 		hi := lo
@@ -269,8 +268,8 @@ func (d *PosteriorDelta) ApplyPerObserver(lookup func(PeerID) *Beta) error {
 // lookup and Beta.ExportDelta) into one canonical posterior delta:
 // observers are visited in sorted order and each estimator's rows are
 // already subject-sorted, so concatenation preserves the canonical row
-// order. Returns nil when nothing is pending anywhere — the shared export
-// half of the posterior carriers.
+// order. Returns nil when nothing is pending anywhere — the export half of
+// gossip.Book.
 func ExportPosterior(observers []PeerID, lookup func(PeerID) *Beta) *PosteriorDelta {
 	sorted := make([]PeerID, len(observers))
 	copy(sorted, observers)

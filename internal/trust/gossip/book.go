@@ -7,7 +7,7 @@ import (
 	"trustcoop/internal/trust"
 )
 
-// Book is the posterior-evidence carrier of one shard: per-observer Bayesian
+// Book is the posterior evidence of one shard: per-observer Bayesian
 // direct-experience estimators (trust.Beta) whose recorded outcomes are
 // buffered — inside each estimator's pending accumulator — for the next
 // exchange, and whose state absorbs peer shards' posterior deltas with the
@@ -16,7 +16,7 @@ import (
 // gossip exactly like the complaint-store cells: the engine asks the Book
 // for each agent's estimator instead of constructing private Betas.
 //
-// Determinism contract: TakeDelta exports observers in sorted order and each
+// Determinism contract: takeDelta exports observers in sorted order and each
 // estimator's rows in sorted subject order, so the delta a shard ships is a
 // canonical function of what it recorded — independent of map iteration and
 // of how many engines ran concurrently between sync points.
@@ -27,8 +27,6 @@ type Book struct {
 	mu        sync.Mutex
 	observers map[trust.PeerID]*trust.Beta
 }
-
-var _ Carrier = (*Book)(nil)
 
 func newBook(node *Node, cfg trust.BetaConfig) *Book {
 	return &Book{node: node, cfg: cfg, observers: make(map[trust.PeerID]*trust.Beta)}
@@ -58,27 +56,27 @@ func (b *Book) Estimator(observer trust.PeerID) trust.Estimator {
 	return &bookView{book: b, observer: observer}
 }
 
-// TakeDelta implements Carrier: one canonical posterior delta holding every
-// observer's pending evidence (the shared trust.ExportPosterior fold).
-// Returns nil when nothing was recorded since the last take.
-func (b *Book) TakeDelta() (trust.EvidenceDelta, error) {
+// takeDelta returns one canonical posterior delta holding every observer's
+// pending evidence (the shared trust.ExportPosterior fold), or nil when
+// nothing was recorded since the last take.
+func (b *Book) takeDelta() trust.EvidenceDelta {
 	b.mu.Lock()
 	observers := make([]trust.PeerID, 0, len(b.observers))
 	for o := range b.observers {
 		observers = append(observers, o)
 	}
 	b.mu.Unlock()
-	out := trust.ExportPosterior(observers, b.beta)
-	if out == nil {
-		return nil, nil
+	// A nil *PosteriorDelta must come back as a nil interface.
+	if out := trust.ExportPosterior(observers, b.beta); out != nil {
+		return out
 	}
-	return out, nil
+	return nil
 }
 
-// ApplyDelta implements Carrier: each row folds into its observer's
-// estimator (the shared trust.(*PosteriorDelta).ApplyPerObserver routing),
-// creating estimators for observers first seen second-hand.
-func (b *Book) ApplyDelta(delta trust.EvidenceDelta) error {
+// applyDelta folds each row into its observer's estimator (the shared
+// trust.(*PosteriorDelta).ApplyPerObserver routing), creating estimators
+// for observers first seen second-hand.
+func (b *Book) applyDelta(delta trust.EvidenceDelta) error {
 	if delta == nil {
 		return nil
 	}
@@ -103,11 +101,11 @@ func (v *bookView) Name() string { return "posterior" }
 // Record implements trust.Estimator.
 func (v *bookView) Record(peer trust.PeerID, o trust.Outcome) {
 	v.book.beta(v.observer).Record(peer, o)
-	v.book.node.NoteRecorded(1)
+	v.book.node.noteRecorded()
 }
 
 // Estimate implements trust.Estimator.
 func (v *bookView) Estimate(peer trust.PeerID) trust.Estimate {
-	v.book.node.NoteReads(1)
+	v.book.node.noteReads(1)
 	return v.book.beta(v.observer).Estimate(peer)
 }

@@ -237,7 +237,8 @@ func TestKindMismatchSurfacesAsError(t *testing.T) {
 	}
 }
 
-// TestAttachContractsForCarriers: attachment is once, of one kind.
+// TestAttachContractsForCarriers: a node carries one kind of evidence,
+// attached once — a book and a store never share a node.
 func TestAttachContractsForCarriers(t *testing.T) {
 	f, err := NewFabric(Config{Period: 1}, 5, 2)
 	if err != nil {
@@ -252,15 +253,11 @@ func TestAttachContractsForCarriers(t *testing.T) {
 		fn()
 	}
 	f.Node(0).AttachBook(trust.BetaConfig{})
-	mustPanic("store attach over carrier", func() { f.Node(0).Attach(complaints.NewMemoryStore()) })
-	mustPanic("second carrier", func() { f.Node(0).AttachBook(trust.BetaConfig{}) })
-	mustPanic("store read on carrier node", func() { _, _ = f.Node(0).Received("p") })
+	mustPanic("store attach over book", func() { f.Node(0).Attach(complaints.NewMemoryStore()) })
+	mustPanic("second book", func() { f.Node(0).AttachBook(trust.BetaConfig{}) })
+	mustPanic("store read on book node", func() { _, _ = f.Node(0).Received("p") })
 	f.Node(1).Attach(complaints.NewMemoryStore())
-	mustPanic("carrier attach over store", func() { f.Node(1).AttachBook(trust.BetaConfig{}) })
-	mustPanic("nil carrier", func() {
-		f2, _ := NewFabric(Config{Period: 1}, 5, 2)
-		f2.Node(0).AttachCarrier(nil)
-	})
+	mustPanic("book attach over store", func() { f.Node(1).AttachBook(trust.BetaConfig{}) })
 }
 
 // TestPosteriorColumnarBitIdenticalToDense is the codec half of the PR 10

@@ -121,7 +121,7 @@ func NewFabric(cfg Config, seed int64, shards int) (*Fabric, error) {
 func (f *Fabric) Shards() int { return len(f.nodes) }
 
 // Node returns shard k's endpoint, to be attached to that sub-engine's
-// reputation store or estimator carrier (market.Config.GossipNode).
+// reputation store or posterior book (market.Config.GossipNode).
 func (f *Fabric) Node(k int) *Node { return f.nodes[k] }
 
 // Exchange runs one sync round: it drains every node's pending evidence in
@@ -139,21 +139,17 @@ func (f *Fabric) Node(k int) *Node { return f.nodes[k] }
 //     dedup ledger guaranteeing each envelope still applies exactly once.
 //
 // Envelopes land by decoding the payload and folding it into the
-// destination's store (the complaints.BatchFiler fast path) or carrier.
+// destination's store (the complaints.BatchFiler fast path) or book.
 // Every delivery is attempted even after a failure; the first error is
 // returned.
 func (f *Fabric) Exchange() error {
 	f.round++
 	n := len(f.nodes)
 	envs := make([]*envelope, n)
-	var firstErr error
 	for k, node := range f.nodes {
-		env, err := f.take(k, node)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		envs[k] = env
+		envs[k] = f.take(k, node)
 	}
+	var firstErr error
 	start := time.Now()
 	deliver := func(dst int, env envelope) {
 		if env.seq <= f.seenSeq[dst][env.origin] {
@@ -186,20 +182,20 @@ func (f *Fabric) Exchange() error {
 
 // take drains shard k's pending evidence into a fresh envelope; nil when the
 // shard recorded nothing since the last take.
-func (f *Fabric) take(k int, node *Node) (*envelope, error) {
-	delta, weight, err := node.takeDelta()
-	if err != nil || delta == nil || delta.Items() == 0 {
+func (f *Fabric) take(k int, node *Node) *envelope {
+	delta, weight := node.takeDelta()
+	if delta == nil || delta.Items() == 0 {
 		if weight > 0 {
-			// Defensive: evidence was recorded but nothing exports (a carrier
-			// violating the NoteRecorded contract). Settle the peers so Drain
-			// cannot spin on deliveries that will never ship.
+			// Defensive: evidence was recorded but nothing exports. Settle
+			// the peers so Drain cannot spin on deliveries that will never
+			// ship.
 			for d := range f.pendingIn {
 				if d != k {
 					f.pendingIn[d].Add(-int64(weight))
 				}
 			}
 		}
-		return nil, err
+		return nil
 	}
 	f.seqs[k]++
 	payload := delta.Encode()
@@ -211,7 +207,7 @@ func (f *Fabric) take(k int, node *Node) (*envelope, error) {
 		items:   delta.Items(),
 		weight:  weight,
 		bytes:   int64(len(payload)),
-	}, nil
+	}
 }
 
 // applyEnvelope decodes the payload and lands it on the node's trust state.

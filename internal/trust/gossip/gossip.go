@@ -18,12 +18,11 @@
 // a trust.EvidenceDelta — a complaint batch (complaints.Delta, applied
 // through the complaints.BatchFiler fast path exactly like the write-behind
 // drain of complaints.AsyncStore) or a Bayesian posterior delta
-// (trust.PosteriorDelta, carried by a Book of per-observer Beta estimators,
-// or by a mui witness network attached as a Carrier). Deltas travel encoded,
-// stamped with a per-origin sequence number, and every receiver keeps a
-// dedup ledger keyed on (origin, seq) — exactly-once delivery is a property
-// of the *receiver*, not of the schedule, which is what makes redundant-path
-// topologies (TopologyDoubleRing) sound.
+// (trust.PosteriorDelta, carried by a Book of per-observer Beta estimators).
+// Deltas travel encoded, stamped with a per-origin sequence number, and
+// every receiver keeps a dedup ledger keyed on (origin, seq) — exactly-once
+// delivery is a property of the *receiver*, not of the schedule, which is
+// what makes redundant-path topologies (TopologyDoubleRing) sound.
 //
 // Determinism contract: the Fabric is driven from a single coordinating
 // goroutine (eval.RunCell's lockstep loop) *between* engine windows, its

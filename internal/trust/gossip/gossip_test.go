@@ -445,8 +445,9 @@ func TestFabricRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// TestNodeAttachContract: double attach and use-before-attach are programmer
-// errors and must panic loudly rather than split or drop evidence.
+// TestNodeAttachContract: double attach, a nil store and use before attach
+// are programmer errors and must panic loudly rather than split or drop
+// evidence.
 func TestNodeAttachContract(t *testing.T) {
 	f, err := NewFabric(Config{Period: 1}, 9, 2)
 	if err != nil {

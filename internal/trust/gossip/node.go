@@ -8,26 +8,6 @@ import (
 	"trustcoop/internal/trust/complaints"
 )
 
-// Carrier is the evidence-kind-specific half of a node: the local trust
-// state of one shard, able to export what it recorded since the last
-// exchange as a mergeable delta and to fold a peer shard's delta in. The
-// complaint path implements it implicitly (a complaints.Store attachment,
-// see Attach); Book implements it for the Bayesian posterior kind; any
-// estimator that can speak trust.EvidenceDelta — mui.Network does — can
-// attach through AttachCarrier and ride the same fabric.
-//
-// Carriers that bypass the node's write methods must report their locally
-// recorded evidence through Node.NoteRecorded — that is what drives the
-// fabric's staleness accounting and tells Drain when deliveries are still
-// outstanding.
-type Carrier interface {
-	// TakeDelta drains the evidence recorded locally since the last take;
-	// nil means nothing pending.
-	TakeDelta() (trust.EvidenceDelta, error)
-	// ApplyDelta folds a peer shard's delta into the local trust state.
-	ApplyDelta(delta trust.EvidenceDelta) error
-}
-
 // Node is one shard's endpoint in a cell's exchange fabric. It carries
 // evidence of exactly one kind, fixed by what gets attached:
 //
@@ -38,8 +18,8 @@ type Carrier interface {
 //     buffered in the node's outbox until the next Fabric.Exchange ships
 //     them as a complaint delta; reads pass through untouched, with
 //     staleness accounting against the cell-wide undelivered backlog.
-//   - AttachBook / AttachCarrier make it a typed-evidence endpoint: the
-//     carrier owns the trust state, the node only moves deltas.
+//   - AttachBook makes it a posterior-evidence endpoint: the Book owns the
+//     trust state, the node only moves deltas.
 //
 // A Node is created by NewFabric and attached by the engine
 // (market.Config.GossipNode). It is safe for concurrent use once attached;
@@ -50,7 +30,7 @@ type Node struct {
 
 	mu            sync.Mutex
 	inner         complaints.Store
-	carrier       Carrier
+	book          *Book
 	outbox        []complaints.Complaint
 	pendingWeight int // evidence items recorded since the last take
 }
@@ -75,72 +55,57 @@ func (n *Node) Attach(inner complaints.Store) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.inner != nil || n.carrier != nil {
+	if n.inner != nil || n.book != nil {
 		panic(fmt.Sprintf("gossip: node %d attached twice", n.index))
 	}
 	n.inner = inner
 }
 
-// AttachCarrier binds the node to a typed evidence carrier — the shard's
-// trust state for a non-complaint evidence kind. Same contract as Attach:
-// once, before any session runs.
-func (n *Node) AttachCarrier(c Carrier) {
-	if c == nil {
-		panic("gossip: AttachCarrier(nil)")
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.inner != nil || n.carrier != nil {
-		panic(fmt.Sprintf("gossip: node %d attached twice", n.index))
-	}
-	n.carrier = c
-}
-
 // AttachBook creates the shard's posterior-evidence book — per-observer
 // Beta estimators whose recorded outcomes gossip as posterior deltas — and
-// attaches it as the node's carrier.
+// attaches it to the node. Same contract as Attach: once, before any
+// session runs.
 func (n *Node) AttachBook(cfg trust.BetaConfig) *Book {
 	b := newBook(n, cfg)
-	n.AttachCarrier(b)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.inner != nil || n.book != nil {
+		panic(fmt.Sprintf("gossip: node %d attached twice", n.index))
+	}
+	n.book = b
 	return b
 }
 
 // Index reports the node's shard index within its fabric.
 func (n *Node) Index() int { return n.index }
 
-// NoteRecorded informs the fabric that the carrier recorded items pieces of
+// noteRecorded informs the fabric that the book recorded one piece of
 // local evidence: every peer shard now has evidence it has not seen, which
 // is the quantity stale-read accounting and Fabric.Drain are defined over.
-// The complaint path calls it internally from File/FileBatch; Book calls it
-// per recorded outcome; external carriers must call it themselves.
-func (n *Node) NoteRecorded(items int) {
-	if items <= 0 {
-		return
-	}
+func (n *Node) noteRecorded() {
 	n.mu.Lock()
-	n.pendingWeight += items
+	n.pendingWeight++
 	n.mu.Unlock()
-	n.fabric.noteFiled(n.index, items)
+	n.fabric.noteFiled(n.index, 1)
 }
 
-// NoteReads records trust reads served by the carrier at this shard, for
-// the fabric's stale-read accounting. The complaint path calls it
-// internally from the read methods; Book calls it per estimate.
-func (n *Node) NoteReads(reads int) {
+// noteReads records trust reads the book served at this shard, for the
+// fabric's stale-read accounting.
+func (n *Node) noteReads(reads int) {
 	if reads > 0 {
 		n.fabric.noteReads(n.index, reads)
 	}
 }
 
 // store returns the attached inner store, panicking on use-before-Attach or
-// on a store call against a typed-carrier node — programmer errors (the
-// engine attaches at construction and owns the evidence kind).
+// on a store call against a book node — programmer errors (the engine
+// attaches at construction and owns the evidence kind).
 func (n *Node) store() complaints.Store {
 	n.mu.Lock()
-	inner, carrier := n.inner, n.carrier
+	inner, book := n.inner, n.book
 	n.mu.Unlock()
 	if inner == nil {
-		if carrier != nil {
+		if book != nil {
 			panic(fmt.Sprintf("gossip: node %d carries typed evidence, not a complaint store", n.index))
 		}
 		panic(fmt.Sprintf("gossip: node %d used before Attach", n.index))
@@ -176,44 +141,43 @@ func (n *Node) FileBatch(batch []complaints.Complaint) error {
 }
 
 // takeDelta drains the evidence recorded since the last take — the outbox
-// wrapped as a complaint delta, or whatever the carrier exports — along
+// wrapped as a complaint delta, or the book's posterior delta — along
 // with its recorded-item weight (the unit the fabric's staleness ledger
 // counts in; for complaints weight equals the delta's Items, for richer
 // kinds several records may coalesce into fewer rows). Called by the Fabric
 // between engine windows.
-func (n *Node) takeDelta() (delta trust.EvidenceDelta, weight int, err error) {
+func (n *Node) takeDelta() (delta trust.EvidenceDelta, weight int) {
 	n.mu.Lock()
-	carrier := n.carrier
+	book := n.book
 	weight = n.pendingWeight
 	n.pendingWeight = 0
 	var out []complaints.Complaint
-	if carrier == nil {
+	if book == nil {
 		out = n.outbox
 		n.outbox = nil
 	}
 	n.mu.Unlock()
-	if carrier != nil {
-		delta, err = carrier.TakeDelta()
-		return delta, weight, err
+	if book != nil {
+		return book.takeDelta(), weight
 	}
 	if len(out) == 0 {
-		return nil, weight, nil
+		return nil, weight
 	}
-	return complaints.NewDelta(out), weight, nil
+	return complaints.NewDelta(out), weight
 }
 
 // applyDelta lands a peer shard's delta on the local trust state: complaint
 // deltas go through the store's batched fast path — one lock pass per shard
-// of a striped store, exactly like the async drain — and typed deltas go to
-// the carrier. Remote evidence is *not* re-buffered for export; the
+// of a striped store, exactly like the async drain — and posterior deltas
+// go to the book. Remote evidence is *not* re-buffered for export; the
 // Fabric's schedule owns propagation, and the receiver-side dedup ledger is
 // what keeps each delta's effect exactly-once however many paths deliver it.
 func (n *Node) applyDelta(delta trust.EvidenceDelta) error {
 	n.mu.Lock()
-	inner, carrier := n.inner, n.carrier
+	inner, book := n.inner, n.book
 	n.mu.Unlock()
-	if carrier != nil {
-		return carrier.ApplyDelta(delta)
+	if book != nil {
+		return book.applyDelta(delta)
 	}
 	if inner == nil {
 		panic(fmt.Sprintf("gossip: node %d used before Attach", n.index))
@@ -267,7 +231,7 @@ func (n *Node) CountsAll(peers []trust.PeerID) ([]complaints.Tally, error) {
 // i.e. the same batched write path that maintains the inner aggregate — so
 // gossip-applied evidence is aggregated for free and the O(1) average sees
 // exactly what a CountsAll scan through this node would. ok=false before
-// Attach, for typed-carrier nodes, and over non-aggregating inner stores.
+// Attach, for book nodes, and over non-aggregating inner stores.
 func (n *Node) ProductAggregate() (excess int64, tracked int, ok bool, err error) {
 	n.mu.Lock()
 	inner := n.inner

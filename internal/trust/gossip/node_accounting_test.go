@@ -10,7 +10,7 @@ import (
 // average served from the aggregate (NoteScanReads) moves the fabric's
 // stale-read ledger exactly like the CountsAll scan it replaces — stale at
 // a shard with pending inbound evidence, fresh at the origin shard — and
-// covers the Index/NoteReads plumbing the engine's accounting uses.
+// covers the Index/noteReads plumbing the engine's accounting uses.
 func TestNodeReadAccounting(t *testing.T) {
 	f, err := NewFabric(Config{Period: 1}, 23, 2)
 	if err != nil {
@@ -28,9 +28,9 @@ func TestNodeReadAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Node(1).NoteScanReads(4) // aggregate-served population read, stale
-	f.Node(0).NoteReads(3)     // origin-shard reads, fresh
+	f.Node(0).noteReads(3)     // origin-shard reads, fresh
 	f.Node(1).NoteScanReads(0) // no-op leg
-	f.Node(0).NoteReads(0)     // no-op leg
+	f.Node(0).noteReads(0)     // no-op leg
 	st := f.Stats()
 	if st.Reads != 7 || st.StaleReads != 4 {
 		t.Fatalf("reads=%d stale=%d, want 7 and 4", st.Reads, st.StaleReads)

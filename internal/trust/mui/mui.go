@@ -18,7 +18,6 @@
 package mui
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -174,43 +173,6 @@ func (v *view) Record(peer trust.PeerID, o trust.Outcome) {
 
 func (v *view) Estimate(peer trust.PeerID) trust.Estimate {
 	return v.net.Estimate(v.observer, peer)
-}
-
-// TakeDelta drains every agent's direct-experience evidence recorded since
-// the last take into one posterior delta, rows canonically ordered by
-// (observer, subject). This is the gossip.Carrier shape: a sharded witness
-// network exports its fragment of the acquaintance graph and peers merge it
-// with ApplyDelta, so the Mui model rides the same evidence plane as the
-// complaint model. Witness weighting needs no transport support — the
-// referral-chain discounting happens at Estimate time over whatever counts
-// have arrived. Returns nil when nothing is pending.
-func (n *Network) TakeDelta() (trust.EvidenceDelta, error) {
-	n.mu.Lock()
-	agents := make([]trust.PeerID, 0, len(n.agents))
-	for a := range n.agents {
-		agents = append(agents, a)
-	}
-	n.mu.Unlock()
-	out := trust.ExportPosterior(agents, n.table)
-	if out == nil {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// ApplyDelta folds a peer network's posterior delta into this one: each
-// row lands in its observer's direct-experience table (creating the table
-// for observers first seen second-hand), with the decay compensation
-// trust.Beta.ApplyDelta defines.
-func (n *Network) ApplyDelta(delta trust.EvidenceDelta) error {
-	if delta == nil {
-		return nil
-	}
-	d, ok := delta.(*trust.PosteriorDelta)
-	if !ok {
-		return fmt.Errorf("mui: cannot apply %s delta to a witness network", delta.Kind())
-	}
-	return d.ApplyPerObserver(n.table)
 }
 
 // SamplesFor re-exports the model's m(ε, δ) bound for the experiments.

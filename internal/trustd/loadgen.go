@@ -30,8 +30,6 @@ import (
 type LoadgenConfig struct {
 	// Sessions is the number of marketplace sessions to simulate.
 	Sessions int
-	// Honest and Cheaters split the agent population (defaults 16/4).
-	Honest, Cheaters int
 	// Seed drives the simulation; the same seed replays the same trace.
 	Seed int64
 	// Batch is the number of complaints per ingest batch (default 8).
@@ -41,15 +39,15 @@ type LoadgenConfig struct {
 	Factor float64
 }
 
+// loadgenHonest and loadgenCheaters split every run's agent population.
+const (
+	loadgenHonest   = 16
+	loadgenCheaters = 4
+)
+
 func (c LoadgenConfig) withDefaults() LoadgenConfig {
 	if c.Sessions == 0 {
 		c.Sessions = 200
-	}
-	if c.Honest == 0 {
-		c.Honest = 16
-	}
-	if c.Cheaters == 0 {
-		c.Cheaters = 4
 	}
 	if c.Batch <= 0 {
 		c.Batch = 8
@@ -80,7 +78,7 @@ type LoadgenReport struct {
 func LoadgenAgents(cfg LoadgenConfig) ([]*agent.Agent, []trust.PeerID, error) {
 	cfg = cfg.withDefaults()
 	agents, err := agent.NewPopulation(
-		agent.PopConfig{Honest: cfg.Honest, Opportunist: cfg.Cheaters, Stake: 2 * goods.Unit},
+		agent.PopConfig{Honest: loadgenHonest, Opportunist: loadgenCheaters, Stake: 2 * goods.Unit},
 		rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, nil, err

@@ -55,8 +55,6 @@ type Options struct {
 	// "async:sharded", …); empty means "sharded". The backend must restore
 	// checkpoints (the complaints.TallyLoader extension).
 	Backend string
-	// BackendConfig tunes the selected backend.
-	BackendConfig complaints.BackendConfig
 	// Population fixes the peers trust scores are normalised over. nil keeps
 	// it dynamic: every peer a durable complaint has mentioned.
 	Population []trust.PeerID
@@ -200,7 +198,7 @@ func Open(opts Options) (*Server, error) {
 	if backend == "" {
 		backend = "sharded"
 	}
-	store, err := complaints.Open(backend, opts.BackendConfig)
+	store, err := complaints.Open(backend, complaints.BackendConfig{})
 	if err != nil {
 		return nil, err
 	}
