@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"sort"
@@ -20,13 +21,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "trustsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("trustsim", flag.ContinueOnError)
 	honest := fs.Int("honest", 10, "honest agents")
 	rational := fs.Int("rational", 0, "rational agents (defect only when gain exceeds stake)")
@@ -85,16 +86,16 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("strategy        %s  (population %d, sessions %d, drop %.1f%%)\n",
+	fmt.Fprintf(w, "strategy        %s  (population %d, sessions %d, drop %.1f%%)\n",
 		strat, pop.Size(), *sessions, 100**drop)
-	fmt.Printf("trade rate      %.1f%%   (no-trade %d)\n", 100*res.TradeRate(), res.NoTrade)
-	fmt.Printf("completed       %d      (completion rate %.1f%%, safe plans %d)\n",
+	fmt.Fprintf(w, "trade rate      %.1f%%   (no-trade %d)\n", 100*res.TradeRate(), res.NoTrade)
+	fmt.Fprintf(w, "completed       %d      (completion rate %.1f%%, safe plans %d)\n",
 		res.Completed, 100*res.CompletionRate(), res.ModeSafe)
-	fmt.Printf("defected        %d      aborted by network %d\n", res.Defected, res.Aborted)
-	fmt.Printf("welfare         %v      trade volume %v\n", res.Welfare, res.TradeVolume)
-	fmt.Printf("honest losses   %v\n", res.HonestVictimLoss)
+	fmt.Fprintf(w, "defected        %d      aborted by network %d\n", res.Defected, res.Aborted)
+	fmt.Fprintf(w, "welfare         %v      trade volume %v\n", res.Welfare, res.TradeVolume)
+	fmt.Fprintf(w, "honest losses   %v\n", res.HonestVictimLoss)
 	if res.ConsumerExposure.Count() > 0 {
-		fmt.Printf("consumer exposure (planned): %s\n", res.ConsumerExposure.String())
+		fmt.Fprintf(w, "consumer exposure (planned): %s\n", res.ConsumerExposure.String())
 	}
 	if len(res.DefectionsBy) > 0 {
 		names := make([]string, 0, len(res.DefectionsBy))
@@ -102,12 +103,12 @@ func run(args []string) error {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		fmt.Println("defections by behaviour:")
+		fmt.Fprintln(w, "defections by behaviour:")
 		for _, n := range names {
-			fmt.Printf("  %-12s %d\n", n, res.DefectionsBy[n])
+			fmt.Fprintf(w, "  %-12s %d\n", n, res.DefectionsBy[n])
 		}
 	}
-	fmt.Printf("network         sent %d delivered %d dropped %d\n",
+	fmt.Fprintf(w, "network         sent %d delivered %d dropped %d\n",
 		res.NetStats.Sent, res.NetStats.Delivered, res.NetStats.Dropped)
 	return nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
@@ -9,20 +8,9 @@ import (
 // runCaptured runs the command with args, returning what it printed.
 func runCaptured(t *testing.T, args ...string) (string, error) {
 	t.Helper()
-	out, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	old := os.Stdout
-	os.Stdout = out
-	runErr := run(args)
-	os.Stdout = old
-	printed, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(printed), runErr
+	var out strings.Builder
+	err := run(args, &out)
+	return out.String(), err
 }
 
 // TestRunSmallPopulation drives every strategy over a small mixed

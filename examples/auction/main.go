@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -18,17 +19,22 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "auction:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fmt.Println("auction settlement: 16 honest traders, 4 opportunists, 2 backstabbers")
-	fmt.Println("300 auctions each; bundles of 6 lots, Pareto-priced")
-	fmt.Println()
-	fmt.Printf("%-12s %10s %10s %10s %12s\n", "strategy", "trade", "completed", "welfare", "honest loss")
+// run plays the scenario and writes its report to w. The scenario is
+// fixed, so any argument is an error rather than silently ignored.
+func run(args []string, w io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("takes no arguments, got %q", args)
+	}
+	fmt.Fprintln(w, "auction settlement: 16 honest traders, 4 opportunists, 2 backstabbers")
+	fmt.Fprintln(w, "300 auctions each; bundles of 6 lots, Pareto-priced")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-12s %10s %10s %10s %12s\n", "strategy", "trade", "completed", "welfare", "honest loss")
 
 	for _, strat := range []market.Strategy{market.StrategyNaive, market.StrategySafeOnly, market.StrategyTrustAware} {
 		agents, err := agent.NewPopulation(agent.PopConfig{
@@ -57,7 +63,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-12s %9.1f%% %9.1f%% %10.0f %12.0f\n",
+		fmt.Fprintf(w, "%-12s %9.1f%% %9.1f%% %10.0f %12.0f\n",
 			strat,
 			100*res.TradeRate(),
 			100*res.CompletionRate(),
@@ -65,7 +71,7 @@ func run() error {
 			res.HonestVictimLoss.Float64(),
 		)
 	}
-	fmt.Println("\ntrust-aware should sit near naive on trade volume and near")
-	fmt.Println("safe-only on honest losses — the paper's core claim.")
+	fmt.Fprintln(w, "\ntrust-aware should sit near naive on trade volume and near")
+	fmt.Fprintln(w, "safe-only on honest losses — the paper's core claim.")
 	return nil
 }

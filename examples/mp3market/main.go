@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -27,13 +28,18 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mp3market:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run plays the scenario and writes its report to w. The scenario is
+// fixed, so any argument is an error rather than silently ignored.
+func run(args []string, w io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("takes no arguments, got %q", args)
+	}
 	grid, err := pgrid.New(pgrid.Config{Peers: 64, Seed: 2})
 	if err != nil {
 		return err
@@ -99,19 +105,19 @@ func run() error {
 		completed++
 	}
 
-	fmt.Printf("rounds %d: completed %d, cheated %d, refused-by-trust %d\n",
+	fmt.Fprintf(w, "rounds %d: completed %d, cheated %d, refused-by-trust %d\n",
 		numRounds, completed, cheated, refused)
 	ranked, err := assessor.SortByScore(ids)
 	if err != nil {
 		return err
 	}
-	fmt.Println("most-complained-about peers (cheaters should lead):")
+	fmt.Fprintln(w, "most-complained-about peers (cheaters should lead):")
 	for i, p := range ranked[:4] {
 		prob, err := assessor.Probability(p)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %d. %-7s trust %.2f\n", i+1, p, prob)
+		fmt.Fprintf(w, "  %d. %-7s trust %.2f\n", i+1, p, prob)
 	}
 	return nil
 }

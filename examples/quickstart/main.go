@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"trustcoop/internal/core"
@@ -15,13 +16,18 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run plays the scenario and writes its report to w. The scenario is
+// fixed, so any argument is an error rather than silently ignored.
+func run(args []string, w io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("takes no arguments, got %q", args)
+	}
 	// A seller offers three chapters of a report for 30 units total.
 	bundle, err := goods.NewBundle(
 		goods.Item{ID: "ch1", Cost: 6 * goods.Unit, Worth: 14 * goods.Unit},
@@ -32,14 +38,14 @@ func run() error {
 		return err
 	}
 	terms := exchange.Terms{Bundle: bundle, Price: 30 * goods.Unit}
-	fmt.Printf("terms: price %v, supplier gain %v, consumer gain %v\n",
+	fmt.Fprintf(w, "terms: price %v, supplier gain %v, consumer gain %v\n",
 		terms.Price, terms.SupplierGain(), terms.ConsumerGain())
 
 	// In an isolated exchange no safe sequence exists (paper §2)…
 	if _, err := exchange.ScheduleSafe(terms, exchange.Stakes{}, exchange.Options{}); err != nil {
-		fmt.Println("isolated exchange:", err)
+		fmt.Fprintln(w, "isolated exchange:", err)
 	}
-	fmt.Printf("minimal reputation stake for full safety: %v\n", exchange.MinimalStake(terms))
+	fmt.Fprintf(w, "minimal reputation stake for full safety: %v\n", exchange.MinimalStake(terms))
 
 	// …but two partners who estimate each other as 80% reliable can agree
 	// on a bounded-exposure schedule (paper §3). Trust estimates would come
@@ -59,13 +65,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\n%s plan (caps: supplier %v, consumer %v):\n", res.Mode, res.Caps.Supplier, res.Caps.Consumer)
+	fmt.Fprintf(w, "\n%s plan (caps: supplier %v, consumer %v):\n", res.Mode, res.Caps.Supplier, res.Caps.Consumer)
 	for i, step := range res.Plan.Steps {
-		fmt.Printf("%2d. %s\n", i+1, step)
+		fmt.Fprintf(w, "%2d. %s\n", i+1, step)
 	}
-	fmt.Printf("\nworst-case exposure: consumer %v, supplier %v\n",
+	fmt.Fprintf(w, "\nworst-case exposure: consumer %v, supplier %v\n",
 		res.Plan.Report.MaxConsumerExposure, res.Plan.Report.MaxSupplierExposure)
-	fmt.Printf("trust-discounted gains: consumer %v, supplier %v\n",
+	fmt.Fprintf(w, "trust-discounted gains: consumer %v, supplier %v\n",
 		res.ExpectedConsumerGain, res.ExpectedSupplierGain)
 	return nil
 }

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -25,13 +26,18 @@ type member struct {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "teamwork:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run plays the scenario and writes its report to w. The scenario is
+// fixed, so any argument is an error rather than silently ignored.
+func run(args []string, w io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("takes no arguments, got %q", args)
+	}
 	team := []member{
 		{"ana", true}, {"ben", true}, {"chloe", true},
 		{"dev", true}, {"eve", false}, // eve takes budget and ghosts
@@ -76,26 +82,26 @@ func run() error {
 		_ = res
 	}
 
-	fmt.Printf("rounds 120: contracts %d, refused (insufficient trust) %d, burned by eve %d\n",
+	fmt.Fprintf(w, "rounds 120: contracts %d, refused (insufficient trust) %d, burned by eve %d\n",
 		contracts, refused, burned)
-	fmt.Println("\nwho trusts whom after 120 rounds (Mui witness model):")
-	fmt.Printf("%-8s", "")
+	fmt.Fprintln(w, "\nwho trusts whom after 120 rounds (Mui witness model):")
+	fmt.Fprintf(w, "%-8s", "")
 	for _, to := range team {
-		fmt.Printf("%8s", to.id)
+		fmt.Fprintf(w, "%8s", to.id)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, from := range team {
-		fmt.Printf("%-8s", from.id)
+		fmt.Fprintf(w, "%-8s", from.id)
 		for _, to := range team {
 			if from.id == to.id {
-				fmt.Printf("%8s", "-")
+				fmt.Fprintf(w, "%8s", "-")
 				continue
 			}
-			fmt.Printf("%8.2f", net.Estimate(from.id, to.id).P)
+			fmt.Fprintf(w, "%8.2f", net.Estimate(from.id, to.id).P)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("\neve's column should be low everywhere — including for members")
-	fmt.Println("who never hired her, thanks to witness reports.")
+	fmt.Fprintln(w, "\neve's column should be low everywhere — including for members")
+	fmt.Fprintln(w, "who never hired her, thanks to witness reports.")
 	return nil
 }

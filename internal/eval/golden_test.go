@@ -1,15 +1,11 @@
 package eval
 
 import (
-	"flag"
-	"os"
 	"strings"
 	"testing"
 
 	"trustcoop/internal/testutil"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the golden table files under testdata/")
 
 // goldenRuns are the pinned quick renderings at seed 77: every experiment
 // with default flags, and every gossip-aware experiment with a gossiping,
@@ -63,18 +59,6 @@ func TestGoldenQuickTables(t *testing.T) {
 			}
 			sb.WriteString("\n")
 		}
-		if *updateGolden {
-			if err := os.WriteFile(g.file, []byte(sb.String()), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		raw, err := os.ReadFile(g.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := sb.String(), string(raw); got != want {
-			t.Errorf("%s: quick tables drifted from the committed golden rendering:\n%s", g.file, testutil.FirstDiff(want, got))
-		}
+		testutil.Golden(t, g.file, sb.String())
 	}
 }

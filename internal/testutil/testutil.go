@@ -9,6 +9,10 @@
 // the variants, and ByteIdentical regenerates each and fails with a
 // line-level diff pointer on the first byte that differs.
 //
+// Golden is the cross-change counterpart: it pins a rendering against a
+// committed file, so a change that moves one byte of a program's output, an
+// experiment table or the metrics exposition fails as a one-line diff.
+//
 // The harness deliberately consumes plain rendered strings rather than
 // eval.Table values: the packages under test import nothing from here, and
 // this package imports nothing from them, so it is usable from any package's
@@ -16,10 +20,41 @@
 package testutil
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files instead of comparing against them")
+
+// Golden fails t unless got equals the committed file at path byte for
+// byte, pointing at the first differing line; a missing or extra trailing
+// line is a difference too. Run the test with -update to rewrite the file
+// from got instead — deliberately, and say so in the change:
+//
+//	go test ./... -run Golden -update
+func Golden(t testing.TB, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: output drifted from the committed golden:\n%s", path, FirstDiff(string(want), got))
+	}
+}
 
 // Variant is one knob setting of a regeneration: Run produces the rendered
 // artefact (a table, a report — any string) under that setting.

@@ -3,6 +3,8 @@ package testutil
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -103,5 +105,30 @@ func TestRenderAdaptsStringer(t *testing.T) {
 	fail := Render(func() (stringerFunc, error) { return "", errors.New("nope") })
 	if _, err := fail(); err == nil {
 		t.Error("error swallowed")
+	}
+}
+
+func TestGoldenComparesWholeFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.golden")
+	if err := os.WriteFile(path, []byte("a\nb\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		got, want string // want is a fragment of the one reported error; "" = passes
+	}{
+		{"a\nb\n", ""},
+		{"a\nX\n", "line 2"},
+		{"a\n", "line 2"},            // a missing trailing line fails
+		{"a\nb\nc\n", "line 3"},      // so does an extra one
+		{"a\nb", "trailing newline"}, // and a missing final newline
+	} {
+		r := &recorder{}
+		Golden(r, path, tc.got)
+		switch {
+		case tc.want == "" && len(r.errs) != 0:
+			t.Errorf("Golden(%q) reported %v", tc.got, r.errs)
+		case tc.want != "" && (len(r.errs) != 1 || !strings.Contains(r.errs[0], tc.want)):
+			t.Errorf("Golden(%q) errs = %v, want one mentioning %q", tc.got, r.errs, tc.want)
+		}
 	}
 }

@@ -2,21 +2,19 @@ package trustd
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
+	"trustcoop/internal/testutil"
+)
 
 // metricsServer opens a server, drives deterministic traffic over every
 // instrumented path (ingest, cold + warm score queries, counts, checkpoint),
@@ -92,6 +90,9 @@ func normalizeExposition(text string) string {
 // TestMetricsGolden pins the exposition's structure byte for byte: a renamed
 // metric, a dropped series, or a reordered family is a contract break for
 // every dashboard scraping this service, and must show up as a diff here.
+// Regenerate deliberately with
+//
+//	go test ./internal/trustd/ -run TestMetricsGolden -update
 func TestMetricsGolden(t *testing.T) {
 	_, hs := metricsServer(t)
 	body, resp := fetchText(t, hs.URL+"/metrics")
@@ -99,19 +100,7 @@ func TestMetricsGolden(t *testing.T) {
 		t.Errorf("Content-Type = %q, want Prometheus text 0.0.4", ct)
 	}
 	got := normalizeExposition(body)
-	golden := filepath.Join("testdata", "metrics.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create)", err)
-	}
-	if got != string(want) {
-		t.Errorf("exposition structure drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
-	}
+	testutil.Golden(t, filepath.Join("testdata", "metrics.golden"), got)
 }
 
 // sampleValue extracts one series' value from exposition text.
