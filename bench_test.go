@@ -91,7 +91,10 @@ func BenchmarkScheduleSafe(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			gen := goods.DefaultGenConfig()
 			gen.Items = n
-			bundle := goods.MustGenerate(gen, rng)
+			bundle, err := goods.Generate(gen, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
 			terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
 			stake := exchange.MinimalStake(terms)
 			b.ResetTimer()
@@ -111,7 +114,10 @@ func BenchmarkScheduleTrustAware(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			gen := goods.DefaultGenConfig()
 			gen.Items = n
-			bundle := goods.MustGenerate(gen, rng)
+			bundle, err := goods.Generate(gen, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
 			terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
 			cap := exchange.MinimalExposure(terms)
 			caps := exchange.ExposureCaps{Supplier: cap, Consumer: cap}
@@ -130,7 +136,10 @@ func BenchmarkMinimalStake(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	gen := goods.DefaultGenConfig()
 	gen.Items = 64
-	bundle := goods.MustGenerate(gen, rng)
+	bundle, err := goods.Generate(gen, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
 	terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

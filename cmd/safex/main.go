@@ -58,6 +58,21 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Every amount from outside goes through goods.FromFloat; the first one
+	// out of range is reported by its flag or field name.
+	var amountErr error
+	amount := func(name string, units float64) goods.Money {
+		m, err := goods.FromFloat(name, units)
+		if amountErr == nil {
+			amountErr = err
+		}
+		return m
+	}
+	stakes := exchange.Stakes{Supplier: amount("-stake-supplier", *stakeSup), Consumer: amount("-stake-consumer", *stakeCon)}
+	caps := exchange.ExposureCaps{Supplier: amount("-cap-supplier", *capSup), Consumer: amount("-cap-consumer", *capCon)}
+	if amountErr != nil {
+		return amountErr
+	}
 
 	var spec input
 	dec := json.NewDecoder(in)
@@ -66,23 +81,30 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 	items := make([]goods.Item, len(spec.Items))
 	for i, it := range spec.Items {
-		items[i] = goods.Item{ID: it.ID, Cost: goods.FromFloat(it.Cost), Worth: goods.FromFloat(it.Worth)}
+		items[i] = goods.Item{ID: it.ID,
+			Cost:  amount(fmt.Sprintf("items[%d].cost", i), it.Cost),
+			Worth: amount(fmt.Sprintf("items[%d].worth", i), it.Worth)}
+	}
+	price := amount("price", spec.Price)
+	if amountErr != nil {
+		return amountErr
 	}
 	bundle, err := goods.NewBundle(items...)
 	if err != nil {
 		return err
 	}
-	terms := exchange.Terms{Bundle: bundle, Price: goods.FromFloat(spec.Price)}
+	terms := exchange.Terms{Bundle: bundle, Price: price}
 
 	if *analyze {
+		if err := terms.Validate(); err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "supplier gain   %v\nconsumer gain   %v\n", terms.SupplierGain(), terms.ConsumerGain())
 		fmt.Fprintf(out, "minimal stake Δ* (fully safe)      %v\n", exchange.MinimalStake(terms))
 		fmt.Fprintf(out, "minimal symmetric exposure L*      %v\n", exchange.MinimalExposure(terms))
 		return nil
 	}
 
-	stakes := exchange.Stakes{Supplier: goods.FromFloat(*stakeSup), Consumer: goods.FromFloat(*stakeCon)}
-	caps := exchange.ExposureCaps{Supplier: goods.FromFloat(*capSup), Consumer: goods.FromFloat(*capCon)}
 	var bands exchange.Bands
 	switch *mode {
 	case "safe":

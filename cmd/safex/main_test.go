@@ -41,6 +41,18 @@ func TestGoldenOutput(t *testing.T) {
 		{"unknown-mode", []string{"-mode", "greedy"}, twoItems},
 		{"bad-json", nil, `{"price": 15,`},
 		{"bad-bundle", nil, `{"price": 5, "items": [{"id": "a", "cost": -1, "worth": 10}]}`},
+		// Amounts from outside that no Money can hold are rejected by name,
+		// not wrapped to math.MinInt64 or saturated into the Unlimited
+		// sentinel.
+		{"stake-supplier-nan", []string{"-stake-supplier", "NaN"}, twoItems},
+		{"stake-consumer-inf", []string{"-stake-consumer", "Inf"}, twoItems},
+		{"cap-supplier-huge", []string{"-mode", "trust-aware", "-cap-supplier", "1e13"}, twoItems},
+		{"cap-consumer-neg-inf", []string{"-mode", "trust-aware", "-cap-consumer", "-Inf"}, twoItems},
+		{"price-huge", nil, `{"price": 2e12, "items": [{"id": "a", "cost": 4, "worth": 10}]}`},
+		{"cost-huge", nil, `{"price": 15, "items": [{"id": "a", "cost": 4, "worth": 10}, {"id": "b", "cost": 1e300, "worth": 12}]}`},
+		{"worth-negative-huge", []string{"-analyze"}, `{"price": 15, "items": [{"id": "a", "cost": 4, "worth": -1e13}]}`},
+		// -analyze validates the terms like every schedule does.
+		{"analyze-negative-price", []string{"-analyze"}, `{"price": -5, "items": [{"id": "a", "cost": 4, "worth": 10}]}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -67,6 +68,9 @@ func run(args []string) error {
 	}
 	if *every < 1 {
 		return fmt.Errorf("-checkpoint-every must be at least 1, got %d", *every)
+	}
+	if math.IsNaN(*factor) || math.IsInf(*factor, 0) {
+		return fmt.Errorf("-factor must be finite, got %v", *factor)
 	}
 	if *loadgen {
 		return runLoadgen(*backend, *every, *factor, *sessions, *batch, *seed)

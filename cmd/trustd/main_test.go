@@ -39,6 +39,21 @@ func TestCheckpointEveryMustBePositive(t *testing.T) {
 	}
 }
 
+// TestFactorMustBeFinite: a NaN or infinite threshold would make every
+// served score NaN, which the JSON encoder cannot write — so every score
+// query would answer 200 with an empty body. Both modes reject it by name.
+func TestFactorMustBeFinite(t *testing.T) {
+	for _, args := range [][]string{
+		{"-dir", t.TempDir(), "-factor", "NaN"},
+		{"-dir", t.TempDir(), "-factor", "Inf"},
+		{"-loadgen", "-sessions", "5", "-factor", "-Inf"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-factor") {
+			t.Errorf("run(%q) returned %v, want a -factor error", args, err)
+		}
+	}
+}
+
 func TestBadFlag(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("unknown flag accepted")

@@ -23,6 +23,12 @@ func TestGoldenOutput(t *testing.T) {
 		{"mixed-population", []string{"-honest", "8", "-rational", "2", "-opportunists", "2", "-random", "2", "-backstabbers", "2",
 			"-sessions", "300", "-stake", "1.5", "-seed", "3"}},
 		{"unknown-strategy", []string{"-strategy", "greedy"}},
+		// A stake no Money can hold is rejected by name: NaN and 1e13 used to
+		// wrap to math.MinInt64, 2e12 to run above the Unlimited sentinel.
+		{"stake-nan", []string{"-stake", "NaN"}},
+		{"stake-1e13", []string{"-stake", "1e13"}},
+		{"stake-2e12", []string{"-stake", "2e12"}},
+		{"stake-neg-inf", []string{"-stake", "-Inf"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder

@@ -56,13 +56,17 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown strategy %q", *stratName)
 	}
 
+	stakeAmount, err := goods.FromFloat("-stake", *stake)
+	if err != nil {
+		return err
+	}
 	pop := agent.PopConfig{
 		Honest:      *honest,
 		Rational:    *rational,
 		Opportunist: *opportunists,
 		Random:      *random,
 		Backstabber: *backstabbers,
-		Stake:       goods.FromFloat(*stake),
+		Stake:       stakeAmount,
 	}
 	agents, err := agent.NewPopulation(pop, rand.New(rand.NewSource(*seed)))
 	if err != nil {

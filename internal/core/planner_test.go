@@ -153,7 +153,10 @@ func TestZeroStakeGoesTrustAware(t *testing.T) {
 	gen := goods.DefaultGenConfig()
 	for trial := 0; trial < 50; trial++ {
 		gen.Items = 1 + rng.Intn(16)
-		bundle := goods.MustGenerate(gen, rng)
+		bundle, err := goods.Generate(gen, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
 		res, err := (Planner{}).PlanExchange(sup, con, terms)
 		if err != nil {

@@ -197,20 +197,6 @@ func ExpectedGain(trust float64, gain, exposure goods.Money) goods.Money {
 	return goods.Money(p*float64(gain) - (1-p)*float64(exposure))
 }
 
-// GainDecrement is the paper's "decrease of the expected gains" implied by
-// accepting exposure L against a partner trusted with probability p:
-// ε = (1−p)·L.
-func GainDecrement(trust float64, exposure goods.Money) goods.Money {
-	p := clampTrust(trust)
-	return goods.Money((1 - p) * float64(exposure))
-}
-
-// Accept reports whether a party with the given policy agrees to an exchange
-// whose worst-case exposure is worstLoss.
-func Accept(pol Policy, trust float64, gain, worstLoss goods.Money) bool {
-	return worstLoss <= pol.ExposureLimit(trust, gain)
-}
-
 var (
 	_ Policy = RiskNeutral{}
 	_ Policy = CARA{}

@@ -78,7 +78,10 @@ func TestCARABoundedRegardlessOfGain(t *testing.T) {
 	// ln(1/(1−p))/α bounds the exposure no matter the gain.
 	p := 0.9
 	alpha := 0.5
-	bound := goods.FromFloat(math.Log(1/(1-p)) / alpha)
+	bound, err := goods.FromFloat("bound", math.Log(1/(1-p))/alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, gain := range []goods.Money{goods.Unit, 100 * goods.Unit, 1_000_000 * goods.Unit} {
 		l := CARA{Alpha: alpha}.ExposureLimit(p, gain)
 		if l > bound+goods.Unit/1000 {
@@ -191,21 +194,6 @@ func TestMonotoneInGain(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGainDecrementAndAccept(t *testing.T) {
-	if d := GainDecrement(0.75, 40*goods.Unit); d != 10*goods.Unit {
-		t.Errorf("GainDecrement = %v, want 10", d)
-	}
-	if d := GainDecrement(1, 40*goods.Unit); d != 0 {
-		t.Errorf("full-trust decrement = %v, want 0", d)
-	}
-	if !Accept(RiskNeutral{}, 0.5, 10*goods.Unit, 10*goods.Unit) {
-		t.Error("even-odds exposure equal to gain should be accepted")
-	}
-	if Accept(RiskNeutral{}, 0.5, 10*goods.Unit, 10*goods.Unit+1) {
-		t.Error("exposure above the limit accepted")
 	}
 }
 

@@ -31,7 +31,10 @@ func TestScheduleFastPathAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	gen := goods.DefaultGenConfig() // positive margins: every surplus ≥ 0
 	gen.Items = 64
-	bundle := goods.MustGenerate(gen, rng)
+	bundle, err := goods.Generate(gen, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, it := range bundle.Items {
 		if it.Surplus() < 0 || it.Cost <= 0 {
 			t.Fatalf("generator produced a negative-surplus or free item %+v", it)

@@ -6,13 +6,15 @@ import (
 	"trustcoop/internal/goods"
 )
 
-// This file is the game-theoretic extension the paper names as future work:
-// treating an exchange sequence as an extensive-form game in which, before
-// every step it is about to perform, a party may instead walk away with the
-// current state. Honest execution is a subgame-perfect equilibrium exactly
-// when no reachable deviation pays more than the stake it forfeits — which
-// is what the safety band enforces by construction; the analysis below
-// makes the deviation structure inspectable for arbitrary sequences.
+// This file is the scheduler's safety oracle, and the game-theoretic
+// extension the paper names as future work: treating an exchange sequence as
+// an extensive-form game in which, before every step it is about to perform,
+// a party may instead walk away with the current state. Honest execution is
+// a subgame-perfect equilibrium exactly when no reachable deviation pays
+// more than the stake it forfeits — which is what the safety band enforces
+// by construction. The analysis below computes the deviation structure from
+// the running state alone, independently of the band arithmetic, so the
+// tests check every plan the scheduler returns against it.
 
 // Deviation is a party's best defection opportunity in a sequence.
 type Deviation struct {

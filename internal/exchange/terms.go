@@ -44,9 +44,6 @@ type Stakes struct {
 	Consumer goods.Money // δc: what the consumer loses by defecting
 }
 
-// Total is δs + δc, the slack available to the delivery-order constraints.
-func (s Stakes) Total() goods.Money { return s.Supplier.AddSat(s.Consumer) }
-
 // ExposureCaps are the paper's §3 bounds: "the values that the partners
 // accept to be indebted", derived from trust and risk averseness.
 type ExposureCaps struct {

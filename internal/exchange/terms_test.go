@@ -150,13 +150,6 @@ func TestUnlimitedCapsBehaveAsNoBound(t *testing.T) {
 	}
 }
 
-func TestStakesTotalSaturates(t *testing.T) {
-	s := Stakes{Supplier: goods.Unlimited, Consumer: goods.Unlimited}
-	if got := s.Total(); got != goods.Unlimited {
-		t.Errorf("Total = %v, want saturation at Unlimited", got)
-	}
-}
-
 func TestStepAndKindStrings(t *testing.T) {
 	if StepPay.String() != "pay" || StepDeliver.String() != "deliver" {
 		t.Error("StepKind labels wrong")

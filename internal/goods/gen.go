@@ -127,13 +127,3 @@ func drawCost(cfg GenConfig, rng *rand.Rand) Money {
 		return Money(lo + rng.Float64()*(hi-lo))
 	}
 }
-
-// MustGenerate is a test/example helper that panics on configuration errors.
-// Library code must use Generate.
-func MustGenerate(cfg GenConfig, rng *rand.Rand) Bundle {
-	b, err := Generate(cfg, rng)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}

@@ -2,6 +2,7 @@ package goods
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -33,7 +34,10 @@ func TestMoneyString(t *testing.T) {
 func TestFromFloatRoundTrip(t *testing.T) {
 	f := func(units int16, micros uint16) bool {
 		v := float64(units) + float64(micros%1000)/1000
-		m := FromFloat(v)
+		m, err := FromFloat("v", v)
+		if err != nil {
+			return false
+		}
 		back := m.Float64()
 		diff := back - v
 		if diff < 0 {
@@ -43,6 +47,27 @@ func TestFromFloatRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFromFloatRejectsOutOfRange: amounts from outside that are not finite
+// or would reach the Unlimited sentinel fail with the field's name instead
+// of wrapping to math.MinInt64 or saturating silently.
+func TestFromFloatRejectsOutOfRange(t *testing.T) {
+	limit := float64(Unlimited) / float64(Unit)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e13, -1e13, 2e12, limit, -limit, 1e300} {
+		if m, err := FromFloat("-stake", v); err == nil || !strings.Contains(err.Error(), "-stake") {
+			t.Errorf("FromFloat(%v) = %v, %v; want an error naming -stake", v, m, err)
+		}
+	}
+	for _, v := range []float64{0, 1e12, -1e12, 1152921504606} {
+		m, err := FromFloat("price", v)
+		if err != nil {
+			t.Errorf("FromFloat(%v): %v", v, err)
+		}
+		if m >= Unlimited || m <= -Unlimited {
+			t.Errorf("FromFloat(%v) = %d reaches the Unlimited sentinel", v, int64(m))
+		}
 	}
 }
 
@@ -310,8 +335,14 @@ func TestGenerateErrors(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := DefaultGenConfig()
-	a := MustGenerate(cfg, rand.New(rand.NewSource(99)))
-	b := MustGenerate(cfg, rand.New(rand.NewSource(99)))
+	a, err := Generate(cfg, rand.New(rand.NewSource(99)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Generate(cfg, rand.New(rand.NewSource(99)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a.Items) != len(b.Items) {
 		t.Fatal("lengths differ")
 	}

@@ -26,10 +26,18 @@ const Unit Money = 1_000_000
 // the saturating arithmetic helpers.
 const Unlimited Money = math.MaxInt64 / 8
 
-// FromFloat converts a floating-point amount of whole units to Money,
-// rounding to the nearest micro-unit.
-func FromFloat(units float64) Money {
-	return Money(math.Round(units * float64(Unit)))
+// FromFloat converts units, an amount of whole units read from the flag or
+// input field called name, to Money, rounding to the nearest micro-unit. It
+// is the one door for amounts from outside: NaN, ±Inf and magnitudes that
+// would reach the Unlimited sentinel (or wrap int64) are rejected with an
+// error naming the field, instead of turning into a garbage amount.
+func FromFloat(name string, units float64) (Money, error) {
+	m := math.Round(units * float64(Unit))
+	if !(math.Abs(m) < float64(Unlimited)) {
+		return 0, fmt.Errorf("%s: amount %v out of range (want a finite magnitude below %g)",
+			name, units, float64(Unlimited)/float64(Unit))
+	}
+	return Money(m), nil
 }
 
 // Float64 converts m to whole units as a float64 (for statistics only; never

@@ -111,7 +111,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:      cfg,
 		pairRng:  seedmix.NewRand(seedmix.Derive(cfg.Seed, 0)),
-		sim:      netsim.NewSimulator(cfg.Seed + 1),
+		sim:      netsim.NewSimulator(),
 		ledger:   &reputation.Ledger{},
 		agents:   cfg.Agents,
 		index:    make(map[trust.PeerID]int32, len(cfg.Agents)),
@@ -477,7 +477,7 @@ func (e *Engine) advance(s *session) {
 	if role == agent.RoleSupplier {
 		from, to = s.supNode, s.conNode
 	}
-	e.net.SendSeeded(from, to, stepMsg{sessionID: s.id, stepIndex: s.idx - 1}, s.rng)
+	e.net.Send(from, to, stepMsg{sessionID: s.id, stepIndex: s.idx - 1}, s.rng)
 }
 
 // handle receives a step notification at the counterpart, routes it to its

@@ -1,25 +1,25 @@
 package netsim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestDefaultHandlerAndAccessors pins the shared-dispatch path the engine
 // uses at scale: one SetDefaultHandler call serves every unregistered
-// destination (explicit Register entries still win), and the Sim/Executed
-// accessors expose the event-load numbers the scale benchmarks normalise
-// by.
+// destination (explicit Register entries still win), and the Executed
+// accessor exposes the event-load number the scale benchmarks normalise by.
 func TestDefaultHandlerAndAccessors(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := NewSimulator()
 	net := NewNetwork(sim, ConstLatency(0))
-	if net.Sim() != sim {
-		t.Fatal("Sim() must expose the underlying simulator")
-	}
+	rng := rand.New(rand.NewSource(1))
 	var defGot, regGot int
 	net.SetDefaultHandler(func(from NodeID, msg Message) { defGot++ })
 	if err := net.Register(7, func(from NodeID, msg Message) { regGot++ }); err != nil {
 		t.Fatal(err)
 	}
-	net.Send(1, 2, "ping") // no Register entry → default handler
-	net.Send(1, 7, "ping") // explicit entry wins over the default
+	net.Send(1, 2, "ping", rng) // no Register entry → default handler
+	net.Send(1, 7, "ping", rng) // explicit entry wins over the default
 	if got := sim.Run(100); got != 2 {
 		t.Fatalf("ran %d events, want 2", got)
 	}

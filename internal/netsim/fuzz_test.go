@@ -42,7 +42,7 @@ func FuzzTimerWheel(f *testing.F) {
 		}
 		var trRef, trWheel trace
 		ref := &refSimulator{}
-		sim := NewSimulator(1)
+		sim := NewSimulator()
 
 		drive := func(s scheduler, now func() Time, tr *trace, drain func(Time)) {
 			label := 0
@@ -69,23 +69,14 @@ func FuzzTimerWheel(f *testing.F) {
 			drain(MaxTime)
 		}
 
-		drive(ref, func() Time { return ref.now }, &trRef, func(deadline Time) {
-			for ref.h.Len() > 0 && ref.h[0].at <= deadline {
-				ref.Step()
-			}
-			if ref.now < deadline {
-				ref.now = deadline
-			}
-		})
-		drive(sim, sim.Now, &trWheel, func(deadline Time) {
-			sim.RunUntil(deadline)
-		})
+		drive(ref, func() Time { return ref.now }, &trRef, ref.runThrough)
+		drive(sim, sim.Now, &trWheel, func(deadline Time) { runThrough(sim, deadline) })
 
 		if sim.Now() != ref.now {
 			t.Fatalf("clocks diverge: wheel %d, reference %d", sim.Now(), ref.now)
 		}
-		if sim.Pending() != 0 {
-			t.Fatalf("wheel left %d events pending after drain to MaxTime", sim.Pending())
+		if sim.pending != 0 {
+			t.Fatalf("wheel left %d events pending after drain to MaxTime", sim.pending)
 		}
 		if i, ok := trWheel.equal(&trRef); !ok {
 			if i < 0 {

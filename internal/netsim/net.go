@@ -163,20 +163,14 @@ func (n *Network) SetDropRate(r float64) {
 // Stats returns a copy of the activity counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// Send queues msg for delivery from from to to after the model latency.
+// Send queues msg for delivery from from to to after the model latency, with
+// the loss and latency draws taken from rng: the sending flow's own stream
+// (one per marketplace session in market.Engine), so each flow's randomness
+// stays self-contained however the flows interleave on the virtual clock.
 // Undeliverable messages (unknown destination, random loss) are counted and
 // silently discarded — like the real network the model stands in for, the
 // sender learns nothing.
-func (n *Network) Send(from, to NodeID, msg Message) {
-	n.SendSeeded(from, to, msg, n.sim.Rand())
-}
-
-// SendSeeded is Send with the loss and latency draws taken from rng instead
-// of the simulator's shared source. Callers interleaving several independent
-// flows on one network (e.g. concurrent marketplace sessions) use it to keep
-// each flow's randomness self-contained, so a flow's fate does not depend on
-// how the flows happen to interleave on the virtual clock.
-func (n *Network) SendSeeded(from, to NodeID, msg Message, rng *rand.Rand) {
+func (n *Network) Send(from, to NodeID, msg Message, rng *rand.Rand) {
 	n.stats.Sent++
 	h, ok := n.handlers[to]
 	if !ok {
@@ -203,6 +197,3 @@ func (n *Network) SendSeeded(from, to NodeID, msg Message, rng *rand.Rand) {
 	*d = delivery{net: n, h: h, from: from, msg: msg}
 	n.sim.scheduleEvent(delay, event{d: d})
 }
-
-// Sim exposes the underlying simulator (for timeouts scheduled by nodes).
-func (n *Network) Sim() *Simulator { return n.sim }

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-func pingPongNetwork(t *testing.T, latency LatencyModel) (*Simulator, *Network, *[]string) {
+func pingPongNetwork(t *testing.T, latency LatencyModel) (*Simulator, *Network, *rand.Rand, *[]string) {
 	t.Helper()
-	sim := NewSimulator(7)
+	sim := NewSimulator()
 	net := NewNetwork(sim, latency)
+	rng := rand.New(rand.NewSource(7))
 	var log []string
 	if err := net.Register(1, func(from NodeID, msg Message) {
 		log = append(log, "node1:"+msg.(string))
@@ -17,16 +18,16 @@ func pingPongNetwork(t *testing.T, latency LatencyModel) (*Simulator, *Network, 
 	}
 	if err := net.Register(2, func(from NodeID, msg Message) {
 		log = append(log, "node2:"+msg.(string))
-		net.Send(2, 1, "pong")
+		net.Send(2, 1, "pong", rng)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return sim, net, &log
+	return sim, net, rng, &log
 }
 
 func TestSendDeliver(t *testing.T) {
-	sim, net, log := pingPongNetwork(t, ConstLatency(5))
-	net.Send(1, 2, "ping")
+	sim, net, rng, log := pingPongNetwork(t, ConstLatency(5))
+	net.Send(1, 2, "ping", rng)
 	sim.Run(0)
 	if len(*log) != 2 || (*log)[0] != "node2:ping" || (*log)[1] != "node1:pong" {
 		t.Errorf("log = %v", *log)
@@ -41,8 +42,8 @@ func TestSendDeliver(t *testing.T) {
 }
 
 func TestUnknownDestination(t *testing.T) {
-	sim, net, _ := pingPongNetwork(t, ConstLatency(1))
-	net.Send(1, 99, "void")
+	sim, net, rng, _ := pingPongNetwork(t, ConstLatency(1))
+	net.Send(1, 99, "void", rng)
 	sim.Run(0)
 	if st := net.Stats(); st.NoRoute != 1 || st.Delivered != 0 {
 		t.Errorf("stats = %+v", st)
@@ -50,7 +51,7 @@ func TestUnknownDestination(t *testing.T) {
 }
 
 func TestDuplicateAndNilRegistration(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := NewSimulator()
 	net := NewNetwork(sim, ConstLatency(0))
 	if err := net.Register(1, func(NodeID, Message) {}); err != nil {
 		t.Fatal(err)
@@ -64,8 +65,9 @@ func TestDuplicateAndNilRegistration(t *testing.T) {
 }
 
 func TestDropRate(t *testing.T) {
-	sim := NewSimulator(42)
+	sim := NewSimulator()
 	net := NewNetwork(sim, ConstLatency(0))
+	rng := rand.New(rand.NewSource(42))
 	received := 0
 	if err := net.Register(1, func(NodeID, Message) { received++ }); err != nil {
 		t.Fatal(err)
@@ -73,7 +75,7 @@ func TestDropRate(t *testing.T) {
 	net.SetDropRate(0.3)
 	const total = 10000
 	for i := 0; i < total; i++ {
-		net.Send(2, 1, i)
+		net.Send(2, 1, i, rng)
 	}
 	sim.Run(0)
 	st := net.Stats()
@@ -113,8 +115,9 @@ func TestUniformLatencyBounds(t *testing.T) {
 
 func TestNetworkDeterminism(t *testing.T) {
 	run := func() []int {
-		sim := NewSimulator(1234)
+		sim := NewSimulator()
 		net := NewNetwork(sim, UniformLatency{Min: 1, Max: 20})
+		rng := rand.New(rand.NewSource(1234))
 		net.SetDropRate(0.2)
 		var got []int
 		for id := NodeID(0); id < 5; id++ {
@@ -123,7 +126,7 @@ func TestNetworkDeterminism(t *testing.T) {
 			}
 		}
 		for i := 0; i < 200; i++ {
-			net.Send(NodeID(i%5), NodeID((i+1)%5), i)
+			net.Send(NodeID(i%5), NodeID((i+1)%5), i, rng)
 		}
 		sim.Run(0)
 		return got

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"runtime/debug"
 	"testing"
 )
@@ -23,7 +24,7 @@ func TestSimulatorFreelistCrossesRuns(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	drainCrossRunPools()
 
-	s1 := NewSimulator(1)
+	s1 := NewSimulator()
 	if len(s1.free) != 0 {
 		t.Fatalf("fresh simulator adopted %d arrays from a drained pool", len(s1.free))
 	}
@@ -44,7 +45,7 @@ func TestSimulatorFreelistCrossesRuns(t *testing.T) {
 		t.Fatal("Release left the freelist attached")
 	}
 
-	s2 := NewSimulator(2)
+	s2 := NewSimulator()
 	if len(s2.free) != grown {
 		t.Fatalf("second simulator adopted %d arrays, want the released %d", len(s2.free), grown)
 	}
@@ -64,13 +65,14 @@ func TestNetworkDeliveryPoolCrossesRuns(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	drainCrossRunPools()
 
-	sim1 := NewSimulator(3)
+	rng := rand.New(rand.NewSource(3))
+	sim1 := NewSimulator()
 	net1 := NewNetwork(sim1, ConstLatency(1))
 	if err := net1.Register(0, func(NodeID, Message) {}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		net1.Send(0, 0, i)
+		net1.Send(0, 0, i, rng)
 	}
 	sim1.Run(8)
 	pooled := len(net1.pool)
@@ -80,7 +82,7 @@ func TestNetworkDeliveryPoolCrossesRuns(t *testing.T) {
 	net1.Release()
 	sim1.Release()
 
-	sim2 := NewSimulator(4)
+	sim2 := NewSimulator()
 	net2 := NewNetwork(sim2, ConstLatency(1))
 	if len(net2.pool) != pooled {
 		t.Fatalf("second network adopted %d deliveries, want the released %d", len(net2.pool), pooled)
@@ -90,7 +92,7 @@ func TestNetworkDeliveryPoolCrossesRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		net2.Send(0, 0, i)
+		net2.Send(0, 0, i, rng)
 	}
 	sim2.Run(8)
 	if got != 8 {

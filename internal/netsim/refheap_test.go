@@ -71,6 +71,14 @@ func (r *refSimulator) Step() bool {
 	return true
 }
 
+// runThrough is the reference's partial drain: every event with a timestamp
+// ≤ deadline, the clock left at the last one run.
+func (r *refSimulator) runThrough(deadline Time) {
+	for r.h.Len() > 0 && r.h[0].at <= deadline {
+		r.Step()
+	}
+}
+
 func (r *refSimulator) Run() {
 	for r.Step() {
 	}
@@ -152,7 +160,7 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 		workload(seed, 40, 6, ref, func() Time { return ref.now }, &trRef)
 		ref.Run()
 
-		sim := NewSimulator(1)
+		sim := NewSimulator()
 		workload(seed, 40, 6, sim, sim.Now, &trWheel)
 		n := sim.Run(0)
 
@@ -169,8 +177,23 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
+// runThrough steps s through every event with a timestamp ≤ deadline: the
+// partial drain the stepwise tests interleave with scheduling.
+func runThrough(s *Simulator, deadline Time) {
+	for {
+		if s.cur == nil {
+			if t, ok := s.peek(); !ok || t > deadline {
+				return
+			}
+		} else if s.now > deadline {
+			return
+		}
+		s.Step()
+	}
+}
+
 // TestWheelMatchesReferenceHeapStepwise interleaves scheduling with partial
-// draining (RunUntil at random deadlines), so cascades happen between
+// draining (runThrough at random deadlines), so cascades happen between
 // schedule waves rather than only after all scheduling is done.
 func TestWheelMatchesReferenceHeapStepwise(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
@@ -178,20 +201,15 @@ func TestWheelMatchesReferenceHeapStepwise(t *testing.T) {
 		var trRef, trWheel trace
 
 		ref := &refSimulator{}
-		sim := NewSimulator(1)
+		sim := NewSimulator()
 
 		deadline := Time(0)
 		for wave := 0; wave < 8; wave++ {
 			workload(seed*31+int64(wave), 10, 3, ref, func() Time { return ref.now }, &trRef)
 			workload(seed*31+int64(wave), 10, 3, sim, sim.Now, &trWheel)
 			deadline += Time(rng.Int63n(1 << 20))
-			for ref.h.Len() > 0 && ref.h[0].at <= deadline {
-				ref.Step()
-			}
-			if ref.now < deadline {
-				ref.now = deadline
-			}
-			sim.RunUntil(deadline)
+			ref.runThrough(deadline)
+			runThrough(sim, deadline)
 			if sim.Now() != ref.now {
 				t.Fatalf("seed %d wave %d: clocks diverge: wheel %d, reference %d", seed, wave, sim.Now(), ref.now)
 			}
@@ -214,7 +232,7 @@ func TestWheelMatchesReferenceHeapStepwise(t *testing.T) {
 // at MaxTime instead of scheduling it into the past, and it still runs
 // (last) with the clock at MaxTime.
 func TestScheduleOverflowClamped(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator()
 	var order []int
 	s.Schedule(10, func() { order = append(order, 1) })
 	s.Schedule(MaxTime, func() { // now+MaxTime wraps: clamp, not time travel
@@ -252,7 +270,7 @@ func TestScheduleOverflowClamped(t *testing.T) {
 // freelist itself never exceeds maxFreeLists entries — so one large
 // same-tick wave cannot pin its peak backing memory for the rest of a run.
 func TestFreelistCapped(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator()
 	// A wave well past maxRecycledCap on one tick: its slot array grows
 	// beyond the recyclable cap and must be dropped on retire.
 	for i := 0; i < 4*maxRecycledCap; i++ {

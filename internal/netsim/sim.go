@@ -2,7 +2,9 @@
 // virtual clock, an event queue, and a message-passing network with
 // configurable latency and loss. Experiments run on it instead of real
 // goroutines and sockets so that every run is exactly reproducible from a
-// seed.
+// seed. The simulator itself draws no randomness: every flow passes its own
+// stream to Network.Send, so a flow's fate does not depend on how the flows
+// happen to interleave on the virtual clock.
 //
 // A Simulator (and the Network on top of it) is single-threaded by design:
 // events run one at a time in timestamp order. None of the types in this
@@ -12,7 +14,6 @@ package netsim
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 	"sync"
 )
 
@@ -98,8 +99,6 @@ type Simulator struct {
 	free     [][]event           // bounded freelist of retired slot arrays
 	pending  int
 	executed int64
-	seed     int64
-	rng      *rand.Rand // built on first Rand call; see NewSimulator
 }
 
 // slotFreePool recycles whole slot-array freelists across simulator
@@ -113,15 +112,11 @@ type Simulator struct {
 // single-threaded; only the pool handoff is concurrent-safe.
 var slotFreePool sync.Pool
 
-// NewSimulator returns an empty simulator whose randomness derives entirely
-// from seed. The random source is built on first use — seeding math/rand's
-// lagged-Fibonacci state costs microseconds, which a simulator that never
-// draws (the common pure-latency configuration) should not pay. The slot
-// freelist is adopted from a previously Released simulator when one is
-// pooled — recycled arrays are cleared, so adoption cannot leak state
-// between runs.
-func NewSimulator(seed int64) *Simulator {
-	s := &Simulator{seed: seed}
+// NewSimulator returns an empty simulator at time 0. The slot freelist is
+// adopted from a previously Released simulator when one is pooled —
+// recycled arrays are cleared, so adoption cannot leak state between runs.
+func NewSimulator() *Simulator {
+	s := &Simulator{}
 	if v := slotFreePool.Get(); v != nil {
 		s.free = v.([][]event)
 	}
@@ -141,17 +136,6 @@ func (s *Simulator) Release() {
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
-
-// Rand exposes the simulator's deterministic random source.
-func (s *Simulator) Rand() *rand.Rand {
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(s.seed))
-	}
-	return s.rng
-}
-
-// Pending reports the number of queued events.
-func (s *Simulator) Pending() int { return s.pending }
 
 // Executed reports the total number of events run so far — the event-load
 // number the scale benchmarks normalise by.
@@ -382,29 +366,6 @@ func (s *Simulator) Run(maxEvents int) int {
 			break
 		}
 		n++
-	}
-	return n
-}
-
-// RunUntil executes events with timestamps ≤ deadline and advances the clock
-// to the deadline. It returns the number of events executed.
-func (s *Simulator) RunUntil(deadline Time) int {
-	n := 0
-	for {
-		if sl := s.cur; sl != nil && s.now <= deadline {
-			s.exec(sl)
-			n++
-			continue
-		}
-		t, ok := s.peek()
-		if !ok || t > deadline {
-			break
-		}
-		s.runAt(t)
-		n++
-	}
-	if s.now < deadline {
-		s.now = deadline
 	}
 	return n
 }

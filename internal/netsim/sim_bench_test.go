@@ -10,7 +10,7 @@ import (
 // events spread over 8 distinct timestamps — 64 events per tick.
 func BenchmarkSimulatorSameTick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSimulator(1)
+		s := NewSimulator()
 		for e := 0; e < 512; e++ {
 			s.Schedule(Time(e%8), func() {})
 		}
@@ -25,7 +25,7 @@ func BenchmarkSimulatorSameTick(b *testing.B) {
 // must not hurt.
 func BenchmarkSimulatorSpreadTicks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSimulator(1)
+		s := NewSimulator()
 		for e := 0; e < 512; e++ {
 			s.Schedule(Time(e), func() {})
 		}
@@ -40,7 +40,7 @@ func BenchmarkSimulatorSpreadTicks(b *testing.B) {
 // pattern of zero-latency message hand-offs.
 func BenchmarkSimulatorCascade(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSimulator(1)
+		s := NewSimulator()
 		var n int
 		var tick func()
 		tick = func() {

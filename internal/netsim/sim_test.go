@@ -1,11 +1,12 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 )
 
 func TestEventsRunInTimestampOrder(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator()
 	var order []int
 	s.Schedule(30, func() { order = append(order, 3) })
 	s.Schedule(10, func() { order = append(order, 1) })
@@ -22,7 +23,7 @@ func TestEventsRunInTimestampOrder(t *testing.T) {
 }
 
 func TestTiesBreakFIFO(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -37,7 +38,7 @@ func TestTiesBreakFIFO(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator()
 	var hits []Time
 	s.Schedule(10, func() {
 		hits = append(hits, s.Now())
@@ -50,7 +51,7 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestNegativeDelayClamped(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator()
 	s.Schedule(10, func() {
 		s.Schedule(-100, func() {
 			if s.Now() != 10 {
@@ -62,38 +63,20 @@ func TestNegativeDelayClamped(t *testing.T) {
 }
 
 func TestRunMaxEvents(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator()
 	for i := 0; i < 5; i++ {
 		s.Schedule(Time(i), func() {})
 	}
 	if n := s.Run(3); n != 3 {
 		t.Errorf("Run(3) = %d", n)
 	}
-	if s.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", s.Pending())
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	s := NewSimulator(1)
-	var hits int
-	for _, d := range []Time{5, 10, 15, 20} {
-		s.Schedule(d, func() { hits++ })
-	}
-	if n := s.RunUntil(12); n != 2 {
-		t.Errorf("RunUntil ran %d, want 2", n)
-	}
-	if s.Now() != 12 {
-		t.Errorf("Now = %d, want 12 (clock advances to deadline)", s.Now())
-	}
-	s.Run(0)
-	if hits != 4 {
-		t.Errorf("total hits = %d, want 4", hits)
+	if s.pending != 2 {
+		t.Errorf("pending = %d, want 2", s.pending)
 	}
 }
 
 func TestStepOnEmpty(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator()
 	if s.Step() {
 		t.Error("Step on empty queue returned true")
 	}
@@ -105,7 +88,7 @@ func TestStepOnEmpty(t *testing.T) {
 // tick, and buckets recycled through the freelist must all execute in
 // exactly the (timestamp, schedule-order) sequence of a per-event queue.
 func TestSameTickBatchingPreservesOrder(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator()
 	var order []int
 	mark := func(v int) func() { return func() { order = append(order, v) } }
 	// Interleave two ticks so same-tick events are never scheduled
@@ -121,8 +104,8 @@ func TestSameTickBatchingPreservesOrder(t *testing.T) {
 		s.Schedule(0, mark(100))
 		s.Schedule(10, mark(6))
 	})
-	if s.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", s.Pending())
+	if s.pending != 5 {
+		t.Fatalf("pending = %d, want 5", s.pending)
 	}
 	s.Run(0)
 	want := []int{1, 2, 3, 100, 4, 5, 6}
@@ -149,20 +132,21 @@ func TestSameTickBatchingPreservesOrder(t *testing.T) {
 			t.Fatalf("after reuse: order = %v, want %v", order, want)
 		}
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", s.Pending())
+	if s.pending != 0 {
+		t.Fatalf("pending = %d after drain", s.pending)
 	}
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []Time {
-		s := NewSimulator(99)
+		s := NewSimulator()
+		rng := rand.New(rand.NewSource(99))
 		var stamps []Time
 		var tick func()
 		tick = func() {
 			stamps = append(stamps, s.Now())
 			if len(stamps) < 50 {
-				s.Schedule(Time(1+s.Rand().Intn(10)), tick)
+				s.Schedule(Time(1+rng.Intn(10)), tick)
 			}
 		}
 		s.Schedule(0, tick)

@@ -73,7 +73,7 @@ func TestDeferredReplicationAmortisesReplicaWrites(t *testing.T) {
 		}
 	}
 	eagerRoutes, _ := eager.Grid.RouteStats()
-	eagerWrites := eager.Grid.StoreWrites()
+	eagerWrites := eager.Grid.storeWrites
 	if eagerWrites == 0 {
 		t.Fatal("eager grid recorded no store writes")
 	}
@@ -88,20 +88,20 @@ func TestDeferredReplicationAmortisesReplicaWrites(t *testing.T) {
 	if deferredRoutes != eagerRoutes {
 		t.Errorf("deferred mode changed routing: %d walks vs eager %d", deferredRoutes, eagerRoutes)
 	}
-	if w := deferred.Grid.StoreWrites(); w != 0 {
+	if w := deferred.Grid.storeWrites; w != 0 {
 		t.Errorf("store-and-forward wrote %d replica entries before any read or flush", w)
 	}
 	if err := deferred.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w := deferred.Grid.StoreWrites(); w != eagerWrites {
+	if w := deferred.Grid.storeWrites; w != eagerWrites {
 		t.Errorf("flushed replica writes = %d, eager = %d; the broadcast must deliver everything exactly once", w, eagerWrites)
 	}
 	// Flushing again is free — the buffers drained.
 	if err := deferred.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w := deferred.Grid.StoreWrites(); w != eagerWrites {
+	if w := deferred.Grid.storeWrites; w != eagerWrites {
 		t.Errorf("second flush re-broadcast: writes %d, want %d", w, eagerWrites)
 	}
 }
@@ -116,7 +116,7 @@ func TestDeferredReplicationReadsFlushOnlyTheirKey(t *testing.T) {
 	if err := store.FileBatch([]complaints.Complaint{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	if w := store.Grid.StoreWrites(); w != 0 {
+	if w := store.Grid.storeWrites; w != 0 {
 		t.Fatalf("writes before read: %d", w)
 	}
 	n, err := store.Received("bob")
@@ -126,7 +126,7 @@ func TestDeferredReplicationReadsFlushOnlyTheirKey(t *testing.T) {
 	if n != 1 {
 		t.Errorf("received(bob) = %d through store-and-forward", n)
 	}
-	after := store.Grid.StoreWrites()
+	after := store.Grid.storeWrites
 	if after == 0 {
 		t.Error("read did not flush its key")
 	}
@@ -134,7 +134,7 @@ func TestDeferredReplicationReadsFlushOnlyTheirKey(t *testing.T) {
 	if _, err := store.Filed("carol"); err != nil {
 		t.Fatal(err)
 	}
-	if store.Grid.StoreWrites() <= total {
+	if store.Grid.storeWrites <= total {
 		t.Error("second key's group was flushed by the first read")
 	}
 }

@@ -6,8 +6,9 @@
 // key bit per hop, giving O(log N) routing.
 //
 // The grid is built by a deterministic balanced assignment of paths to
-// peers. Storage peers can be marked malicious to study Byzantine answer
-// corruption with replica voting (experiment E8).
+// peers. Storage peers can be marked malicious — a malicious replica denies
+// holding any data — to study Byzantine answers with replica voting
+// (experiment E8).
 //
 // Grid methods are not safe for concurrent use; the simulator drives them
 // from a single goroutine.
@@ -28,24 +29,6 @@ var (
 	ErrUnreachable = errors.New("pgrid: no route to responsible peer")
 )
 
-// CorruptFunc distorts the values a malicious peer returns for a query.
-type CorruptFunc func(key string, values []string, rng *rand.Rand) []string
-
-// CorruptHide makes malicious peers deny having any data.
-func CorruptHide(string, []string, *rand.Rand) []string { return nil }
-
-// CorruptDuplicate makes malicious peers inflate their answer by repeating
-// every stored value k extra times (slandering by amplification).
-func CorruptDuplicate(k int) CorruptFunc {
-	return func(_ string, values []string, _ *rand.Rand) []string {
-		out := make([]string, 0, len(values)*(k+1))
-		for rep := 0; rep <= k; rep++ {
-			out = append(out, values...)
-		}
-		return out
-	}
-}
-
 // Config parameterises grid construction.
 type Config struct {
 	// Peers is the number of peers; must be at least 2^Depth.
@@ -55,8 +38,6 @@ type Config struct {
 	Depth int
 	// Seed drives all randomness in construction and routing.
 	Seed int64
-	// Corrupt is how malicious peers distort answers; nil means CorruptHide.
-	Corrupt CorruptFunc
 	// DeferReplication switches the replica-group write from the eager
 	// per-write fan-out (every insert appends at every replica immediately)
 	// to store-and-forward: an insert routes once and buffers its values
@@ -92,9 +73,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Peers < 1<<c.Depth {
 		return c, fmt.Errorf("pgrid: %d peers cannot populate depth %d (need ≥ %d)", c.Peers, c.Depth, 1<<c.Depth)
 	}
-	if c.Corrupt == nil {
-		c.Corrupt = CorruptHide
-	}
 	return c, nil
 }
 
@@ -126,8 +104,12 @@ type Grid struct {
 	mutations uint64
 
 	// message accounting for the experiments
-	routeHops   int
-	routeCount  int
+	routeHops  int
+	routeCount int
+	// storeWrites counts the (value, replica) writes applied to peer
+	// stores — the quantity the deferred replica broadcast defers: with
+	// DeferReplication it stays at 0 until a read or FlushReplication lands
+	// the buffered groups.
 	storeWrites int
 }
 
@@ -258,12 +240,6 @@ func (g *Grid) RouteStats() (routes int, meanHops float64) {
 	}
 	return g.routeCount, float64(g.routeHops) / float64(g.routeCount)
 }
-
-// StoreWrites reports the cumulative (value, replica) writes applied to
-// peer stores — the quantity the deferred replica broadcast defers: with
-// DeferReplication it stays at 0 until a read or FlushReplication lands the
-// buffered groups.
-func (g *Grid) StoreWrites() int { return g.storeWrites }
 
 // Mutations returns the grid's write-generation counter: it advances on
 // every insert attempt and holds still across reads (flush-on-read included,

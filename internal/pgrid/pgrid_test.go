@@ -185,27 +185,6 @@ func TestMaliciousHideAndMedianVoting(t *testing.T) {
 	}
 }
 
-func TestCorruptDuplicateInflates(t *testing.T) {
-	g, err := New(Config{Peers: 8, Depth: 1, Seed: 5, Corrupt: CorruptDuplicate(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := g.KeyFor("t")
-	if err := g.Insert(key, "v"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < g.Size(); i++ {
-		g.Peer(i).Malicious = true
-	}
-	values, _, err := g.Query(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(values) != 3 {
-		t.Errorf("duplicated answer = %d values, want 3", len(values))
-	}
-}
-
 func TestMarkMaliciousFractionAndClamping(t *testing.T) {
 	g := balancedGrid(t, 20, 2)
 	marked := g.MarkMalicious(0.3)

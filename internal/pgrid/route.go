@@ -122,8 +122,8 @@ func (g *Grid) FlushReplication() error {
 }
 
 // Query routes from a random peer and returns the reached replica's values
-// for the key (possibly corrupted when that replica is malicious) along
-// with the hop count.
+// for the key (none when that replica is malicious) along with the hop
+// count.
 func (g *Grid) Query(key string) (values []string, hops int, err error) {
 	if err := g.checkKey(key); err != nil {
 		return nil, 0, err
@@ -138,11 +138,10 @@ func (g *Grid) Query(key string) (values []string, hops int, err error) {
 		return nil, hops, fmt.Errorf("query %s: %w", key, err)
 	}
 	p := g.peers[idx]
-	stored := p.store[key]
 	if p.Malicious {
-		return g.cfg.Corrupt(key, cloneValues(stored), g.rng), hops, nil
+		return nil, hops, nil
 	}
-	return cloneValues(stored), hops, nil
+	return cloneValues(p.store[key]), hops, nil
 }
 
 // QueryReplicas issues r independent routed queries (random start peers, so

@@ -112,19 +112,6 @@ func (d *Distribution) Add(x float64) {
 	d.counts[distBucketIndex(x)]++
 }
 
-// AddN records x n times in O(1); n <= 0 records nothing. The moment
-// accumulators may differ from n repeated Adds in the last bits (the sum is
-// formed as x·n instead of n additions) — the same tolerance discipline as
-// Sample.Merge.
-func (d *Distribution) AddN(x float64, n int) {
-	if n <= 0 {
-		return
-	}
-	d.moments.Merge(Sample{n: n, mean: x, min: x, max: x, sum: x * float64(n)})
-	d.ensure()
-	d.counts[distBucketIndex(x)] += int64(n)
-}
-
 // Merge folds other into d, as if every observation of other had been Added.
 // Bucket counts merge exactly (integer sums — associative and commutative);
 // the moments follow Sample.Merge's discipline. other is not modified.

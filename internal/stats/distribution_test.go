@@ -200,22 +200,6 @@ func TestDistributionUnderflowAndOverflow(t *testing.T) {
 	}
 }
 
-func TestDistributionAddN(t *testing.T) {
-	var a, b Distribution
-	a.AddN(250, 5)
-	a.AddN(1e6, 0)  // no-op
-	a.AddN(1e6, -2) // no-op
-	for i := 0; i < 5; i++ {
-		b.Add(250)
-	}
-	if a.Count() != b.Count() || a.Mean() != b.Mean() || a.Min() != b.Min() || a.Max() != b.Max() {
-		t.Errorf("AddN(250, 5) != 5×Add(250): %+v vs %+v", a, b)
-	}
-	if got, want := a.Percentile(50), b.Percentile(50); got != want {
-		t.Errorf("AddN p50 %g != Add p50 %g", got, want)
-	}
-}
-
 func randomDistribution(rng *rand.Rand, n int) Distribution {
 	var d Distribution
 	for i := 0; i < n; i++ {

@@ -42,13 +42,6 @@ func (s *Sample) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// AddN records x n times (n must be non-negative).
-func (s *Sample) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		s.Add(x)
-	}
-}
-
 // Merge folds other into s, as if every observation of other had been Added.
 func (s *Sample) Merge(other Sample) {
 	if other.n == 0 {

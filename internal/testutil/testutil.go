@@ -33,9 +33,10 @@ var update = flag.Bool("update", false, "rewrite golden files instead of compari
 // Golden fails t unless got equals the committed file at path byte for
 // byte, pointing at the first differing line; a missing or extra trailing
 // line is a difference too. Run the test with -update to rewrite the file
-// from got instead — deliberately, and say so in the change:
+// from got instead — deliberately, and say so in the change. Every golden
+// in the repository regenerates with one command:
 //
-//	go test ./... -run Golden -update
+//	go test ./internal/eval/ ./internal/trustd/ ./cmd/safex/ ./cmd/trustsim/ ./examples/... -run Golden -update
 func Golden(t testing.TB, path, got string) {
 	t.Helper()
 	if *update {

@@ -18,7 +18,6 @@
 package mui
 
 import (
-	"math"
 	"sort"
 	"sync"
 
@@ -173,17 +172,4 @@ func (v *view) Record(peer trust.PeerID, o trust.Outcome) {
 
 func (v *view) Estimate(peer trust.PeerID) trust.Estimate {
 	return v.net.Estimate(v.observer, peer)
-}
-
-// SamplesFor re-exports the model's m(ε, δ) bound for the experiments.
-func SamplesFor(eps, delta float64) float64 { return trust.SamplesFor(eps, delta) }
-
-// ProtocolMessages estimates the number of witness queries one Estimate
-// issues (for the messaging-cost experiment): every visited acquaintance up
-// to MaxDepth costs one query. math.Min keeps the bound finite.
-func (n *Network) ProtocolMessages(observer trust.PeerID) float64 {
-	n.mu.Lock()
-	agents := float64(len(n.agents))
-	n.mu.Unlock()
-	return math.Min(agents, float64(n.cfg.MaxWitnesses))
 }

@@ -152,19 +152,3 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("defaults: %+v", cfg)
 	}
 }
-
-func TestProtocolMessagesBounded(t *testing.T) {
-	n := NewNetwork(Config{MaxWitnesses: 4})
-	for i := 0; i < 20; i++ {
-		n.Record(trust.PeerID(fmt.Sprintf("a%d", i)), "t", trust.Outcome{Cooperated: true})
-	}
-	if got := n.ProtocolMessages("a0"); got > 4 {
-		t.Errorf("ProtocolMessages = %g, want ≤ MaxWitnesses", got)
-	}
-}
-
-func TestSamplesForReexport(t *testing.T) {
-	if SamplesFor(0.1, 0.05) != trust.SamplesFor(0.1, 0.05) {
-		t.Error("SamplesFor should match trust.SamplesFor")
-	}
-}

@@ -82,16 +82,6 @@ func Reliability(n, eps float64) float64 {
 	return r
 }
 
-// SamplesFor inverts Reliability: the number of observations needed for the
-// empirical frequency to be within eps of the truth with probability at
-// least 1−delta. (Mui et al.'s m(ε, δ).)
-func SamplesFor(eps, delta float64) float64 {
-	if eps <= 0 || delta <= 0 || delta >= 1 {
-		return math.Inf(1)
-	}
-	return -math.Log(delta/2) / (2 * eps * eps)
-}
-
 // DefaultEpsilon is the estimation-error tolerance used for reliability
 // computations throughout the experiments.
 const DefaultEpsilon = 0.1

@@ -145,15 +145,13 @@ func TestReliabilityProperties(t *testing.T) {
 	}
 }
 
+// TestSamplesForInvertsReliability: at Mui et al.'s sample count
+// m(ε, δ) = −ln(δ/2)/(2ε²) the reliability is exactly 1−δ.
 func TestSamplesForInvertsReliability(t *testing.T) {
 	eps, delta := 0.1, 0.05
-	m := SamplesFor(eps, delta)
-	// At m samples the reliability is exactly 1−delta.
+	m := -math.Log(delta/2) / (2 * eps * eps)
 	if r := Reliability(m, eps); math.Abs(r-(1-delta)) > 1e-9 {
-		t.Errorf("Reliability(SamplesFor) = %g, want %g", r, 1-delta)
-	}
-	if !math.IsInf(SamplesFor(0, 0.1), 1) || !math.IsInf(SamplesFor(0.1, 0), 1) {
-		t.Error("degenerate SamplesFor should be +Inf")
+		t.Errorf("Reliability(m(ε, δ)) = %g, want %g", r, 1-delta)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -58,7 +59,8 @@ type Options struct {
 	// Population fixes the peers trust scores are normalised over. nil keeps
 	// it dynamic: every peer a durable complaint has mentioned.
 	Population []trust.PeerID
-	// Factor is the decision threshold; 0 means complaints.DefaultFactor.
+	// Factor is the decision threshold; 0 or less means
+	// complaints.DefaultFactor. It must be finite.
 	Factor float64
 	// CheckpointEvery triggers an automatic checkpoint after that many
 	// complaints have been ingested since the last one; 0 or less means
@@ -194,6 +196,11 @@ type Score struct {
 // Open builds the store, recovers checkpoint + WAL tail from opts.Dir, and
 // returns a serving node. A fresh directory starts empty at WAL segment 1.
 func Open(opts Options) (*Server, error) {
+	if math.IsNaN(opts.Factor) || math.IsInf(opts.Factor, 0) {
+		// A non-finite threshold makes every Probability NaN, which no JSON
+		// encoder can serve.
+		return nil, fmt.Errorf("trustd: Options.Factor must be finite, got %v", opts.Factor)
+	}
 	backend := opts.Backend
 	if backend == "" {
 		backend = "sharded"

@@ -194,6 +194,27 @@ func TestServerIngestQueryHTTP(t *testing.T) {
 
 // TestServerRestartBitIdentical: a graceful stop and a WAL-only replay both
 // recover the exact state, across backends.
+// TestOpenRejectsNonFiniteFactor: a NaN or infinite threshold makes every
+// Probability NaN, which encoding/json refuses after the status line is
+// out — every score query would answer 200 with an empty body. Open refuses
+// it before touching the directory.
+func TestOpenRejectsNonFiniteFactor(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		dir := filepath.Join(t.TempDir(), "state")
+		srv, err := Open(Options{Dir: dir, Factor: f})
+		if err == nil {
+			srv.Close()
+			t.Fatalf("Open accepted Factor %v", f)
+		}
+		if !strings.Contains(err.Error(), "Factor") {
+			t.Errorf("Open(Factor %v) = %v, want an error naming Factor", f, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("Open(Factor %v) touched the directory: %v", f, err)
+		}
+	}
+}
+
 func TestServerRestartBitIdentical(t *testing.T) {
 	batches := testBatches(25, 8)
 	peers := batchPeers(batches)
