@@ -76,28 +76,6 @@ func (s Step) String() string {
 // Sequence is an ordered interleaving of payments and deliveries.
 type Sequence []Step
 
-// TotalPaid sums the payment steps.
-func (seq Sequence) TotalPaid() goods.Money {
-	var sum goods.Money
-	for _, s := range seq {
-		if s.Kind == StepPay {
-			sum += s.Amount
-		}
-	}
-	return sum
-}
-
-// Deliveries returns the delivered items in order.
-func (seq Sequence) Deliveries() []goods.Item {
-	var items []goods.Item
-	for _, s := range seq {
-		if s.Kind == StepDeliver {
-			items = append(items, s.Item)
-		}
-	}
-	return items
-}
-
 // Errors reported by the schedulers and validators.
 var (
 	// ErrNoSafeSequence is returned when no ordering satisfies the safety

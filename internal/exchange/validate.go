@@ -44,29 +44,14 @@ func (e *ViolationError) Error() string {
 	return fmt.Sprintf("exchange: step %d: %s (m=%v band=[%v, %v])", e.StepIndex, e.Reason, e.M, e.Lo, e.Hi)
 }
 
-// Validate replays seq against the terms and bands, checking after the
+// validateSeq replays seq against the terms and bands, checking after the
 // initial state and every step that the cumulative payment stays inside the
 // admissible band, that each bundle item is delivered exactly once, that
 // payments are positive, and that the total paid equals the price. It
 // returns the replay report, or a *ViolationError describing the first
-// violation.
-func Validate(t Terms, b Bands, seq Sequence) (Report, error) {
-	if err := t.Validate(); err != nil {
-		return Report{}, err
-	}
-	if err := b.Validate(); err != nil {
-		return Report{}, err
-	}
-	want := make(map[string]goods.Item, t.Bundle.Len())
-	for _, it := range t.Bundle.Items {
-		want[it.ID] = it
-	}
-	return validateSeq(newBandCtx(t, b), t, seq, want)
-}
-
-// validateSeq is the replay behind Validate, with the band context and the
-// wanted-item set supplied by the caller (Schedule reuses pooled instances of
-// both across candidate orders). It consumes want.
+// violation. The band context and the wanted-item set come from the caller
+// (Schedule reuses pooled instances of both across candidate orders); it
+// consumes want.
 func validateSeq(ctx bandCtx, t Terms, seq Sequence, want map[string]goods.Item) (Report, error) {
 	rep := Report{
 		MaxConsumerExposure:   -goods.Unlimited,

@@ -8,6 +8,45 @@ import (
 	"trustcoop/internal/goods"
 )
 
+// Validate is validateSeq behind a fresh band context and wanted-item set:
+// the replay check the tests hold every scheduled plan to. It validates the
+// terms and bands first, as an untrusted plan needs.
+func Validate(t Terms, b Bands, seq Sequence) (Report, error) {
+	if err := t.Validate(); err != nil {
+		return Report{}, err
+	}
+	if err := b.Validate(); err != nil {
+		return Report{}, err
+	}
+	want := make(map[string]goods.Item, t.Bundle.Len())
+	for _, it := range t.Bundle.Items {
+		want[it.ID] = it
+	}
+	return validateSeq(newBandCtx(t, b), t, seq, want)
+}
+
+// TotalPaid sums the payment steps.
+func (seq Sequence) TotalPaid() goods.Money {
+	var sum goods.Money
+	for _, s := range seq {
+		if s.Kind == StepPay {
+			sum += s.Amount
+		}
+	}
+	return sum
+}
+
+// Deliveries returns the delivered items in order.
+func (seq Sequence) Deliveries() []goods.Item {
+	var items []goods.Item
+	for _, s := range seq {
+		if s.Kind == StepDeliver {
+			items = append(items, s.Item)
+		}
+	}
+	return items
+}
+
 // validPlan returns the hand-verified staked schedule of the worked example.
 func validPlan(t *testing.T) (Terms, Bands, Sequence) {
 	t.Helper()

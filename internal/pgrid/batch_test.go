@@ -119,7 +119,7 @@ func TestFileBatchGroupingAdaptiveOnDepth(t *testing.T) {
 	// 32 peers auto-pick depth 4 — below the threshold: the deferred store
 	// must file per complaint, the eager store must still group.
 	shallow := newStore(32, true)
-	if d := shallow.Grid.Depth(); d >= batchGroupMinDepth {
+	if d := shallow.Grid.cfg.Depth; d >= batchGroupMinDepth {
 		t.Fatalf("32-peer grid picked depth %d, want < %d", d, batchGroupMinDepth)
 	}
 	if shallow.Grid.GroupedBatchPays() {
@@ -145,7 +145,7 @@ func TestFileBatchGroupingAdaptiveOnDepth(t *testing.T) {
 
 	// 64 peers auto-pick depth 5 — at the threshold: deferred grids group.
 	deep := newStore(64, true)
-	if d := deep.Grid.Depth(); d < batchGroupMinDepth {
+	if d := deep.Grid.cfg.Depth; d < batchGroupMinDepth {
 		t.Fatalf("64-peer grid picked depth %d, want ≥ %d", d, batchGroupMinDepth)
 	}
 	if !deep.Grid.GroupedBatchPays() {

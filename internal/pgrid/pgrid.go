@@ -168,9 +168,6 @@ func (g *Grid) pickRefs(candidates []int, k int) []int {
 	return out
 }
 
-// Depth returns the trie depth.
-func (g *Grid) Depth() int { return g.cfg.Depth }
-
 // batchGroupMinDepth is the trie depth from which per-key grouping pays for
 // a store-and-forward batch write. Grouping exists to amortise the routed
 // walk (and, eagerly, the O(peers) replica broadcast) across a batch's
@@ -189,12 +186,6 @@ const batchGroupMinDepth = 5
 func (g *Grid) GroupedBatchPays() bool {
 	return !g.cfg.DeferReplication || g.cfg.Depth >= batchGroupMinDepth
 }
-
-// Size returns the number of peers.
-func (g *Grid) Size() int { return len(g.peers) }
-
-// Peer returns the i-th peer (for inspection in tests and experiments).
-func (g *Grid) Peer(i int) *Peer { return g.peers[i] }
 
 // MarkMalicious flips the given fraction of peers (chosen deterministically
 // from the grid's seed) to malicious and returns their indices.

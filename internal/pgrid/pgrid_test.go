@@ -33,16 +33,16 @@ func TestAutomaticDepth(t *testing.T) {
 	}
 	// With minReplicas 2 and 64 peers: largest d with 2^d·2 ≤ 64 → d = 5
 	// (32 leaves × 2 replicas).
-	if g.Depth() != 5 {
-		t.Errorf("auto depth = %d, want 5", g.Depth())
+	if g.cfg.Depth != 5 {
+		t.Errorf("auto depth = %d, want 5", g.cfg.Depth)
 	}
 }
 
 func TestBalancedPathsCoverAllLeaves(t *testing.T) {
 	g := balancedGrid(t, 32, 3)
 	seen := map[string]int{}
-	for i := 0; i < g.Size(); i++ {
-		p := g.Peer(i)
+	for i := 0; i < len(g.peers); i++ {
+		p := g.peers[i]
 		if len(p.Path) != 3 {
 			t.Fatalf("peer %d path %q, want 3 bits", i, p.Path)
 		}
@@ -87,8 +87,8 @@ func TestInsertQueryRoundTrip(t *testing.T) {
 	if len(values) != 5 {
 		t.Fatalf("values = %v, want 5 entries", values)
 	}
-	if hops > g.Depth() {
-		t.Errorf("hops = %d, want ≤ depth %d", hops, g.Depth())
+	if hops > g.cfg.Depth {
+		t.Errorf("hops = %d, want ≤ depth %d", hops, g.cfg.Depth)
 	}
 }
 
@@ -148,8 +148,8 @@ func TestReplicationStoresAtAllReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	replicas := 0
-	for i := 0; i < g.Size(); i++ {
-		p := g.Peer(i)
+	for i := 0; i < len(g.peers); i++ {
+		p := g.peers[i]
 		if strings.HasPrefix(key, p.Path) {
 			if len(p.store[key]) != 1 {
 				t.Errorf("replica %d missing the value", i)
@@ -203,8 +203,8 @@ func TestMarkMaliciousFractionAndClamping(t *testing.T) {
 func TestUnreachableWithoutRefs(t *testing.T) {
 	g := balancedGrid(t, 8, 2)
 	// Strip every reference: only keys the start peer owns resolve.
-	for i := 0; i < g.Size(); i++ {
-		g.Peer(i).refs = make([][]int, 2)
+	for i := 0; i < len(g.peers); i++ {
+		g.peers[i].refs = make([][]int, 2)
 	}
 	failures := 0
 	for i := 0; i < 20; i++ {

@@ -45,13 +45,6 @@ func (l *Ledger) Append(e Event) {
 	l.events = append(l.events, e)
 }
 
-// Len reports the number of recorded events.
-func (l *Ledger) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
 // Events returns a copy of the log.
 func (l *Ledger) Events() []Event {
 	l.mu.Lock()
@@ -59,39 +52,6 @@ func (l *Ledger) Events() []Event {
 	out := make([]Event, len(l.events))
 	copy(out, l.events)
 	return out
-}
-
-// DefectionsBy counts how often the peer walked away.
-func (l *Ledger) DefectionsBy(p trust.PeerID) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, e := range l.events {
-		if e.DefectedBy == p {
-			n++
-		}
-	}
-	return n
-}
-
-// CompletionRate is the fraction of non-aborted sessions that completed.
-func (l *Ledger) CompletionRate() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	done, total := 0, 0
-	for _, e := range l.events {
-		if e.Aborted {
-			continue
-		}
-		total++
-		if e.Completed {
-			done++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(done) / float64(total)
 }
 
 // Feed routes an event into both parties' trust estimators: each party

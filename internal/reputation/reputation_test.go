@@ -8,6 +8,49 @@ import (
 	"trustcoop/internal/trust"
 )
 
+// The ledger queries below exist for the tests' checks of what the engine
+// logged; no program reads them.
+
+// Len reports the number of recorded events.
+func (l *Ledger) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.events)
+}
+
+// DefectionsBy counts how often the peer walked away.
+func (l *Ledger) DefectionsBy(p trust.PeerID) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, e := range l.events {
+		if e.DefectedBy == p {
+			n++
+		}
+	}
+	return n
+}
+
+// CompletionRate is the fraction of non-aborted sessions that completed.
+func (l *Ledger) CompletionRate() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	done, total := 0, 0
+	for _, e := range l.events {
+		if e.Aborted {
+			continue
+		}
+		total++
+		if e.Completed {
+			done++
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(done) / float64(total)
+}
+
 func TestLedgerAppendAndQueries(t *testing.T) {
 	var l Ledger
 	l.Append(Event{Supplier: "s1", Consumer: "c1", Completed: true, Round: 0})

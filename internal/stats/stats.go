@@ -151,18 +151,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // MAE returns the mean absolute error between paired predictions and truths.
 // It returns an error when the slices differ in length.
 func MAE(pred, truth []float64) (float64, error) {

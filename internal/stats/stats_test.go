@@ -201,7 +201,11 @@ func TestWelfordMatchesNaive(t *testing.T) {
 		for _, x := range xs {
 			s.Add(x)
 		}
-		mean := Mean(xs)
+		mean := 0.0
+		for _, x := range xs {
+			mean += x
+		}
+		mean /= float64(len(xs))
 		var ss float64
 		for _, x := range xs {
 			ss += (x - mean) * (x - mean)

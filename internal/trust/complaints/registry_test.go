@@ -45,8 +45,8 @@ func TestOpenAsyncInnerSelection(t *testing.T) {
 	if !ok {
 		t.Fatalf("async inner = %T, want *ShardedStore", as.inner)
 	}
-	if inner.Shards() != 4 {
-		t.Errorf("inner shards = %d, want 4", inner.Shards())
+	if len(inner.shards) != 4 {
+		t.Errorf("inner shards = %d, want 4", len(inner.shards))
 	}
 	// The spec's inner wins over BackendConfig.Inner.
 	s2, err := Open("async:memory", BackendConfig{Inner: "sharded"})

@@ -71,9 +71,6 @@ func NewShardedStore(shards int) *ShardedStore {
 	return s
 }
 
-// Shards reports the shard count (for tests and benchmarks).
-func (s *ShardedStore) Shards() int { return len(s.shards) }
-
 func (s *ShardedStore) shard(p trust.PeerID) *shardedShard {
 	return &s.shards[maphash.String(s.seed, string(p))&s.mask]
 }

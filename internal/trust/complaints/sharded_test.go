@@ -38,7 +38,7 @@ func TestShardedStoreRoundsShardsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, DefaultShards}, {-3, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32},
 	} {
-		if got := NewShardedStore(tc.in).Shards(); got != tc.want {
+		if got := len(NewShardedStore(tc.in).shards); got != tc.want {
 			t.Errorf("NewShardedStore(%d).Shards() = %d, want %d", tc.in, got, tc.want)
 		}
 	}

@@ -44,9 +44,6 @@ func (b *Book) beta(observer trust.PeerID) *trust.Beta {
 	return est
 }
 
-// Beta exposes the observer's raw estimator (post-run inspection, tests).
-func (b *Book) Beta(observer trust.PeerID) *trust.Beta { return b.beta(observer) }
-
 // Estimator returns the observer's trust view through the book: records
 // land on the observer's local Beta immediately (a shard always sees its
 // own evidence at once) and are buffered for the next exchange; estimates

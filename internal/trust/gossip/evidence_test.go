@@ -61,7 +61,7 @@ func TestDoubleRingDeterministic(t *testing.T) {
 		stream := randomStream(rand.New(rand.NewSource(31)), ids, 70)
 		fileRoundRobin(t, f, stream, 2)
 		var tallies [][]complaints.Tally
-		for k := 0; k < f.Shards(); k++ {
+		for k := 0; k < len(f.nodes); k++ {
 			ts, err := f.Node(k).CountsAll(ids)
 			if err != nil {
 				t.Fatal(err)
@@ -156,7 +156,7 @@ func TestPosteriorMeshPeriodOneEqualsSharedBeta(t *testing.T) {
 					for _, obs := range ids {
 						for _, sub := range ids {
 							wc, wd := sharedBeta(obs).Counts(sub)
-							gc, gd := book.Beta(obs).Counts(sub)
+							gc, gd := book.beta(obs).Counts(sub)
 							if wc != gc || wd != gd {
 								t.Fatalf("shard %d observer %s subject %s: (%v,%v) vs shared (%v,%v)",
 									k, obs, sub, gc, gd, wc, wd)
@@ -188,7 +188,7 @@ func TestPosteriorLargerWindowsConvergeWithoutForgetting(t *testing.T) {
 			}
 			idx := 0
 			for idx < len(stream) {
-				for k := 0; k < f.Shards(); k++ {
+				for k := 0; k < len(f.nodes); k++ {
 					for w := 0; w < 5 && idx < len(stream); w++ {
 						r := stream[idx]
 						books[k].Estimator(r.observer).Record(r.subject, trust.Outcome{Cooperated: r.coop})
@@ -207,7 +207,7 @@ func TestPosteriorLargerWindowsConvergeWithoutForgetting(t *testing.T) {
 				for _, obs := range ids {
 					for _, sub := range ids {
 						wc, wd := sharedBeta(obs).Counts(sub)
-						gc, gd := book.Beta(obs).Counts(sub)
+						gc, gd := book.beta(obs).Counts(sub)
 						if wc != gc || wd != gd {
 							t.Fatalf("%s shard %d observer %s subject %s: (%v,%v) vs shared (%v,%v)",
 								topo, k, obs, sub, gc, gd, wc, wd)
@@ -293,8 +293,8 @@ func TestPosteriorColumnarBitIdenticalToDense(t *testing.T) {
 			for k := range dense {
 				for _, obs := range ids {
 					for _, sub := range ids {
-						dc, dd := dense[k].Beta(obs).Counts(sub)
-						cc, cd := col[k].Beta(obs).Counts(sub)
+						dc, dd := dense[k].beta(obs).Counts(sub)
+						cc, cd := col[k].beta(obs).Counts(sub)
 						if dc != cc || dd != cd {
 							t.Fatalf("shard %d observer %s subject %s: columnar (%v,%v) vs dense (%v,%v)",
 								k, obs, sub, cc, cd, dc, dd)

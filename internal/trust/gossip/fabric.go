@@ -117,9 +117,6 @@ func NewFabric(cfg Config, seed int64, shards int) (*Fabric, error) {
 	return f, nil
 }
 
-// Shards reports the fabric's shard count.
-func (f *Fabric) Shards() int { return len(f.nodes) }
-
 // Node returns shard k's endpoint, to be attached to that sub-engine's
 // reputation store or posterior book (market.Config.GossipNode).
 func (f *Fabric) Node(k int) *Node { return f.nodes[k] }

@@ -49,7 +49,7 @@ func randomStream(rng *rand.Rand, ids []trust.PeerID, n int) []complaints.Compla
 // a cell running `window` sessions per shard between sync points.
 func fileRoundRobin(t *testing.T, f *Fabric, stream []complaints.Complaint, window int) {
 	t.Helper()
-	n := f.Shards()
+	n := len(f.nodes)
 	idx := 0
 	for idx < len(stream) {
 		for k := 0; k < n; k++ {
@@ -83,7 +83,7 @@ func assertCountsEqualShared(t *testing.T, f *Fabric, stream []complaints.Compla
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < f.Shards(); k++ {
+	for k := 0; k < len(f.nodes); k++ {
 		got, err := f.Node(k).CountsAll(ids)
 		if err != nil {
 			t.Fatal(err)
@@ -204,7 +204,7 @@ func TestMeshFanoutLimitsDeliveries(t *testing.T) {
 		}
 	}
 	diverged := false
-	for k := 0; k < a.Shards(); k++ {
+	for k := 0; k < len(a.nodes); k++ {
 		got, err := a.Node(k).CountsAll(ids)
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +239,7 @@ func TestExchangeDeterministic(t *testing.T) {
 			stream := randomStream(rand.New(rand.NewSource(13)), ids, 64)
 			fileRoundRobin(t, f, stream, 2)
 			var tallies [][]complaints.Tally
-			for k := 0; k < f.Shards(); k++ {
+			for k := 0; k < len(f.nodes); k++ {
 				ts, err := f.Node(k).CountsAll(ids)
 				if err != nil {
 					t.Fatal(err)

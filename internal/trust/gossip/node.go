@@ -76,9 +76,6 @@ func (n *Node) AttachBook(cfg trust.BetaConfig) *Book {
 	return b
 }
 
-// Index reports the node's shard index within its fabric.
-func (n *Node) Index() int { return n.index }
-
 // noteRecorded informs the fabric that the book recorded one piece of
 // local evidence: every peer shard now has evidence it has not seen, which
 // is the quantity stale-read accounting and Fabric.Drain are defined over.

@@ -19,7 +19,7 @@ func TestNodeReadAccounting(t *testing.T) {
 	for k := 0; k < 2; k++ {
 		f.Node(k).Attach(complaints.NewShardedStore(4))
 	}
-	if got := f.Node(1).Index(); got != 1 {
+	if got := f.Node(1).index; got != 1 {
 		t.Fatalf("Index() = %d, want 1", got)
 	}
 	// A complaint at shard 0 leaves shard 1 with pending inbound evidence:

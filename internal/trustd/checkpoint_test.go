@@ -130,7 +130,7 @@ func scanCheckpoint(t *testing.T, s *Server) []byte {
 	s.mu.Lock()
 	peers, seq := s.seenLocked(), s.wal.seq
 	s.mu.Unlock()
-	tallies, err := complaints.CountsAll(s.Store(), peers)
+	tallies, err := complaints.CountsAll(s.store, peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCheckpointFoldOracle(t *testing.T) {
 						check(fmt.Sprintf("manual checkpoint %d after batch %d", k, i))
 					}
 				case 150:
-					srv.Kill()
+					srv.kill()
 					if srv, err = Open(opts); err != nil {
 						t.Fatal(err)
 					}

@@ -59,7 +59,7 @@ func (s *Server) lastCheckpointErr() error {
 // store fed exactly the acked batches.
 func assertRecoversExactly(t *testing.T, dir, backend string, srv *Server, acked [][]complaints.Complaint, label string) Stats {
 	t.Helper()
-	srv.Kill()
+	srv.kill()
 	srv2, err := Open(Options{Dir: dir, Backend: backend})
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", label, err)
@@ -219,7 +219,7 @@ func TestCrashThenCheckpointThenCrash(t *testing.T) {
 				}
 			}
 			total := srv.Stats().WALBytes
-			srv.Kill()
+			srv.kill()
 			if afterCkpt >= total {
 				t.Fatalf("bad fixture: mid-run offset %d not before total %d", afterCkpt, total)
 			}

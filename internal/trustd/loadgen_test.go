@@ -131,7 +131,7 @@ func TestClosedLoopStaleReadParity(t *testing.T) {
 		}
 	}
 
-	got := srv.Store().(*complaints.AsyncStore).Stats()
+	got := srv.store.(*complaints.AsyncStore).Stats()
 	want := refStore.(*complaints.AsyncStore).Stats()
 	if got.Enqueued != want.Enqueued || got.Applied != want.Applied {
 		t.Errorf("pipeline accounting diverged: server %+v, direct %+v", got, want)
@@ -162,7 +162,7 @@ func TestClosedLoopStaleReadParity(t *testing.T) {
 	if sc.Score != wantScore {
 		t.Errorf("stale read diverged: served %v, direct %v", sc.Score, wantScore)
 	}
-	got = srv.Store().(*complaints.AsyncStore).Stats()
+	got = srv.store.(*complaints.AsyncStore).Stats()
 	want = refStore.(*complaints.AsyncStore).Stats()
 	if got.Reads != want.Reads || got.StaleReads != want.StaleReads {
 		t.Errorf("backlogged read accounting diverged: server reads=%d stale=%d, direct reads=%d stale=%d",

@@ -112,13 +112,13 @@ type Stats struct {
 }
 
 // Server is one trustd node. Open recovers it from its directory; Close
-// drains and releases it; Kill abandons it mid-flight (the crash harness's
+// drains and releases it; kill abandons it mid-flight (the crash harness's
 // kill -9). A checkpoint has two halves. The cut serialises with ingest on
 // mu, so it is always a consistent cut of the acked history: it rotates the
 // WAL and takes the complaints applied since the previous cut, nothing more.
 // The fold runs outside mu, on the goroutine that made the cut, and merges
 // those complaints into the previous checkpoint file; foldMu serialises
-// folds with each other and with Close and Kill (lock order foldMu → mu).
+// folds with each other and with Close and kill (lock order foldMu → mu).
 // Queries run concurrently against the thread-safe store and the snapshot
 // cache.
 type Server struct {
@@ -689,9 +689,6 @@ func (s *Server) Flush() error {
 	return nil
 }
 
-// Store exposes the underlying complaint store (tests, loadgen reference).
-func (s *Server) Store() complaints.Store { return s.store }
-
 // Stats snapshots the accounting.
 func (s *Server) Stats() Stats {
 	bytes, appends, fsyncs, seq := s.walCounters()
@@ -732,7 +729,7 @@ func (s *Server) walSeq() uint64 {
 // Close waits for a running fold, drains the store's write-behind backlog and
 // releases the WAL — the graceful shutdown. Durable state is complete at this point: every acked
 // batch is in the log, so a Close-less death loses nothing either (that is
-// Kill, and the crash harness's whole point).
+// kill, and the crash harness's whole point).
 func (s *Server) Close() error {
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
@@ -760,12 +757,12 @@ func (s *Server) Close() error {
 	return first
 }
 
-// Kill abandons the server without any draining — the in-process stand-in
-// for kill -9. It waits only for a running fold to finish its file writes,
+// kill abandons the server without any draining — the in-process stand-in
+// for kill -9 that the crash tests use. It waits only for a running fold to finish its file writes,
 // so the next Open never races one. Only the file descriptor is released; no
 // flush, no sync, no further checkpoint. Whatever the WAL and checkpoint files contain at this instant
 // is what the next Open recovers.
-func (s *Server) Kill() {
+func (s *Server) kill() {
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
 	s.mu.Lock()

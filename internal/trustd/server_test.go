@@ -26,7 +26,7 @@ import (
 // Two servers whose renderings are equal make identical trust decisions.
 func renderServerState(t testing.TB, s *Server, peers []trust.PeerID) string {
 	t.Helper()
-	tallies, err := complaints.CountsAll(s.Store(), peers)
+	tallies, err := complaints.CountsAll(s.store, peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func renderServerState(t testing.TB, s *Server, peers []trust.PeerID) string {
 	for i, p := range peers {
 		fmt.Fprintf(&b, "%s r=%d f=%d\n", p, tallies[i].Received, tallies[i].Filed)
 	}
-	if agg, ok := s.Store().(complaints.Aggregator); ok {
+	if agg, ok := s.store.(complaints.Aggregator); ok {
 		excess, tracked, aok, err := agg.ProductAggregate()
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestServerIngestQueryHTTP(t *testing.T) {
 	}
 
 	peers := batchPeers(batches)
-	a := complaints.Assessor{Store: srv.Store(), Population: peers}
+	a := complaints.Assessor{Store: srv.store, Population: peers}
 	// Compare the whole population against a server opened with the same
 	// dynamic population (sorted seen == batchPeers by construction).
 	for _, p := range peers {
@@ -331,7 +331,7 @@ func TestServerFsyncRecovers(t *testing.T) {
 	if st := srv.Stats(); st.Checkpoints == 0 || st.WALFsyncs != st.WALAppends {
 		t.Fatalf("%d checkpoints, %d fsyncs for %d appends; want > 0 and one fsync per append", st.Checkpoints, st.WALFsyncs, st.WALAppends)
 	}
-	srv.Kill()
+	srv.kill()
 	srv2, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +522,7 @@ func TestRetainedComplaintsBounded(t *testing.T) {
 	cuts := 0
 	for i := 0; i < 400; i++ {
 		if i == 200 {
-			srv.Kill()
+			srv.kill()
 			if srv, err = Open(opts); err != nil {
 				t.Fatal(err)
 			}
@@ -567,7 +567,7 @@ func TestSeenListIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 300; i++ {
 		if i == 150 {
-			srv.Kill()
+			srv.kill()
 			if srv, err = Open(opts); err != nil {
 				t.Fatal(err)
 			}
