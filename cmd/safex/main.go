@@ -81,9 +81,11 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 	items := make([]goods.Item, len(spec.Items))
 	for i, it := range spec.Items {
-		items[i] = goods.Item{ID: it.ID,
+		items[i] = goods.Item{
+			ID:    it.ID,
 			Cost:  amount(fmt.Sprintf("items[%d].cost", i), it.Cost),
-			Worth: amount(fmt.Sprintf("items[%d].worth", i), it.Worth)}
+			Worth: amount(fmt.Sprintf("items[%d].worth", i), it.Worth),
+		}
 	}
 	price := amount("price", spec.Price)
 	if amountErr != nil {

@@ -41,8 +41,7 @@ func TestAutomaticDepth(t *testing.T) {
 func TestBalancedPathsCoverAllLeaves(t *testing.T) {
 	g := balancedGrid(t, 32, 3)
 	seen := map[string]int{}
-	for i := 0; i < len(g.peers); i++ {
-		p := g.peers[i]
+	for i, p := range g.peers {
 		if len(p.Path) != 3 {
 			t.Fatalf("peer %d path %q, want 3 bits", i, p.Path)
 		}
@@ -148,8 +147,7 @@ func TestReplicationStoresAtAllReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	replicas := 0
-	for i := 0; i < len(g.peers); i++ {
-		p := g.peers[i]
+	for i, p := range g.peers {
 		if strings.HasPrefix(key, p.Path) {
 			if len(p.store[key]) != 1 {
 				t.Errorf("replica %d missing the value", i)
@@ -203,8 +201,8 @@ func TestMarkMaliciousFractionAndClamping(t *testing.T) {
 func TestUnreachableWithoutRefs(t *testing.T) {
 	g := balancedGrid(t, 8, 2)
 	// Strip every reference: only keys the start peer owns resolve.
-	for i := 0; i < len(g.peers); i++ {
-		g.peers[i].refs = make([][]int, 2)
+	for _, p := range g.peers {
+		p.refs = make([][]int, 2)
 	}
 	failures := 0
 	for i := 0; i < 20; i++ {
