@@ -68,8 +68,17 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		}
 		return m
 	}
-	stakes := exchange.Stakes{Supplier: amount("-stake-supplier", *stakeSup), Consumer: amount("-stake-consumer", *stakeCon)}
-	caps := exchange.ExposureCaps{Supplier: amount("-cap-supplier", *capSup), Consumer: amount("-cap-consumer", *capCon)}
+	// Stakes and caps are slacks on the bands: a negative one is refused
+	// here, by its flag, not by the scheduler.
+	slack := func(name string, units float64) goods.Money {
+		m := amount(name, units)
+		if m < 0 && amountErr == nil {
+			amountErr = fmt.Errorf("%s: negative amount %v (want ≥ 0)", name, units)
+		}
+		return m
+	}
+	stakes := exchange.Stakes{Supplier: slack("-stake-supplier", *stakeSup), Consumer: slack("-stake-consumer", *stakeCon)}
+	caps := exchange.ExposureCaps{Supplier: slack("-cap-supplier", *capSup), Consumer: slack("-cap-consumer", *capCon)}
 	if amountErr != nil {
 		return amountErr
 	}

@@ -48,6 +48,11 @@ func TestGoldenOutput(t *testing.T) {
 		{"stake-consumer-inf", []string{"-stake-consumer", "Inf"}, twoItems},
 		{"cap-supplier-huge", []string{"-mode", "trust-aware", "-cap-supplier", "1e13"}, twoItems},
 		{"cap-consumer-neg-inf", []string{"-mode", "trust-aware", "-cap-consumer", "-Inf"}, twoItems},
+		// A negative stake or cap is refused by its flag at parse time.
+		{"stake-supplier-negative", []string{"-stake-supplier", "-1"}, twoItems},
+		{"stake-consumer-negative", []string{"-stake-supplier", "4", "-stake-consumer", "-0.5"}, twoItems},
+		{"cap-supplier-negative", []string{"-mode", "trust-aware", "-cap-supplier", "-1", "-cap-consumer", "-2"}, twoItems},
+		{"cap-consumer-negative", []string{"-mode", "trust-aware", "-cap-supplier", "5", "-cap-consumer", "-5"}, twoItems},
 		{"price-huge", nil, `{"price": 2e12, "items": [{"id": "a", "cost": 4, "worth": 10}]}`},
 		{"cost-huge", nil, `{"price": 15, "items": [{"id": "a", "cost": 4, "worth": 10}, {"id": "b", "cost": 1e300, "worth": 12}]}`},
 		{"worth-negative-huge", []string{"-analyze"}, `{"price": 15, "items": [{"id": "a", "cost": 4, "worth": -1e13}]}`},

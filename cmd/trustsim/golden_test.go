@@ -29,6 +29,8 @@ func TestGoldenOutput(t *testing.T) {
 		{"stake-1e13", []string{"-stake", "1e13"}},
 		{"stake-2e12", []string{"-stake", "2e12"}},
 		{"stake-neg-inf", []string{"-stake", "-Inf"}},
+		// A negative stake is refused by its flag, not by the first schedule.
+		{"stake-negative", []string{"-stake", "-1"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder

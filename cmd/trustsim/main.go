@@ -60,6 +60,9 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if stakeAmount < 0 {
+		return fmt.Errorf("-stake: negative amount %v (want ≥ 0)", *stake)
+	}
 	pop := agent.PopConfig{
 		Honest:      *honest,
 		Rational:    *rational,

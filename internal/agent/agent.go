@@ -182,6 +182,9 @@ func NewPopulation(cfg PopConfig, rng *rand.Rand) ([]*Agent, error) {
 	if !(cfg.LiarFraction >= 0 && cfg.LiarFraction <= 1) {
 		return nil, fmt.Errorf("agent: liar fraction %v outside [0, 1]", cfg.LiarFraction)
 	}
+	if cfg.Stake < 0 {
+		return nil, fmt.Errorf("agent: negative stake %v", cfg.Stake)
+	}
 	if cfg.Size() == 0 {
 		return nil, fmt.Errorf("agent: empty population")
 	}

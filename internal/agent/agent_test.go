@@ -3,6 +3,7 @@ package agent
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"trustcoop/internal/decision"
@@ -178,6 +179,18 @@ func TestNewPopulationEmpty(t *testing.T) {
 		if _, err := NewPopulation(cfg, rand.New(rand.NewSource(1))); err == nil {
 			t.Errorf("population %+v accepted", cfg)
 		}
+	}
+}
+
+// TestNewPopulationNegativeStake: a negative stake is refused when the
+// population is built, not when its first exchange is scheduled.
+func TestNewPopulationNegativeStake(t *testing.T) {
+	_, err := NewPopulation(PopConfig{Honest: 2, Stake: -1}, rand.New(rand.NewSource(1)))
+	if err == nil || !strings.Contains(err.Error(), "negative stake") {
+		t.Errorf("err = %v, want a negative-stake error", err)
+	}
+	if _, err := NewPopulation(PopConfig{Honest: 2}, rand.New(rand.NewSource(1))); err != nil {
+		t.Errorf("zero stake rejected: %v", err)
 	}
 }
 

@@ -93,10 +93,12 @@ type Planner struct {
 // It returns ErrNoAgreement (wrapped, with the tightest caps attempted) when
 // neither succeeds.
 func (pl Planner) PlanExchange(supplier, consumer Participant, terms exchange.Terms) (PlanResult, error) {
-	if err := terms.Validate(); err != nil {
-		return PlanResult{}, err
-	}
+	// ScheduleSafe validates the terms; only a rejection before it must
+	// tell invalid terms from unprofitable ones itself.
 	if pl.RequireBeneficial && (terms.SupplierGain() < 0 || terms.ConsumerGain() < 0) {
+		if err := terms.Validate(); err != nil {
+			return PlanResult{}, err
+		}
 		return PlanResult{}, fmt.Errorf("%w: terms not mutually beneficial (supplier %v, consumer %v)",
 			ErrNoAgreement, terms.SupplierGain(), terms.ConsumerGain())
 	}

@@ -186,6 +186,28 @@ func TestInvalidTermsRejected(t *testing.T) {
 	if _, err := (Planner{}).PlanExchange(Participant{}, Participant{}, exchange.Terms{}); err == nil {
 		t.Error("empty terms accepted")
 	}
+	// The planner leaves validation to the scheduler, except where it
+	// rejects unbeneficial terms first: either way invalid terms report the
+	// validation error itself, not ErrNoAgreement.
+	dup := twoItemTerms()
+	dup.Bundle.Items[1].ID = "a"
+	negPrice := twoItemTerms()
+	negPrice.Price = -1 // the consumer's gain 23 > 0, the supplier's < 0
+	overpriced := twoItemTerms()
+	overpriced.Price = 25
+	overpriced.Bundle.Items[0].Cost = -1
+	for _, terms := range []exchange.Terms{dup, negPrice, overpriced} {
+		want := terms.Validate()
+		if want == nil {
+			t.Fatalf("terms %+v are valid", terms)
+		}
+		for _, pl := range []Planner{{}, {RequireBeneficial: true}} {
+			_, err := pl.PlanExchange(participant("s", nil, 0), participant("c", nil, 0), terms)
+			if err == nil || err.Error() != want.Error() || errors.Is(err, ErrNoAgreement) {
+				t.Errorf("RequireBeneficial=%v, terms %+v: err = %v, want %v", pl.RequireBeneficial, terms, err, want)
+			}
+		}
+	}
 }
 
 func TestModeString(t *testing.T) {

@@ -159,6 +159,9 @@ func RunTrials[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 				}
 				v, err := fn(i)
 				if err != nil {
+					// Stop the pool first: a worker that waits on the mutex
+					// would let the others keep drawing trials meanwhile.
+					stop.Store(true)
 					// Keep the lowest-index error so the surfaced diagnostic
 					// does not depend on goroutine scheduling. (Which trials
 					// got to run before the stop still may, but the winner
@@ -168,7 +171,6 @@ func RunTrials[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 						firstIdx, firstErr = i, err
 					}
 					mu.Unlock()
-					stop.Store(true)
 					return
 				}
 				out[i] = v

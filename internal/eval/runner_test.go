@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"trustcoop/internal/testutil"
 )
@@ -33,6 +34,10 @@ func TestRunTrialsEmpty(t *testing.T) {
 	}
 }
 
+// TestRunTrialsPropagatesErrorAndStops: the first error stops the pool. Each
+// passing trial sleeps 100µs, so the other three workers need ≥ 0.3 s to
+// drain the pool; the failing worker only has to be scheduled once in that
+// time, however the host interleaves the goroutines.
 func TestRunTrialsPropagatesErrorAndStops(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
@@ -41,6 +46,7 @@ func TestRunTrialsPropagatesErrorAndStops(t *testing.T) {
 		if i == 5 {
 			return 0, boom
 		}
+		time.Sleep(100 * time.Microsecond)
 		return i, nil
 	})
 	if !errors.Is(err, boom) {

@@ -94,7 +94,7 @@ func planForOrderCtx(ctx bandCtx, t Terms, b Bands, order []goods.Item, opt Opti
 	// The constructed plan escapes; give it an exactly-sized private slice.
 	seq := make(Sequence, len(scratch))
 	copy(seq, scratch)
-	rep, err := validateSeq(ctx, t, seq, sc.wantSet(t.Bundle))
+	rep, err := validateSeq(ctx, t, seq, sc.itemIndex(t.Bundle))
 	if err != nil {
 		return Plan{}, fmt.Errorf("exchange: internal: constructed plan failed validation: %w", err)
 	}

@@ -56,10 +56,12 @@ func ScheduleTrustAware(t Terms, c ExposureCaps, opt Options) (Plan, error) {
 //
 // The overall cost is O(n²) for the common case; the exact search only runs
 // when every heuristic order fails. The hot path is allocation-lean: sorted
-// item views, the payment construction buffer and the validation set all come
-// from a pooled scratch, and candidate orders are derived lazily from at most
-// two sorts, so a call that succeeds on its first candidate allocates only
-// the returned plan. A rejected candidate order formats no message, so a
+// item views, the payment construction buffer and the replay's
+// delivered-item bitset all come from a pooled scratch, and candidate orders
+// are derived lazily from at most two sorts, so a call that succeeds on its
+// first candidate allocates only the returned plan. The replay finds each
+// delivered item by binary search in the cost-sorted view the first
+// candidate already needed, so no string is hashed. A rejected candidate order formats no message, so a
 // call that fails by one of the first two proofs allocates nothing; the
 // error names the proof that fired.
 func Schedule(t Terms, b Bands, opt Options) (Plan, error) {

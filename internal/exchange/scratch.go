@@ -23,7 +23,7 @@ const (
 
 // schedScratch holds the reusable buffers of one Schedule call: the sorted
 // item views the candidate orders are cut from, the payment-sequence
-// construction buffer, and the validation set. Instances are pooled; all
+// construction buffer, and the validation index. Instances are pooled; all
 // slices keep their capacity across calls so the steady state allocates
 // nothing beyond the returned plan.
 type schedScratch struct {
@@ -32,7 +32,7 @@ type schedScratch struct {
 	bySurplus []goods.Item // ascending surplus, tie-break ID
 	reversed  []goods.Item // reversal buffer for the descending orders
 	seq       Sequence     // payment-plan construction buffer
-	want      map[string]goods.Item
+	delivered []uint64     // validation bitset over byCost positions
 
 	haveCost, haveWorth, haveSurplus bool
 }
@@ -101,18 +101,14 @@ func (s *schedScratch) orderOf(kind orderKind, b goods.Bundle) []goods.Item {
 	}
 }
 
-// wantSet (re)fills the pooled validation set with the bundle's items; the
-// replay in validateSeq consumes it, so it is rebuilt per use.
-func (s *schedScratch) wantSet(b goods.Bundle) map[string]goods.Item {
-	if s.want == nil {
-		s.want = make(map[string]goods.Item, len(b.Items))
-	} else {
-		clear(s.want)
-	}
-	for _, it := range b.Items {
-		s.want[it.ID] = it
-	}
-	return s.want
+// itemIndex indexes the bundle through the cost-sorted view and clears the
+// delivered bits; the replay in validateSeq marks them, so it is rebuilt per
+// use.
+func (s *schedScratch) itemIndex(b goods.Bundle) itemIndex {
+	words := (len(b.Items) + 63) / 64
+	s.delivered = slices.Grow(s.delivered[:0], words)[:words]
+	clear(s.delivered)
+	return itemIndex{byCost: s.sortedByCost(b), delivered: s.delivered}
 }
 
 func (s *schedScratch) reverseInto(items []goods.Item) []goods.Item {

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"slices"
 
 	"trustcoop/internal/goods"
 )
@@ -49,10 +50,10 @@ func (e *ViolationError) Error() string {
 // admissible band, that each bundle item is delivered exactly once, that
 // payments are positive, and that the total paid equals the price. It
 // returns the replay report, or a *ViolationError describing the first
-// violation. The band context and the wanted-item set come from the caller
-// (Schedule reuses pooled instances of both across candidate orders); it
-// consumes want.
-func validateSeq(ctx bandCtx, t Terms, seq Sequence, want map[string]goods.Item) (Report, error) {
+// violation. The band context and the bundle index come from the caller
+// (Schedule reuses pooled instances of both); it marks want's items
+// delivered.
+func validateSeq(ctx bandCtx, t Terms, seq Sequence, want itemIndex) (Report, error) {
 	rep := Report{
 		MaxConsumerExposure:   -goods.Unlimited,
 		MaxSupplierExposure:   -goods.Unlimited,
@@ -91,14 +92,14 @@ func validateSeq(ctx bandCtx, t Terms, seq Sequence, want map[string]goods.Item)
 			rep.Payments++
 			rep.TotalPaid += s.Amount
 		case StepDeliver:
-			it, ok := want[s.Item.ID]
+			k, ok := want.lookup(s.Item)
 			if !ok {
 				return Report{}, &ViolationError{StepIndex: i, Reason: fmt.Sprintf("item %q not in bundle or delivered twice", s.Item.ID), M: m}
 			}
-			if it != s.Item {
+			if want.byCost[k] != s.Item {
 				return Report{}, &ViolationError{StepIndex: i, Reason: fmt.Sprintf("item %q valuations differ from agreed terms", s.Item.ID), M: m}
 			}
-			delete(want, s.Item.ID)
+			want.deliver(k)
 			cd += s.Item.Cost
 			wd += s.Item.Worth
 			rep.Deliveries++
@@ -109,11 +110,37 @@ func validateSeq(ctx bandCtx, t Terms, seq Sequence, want map[string]goods.Item)
 			return Report{}, v
 		}
 	}
-	if len(want) > 0 {
-		return Report{}, &ViolationError{StepIndex: len(seq), Reason: fmt.Sprintf("%d items never delivered", len(want)), M: m}
+	if left := len(want.byCost) - rep.Deliveries; left > 0 {
+		return Report{}, &ViolationError{StepIndex: len(seq), Reason: fmt.Sprintf("%d items never delivered", left), M: m}
 	}
 	if m != t.Price {
 		return Report{}, &ViolationError{StepIndex: len(seq), Reason: fmt.Sprintf("total paid %v differs from price %v", m, t.Price), M: m}
 	}
 	return rep, nil
 }
+
+// itemIndex is a bundle's items in the canonical (cost, ID) order, with one
+// bit per position marking the items already delivered. Bundle IDs are
+// unique once the terms are validated, so (cost, ID) names an item exactly,
+// and Schedule has already sorted that order for its first candidate.
+type itemIndex struct {
+	byCost    []goods.Item
+	delivered []uint64
+}
+
+// lookup returns the position of the bundle item with d's ID, and whether
+// that item is still undelivered; its valuations may differ from d's.
+func (x itemIndex) lookup(d goods.Item) (int, bool) {
+	k, ok := slices.BinarySearchFunc(x.byCost, d, goods.CompareByCost)
+	if !ok {
+		// Not at d's (cost, ID) slot: the ID may still be in the bundle at
+		// another cost.
+		if k = slices.IndexFunc(x.byCost, func(b goods.Item) bool { return b.ID == d.ID }); k < 0 {
+			return 0, false
+		}
+	}
+	return k, x.delivered[k/64]&(1<<(k%64)) == 0
+}
+
+// deliver marks position k delivered.
+func (x itemIndex) deliver(k int) { x.delivered[k/64] |= 1 << (k % 64) }

@@ -8,7 +8,7 @@ import (
 	"trustcoop/internal/goods"
 )
 
-// Validate is validateSeq behind a fresh band context and wanted-item set:
+// Validate is validateSeq behind a fresh band context and bundle index:
 // the replay check the tests hold every scheduled plan to. It validates the
 // terms and bands first, as an untrusted plan needs.
 func Validate(t Terms, b Bands, seq Sequence) (Report, error) {
@@ -18,11 +18,9 @@ func Validate(t Terms, b Bands, seq Sequence) (Report, error) {
 	if err := b.Validate(); err != nil {
 		return Report{}, err
 	}
-	want := make(map[string]goods.Item, t.Bundle.Len())
-	for _, it := range t.Bundle.Items {
-		want[it.ID] = it
-	}
-	return validateSeq(newBandCtx(t, b), t, seq, want)
+	sc := getScratch()
+	defer putScratch(sc)
+	return validateSeq(newBandCtx(t, b), t, seq, sc.itemIndex(t.Bundle))
 }
 
 // TotalPaid sums the payment steps.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Distribution selects the shape of randomly generated item costs.
@@ -81,7 +82,7 @@ func Generate(cfg GenConfig, rng *rand.Rand) (Bundle, error) {
 		cost := drawCost(cfg, rng)
 		margin := cfg.MarginMin + rng.Float64()*(cfg.MarginMax-cfg.MarginMin)
 		worth := Money(float64(cost) * (1 + margin))
-		items[i] = Item{ID: fmt.Sprintf("g%d", i), Cost: cost, Worth: worth}
+		items[i] = Item{ID: genID(i), Cost: cost, Worth: worth}
 	}
 	if cfg.ZeroCostLast {
 		items[len(items)-1].Cost = 0
@@ -97,11 +98,32 @@ func Generate(cfg GenConfig, rng *rand.Rand) (Bundle, error) {
 			items[i].Worth = items[i].Cost / 2
 		}
 	}
-	b := Bundle{Items: items}
-	if err := b.Validate(); err != nil {
-		return Bundle{}, fmt.Errorf("goods: generate: %w", err)
+	// IDs are distinct and non-empty by construction; only the valuations
+	// can still break the bundle invariants (a margin below −1, or a cost
+	// past the int64 range).
+	for _, it := range items {
+		if err := it.checkValuations(); err != nil {
+			return Bundle{}, fmt.Errorf("goods: generate: %w", err)
+		}
 	}
-	return b, nil
+	return Bundle{Items: items}, nil
+}
+
+// genIDs holds the IDs of the first 256 generated items, so sessions format
+// no ID at the bundle sizes experiments use.
+var genIDs = func() (ids [256]string) {
+	for i := range ids {
+		ids[i] = "g" + strconv.Itoa(i)
+	}
+	return ids
+}()
+
+// genID is the ID of the i-th generated item: "g0", "g1", …
+func genID(i int) string {
+	if i < len(genIDs) {
+		return genIDs[i]
+	}
+	return "g" + strconv.Itoa(i)
 }
 
 func drawCost(cfg GenConfig, rng *rand.Rand) Money {

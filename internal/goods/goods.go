@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -30,11 +31,35 @@ type Bundle struct {
 // ErrEmptyBundle is returned when an operation requires at least one item.
 var ErrEmptyBundle = errors.New("goods: empty bundle")
 
-// seenPool recycles Validate's ID-dedup sets. Validation runs on every
-// exchange.Schedule call (the market hot path schedules thousands of bundles
-// per second), and rebuilding a 64-entry map there was most of the
-// scheduler's per-call allocation budget.
-var seenPool = sync.Pool{New: func() any { return make(map[string]bool) }}
+// idKey stands for one item's ID in Validate's duplicate search: its bundle
+// position, its length and its first and last eight bytes packed into
+// integers. Two IDs of at most 16 bytes are equal exactly when their keys
+// agree on all but the position; longer IDs fall back to the strings.
+type idKey struct {
+	head, tail uint64
+	n, pos     int
+}
+
+func newIDKey(id string, pos int) idKey {
+	k := idKey{n: len(id), pos: pos}
+	for i := 0; i < k.n && i < 8; i++ {
+		k.head = k.head<<8 | uint64(id[i])
+	}
+	for i := max(8, k.n-8); i < k.n; i++ {
+		k.tail = k.tail<<8 | uint64(id[i])
+	}
+	return k
+}
+
+// smallBundle is the largest bundle whose keys Validate sorts in a stack
+// buffer; larger ones take a buffer from seenPool.
+const smallBundle = 32
+
+// seenPool recycles Validate's key buffers for bundles past smallBundle.
+// Validation runs on every exchange.Schedule call (the market hot path
+// schedules thousands of bundles per second); sorting reused keys finds
+// duplicate IDs without hashing a string or allocating.
+var seenPool = sync.Pool{New: func() any { return new([]idKey) }}
 
 // NewBundle copies items into a fresh Bundle and validates it.
 func NewBundle(items ...Item) (Bundle, error) {
@@ -49,28 +74,85 @@ func NewBundle(items ...Item) (Bundle, error) {
 // Validate checks the structural invariants: at least one item, unique
 // non-empty IDs, non-negative cost and worth. (Negative-surplus items are
 // legal — an item may cost the supplier more than it is worth to the consumer
-// — but negative absolute valuations are not meaningful in the model.)
+// — but negative absolute valuations are not meaningful in the model.) The
+// first offending item in bundle order is reported; for one item an empty
+// ID goes before a repeated ID, which goes before its valuations.
 func (b Bundle) Validate() error {
 	if len(b.Items) == 0 {
 		return ErrEmptyBundle
 	}
-	seen := seenPool.Get().(map[string]bool)
-	clear(seen) // returned dirty on the early-error paths
-	defer seenPool.Put(seen)
+	dup := firstRepeat(b.Items)
 	for i, it := range b.Items {
 		if it.ID == "" {
 			return fmt.Errorf("goods: item %d has empty ID", i)
 		}
-		if seen[it.ID] {
+		if i == dup {
 			return fmt.Errorf("goods: duplicate item ID %q", it.ID)
 		}
-		seen[it.ID] = true
-		if it.Cost < 0 {
-			return fmt.Errorf("goods: item %q has negative cost %v", it.ID, it.Cost)
+		if err := it.checkValuations(); err != nil {
+			return err
 		}
-		if it.Worth < 0 {
-			return fmt.Errorf("goods: item %q has negative worth %v", it.ID, it.Worth)
+	}
+	return nil
+}
+
+// firstRepeat returns the smallest position whose item ID already occurs at
+// an earlier position, or −1 when the IDs are distinct.
+func firstRepeat(items []Item) int {
+	if len(items) <= smallBundle {
+		var small [smallBundle]idKey
+		return firstRepeatIn(items, small[:0])
+	}
+	buf := seenPool.Get().(*[]idKey)
+	*buf = slices.Grow((*buf)[:0], len(items))
+	dup := firstRepeatIn(items, *buf)
+	seenPool.Put(buf)
+	return dup
+}
+
+// firstRepeatIn is firstRepeat with its keys appended to keys, which
+// allocates nothing when keys has room for all of them.
+func firstRepeatIn(items []Item, keys []idKey) int {
+	for i, it := range items {
+		keys = append(keys, newIDKey(it.ID, i))
+	}
+	// compareIDs is 0 exactly for equal IDs and orders unequal ones in a
+	// fixed, not lexicographic, way.
+	compareIDs := func(a, b idKey) int {
+		if a.head != b.head {
+			return cmp.Compare(a.head, b.head)
 		}
+		if a.tail != b.tail {
+			return cmp.Compare(a.tail, b.tail)
+		}
+		if a.n != b.n || a.n <= 16 {
+			return cmp.Compare(a.n, b.n)
+		}
+		return strings.Compare(items[a.pos].ID, items[b.pos].ID)
+	}
+	// Equal IDs end up adjacent, ordered by position.
+	slices.SortFunc(keys, func(a, b idKey) int {
+		if c := compareIDs(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	dup := -1
+	for k := 1; k < len(keys); k++ {
+		if b := keys[k]; compareIDs(keys[k-1], b) == 0 && (dup < 0 || b.pos < dup) {
+			dup = b.pos
+		}
+	}
+	return dup
+}
+
+// checkValuations reports a negative cost, then a negative worth.
+func (it Item) checkValuations() error {
+	if it.Cost < 0 {
+		return fmt.Errorf("goods: item %q has negative cost %v", it.ID, it.Cost)
+	}
+	if it.Worth < 0 {
+		return fmt.Errorf("goods: item %q has negative worth %v", it.ID, it.Worth)
 	}
 	return nil
 }

@@ -363,7 +363,7 @@ func (e *Engine) startSession(id int) error {
 	}
 	terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(supplierShare)}
 
-	steps, planned, err := e.plan(sup, con, terms)
+	steps, planned, err := e.plan(supIdx, conIdx, terms)
 	if err != nil {
 		if errors.Is(err, errNoTrade) {
 			e.result.NoTrade++
@@ -411,8 +411,9 @@ func (e *Engine) pickPair() (sup, con int, err error) {
 	return i, j, nil
 }
 
-// plan schedules the session according to the strategy.
-func (e *Engine) plan(sup, con *agent.Agent, terms exchange.Terms) (exchange.Sequence, core.PlanResult, error) {
+// plan schedules the session between agents[sup] and agents[con] according
+// to the strategy.
+func (e *Engine) plan(sup, con int, terms exchange.Terms) (exchange.Sequence, core.PlanResult, error) {
 	switch e.cfg.Strategy {
 	case StrategyNaive:
 		if terms.SupplierGain() < 0 || terms.ConsumerGain() < 0 {
@@ -420,7 +421,7 @@ func (e *Engine) plan(sup, con *agent.Agent, terms exchange.Terms) (exchange.Seq
 		}
 		return naivePlan(terms), core.PlanResult{Mode: core.ModeTrustAware}, nil
 	case StrategySafeOnly:
-		stakes := exchange.Stakes{Supplier: sup.Stake, Consumer: con.Stake}
+		stakes := exchange.Stakes{Supplier: e.agents[sup].Stake, Consumer: e.agents[con].Stake}
 		plan, err := exchange.ScheduleSafe(terms, stakes, exchange.Options{})
 		if err != nil {
 			if errors.Is(err, exchange.ErrNoSafeSequence) {
@@ -441,8 +442,10 @@ func (e *Engine) plan(sup, con *agent.Agent, terms exchange.Terms) (exchange.Seq
 	}
 }
 
-func (e *Engine) participant(a *agent.Agent) core.Participant {
-	return core.Participant{ID: a.ID, Estimator: e.EstimatorOf(a.ID), Policy: a.Policy, Stake: a.Stake}
+// participant is agents[i] as the planner sees it.
+func (e *Engine) participant(i int) core.Participant {
+	a := e.agents[i]
+	return core.Participant{ID: a.ID, Estimator: e.estimatorAt(int32(i)), Policy: a.Policy, Stake: a.Stake}
 }
 
 // advance lets the actor of the next step decide, perform, and transmit it.

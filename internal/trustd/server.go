@@ -873,10 +873,18 @@ func readAll(r *http.Request, limit int64) ([]byte, error) {
 	return io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
 }
 
+// writeJSON answers status with v encoded as one JSON line. It encodes
+// before it commits the status, so a value encoding/json refuses (a NaN, for
+// one) is answered 500 with an error body instead of status with none.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()}) // strings always encode
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

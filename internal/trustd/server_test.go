@@ -192,8 +192,6 @@ func TestServerIngestQueryHTTP(t *testing.T) {
 	}
 }
 
-// TestServerRestartBitIdentical: a graceful stop and a WAL-only replay both
-// recover the exact state, across backends.
 // TestOpenRejectsNonFiniteFactor: a NaN or infinite threshold makes every
 // Probability NaN, which encoding/json refuses after the status line is
 // out — every score query would answer 200 with an empty body. Open refuses
@@ -215,6 +213,31 @@ func TestOpenRejectsNonFiniteFactor(t *testing.T) {
 	}
 }
 
+// TestWriteJSONUnencodable: a value encoding/json refuses is answered 500
+// with a JSON error body, not 200 with an empty one.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"p": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q, want application/json", ct)
+	}
+	var body struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body.Error, "NaN") {
+		t.Errorf("body %q (%v), want a JSON error naming the NaN", rec.Body.String(), err)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, map[string]int{"n": 1})
+	if rec.Code != http.StatusCreated || rec.Body.String() != "{\"n\":1}\n" {
+		t.Errorf("encodable value: status %d body %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestServerRestartBitIdentical: a graceful stop and a WAL-only replay both
+// recover the exact state, across backends.
 func TestServerRestartBitIdentical(t *testing.T) {
 	batches := testBatches(25, 8)
 	peers := batchPeers(batches)
