@@ -22,14 +22,14 @@ import (
 // NewEngine, drive with Run.
 //
 // Up to Config.Concurrency sessions are live at once, interleaved on the
-// virtual clock: step messages carry their session ID and are routed through
-// the live-session table, so one engine models a marketplace where many
-// exchanges are in flight simultaneously. All randomness that decides a
-// session's fate (its bundle, its defection rolls, its message loss and
-// latency) comes from a per-session stream derived from Config.Seed and the
-// session ID, and pairing draws from a dedicated stream in session-ID order —
-// so a run is exactly reproducible for a fixed (Seed, Concurrency), and
-// session outcomes do not depend on how sessions happen to interleave.
+// virtual clock: each step message carries its session, so one engine models
+// a marketplace where many exchanges are in flight simultaneously. All
+// randomness that decides a session's fate (its bundle, its defection rolls,
+// its message loss and latency) comes from a per-session stream derived from
+// Config.Seed and the session ID, and pairing draws from a dedicated stream
+// in session-ID order — so a run is exactly reproducible for a fixed (Seed,
+// Concurrency), and session outcomes do not depend on how sessions happen to
+// interleave.
 //
 // Concurrency does change the information structure when trust is learned
 // online (StrategyTrustAware with recording estimators): a session planned
@@ -42,7 +42,10 @@ type Engine struct {
 	pairRng *rand.Rand // pairing stream; drawn in session-ID order
 	sim     *netsim.Simulator
 	net     *netsim.Network
-	ledger  *reputation.Ledger
+
+	// outcomes is the outcome log, by agent index; Ledger builds the
+	// reputation.Events from it on demand.
+	outcomes outcomeLog
 
 	// Per-agent state is indexed, not mapped: one ID→index table replaces
 	// the three per-agent maps (agent, node, estimator) the engine used to
@@ -76,23 +79,19 @@ type Engine struct {
 	result   Result
 }
 
-// stepMsg carries one executed exchange step from the acting party to its
-// counterpart.
-type stepMsg struct {
-	sessionID int
-	stepIndex int
-}
-
-// session is the live state of one exchange. The parties' node IDs are
-// cached at start (they are just the agents' population indices), so the
-// per-step hot path never needs an ID→node lookup.
+// session is the live state of one exchange. The parties' population
+// indices are cached at start (they double as their node IDs), so neither
+// the per-step path nor finish needs an ID→index lookup. The session itself
+// is the step message its parties send each other: a pointer boxes into
+// netsim.Message without allocating, and since a session is never reused, a
+// step delivered after it finished still finds done set.
 type session struct {
 	id      int
 	rng     *rand.Rand // per-session stream: bundle, defections, network draws; nil once finished
 	sup     *agent.Agent
 	con     *agent.Agent
-	supNode netsim.NodeID
-	conNode netsim.NodeID
+	supIdx  int32
+	conIdx  int32
 	terms   exchange.Terms
 	steps   exchange.Sequence
 	planned core.PlanResult
@@ -100,6 +99,49 @@ type session struct {
 	m       goods.Money
 	cd, wd  goods.Money
 	done    bool
+}
+
+// outcomeKind is how a session ended.
+type outcomeKind uint8
+
+const (
+	outcomeCompleted outcomeKind = iota
+	outcomeAborted
+	outcomeSupplierDefected
+	outcomeConsumerDefected
+)
+
+// outcome is one finished session in the outcome log. It holds no pointer,
+// so the collector never scans the log, and it is about half the size of
+// the reputation.Event it stands for.
+type outcome struct {
+	round            int
+	sup, con         int32
+	kind             outcomeKind
+	supLoss, conLoss goods.Money
+}
+
+// outcomeChunk is the number of outcomes per chunk of the log.
+const outcomeChunk = 4096
+
+// outcomeLog is an append-only log of outcomes in fixed-size chunks, so a
+// full chunk is never copied. The first chunk grows by append up to
+// outcomeChunk, so a short run never allocates a whole chunk.
+type outcomeLog struct {
+	chunks [][]outcome
+}
+
+func (l *outcomeLog) append(o outcome) {
+	k := len(l.chunks) - 1
+	if k < 0 || len(l.chunks[k]) == outcomeChunk {
+		var c []outcome
+		if k >= 0 {
+			c = make([]outcome, 0, outcomeChunk)
+		}
+		l.chunks = append(l.chunks, c)
+		k++
+	}
+	l.chunks[k] = append(l.chunks[k], o)
 }
 
 // NewEngine validates cfg and assembles the marketplace.
@@ -112,7 +154,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		pairRng:  seedmix.NewRand(seedmix.Derive(cfg.Seed, 0)),
 		sim:      netsim.NewSimulator(),
-		ledger:   &reputation.Ledger{},
 		agents:   cfg.Agents,
 		index:    make(map[trust.PeerID]int32, len(cfg.Agents)),
 		ests:     make([]trust.Estimator, len(cfg.Agents)),
@@ -177,10 +218,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		e.index[a.ID] = int32(i)
 	}
-	// Every agent shares one dispatch function, so the network's default
-	// handler stands in for a million Register calls (each of which would
-	// allocate a method value and a map entry).
-	e.net.SetDefaultHandler(e.handle)
+	e.net.SetHandler(e.handle)
 	return e, nil
 }
 
@@ -192,19 +230,40 @@ func (e *Engine) estimatorAt(i int32) trust.Estimator {
 	return e.ests[i]
 }
 
-// agentByID resolves an ID to its agent, or nil for unknown IDs.
-func (e *Engine) agentByID(id trust.PeerID) *agent.Agent {
-	i, ok := e.index[id]
-	if !ok {
-		return nil
+// Ledger returns the outcome log so far (for learning-curve analyses), built
+// afresh on each call. With Concurrency > 1 events are in session *finish*
+// order; every event still carries its session ID in Round.
+func (e *Engine) Ledger() *reputation.Ledger {
+	l := &reputation.Ledger{}
+	for _, c := range e.outcomes.chunks {
+		for _, o := range c {
+			l.Append(e.event(o))
+		}
 	}
-	return e.agents[i]
+	return l
 }
 
-// Ledger exposes the outcome log (for learning-curve analyses). With
-// Concurrency > 1 events append in session *finish* order; every event still
-// carries its session ID in Round.
-func (e *Engine) Ledger() *reputation.Ledger { return e.ledger }
+// event is o as a reputation.Event.
+func (e *Engine) event(o outcome) reputation.Event {
+	ev := reputation.Event{
+		Supplier:     e.agents[o.sup].ID,
+		Consumer:     e.agents[o.con].ID,
+		Round:        o.round,
+		SupplierLoss: o.supLoss,
+		ConsumerLoss: o.conLoss,
+	}
+	switch o.kind {
+	case outcomeCompleted:
+		ev.Completed = true
+	case outcomeAborted:
+		ev.Aborted = true
+	case outcomeSupplierDefected:
+		ev.DefectedBy = ev.Supplier
+	case outcomeConsumerDefected:
+		ev.DefectedBy = ev.Consumer
+	}
+	return ev
+}
 
 // EstimatorOf exposes an agent's trust view (for accuracy metrics). Unknown
 // IDs report nil; a known agent's estimator is created on first access.
@@ -301,7 +360,7 @@ func (e *Engine) FinishRun() (Result, error) {
 	e.nextID = e.cfg.Sessions
 	e.limit = e.cfg.Sessions
 	for _, id := range slices.Sorted(maps.Keys(e.sessions)) {
-		e.finish(e.sessions[id], reputation.Event{Aborted: true})
+		e.finish(e.sessions[id], outcomeAborted)
 	}
 	// Drain a write-behind reputation store so post-run assessments (and the
 	// final table rows) see every complaint the run filed.
@@ -383,7 +442,7 @@ func (e *Engine) startSession(id int) error {
 	s := &session{
 		id: id, rng: srng,
 		sup: sup, con: con,
-		supNode: netsim.NodeID(supIdx), conNode: netsim.NodeID(conIdx),
+		supIdx: int32(supIdx), conIdx: int32(conIdx),
 		terms: terms, steps: steps, planned: planned,
 	}
 	e.sessions[id] = s
@@ -391,7 +450,7 @@ func (e *Engine) startSession(id int) error {
 	timeout := netsim.Time(len(steps)+4) * 40 * netsim.Millisecond
 	e.sim.Schedule(timeout, func() {
 		if !s.done {
-			e.finish(s, reputation.Event{Aborted: true})
+			e.finish(s, outcomeAborted)
 		}
 	})
 	e.advance(s)
@@ -454,16 +513,16 @@ func (e *Engine) advance(s *session) {
 		return
 	}
 	if s.idx >= len(s.steps) {
-		e.finish(s, reputation.Event{Completed: true})
+		e.finish(s, outcomeCompleted)
 		return
 	}
 	step := s.steps[s.idx]
-	actor, role := s.con, agent.RoleConsumer
+	actor, role, defected := s.con, agent.RoleConsumer, outcomeConsumerDefected
 	if step.Kind == exchange.StepDeliver {
-		actor, role = s.sup, agent.RoleSupplier
+		actor, role, defected = s.sup, agent.RoleSupplier, outcomeSupplierDefected
 	}
 	if actor.Behavior.Defect(e.defectContext(s, role)) {
-		e.finish(s, reputation.Event{DefectedBy: actor.ID})
+		e.finish(s, defected)
 		return
 	}
 	// Perform the step locally and notify the counterpart; loss of the
@@ -476,26 +535,19 @@ func (e *Engine) advance(s *session) {
 		s.wd += step.Item.Worth
 	}
 	s.idx++
-	from, to := s.conNode, s.supNode
+	from, to := netsim.NodeID(s.conIdx), netsim.NodeID(s.supIdx)
 	if role == agent.RoleSupplier {
-		from, to = s.supNode, s.conNode
+		from, to = to, from
 	}
-	e.net.Send(from, to, stepMsg{sessionID: s.id, stepIndex: s.idx - 1}, s.rng)
+	e.net.Send(from, to, s, s.rng)
 }
 
-// handle receives a step notification at the counterpart, routes it to its
-// session by ID, and hands the turn back to the engine. Messages for settled
-// or unknown sessions are dropped.
+// handle receives a step notification at the counterpart and hands the turn
+// back to the engine; advance drops it if the session has settled.
 func (e *Engine) handle(_ netsim.NodeID, msg netsim.Message) {
-	m, ok := msg.(stepMsg)
-	if !ok {
-		return
+	if s, ok := msg.(*session); ok {
+		e.advance(s)
 	}
-	s, live := e.sessions[m.sessionID]
-	if !live || s.done {
-		return
-	}
-	e.advance(s)
 }
 
 // defectContext computes the temptation the acting party faces right now.
@@ -522,53 +574,60 @@ func (e *Engine) defectContext(s *session, role agent.Role) agent.DefectContext 
 	}
 }
 
-// finish settles the session: accounting, ledger, trust feedback — then
-// backfills the freed concurrency slot with the next pending session.
-func (e *Engine) finish(s *session, ev reputation.Event) {
+// finish settles the session: accounting, outcome log, trust feedback —
+// then backfills the freed concurrency slot with the next pending session.
+func (e *Engine) finish(s *session, kind outcomeKind) {
 	if s.done {
 		return
 	}
 	s.done = true
 	delete(e.sessions, s.id)
-	// Late step messages for s are dropped by handle, so nothing draws from
+	// Late step messages for s are dropped by advance, so nothing draws from
 	// its stream again; nil it so a use after finish panics instead of
 	// drawing from the next session's stream.
 	e.rngs = append(e.rngs, s.rng)
 	s.rng = nil
-	ev.Supplier = s.sup.ID
-	ev.Consumer = s.con.ID
-	ev.Round = s.id
-	ev.SupplierLoss = (s.cd - s.m).ClampNonNeg()
-	ev.ConsumerLoss = (s.m - s.wd).ClampNonNeg()
+	o := outcome{
+		round: s.id, sup: s.supIdx, con: s.conIdx, kind: kind,
+		supLoss: (s.cd - s.m).ClampNonNeg(),
+		conLoss: (s.m - s.wd).ClampNonNeg(),
+	}
 
-	switch {
-	case ev.Completed:
+	switch kind {
+	case outcomeCompleted:
 		e.result.Completed++
 		e.result.TradeVolume += s.m
-	case ev.Aborted:
+	case outcomeAborted:
 		e.result.Aborted++
 	default:
 		e.result.Defected++
-		defector := e.agentByID(ev.DefectedBy)
+		defector := s.con
+		if kind == outcomeSupplierDefected {
+			defector = s.sup
+		}
 		e.result.DefectionsBy[defector.Behavior.Name()]++
-		e.result.RealizedConsumerLoss.Add(ev.ConsumerLoss.Float64())
-		e.result.RealizedSupplierLoss.Add(ev.SupplierLoss.Float64())
+		e.result.RealizedConsumerLoss.Add(o.conLoss.Float64())
+		e.result.RealizedSupplierLoss.Add(o.supLoss.Float64())
 	}
 	e.result.Welfare += s.wd - s.cd
-	if _, isHonest := s.sup.Behavior.(agent.Honest); isHonest && ev.SupplierLoss > 0 {
-		e.result.HonestVictimLoss += ev.SupplierLoss
+	if _, isHonest := s.sup.Behavior.(agent.Honest); isHonest && o.supLoss > 0 {
+		e.result.HonestVictimLoss += o.supLoss
 	}
-	if _, isHonest := s.con.Behavior.(agent.Honest); isHonest && ev.ConsumerLoss > 0 {
-		e.result.HonestVictimLoss += ev.ConsumerLoss
+	if _, isHonest := s.con.Behavior.(agent.Honest); isHonest && o.conLoss > 0 {
+		e.result.HonestVictimLoss += o.conLoss
 	}
 
-	e.ledger.Append(ev)
-	err := reputation.Feed(ev,
-		e.EstimatorOf,
-		func(id trust.PeerID) bool {
-			a := e.agentByID(id)
-			return a != nil && a.LiesAsWitness
-		})
+	e.outcomes.append(o)
+	// Feed asks only about the two parties, whose indices s holds.
+	party := func(id trust.PeerID) int32 {
+		if id == s.sup.ID {
+			return s.supIdx
+		}
+		return s.conIdx
+	}
+	err := reputation.Feed(e.event(o),
+		func(id trust.PeerID) trust.Estimator { return e.estimatorAt(party(id)) },
+		func(id trust.PeerID) bool { return e.agents[party(id)].LiesAsWitness })
 	if err != nil && e.runErr == nil {
 		e.runErr = err
 	}

@@ -5,26 +5,22 @@ import (
 	"testing"
 )
 
-// TestDefaultHandlerAndAccessors pins the shared-dispatch path the engine
-// uses at scale: one SetDefaultHandler call serves every unregistered
-// destination (explicit Register entries still win), and the Executed
+// TestSetHandlerAndAccessors pins the shared-dispatch path the engine
+// uses: one SetHandler call serves every destination, and the Executed
 // accessor exposes the event-load number the scale benchmarks normalise by.
-func TestDefaultHandlerAndAccessors(t *testing.T) {
+func TestSetHandlerAndAccessors(t *testing.T) {
 	sim := NewSimulator()
 	net := NewNetwork(sim, ConstLatency(0))
 	rng := rand.New(rand.NewSource(1))
-	var defGot, regGot int
-	net.SetDefaultHandler(func(from NodeID, msg Message) { defGot++ })
-	if err := net.Register(7, func(from NodeID, msg Message) { regGot++ }); err != nil {
-		t.Fatal(err)
+	got := map[NodeID]int{}
+	net.SetHandler(func(from NodeID, msg Message) { got[msg.(NodeID)]++ })
+	net.Send(1, 2, NodeID(2), rng)
+	net.Send(1, 7, NodeID(7), rng)
+	if n := sim.Run(100); n != 2 {
+		t.Fatalf("ran %d events, want 2", n)
 	}
-	net.Send(1, 2, "ping", rng) // no Register entry → default handler
-	net.Send(1, 7, "ping", rng) // explicit entry wins over the default
-	if got := sim.Run(100); got != 2 {
-		t.Fatalf("ran %d events, want 2", got)
-	}
-	if defGot != 1 || regGot != 1 {
-		t.Fatalf("default handler got %d, registered got %d, want 1 and 1", defGot, regGot)
+	if got[2] != 1 || got[7] != 1 {
+		t.Fatalf("deliveries by destination %v, want one each to 2 and 7", got)
 	}
 	if sim.Executed() != 2 {
 		t.Fatalf("Executed() = %d, want 2", sim.Executed())

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 )
@@ -44,7 +43,7 @@ type Stats struct {
 	Sent      int // Send calls
 	Delivered int // messages that reached their handler
 	Dropped   int // lost to the drop rate
-	NoRoute   int // destination not registered
+	NoRoute   int // sent on a network with no handler
 }
 
 // Add folds other into s, as if both networks' activity had been counted on
@@ -56,13 +55,12 @@ func (s *Stats) Add(other Stats) {
 	s.NoRoute += other.NoRoute
 }
 
-// delivery is a queued message in flight: the receiver and payload of one
+// delivery is a queued message in flight: the sender and payload of one
 // Send, held as a typed struct instead of a closure so the per-message cost
 // is a pooled struct fill rather than a heap allocation. Fired deliveries
 // return to the owning Network's pool.
 type delivery struct {
 	net  *Network
-	h    Handler
 	from NodeID
 	msg  Message
 }
@@ -82,36 +80,33 @@ var deliveryFreePool sync.Pool
 func (d *delivery) fire() {
 	n := d.net
 	n.stats.Delivered++
-	h, from, msg := d.h, d.from, d.msg
+	from, msg := d.from, d.msg
 	*d = delivery{}
 	if len(n.pool) < maxPooledDeliveries {
 		n.pool = append(n.pool, d)
 	}
-	h(from, msg)
+	n.handler(from, msg)
 }
 
-// Network delivers messages between registered nodes over a Simulator with
-// configurable latency and random loss. Like the Simulator it is
+// Network delivers messages between nodes over a Simulator with
+// configurable latency and random loss. Every node shares the network's one
+// handler, so a payload carries whatever the handler needs to route it (a
+// marketplace step message is its session). Like the Simulator it is
 // single-threaded.
 type Network struct {
-	sim        *Simulator
-	latency    LatencyModel
-	handlers   map[NodeID]Handler
-	defHandler Handler // fallback for ids with no Register entry
-	dropRate   float64
-	pool       []*delivery // recycled in-flight message structs
-	stats      Stats
+	sim      *Simulator
+	latency  LatencyModel
+	handler  Handler
+	dropRate float64
+	pool     []*delivery // recycled in-flight message structs
+	stats    Stats
 }
 
 // NewNetwork returns a network on sim with the given latency model
 // (ConstLatency(0) gives instantaneous delivery). The delivery freelist is
 // adopted from a previously Released network when one is pooled.
 func NewNetwork(sim *Simulator, latency LatencyModel) *Network {
-	n := &Network{
-		sim:      sim,
-		latency:  latency,
-		handlers: make(map[NodeID]Handler),
-	}
+	n := &Network{sim: sim, latency: latency}
 	if v := deliveryFreePool.Get(); v != nil {
 		n.pool = v.([]*delivery)
 	}
@@ -129,24 +124,9 @@ func (n *Network) Release() {
 	n.pool = nil
 }
 
-// Register installs the handler for id. Registering an id twice is an error.
-func (n *Network) Register(id NodeID, h Handler) error {
-	if _, dup := n.handlers[id]; dup {
-		return fmt.Errorf("netsim: node %d already registered", id)
-	}
-	if h == nil {
-		return fmt.Errorf("netsim: node %d: nil handler", id)
-	}
-	n.handlers[id] = h
-	return nil
-}
-
-// SetDefaultHandler installs a fallback handler for destinations with no
-// Register entry. A population whose nodes all share one dispatch function
-// (market.Engine at scale) sets it once instead of paying a map entry and a
-// method-value allocation per node. Explicit Register entries still win;
-// NoRoute is only counted when neither matches.
-func (n *Network) SetDefaultHandler(h Handler) { n.defHandler = h }
+// SetHandler installs the handler that receives every delivered message,
+// whatever its destination. Until one is set, sends count as NoRoute.
+func (n *Network) SetHandler(h Handler) { n.handler = h }
 
 // SetDropRate makes every message independently lost with probability r
 // (clamped into [0, 1]).
@@ -167,17 +147,14 @@ func (n *Network) Stats() Stats { return n.stats }
 // the loss and latency draws taken from rng: the sending flow's own stream
 // (one per marketplace session in market.Engine), so each flow's randomness
 // stays self-contained however the flows interleave on the virtual clock.
-// Undeliverable messages (unknown destination, random loss) are counted and
-// silently discarded — like the real network the model stands in for, the
+// Undeliverable messages (no handler, random loss) are counted and silently
+// discarded — like the real network the model stands in for, the
 // sender learns nothing.
 func (n *Network) Send(from, to NodeID, msg Message, rng *rand.Rand) {
 	n.stats.Sent++
-	h, ok := n.handlers[to]
-	if !ok {
-		if h = n.defHandler; h == nil {
-			n.stats.NoRoute++
-			return
-		}
+	if n.handler == nil {
+		n.stats.NoRoute++
+		return
 	}
 	if n.dropRate > 0 && rng.Float64() < n.dropRate {
 		n.stats.Dropped++
@@ -194,6 +171,6 @@ func (n *Network) Send(from, to NodeID, msg Message, rng *rand.Rand) {
 	} else {
 		d = new(delivery)
 	}
-	*d = delivery{net: n, h: h, from: from, msg: msg}
+	*d = delivery{net: n, from: from, msg: msg}
 	n.sim.scheduleEvent(delay, event{d: d})
 }

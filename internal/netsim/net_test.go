@@ -11,17 +11,16 @@ func pingPongNetwork(t *testing.T, latency LatencyModel) (*Simulator, *Network, 
 	net := NewNetwork(sim, latency)
 	rng := rand.New(rand.NewSource(7))
 	var log []string
-	if err := net.Register(1, func(from NodeID, msg Message) {
-		log = append(log, "node1:"+msg.(string))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Register(2, func(from NodeID, msg Message) {
-		log = append(log, "node2:"+msg.(string))
-		net.Send(2, 1, "pong", rng)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	net.SetHandler(func(from NodeID, msg Message) {
+		// Node 2 answers what node 1 sends it.
+		switch from {
+		case 1:
+			log = append(log, "node2:"+msg.(string))
+			net.Send(2, 1, "pong", rng)
+		case 2:
+			log = append(log, "node1:"+msg.(string))
+		}
+	})
 	return sim, net, rng, &log
 }
 
@@ -41,26 +40,15 @@ func TestSendDeliver(t *testing.T) {
 	}
 }
 
+// TestUnknownDestination: a network without a handler routes nothing, and
+// counts each send as NoRoute.
 func TestUnknownDestination(t *testing.T) {
-	sim, net, rng, _ := pingPongNetwork(t, ConstLatency(1))
-	net.Send(1, 99, "void", rng)
-	sim.Run(0)
-	if st := net.Stats(); st.NoRoute != 1 || st.Delivered != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestDuplicateAndNilRegistration(t *testing.T) {
 	sim := NewSimulator()
-	net := NewNetwork(sim, ConstLatency(0))
-	if err := net.Register(1, func(NodeID, Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Register(1, func(NodeID, Message) {}); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	if err := net.Register(2, nil); err == nil {
-		t.Error("nil handler accepted")
+	net := NewNetwork(sim, ConstLatency(1))
+	net.Send(1, 99, "void", rand.New(rand.NewSource(7)))
+	sim.Run(0)
+	if st := net.Stats(); st.Sent != 1 || st.NoRoute != 1 || st.Delivered != 0 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -69,9 +57,7 @@ func TestDropRate(t *testing.T) {
 	net := NewNetwork(sim, ConstLatency(0))
 	rng := rand.New(rand.NewSource(42))
 	received := 0
-	if err := net.Register(1, func(NodeID, Message) { received++ }); err != nil {
-		t.Fatal(err)
-	}
+	net.SetHandler(func(NodeID, Message) { received++ })
 	net.SetDropRate(0.3)
 	const total = 10000
 	for i := 0; i < total; i++ {
@@ -120,11 +106,7 @@ func TestNetworkDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(1234))
 		net.SetDropRate(0.2)
 		var got []int
-		for id := NodeID(0); id < 5; id++ {
-			if err := net.Register(id, func(_ NodeID, msg Message) { got = append(got, msg.(int)) }); err != nil {
-				t.Fatal(err)
-			}
-		}
+		net.SetHandler(func(_ NodeID, msg Message) { got = append(got, msg.(int)) })
 		for i := 0; i < 200; i++ {
 			net.Send(NodeID(i%5), NodeID((i+1)%5), i, rng)
 		}

@@ -68,9 +68,7 @@ func TestNetworkDeliveryPoolCrossesRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sim1 := NewSimulator()
 	net1 := NewNetwork(sim1, ConstLatency(1))
-	if err := net1.Register(0, func(NodeID, Message) {}); err != nil {
-		t.Fatal(err)
-	}
+	net1.SetHandler(func(NodeID, Message) {})
 	for i := 0; i < 8; i++ {
 		net1.Send(0, 0, i, rng)
 	}
@@ -88,9 +86,7 @@ func TestNetworkDeliveryPoolCrossesRuns(t *testing.T) {
 		t.Fatalf("second network adopted %d deliveries, want the released %d", len(net2.pool), pooled)
 	}
 	got := 0
-	if err := net2.Register(0, func(_ NodeID, msg Message) { got++ }); err != nil {
-		t.Fatal(err)
-	}
+	net2.SetHandler(func(_ NodeID, msg Message) { got++ })
 	for i := 0; i < 8; i++ {
 		net2.Send(0, 0, i, rng)
 	}
