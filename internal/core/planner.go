@@ -93,7 +93,7 @@ type Planner struct {
 // It returns ErrNoAgreement (wrapped, with the tightest caps attempted) when
 // neither succeeds.
 func (pl Planner) PlanExchange(supplier, consumer Participant, terms exchange.Terms) (PlanResult, error) {
-	// ScheduleSafe validates the terms; only a rejection before it must
+	// ScheduleSafeElse validates the terms; only a rejection before it must
 	// tell invalid terms from unprofitable ones itself.
 	if pl.RequireBeneficial && (terms.SupplierGain() < 0 || terms.ConsumerGain() < 0) {
 		if err := terms.Validate(); err != nil {
@@ -104,27 +104,32 @@ func (pl Planner) PlanExchange(supplier, consumer Participant, terms exchange.Te
 	}
 	stakes := exchange.Stakes{Supplier: supplier.Stake, Consumer: consumer.Stake}
 
-	if plan, err := exchange.ScheduleSafe(terms, stakes, pl.Options); err == nil {
-		return PlanResult{Plan: plan, Mode: ModeSafe}, nil
-	} else if !errors.Is(err, exchange.ErrNoSafeSequence) {
-		return PlanResult{}, err
-	}
-
-	// Trust-aware path: each party caps its own exposure based on its trust
-	// in the other and its own risk averseness.
-	pInSupplier := estimate(consumer.Estimator, supplier.ID)
-	pInConsumer := estimate(supplier.Estimator, consumer.ID)
-	caps := exchange.ExposureCaps{
-		Supplier: supplier.Policy.ExposureLimit(pInConsumer, terms.SupplierGain()),
-		Consumer: consumer.Policy.ExposureLimit(pInSupplier, terms.ConsumerGain()),
-	}
-
-	plan, err := exchange.ScheduleTrustAware(terms, caps, pl.Options)
-	if err != nil {
-		if errors.Is(err, exchange.ErrNoFeasibleSequence) || errors.Is(err, exchange.ErrBudgetExhausted) {
-			return PlanResult{}, fmt.Errorf("%w: caps Ls=%v Lc=%v (trust %0.2f/%0.2f): %v",
-				ErrNoAgreement, caps.Supplier, caps.Consumer, pInConsumer, pInSupplier, err)
+	// Trust-aware path, taken only once no safe schedule exists: each party
+	// caps its own exposure based on its trust in the other and its own risk
+	// averseness. The estimators are consulted inside the callback, so a safe
+	// session reads no trust at all.
+	var pInSupplier, pInConsumer float64
+	var caps exchange.ExposureCaps
+	trustAware := false
+	plan, safe, err := exchange.ScheduleSafeElse(terms, stakes, pl.Options, func() exchange.ExposureCaps {
+		trustAware = true
+		pInSupplier = estimate(consumer.Estimator, supplier.ID)
+		pInConsumer = estimate(supplier.Estimator, consumer.ID)
+		caps = exchange.ExposureCaps{
+			Supplier: supplier.Policy.ExposureLimit(pInConsumer, terms.SupplierGain()),
+			Consumer: consumer.Policy.ExposureLimit(pInSupplier, terms.ConsumerGain()),
 		}
+		return caps
+	})
+	switch {
+	case safe:
+		return PlanResult{Plan: plan, Mode: ModeSafe}, nil
+	case !trustAware:
+		return PlanResult{}, err // invalid terms, or the safe search gave up
+	case errors.Is(err, exchange.ErrNoFeasibleSequence) || errors.Is(err, exchange.ErrBudgetExhausted):
+		return PlanResult{}, fmt.Errorf("%w: caps Ls=%v Lc=%v (trust %0.2f/%0.2f): %v",
+			ErrNoAgreement, caps.Supplier, caps.Consumer, pInConsumer, pInSupplier, err)
+	case err != nil:
 		return PlanResult{}, err
 	}
 	return PlanResult{

@@ -3,6 +3,8 @@ package exchange_test
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"trustcoop/internal/exchange"
@@ -110,6 +112,60 @@ func FuzzSchedule(f *testing.F) {
 		// And the plan must satisfy the very bands it was scheduled under.
 		if _, err := exchange.Validate(terms, bands, plan.Steps); err != nil {
 			t.Fatalf("returned plan violates its own bands: %v", err)
+		}
+	})
+}
+
+// FuzzScheduleSafeElse holds the planner's one-pass entry point to the two
+// calls it replaces: ScheduleSafe, then — only on ErrNoSafeSequence —
+// ScheduleTrustAware under the caps. Plan, error text and which attempt
+// produced the plan must match, and the caps callback must run exactly once
+// when the safe attempt proves no safe sequence exists, and never otherwise.
+// Flag bits 8 and 16 swap in math.MaxInt64 and Unlimited slacks, the values
+// rangeAt's overflow checks exist for.
+func FuzzScheduleSafeElse(f *testing.F) {
+	f.Add(int64(10*goods.Unit), []byte{8, 12, 4, 2, 0, 9}, int64(goods.Unit), int64(0), int64(0), int64(0), byte(0))
+	f.Add(int64(3*goods.Unit), []byte{0, 5, 3, 0}, int64(0), int64(0), int64(2*goods.Unit), int64(goods.Unit), byte(4))
+	f.Add(int64(0), []byte{}, int64(-1), int64(5), int64(5), int64(5), byte(0))
+	f.Add(int64(5*goods.Unit), []byte{9, 12, 7, 9}, int64(0), int64(0), int64(-1), int64(0), byte(0))
+	f.Add(int64(goods.Unlimited/3), []byte{1, 1}, int64(0), int64(0), int64(0), int64(0), byte(24))
+	f.Fuzz(func(t *testing.T, price int64, items []byte, ds, dc, ls, lc int64, flags byte) {
+		terms, _ := fuzzTerms(price, items)
+		stakes := exchange.Stakes{Supplier: fuzzMoney(ds), Consumer: fuzzMoney(dc)}
+		caps := exchange.ExposureCaps{Supplier: fuzzMoney(ls), Consumer: fuzzMoney(lc)}
+		if flags&8 != 0 {
+			caps.Consumer = math.MaxInt64
+		}
+		if flags&16 != 0 {
+			stakes.Supplier, caps.Supplier = goods.Unlimited, goods.Unlimited
+		}
+		opt := exchange.Options{}
+		if flags&4 != 0 {
+			opt.Policy = exchange.PayEager
+		}
+		calls := 0
+		plan, safe, err := exchange.ScheduleSafeElse(terms, stakes, opt, func() exchange.ExposureCaps {
+			calls++
+			return caps
+		})
+
+		want, wantErr := exchange.ScheduleSafe(terms, stakes, opt)
+		wantSafe := wantErr == nil
+		fellBack := errors.Is(wantErr, exchange.ErrNoSafeSequence)
+		if fellBack {
+			want, wantErr = exchange.ScheduleTrustAware(terms, caps, opt)
+		}
+		if fellBack != (calls == 1) || calls > 1 {
+			t.Fatalf("caps called %d times; the safe attempt fell back: %v", calls, fellBack)
+		}
+		if safe != wantSafe {
+			t.Fatalf("safe = %v, want %v (err %v)", safe, wantSafe, err)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("err = %v, want %v", err, wantErr)
+		}
+		if !reflect.DeepEqual(plan, want) {
+			t.Fatalf("plan = %+v, want %+v", plan, want)
 		}
 	})
 }

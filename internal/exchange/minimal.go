@@ -19,12 +19,13 @@ import (
 // final term is Vs of the last-delivered (cheapest) item.
 func MinimalStake(t Terms) goods.Money {
 	order := lawlerOrder(t.Bundle)
+	// The terms are not validated here, so the band edges saturate.
 	ctx := newBandCtx(t, SafeBands(Stakes{}))
 	var cd, wd goods.Money
 	var worst goods.Money // largest deliverability deficit found
 	for _, it := range order {
-		_, hiHere := ctx.rangeAt(cd, wd)
-		loNext, _ := ctx.rangeAt(cd+it.Cost, wd+it.Worth)
+		_, hiHere := ctx.rangeAtSat(cd, wd)
+		loNext, _ := ctx.rangeAtSat(cd+it.Cost, wd+it.Worth)
 		if deficit := loNext.SubSat(hiHere); deficit > worst {
 			worst = deficit
 		}

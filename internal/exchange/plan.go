@@ -62,9 +62,11 @@ type Plan struct {
 
 // PlanForOrder builds the payment interleaving for a fixed delivery order
 // and validates it against the bands. The order must be a permutation of the
-// bundle items. It returns ErrNoFeasibleSequence (wrapped) when the order
-// admits no valid payment plan — note that a different order may still be
-// feasible; use Schedule to search over orders.
+// bundle items; an order that names an item outside the bundle, or names
+// one twice, is rejected before any payment is planned. It returns
+// ErrNoFeasibleSequence (wrapped) when the order admits no valid payment
+// plan — note that a different order may still be feasible; use Schedule to
+// search over orders.
 func PlanForOrder(t Terms, b Bands, order []goods.Item, opt Options) (Plan, error) {
 	if err := t.Validate(); err != nil {
 		return Plan{}, err
@@ -74,6 +76,15 @@ func PlanForOrder(t Terms, b Bands, order []goods.Item, opt Options) (Plan, erro
 	}
 	sc := getScratch()
 	defer putScratch(sc)
+	// rangeAt needs delivered prefixes of bundle items.
+	idx := sc.itemIndex(t.Bundle)
+	for _, it := range order {
+		k, ok := idx.lookup(it)
+		if !ok || idx.byCost[k] != it {
+			return Plan{}, fmt.Errorf("exchange: order item %q is not a bundle item or repeats one", it.ID)
+		}
+		idx.deliver(k)
+	}
 	return planForOrderCtx(newBandCtx(t, b), t, b, order, opt, sc, true)
 }
 

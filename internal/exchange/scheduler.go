@@ -23,9 +23,36 @@ func ScheduleSafe(t Terms, s Stakes, opt Options) (Plan, error) {
 	return plan, nil
 }
 
+// ScheduleSafeElse is the planner's two attempts in one call: it validates
+// the terms once and tries the safe bands, exactly as ScheduleSafe does. Only
+// when that attempt proves no safe sequence exists does it call caps, once,
+// and schedule inside the returned exposure caps, as ScheduleTrustAware does.
+// safe reports which attempt produced the plan. The results equal
+// ScheduleSafe followed, on ErrNoSafeSequence, by ScheduleTrustAware — with
+// no error built between them and no second validation of the terms.
+func ScheduleSafeElse(t Terms, s Stakes, opt Options, caps func() ExposureCaps) (plan Plan, safe bool, err error) {
+	if err := t.Validate(); err != nil {
+		return Plan{}, false, err
+	}
+	b := SafeBands(s)
+	if err := b.Validate(); err != nil {
+		return Plan{}, false, err
+	}
+	plan, err = schedule(t, b, opt)
+	if !errors.Is(err, ErrNoFeasibleSequence) {
+		return plan, err == nil, err
+	}
+	b = TrustAwareBands(caps())
+	if err := b.Validate(); err != nil {
+		return Plan{}, false, err
+	}
+	plan, err = schedule(t, b, opt)
+	return plan, false, err
+}
+
 // noSafeError is ScheduleSafe's ErrNoSafeSequence together with the stakes
-// it was proven at. It formats only when read: the planner merely tests it
-// with errors.Is before going trust-aware, in nearly every session.
+// it was proven at. It formats only when read: callers mostly just test it
+// with errors.Is.
 type noSafeError struct{ stakes Stakes }
 
 func (e *noSafeError) Error() string {
@@ -71,6 +98,12 @@ func Schedule(t Terms, b Bands, opt Options) (Plan, error) {
 	if err := b.Validate(); err != nil {
 		return Plan{}, err
 	}
+	return schedule(t, b, opt)
+}
+
+// schedule is Schedule on terms and bands already validated: rangeAt's
+// arithmetic relies on both.
+func schedule(t Terms, b Bands, opt Options) (Plan, error) {
 	ctx := newBandCtx(t, b)
 	if !ctx.someItemCanGoLast(t.Bundle.Items) {
 		return Plan{}, errNoLastDelivery

@@ -119,18 +119,55 @@ func newBandCtx(t Terms, b Bands) bandCtx {
 
 // rangeAt returns the admissible payment band [lo, hi] at the state where
 // items of total cost costD and total worth worthD have been delivered.
-// Arithmetic saturates so Unlimited stakes/caps behave as "no bound".
+// Unlimited stakes/caps behave as "no bound": every edge is clamped into
+// [−Unlimited, Unlimited], and the result equals rangeAtSat's bit for bit.
+//
+// It needs what Schedule establishes before calling it: validated terms
+// (price and totals in [0, Unlimited/4]), validated bands (stakes and caps
+// ≥ 0, up to math.MaxInt64) and a delivered prefix of bundle items (costD
+// and worthD in [0, Unlimited/4]). The differences of totals are then exact
+// and at most 3·Unlimited/4 in magnitude, so only adding a stake or cap can
+// leave int64, and since those are ≥ 0 an overflow shows as a wrap: a sum
+// below its first operand, or a difference above it.
 func (c bandCtx) rangeAt(costD, worthD goods.Money) (lo, hi goods.Money) {
-	lo, hi = -goods.Unlimited, goods.Unlimited
+	const u = goods.Unlimited
+	lo, hi = -u, u
 	if c.bands.Safety {
 		// Pmin(D) − δc = P − Vc(G\D) − δc ;  Pmax(D) + δs = P − Vs(G\D) + δs.
+		pmin := c.price - (c.totalWorth - worthD)
+		if d := pmin - c.bands.Stakes.Consumer; d <= pmin && d > -u {
+			lo = d
+		}
+		pmax := c.price - (c.totalCost - costD)
+		if s := pmax + c.bands.Stakes.Supplier; s >= pmax && s < u {
+			hi = s
+		}
+	}
+	if c.bands.Exposure {
+		// Vs(D) − Ls ≤ m ≤ Vc(D) + Lc. costD, Ls ≥ 0, so costD − Ls cannot
+		// overflow.
+		if d := costD - c.bands.Caps.Supplier; d > lo {
+			lo = d
+		}
+		if s := worthD + c.bands.Caps.Consumer; s >= worthD && s < hi {
+			hi = s
+		}
+	}
+	return lo, hi
+}
+
+// rangeAtSat is rangeAt in saturating arithmetic, for inputs nothing has
+// validated: RangeAt's caller-chosen prefixes and bands, and MinimalStake's
+// terms. It is also the oracle rangeAt is tested against.
+func (c bandCtx) rangeAtSat(costD, worthD goods.Money) (lo, hi goods.Money) {
+	lo, hi = -goods.Unlimited, goods.Unlimited
+	if c.bands.Safety {
 		pmin := c.price.SubSat(c.totalWorth - worthD).SubSat(c.bands.Stakes.Consumer)
 		pmax := c.price.SubSat(c.totalCost - costD).AddSat(c.bands.Stakes.Supplier)
 		lo = goods.MaxMoney(lo, pmin)
 		hi = goods.MinMoney(hi, pmax)
 	}
 	if c.bands.Exposure {
-		// Vs(D) − Ls ≤ m ≤ Vc(D) + Lc.
 		lo = goods.MaxMoney(lo, costD.SubSat(c.bands.Caps.Supplier))
 		hi = goods.MinMoney(hi, worthD.AddSat(c.bands.Caps.Consumer))
 	}
@@ -146,5 +183,5 @@ func RangeAt(t Terms, b Bands, delivered []goods.Item) (lo, hi goods.Money) {
 		cd += it.Cost
 		wd += it.Worth
 	}
-	return ctx.rangeAt(cd, wd)
+	return ctx.rangeAtSat(cd, wd)
 }

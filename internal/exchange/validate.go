@@ -131,8 +131,18 @@ type itemIndex struct {
 // lookup returns the position of the bundle item with d's ID, and whether
 // that item is still undelivered; its valuations may differ from d's.
 func (x itemIndex) lookup(d goods.Item) (int, bool) {
-	k, ok := slices.BinarySearchFunc(x.byCost, d, goods.CompareByCost)
-	if !ok {
+	// Lower bound of d in the (cost, ID) order, written out so the
+	// comparison inlines.
+	k, n := 0, len(x.byCost)
+	for hi := n; k < hi; {
+		h := int(uint(k+hi) >> 1)
+		if b := x.byCost[h]; b.Cost < d.Cost || (b.Cost == d.Cost && b.ID < d.ID) {
+			k = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if k == n || x.byCost[k].Cost != d.Cost || x.byCost[k].ID != d.ID {
 		// Not at d's (cost, ID) slot: the ID may still be in the bundle at
 		// another cost.
 		if k = slices.IndexFunc(x.byCost, func(b goods.Item) bool { return b.ID == d.ID }); k < 0 {

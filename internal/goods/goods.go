@@ -96,9 +96,25 @@ func (b Bundle) Validate() error {
 	return nil
 }
 
+// pairwiseBundle is the largest bundle whose keys firstRepeat compares
+// pair by pair: up to 120 key comparisons cost less than sorting the keys.
+const pairwiseBundle = 16
+
 // firstRepeat returns the smallest position whose item ID already occurs at
 // an earlier position, or −1 when the IDs are distinct.
 func firstRepeat(items []Item) int {
+	if len(items) <= pairwiseBundle {
+		var keys [pairwiseBundle]idKey
+		for i, it := range items {
+			keys[i] = newIDKey(it.ID, i)
+			for j := range i {
+				if sameID(items, keys[j], keys[i]) {
+					return i
+				}
+			}
+		}
+		return -1
+	}
 	if len(items) <= smallBundle {
 		var small [smallBundle]idKey
 		return firstRepeatIn(items, small[:0])
@@ -144,6 +160,13 @@ func firstRepeatIn(items []Item, keys []idKey) int {
 		}
 	}
 	return dup
+}
+
+// sameID reports whether the items a and b stand for share an ID: the
+// equality test of firstRepeatIn's compareIDs, kept apart so it inlines.
+func sameID(items []Item, a, b idKey) bool {
+	return a.head == b.head && a.tail == b.tail && a.n == b.n &&
+		(a.n <= 16 || items[a.pos].ID == items[b.pos].ID)
 }
 
 // checkValuations reports a negative cost, then a negative worth.

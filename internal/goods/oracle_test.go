@@ -125,6 +125,13 @@ func TestValidateMatchesReference(t *testing.T) {
 		if errText(got) != errText(want) {
 			t.Fatalf("trial %d: Validate = %q, reference = %q\nbundle %+v", trial, errText(got), errText(want), b.Items)
 		}
+		// Bundles of up to pairwiseBundle items take the pairwise search;
+		// it must find the position the sorted-key search finds.
+		if len(b.Items) <= pairwiseBundle {
+			if got, want := firstRepeat(b.Items), firstRepeatIn(b.Items, nil); got != want {
+				t.Fatalf("trial %d: pairwise firstRepeat = %d, sorted = %d\nbundle %+v", trial, got, want, b.Items)
+			}
+		}
 		if want == ErrEmptyBundle && got != ErrEmptyBundle {
 			t.Fatalf("trial %d: empty bundle error is not ErrEmptyBundle", trial)
 		}

@@ -3,7 +3,6 @@ package market
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -68,14 +67,23 @@ type Engine struct {
 	// backends) or one-scan-per-write-burst (generation-counting backends).
 	population []trust.PeerID
 	assessor   complaints.Assessor
+	// planEst is the one estimator the planner reads trust through in
+	// RepStore mode (nil otherwise). Complaint trust is global — Estimate
+	// never reads the observer — so every agent's planning read goes
+	// through one shared object instead of a per-agent one; the per-agent
+	// estimators remain for recording, which files as the observer.
+	planEst trust.Estimator
 
-	sessions map[int]*session // live sessions by ID
-	nextID   int              // next session to start
-	limit    int              // sessions allowed to start (window budget)
-	rngs     []*rand.Rand     // finished sessions' streams, reseeded by startSession
-	windowed bool             // RunWindow drives the budget (gossip mode)
-	finished bool             // FinishRun has settled the engine
-	runErr   error            // first error raised inside the event loop
+	// inFlight lists the started sessions in ID order; settled ones stay
+	// until startSession compacts the list. live counts the unsettled ones.
+	inFlight []*session
+	live     int
+	nextID   int          // next session to start
+	limit    int          // sessions allowed to start (window budget)
+	rngs     []*rand.Rand // finished sessions' streams, reseeded by startSession
+	windowed bool         // RunWindow drives the budget (gossip mode)
+	finished bool         // FinishRun has settled the engine
+	runErr   error        // first error raised inside the event loop
 	result   Result
 }
 
@@ -157,7 +165,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		agents:   cfg.Agents,
 		index:    make(map[trust.PeerID]int32, len(cfg.Agents)),
 		ests:     make([]trust.Estimator, len(cfg.Agents)),
-		sessions: make(map[int]*session, cfg.Concurrency),
+		inFlight: make([]*session, 0, 2*cfg.Concurrency),
 		limit:    cfg.Sessions, // full-run budget; RunWindow switches to incremental
 	}
 	e.net = netsim.NewNetwork(e.sim, cfg.Latency)
@@ -192,6 +200,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		estimatorOf = func(id trust.PeerID) trust.Estimator {
 			return &complaints.Estimator{Assessor: e.assessor, Observer: id}
 		}
+		e.planEst = &complaints.Estimator{Assessor: e.assessor}
 	}
 	if cfg.Evidence == trust.EvidencePosterior && cfg.GossipNode != nil {
 		// The shard's per-agent Beta estimators live in the gossip node's
@@ -359,9 +368,10 @@ func (e *Engine) FinishRun() (Result, error) {
 	// exhausted before settling so the finish → fill backfill stays a no-op.
 	e.nextID = e.cfg.Sessions
 	e.limit = e.cfg.Sessions
-	for _, id := range slices.Sorted(maps.Keys(e.sessions)) {
-		e.finish(e.sessions[id], outcomeAborted)
+	for _, s := range e.inFlight {
+		e.finish(s, outcomeAborted) // a no-op for the settled ones
 	}
+	e.inFlight = nil
 	// Drain a write-behind reputation store so post-run assessments (and the
 	// final table rows) see every complaint the run filed.
 	if f, ok := e.repStore.(complaints.Flusher); ok {
@@ -388,7 +398,7 @@ func (e *Engine) FinishRun() (Result, error) {
 // RunWindow raises it one gossip window at a time). NoTrade sessions settle
 // immediately at start and never occupy a slot.
 func (e *Engine) fill() {
-	for e.runErr == nil && e.nextID < e.limit && len(e.sessions) < e.cfg.Concurrency {
+	for e.runErr == nil && e.nextID < e.limit && e.live < e.cfg.Concurrency {
 		id := e.nextID
 		e.nextID++
 		if err := e.startSession(id); err != nil {
@@ -445,7 +455,13 @@ func (e *Engine) startSession(id int) error {
 		supIdx: int32(supIdx), conIdx: int32(conIdx),
 		terms: terms, steps: steps, planned: planned,
 	}
-	e.sessions[id] = s
+	if len(e.inFlight) >= 2*e.cfg.Concurrency {
+		// At most Concurrency−1 sessions are live, so at least half the
+		// list is settled: compaction costs O(1) per session.
+		e.inFlight = slices.DeleteFunc(e.inFlight, func(s *session) bool { return s.done })
+	}
+	e.inFlight = append(e.inFlight, s)
+	e.live++
 	// Generous timeout: every step needs one message.
 	timeout := netsim.Time(len(steps)+4) * 40 * netsim.Millisecond
 	e.sim.Schedule(timeout, func() {
@@ -504,7 +520,11 @@ func (e *Engine) plan(sup, con int, terms exchange.Terms) (exchange.Sequence, co
 // participant is agents[i] as the planner sees it.
 func (e *Engine) participant(i int) core.Participant {
 	a := e.agents[i]
-	return core.Participant{ID: a.ID, Estimator: e.estimatorAt(int32(i)), Policy: a.Policy, Stake: a.Stake}
+	est := e.planEst
+	if est == nil {
+		est = e.estimatorAt(int32(i))
+	}
+	return core.Participant{ID: a.ID, Estimator: est, Policy: a.Policy, Stake: a.Stake}
 }
 
 // advance lets the actor of the next step decide, perform, and transmit it.
@@ -581,7 +601,7 @@ func (e *Engine) finish(s *session, kind outcomeKind) {
 		return
 	}
 	s.done = true
-	delete(e.sessions, s.id)
+	e.live--
 	// Late step messages for s are dropped by advance, so nothing draws from
 	// its stream again; nil it so a use after finish panics instead of
 	// drawing from the next session's stream.

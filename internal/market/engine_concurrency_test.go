@@ -177,11 +177,11 @@ func TestSessionsActuallyOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.fill()
-	if live := len(eng.sessions); live < 2 {
+	if live := eng.live; live < 2 {
 		t.Fatalf("after fill, %d live sessions; want several (concurrency 8)", live)
 	}
 	eng.sim.Run(0)
-	if live := len(eng.sessions); live != 0 {
+	if live := eng.live; live != 0 {
 		t.Errorf("%d sessions still live after the event queue drained", live)
 	}
 	if eng.nextID != 40 {

@@ -9,6 +9,7 @@ import (
 	"trustcoop/internal/goods"
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/complaints"
+	"trustcoop/internal/trust/gossip"
 
 	// Registers the "pgrid" reputation backend.
 	_ "trustcoop/internal/pgrid"
@@ -170,5 +171,50 @@ func TestEngineSurfacesComplaintStoreFailure(t *testing.T) {
 	}
 	if _, err := eng.Run(); !errors.Is(err, boom) {
 		t.Errorf("Run = %v, want the store failure", err)
+	}
+}
+
+// TestPlanningEstimatorPerEvidencePlane: with a RepStore the planner reads
+// trust through one shared, observer-free complaints.Estimator over the
+// engine's assessor, and planning creates no per-agent estimator; the
+// posterior book of a gossiping engine and private Beta estimators are
+// per-agent state, so there each party plans through its own estimator.
+func TestPlanningEstimatorPerEvidencePlane(t *testing.T) {
+	agents := func() []*agent.Agent { return population(t, agent.PopConfig{Honest: 4}, 7) }
+	eng, err := NewEngine(Config{Seed: 1, Sessions: 1, Agents: agents(), RepStore: "sharded"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0, p1 := eng.participant(0), eng.participant(1)
+	shared, ok := p0.Estimator.(*complaints.Estimator)
+	if !ok || shared.Observer != "" || p1.Estimator != p0.Estimator {
+		t.Fatalf("RepStore engine plans through %#v and %#v, want one observer-free complaints.Estimator",
+			p0.Estimator, p1.Estimator)
+	}
+	if eng.ests[0] != nil || eng.ests[1] != nil {
+		t.Error("planning created per-agent estimators in RepStore mode")
+	}
+	if own := eng.EstimatorOf(agents()[0].ID).(*complaints.Estimator); own.Observer != agents()[0].ID {
+		t.Errorf("recording estimator observes %q, want %q", own.Observer, agents()[0].ID)
+	}
+
+	fabric, err := gossip.NewFabric(gossip.Config{Period: 4}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]Config{
+		"posterior book": {Seed: 1, Sessions: 1, Agents: agents(), Evidence: trust.EvidencePosterior,
+			Gossip: gossip.Config{Period: 4}, GossipNode: fabric.Node(0)},
+		"private beta": {Seed: 1, Sessions: 1, Agents: agents()},
+	} {
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p0, p1 := eng.participant(0), eng.participant(1)
+		if p0.Estimator != eng.estimatorAt(0) || p1.Estimator != eng.estimatorAt(1) || p0.Estimator == p1.Estimator {
+			t.Errorf("%s: participants plan through %p and %p, want their own estimators %p and %p",
+				name, p0.Estimator, p1.Estimator, eng.estimatorAt(0), eng.estimatorAt(1))
+		}
 	}
 }

@@ -267,18 +267,21 @@ func TestScheduleOverflowClamped(t *testing.T) {
 
 // TestFreelistCapped asserts the bounded-freelist satellite: retired slot
 // arrays above maxRecycledCap events are dropped, not recycled, and the
-// freelist itself never exceeds maxFreeLists entries — so one large
-// same-tick wave cannot pin its peak backing memory for the rest of a run.
+// freelists themselves never exceed maxFreeLists and maxFreeLarge entries —
+// so one large same-tick wave cannot pin its peak backing memory for the
+// rest of a run.
 func TestFreelistCapped(t *testing.T) {
 	s := NewSimulator()
 	// A wave well past maxRecycledCap on one tick: its slot array grows
-	// beyond the recyclable cap and must be dropped on retire.
+	// beyond the recyclable cap and must be dropped on retire. Only the
+	// smallSlotCap array it outgrew on the way is recycled.
 	for i := 0; i < 4*maxRecycledCap; i++ {
 		s.Schedule(1, func() {})
 	}
 	s.Run(0)
-	if len(s.free) != 0 {
-		t.Fatalf("freelist holds %d arrays after an oversized wave, want 0 (cap %d dropped)", len(s.free), maxRecycledCap)
+	if len(s.large) != 0 || len(s.free) > 1 {
+		t.Fatalf("freelists hold %d large and %d small arrays after an oversized wave, want 0 and ≤ 1 (cap %d dropped)",
+			len(s.large), len(s.free), 4*maxRecycledCap)
 	}
 	// Many modest waves on distinct ticks: each retires a recyclable array,
 	// but the freelist must stop growing at maxFreeLists.
@@ -288,12 +291,21 @@ func TestFreelistCapped(t *testing.T) {
 		}
 	}
 	s.Run(0)
-	if len(s.free) > maxFreeLists {
-		t.Fatalf("freelist holds %d arrays, want ≤ %d", len(s.free), maxFreeLists)
+	if len(s.free) > maxFreeLists || len(s.large) > maxFreeLarge {
+		t.Fatalf("freelists hold %d small and %d large arrays, want ≤ %d and ≤ %d",
+			len(s.free), len(s.large), maxFreeLists, maxFreeLarge)
+	}
+	if len(s.large) == 0 {
+		t.Fatal("no maxRecycledCap array was recycled; the waves no longer exercise the large freelist")
 	}
 	for _, arr := range s.free {
-		if cap(arr) > maxRecycledCap {
-			t.Fatalf("freelist holds an array of cap %d, want ≤ %d", cap(arr), maxRecycledCap)
+		if cap(arr) != smallSlotCap {
+			t.Fatalf("small freelist holds an array of cap %d, want %d", cap(arr), smallSlotCap)
+		}
+	}
+	for _, arr := range s.large {
+		if cap(arr) != maxRecycledCap {
+			t.Fatalf("large freelist holds an array of cap %d, want %d", cap(arr), maxRecycledCap)
 		}
 	}
 }

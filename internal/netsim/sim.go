@@ -44,16 +44,24 @@ const (
 	wheelBits     = wheelSlotBits * wheelLevels // horizon = 2^wheelBits ticks
 )
 
-// Freelist bounds (see retireSlot): retired slot arrays above
-// maxRecycledCap events are dropped rather than recycled, and at most
-// maxFreeLists arrays are kept — so one large same-tick wave cannot pin its
-// peak backing memory for the rest of a long run. maxFreeLists matches the
-// wheel's slots-per-level so a steady wave that fills one level-0 page
+// Slot array sizes and freelist bounds (see recycle). A slot that outgrows
+// its inline array takes a smallSlotCap array, and one that outgrows that a
+// maxRecycledCap array, each from its own freelist; arrays above
+// maxRecycledCap events are dropped rather than recycled. maxRecycledCap
+// holds the waves a marketplace with 256 sessions in flight puts on one
+// slot — a level-1 slot gathers 64 ticks of session timeouts — so those
+// recycle instead of regrowing on every pass. At most maxFreeLists small and
+// maxFreeLarge large arrays are kept, so one large same-tick wave cannot pin
+// its peak backing memory for the rest of a long run. maxFreeLists matches
+// the wheel's slots-per-level so a steady wave that fills one level-0 page
 // recycles every slot array instead of re-allocating half of them each pass;
-// the pinned ceiling is maxFreeLists×maxRecycledCap entries (96 KiB).
+// the pinned ceiling is maxFreeLists×smallSlotCap + maxFreeLarge×maxRecycledCap
+// entries (192 KiB).
 const (
-	maxRecycledCap = 64
+	smallSlotCap   = 64
+	maxRecycledCap = 256
 	maxFreeLists   = wheelSlots
+	maxFreeLarge   = 16
 	slotInline     = 2
 )
 
@@ -96,7 +104,8 @@ type Simulator struct {
 	wheels   [wheelLevels][wheelSlots]slot
 	occ      [wheelLevels]uint64 // per-level slot occupancy bitmaps
 	overflow []event             // events beyond the top wheel's horizon
-	free     [][]event           // bounded freelist of retired slot arrays
+	free     [][]event           // bounded freelist of retired smallSlotCap arrays
+	large    [][]event           // bounded freelist of retired maxRecycledCap arrays
 	pending  int
 	executed int64
 }
@@ -183,23 +192,34 @@ func (s *Simulator) push(l, idx int, ev event) {
 		sl.events = sl.inline[:0]
 		s.occ[l] |= 1 << uint(idx)
 	}
-	if len(sl.events) == cap(sl.events) && cap(sl.events) < maxRecycledCap {
+	if n := len(sl.events); n == cap(sl.events) && n < maxRecycledCap {
 		// Outgrowing the inline array jumps straight to a recyclable
-		// maxRecycledCap array (freelist first) instead of doubling through
-		// intermediate sizes — same-tick waves are the hot shape and the
-		// repeated 56-byte-element growth copies are what they'd pay for.
+		// smallSlotCap array, and outgrowing that to a maxRecycledCap one
+		// (freelist first), instead of doubling through intermediate
+		// sizes — same-tick waves are the hot shape and the repeated growth
+		// copies are what they'd pay for.
 		var arr []event
-		if n := len(s.free); n > 0 {
-			arr = s.free[n-1][:len(sl.events)]
-			s.free = s.free[:n-1]
+		if n < smallSlotCap {
+			arr = takeFree(&s.free, n, smallSlotCap)
 		} else {
-			arr = make([]event, len(sl.events), maxRecycledCap)
+			arr = takeFree(&s.large, n, maxRecycledCap)
 		}
 		copy(arr, sl.events)
-		clear(sl.events) // release refs held by the outgrown array
+		s.recycle(sl.events) // its events live on in arr
 		sl.events = arr
 	}
 	sl.events = append(sl.events, ev)
+}
+
+// takeFree returns an array of length n and capacity size, popped from
+// the freelist when it holds one.
+func takeFree(free *[][]event, n, size int) []event {
+	if k := len(*free); k > 0 {
+		arr := (*free)[k-1][:n]
+		*free = (*free)[:k-1]
+		return arr
+	}
+	return make([]event, n, size)
 }
 
 // peek returns the earliest pending timestamp without touching the wheel
@@ -281,20 +301,24 @@ func (s *Simulator) advanceTo(t Time) {
 // or drops it wholesale. Clearing happens here, in one bulk pass, rather
 // than entry-by-entry on the execute path — scattered pointer zeroing is
 // write-barrier traffic the hot loop can skip, and an array headed for the
-// garbage collector needs no zeroing at all. Freelist bounds: arrays above
-// maxRecycledCap events are dropped so a single large wave cannot pin its
-// peak memory, and at most maxFreeLists arrays are kept. Inline-backed
-// arrays persist inside their slot struct, so they are always cleared.
+// garbage collector needs no zeroing at all. Freelist bounds: arrays of
+// other sizes than smallSlotCap and maxRecycledCap (the ones append grew
+// past maxRecycledCap) are dropped so a single large wave cannot pin its
+// peak memory, and each freelist keeps a bounded number of arrays.
+// Inline-backed arrays persist inside their slot struct, so they are always
+// cleared.
 func (s *Simulator) recycle(arr []event) {
-	if cap(arr) <= slotInline {
-		clear(arr[:cap(arr)])
-		return
+	switch c := cap(arr); {
+	case c <= slotInline:
+		clear(arr[:c])
+	case c == smallSlotCap && len(s.free) < maxFreeLists:
+		clear(arr)
+		s.free = append(s.free, arr[:0])
+	case c == maxRecycledCap && len(s.large) < maxFreeLarge:
+		clear(arr)
+		s.large = append(s.large, arr[:0])
 	}
-	if cap(arr) > maxRecycledCap || len(s.free) >= maxFreeLists {
-		return // dropped: the collector releases the refs with the array
-	}
-	clear(arr)
-	s.free = append(s.free, arr[:0])
+	// Anything else is dropped: the collector releases the refs with it.
 }
 
 // retireSlot empties an exhausted level-0 slot after its last event ran.
