@@ -49,10 +49,10 @@ type Engine struct {
 	// Per-agent state is indexed, not mapped: one ID→index table replaces
 	// the three per-agent maps (agent, node, estimator) the engine used to
 	// build eagerly — at 10⁶ agents those maps and their method-value
-	// handler registrations were most of the engine's footprint. The node ID
-	// of agents[i] is simply NodeID(i), and estimators are created lazily on
-	// first use (every estimator kind is order-independent, so laziness
-	// cannot change results — most of a million agents are never paired).
+	// handler registrations were most of the engine's footprint. Estimators
+	// are created lazily on first use (every estimator kind is
+	// order-independent, so laziness cannot change results — most of a
+	// million agents are never paired).
 	agents      []*agent.Agent
 	index       map[trust.PeerID]int32
 	ests        []trust.Estimator // lazily filled; index-aligned with agents
@@ -88,11 +88,11 @@ type Engine struct {
 }
 
 // session is the live state of one exchange. The parties' population
-// indices are cached at start (they double as their node IDs), so neither
-// the per-step path nor finish needs an ID→index lookup. The session itself
-// is the step message its parties send each other: a pointer boxes into
-// netsim.Message without allocating, and since a session is never reused, a
-// step delivered after it finished still finds done set.
+// indices are cached at start, so neither the per-step path nor finish
+// needs an ID→index lookup. The session itself is the step message its
+// parties send each other: a pointer boxes into netsim.Message without
+// allocating, and since a session is never reused, a step delivered after
+// it finished still finds done set.
 type session struct {
 	id      int
 	rng     *rand.Rand // per-session stream: bundle, defections, network draws; nil once finished
@@ -108,6 +108,11 @@ type session struct {
 	cd, wd  goods.Money
 	done    bool
 }
+
+// sessionTimeout is a session's timeout timer: the session pointer under a
+// second type, so it boxes into netsim.Message without allocating and
+// handle tells it from a step message.
+type sessionTimeout session
 
 // outcomeKind is how a session ended.
 type outcomeKind uint8
@@ -227,7 +232,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		e.index[a.ID] = int32(i)
 	}
-	e.net.SetHandler(e.handle)
+	e.sim.SetHandler(e.handle)
 	return e, nil
 }
 
@@ -274,16 +279,6 @@ func (e *Engine) event(o outcome) reputation.Event {
 	return ev
 }
 
-// EstimatorOf exposes an agent's trust view (for accuracy metrics). Unknown
-// IDs report nil; a known agent's estimator is created on first access.
-func (e *Engine) EstimatorOf(id trust.PeerID) trust.Estimator {
-	i, ok := e.index[id]
-	if !ok {
-		return nil
-	}
-	return e.estimatorAt(i)
-}
-
 // EventsExecuted reports the number of simulator events the engine has run —
 // the denominator of the scale benchmark's events/sec.
 func (e *Engine) EventsExecuted() int64 { return e.sim.Executed() }
@@ -317,7 +312,7 @@ func (e *Engine) Run() (Result, error) {
 		return e.FinishRun()
 	}
 	e.fill()
-	e.sim.Run(0)
+	e.sim.Run()
 	return e.FinishRun()
 }
 
@@ -345,7 +340,7 @@ func (e *Engine) RunWindow(n int) error {
 		e.limit = e.cfg.Sessions
 	}
 	e.fill()
-	e.sim.Run(0)
+	e.sim.Run()
 	return e.runErr
 }
 
@@ -384,12 +379,6 @@ func (e *Engine) FinishRun() (Result, error) {
 	}
 	e.result.Sessions = started
 	e.result.NetStats = e.net.Stats()
-	// The event queue is drained: hand the simulator's slot arrays and the
-	// network's delivery structs to netsim's cross-run pools, so the next
-	// engine (the trial runner builds thousands) starts warm instead of
-	// re-growing them from the allocator.
-	e.net.Release()
-	e.sim.Release()
 	return e.result, nil
 }
 
@@ -464,11 +453,7 @@ func (e *Engine) startSession(id int) error {
 	e.live++
 	// Generous timeout: every step needs one message.
 	timeout := netsim.Time(len(steps)+4) * 40 * netsim.Millisecond
-	e.sim.Schedule(timeout, func() {
-		if !s.done {
-			e.finish(s, outcomeAborted)
-		}
-	})
+	e.sim.Timer(timeout, (*sessionTimeout)(s))
 	e.advance(s)
 	return nil
 }
@@ -555,18 +540,18 @@ func (e *Engine) advance(s *session) {
 		s.wd += step.Item.Worth
 	}
 	s.idx++
-	from, to := netsim.NodeID(s.conIdx), netsim.NodeID(s.supIdx)
-	if role == agent.RoleSupplier {
-		from, to = to, from
-	}
-	e.net.Send(from, to, s, s.rng)
+	e.net.Send(s, s.rng)
 }
 
 // handle receives a step notification at the counterpart and hands the turn
-// back to the engine; advance drops it if the session has settled.
-func (e *Engine) handle(_ netsim.NodeID, msg netsim.Message) {
-	if s, ok := msg.(*session); ok {
-		e.advance(s)
+// back to the engine (advance drops it if the session has settled), or fires
+// a session's timeout, which aborts it unless it has settled.
+func (e *Engine) handle(msg netsim.Message) {
+	switch m := msg.(type) {
+	case *session:
+		e.advance(m)
+	case *sessionTimeout:
+		e.finish((*session)(m), outcomeAborted) // a no-op once settled
 	}
 }
 

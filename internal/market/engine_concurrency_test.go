@@ -180,7 +180,7 @@ func TestSessionsActuallyOverlap(t *testing.T) {
 	if live := eng.live; live < 2 {
 		t.Fatalf("after fill, %d live sessions; want several (concurrency 8)", live)
 	}
-	eng.sim.Run(0)
+	eng.sim.Run()
 	if live := eng.live; live != 0 {
 		t.Errorf("%d sessions still live after the event queue drained", live)
 	}

@@ -127,9 +127,9 @@ type Config struct {
 	// DropRate is the per-message loss probability of the network, in
 	// [0, 1].
 	DropRate float64
-	// Latency is the per-message latency model; nil means
+	// Latency is the per-message latency; the zero value means
 	// UniformLatency{1, 10}.
-	Latency netsim.LatencyModel
+	Latency netsim.UniformLatency
 }
 
 // supplierShare is the surplus share every session's price gives the
@@ -191,7 +191,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Strategy == 0 {
 		c.Strategy = StrategyTrustAware
 	}
-	if c.Latency == nil {
+	if c.Latency == (netsim.UniformLatency{}) {
 		c.Latency = netsim.UniformLatency{Min: 1, Max: 10}
 	}
 	return c, nil

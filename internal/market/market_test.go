@@ -119,7 +119,7 @@ func TestTrustAwareLearnsToAvoidCheaters(t *testing.T) {
 		if observer.Behavior.Name() != "honest" {
 			continue
 		}
-		est := eng.EstimatorOf(observer.ID)
+		est := eng.estimatorAt(eng.index[observer.ID])
 		for _, other := range agents {
 			if other.ID == observer.ID {
 				continue
@@ -258,7 +258,7 @@ func TestCustomEstimatorWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.EstimatorOf(agents[0].ID) != oracle {
+	if eng.estimatorAt(0) != oracle {
 		t.Fatal("estimator not wired")
 	}
 	if _, err := eng.Run(); err != nil {

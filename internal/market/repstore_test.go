@@ -194,7 +194,7 @@ func TestPlanningEstimatorPerEvidencePlane(t *testing.T) {
 	if eng.ests[0] != nil || eng.ests[1] != nil {
 		t.Error("planning created per-agent estimators in RepStore mode")
 	}
-	if own := eng.EstimatorOf(agents()[0].ID).(*complaints.Estimator); own.Observer != agents()[0].ID {
+	if own := eng.estimatorAt(0).(*complaints.Estimator); own.Observer != agents()[0].ID {
 		t.Errorf("recording estimator observes %q, want %q", own.Observer, agents()[0].ID)
 	}
 

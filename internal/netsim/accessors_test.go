@@ -6,24 +6,24 @@ import (
 )
 
 // TestSetHandlerAndAccessors pins the shared-dispatch path the engine
-// uses: one SetHandler call serves every destination, and the Executed
-// accessor exposes the event-load number the scale benchmarks normalise by.
+// uses: one SetHandler call serves every timer and every delivery, and the
+// Executed accessor, the event-load number the scale benchmarks normalise
+// by, counts both kinds.
 func TestSetHandlerAndAccessors(t *testing.T) {
 	sim := NewSimulator()
-	net := NewNetwork(sim, ConstLatency(0))
+	net := NewNetwork(sim, UniformLatency{})
 	rng := rand.New(rand.NewSource(1))
-	got := map[NodeID]int{}
-	net.SetHandler(func(from NodeID, msg Message) { got[msg.(NodeID)]++ })
-	net.Send(1, 2, NodeID(2), rng)
-	net.Send(1, 7, NodeID(7), rng)
-	if n := sim.Run(100); n != 2 {
-		t.Fatalf("ran %d events, want 2", n)
+	got := map[Message]int{}
+	sim.SetHandler(func(msg Message) { got[msg]++ })
+	net.Send(2, rng)
+	net.Send(7, rng)
+	sim.Timer(0, "timeout")
+	sim.Run()
+	if got[2] != 1 || got[7] != 1 || got["timeout"] != 1 {
+		t.Fatalf("handled %v, want one each of 2, 7 and the timer", got)
 	}
-	if got[2] != 1 || got[7] != 1 {
-		t.Fatalf("deliveries by destination %v, want one each to 2 and 7", got)
-	}
-	if sim.Executed() != 2 {
-		t.Fatalf("Executed() = %d, want 2", sim.Executed())
+	if sim.Executed() != 3 {
+		t.Fatalf("Executed() = %d, want 3", sim.Executed())
 	}
 	st := net.Stats()
 	if st.Sent != 2 || st.Delivered != 2 || st.NoRoute != 0 {

@@ -23,12 +23,13 @@ func fuzzDelay(b byte) Time {
 }
 
 // FuzzTimerWheel drives the timer wheel and the reference per-event heap
-// with an input-derived schedule — delays drawn by fuzzDelay, every third
-// event rescheduling a follow-up, periodic partial drains — and asserts the
-// executed (timestamp, label) traces are identical. This is the randomized
-// half of the tentpole's determinism contract: whatever shape the fuzzer
-// finds, the wheel must execute the exact (timestamp, schedule-seq) FIFO
-// order of the obvious heap.
+// with an input-derived schedule — delays drawn by fuzzDelay, timers and
+// deliveries alternating, every third event rescheduling a follow-up,
+// periodic partial drains — and asserts the executed (timestamp, label)
+// traces are identical and only the deliveries count as delivered. This is
+// the randomized half of the wheel's determinism contract: whatever shape
+// the fuzzer finds, the wheel must execute the exact (timestamp,
+// schedule-seq) FIFO order of the obvious heap.
 func FuzzTimerWheel(f *testing.F) {
 	f.Add([]byte{0, 0, 0})                          // delay-0 pileup
 	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5})           // duplicate timestamps
@@ -42,7 +43,7 @@ func FuzzTimerWheel(f *testing.F) {
 		}
 		var trRef, trWheel trace
 		ref := &refSimulator{}
-		sim := NewSimulator()
+		sim := newMixedSim()
 
 		drive := func(s scheduler, now func() Time, tr *trace, drain func(Time)) {
 			label := 0
@@ -50,7 +51,7 @@ func FuzzTimerWheel(f *testing.F) {
 			add = func(d Time, depth int) {
 				l := label
 				label++
-				s.Schedule(d, func() {
+				s.Schedule(d, l%2 == 1, func() {
 					tr.record(now(), l)
 					if depth > 0 {
 						// Follow-up delay derived from the label keeps both
@@ -70,14 +71,15 @@ func FuzzTimerWheel(f *testing.F) {
 		}
 
 		drive(ref, func() Time { return ref.now }, &trRef, ref.runThrough)
-		drive(sim, sim.Now, &trWheel, func(deadline Time) { runThrough(sim, deadline) })
+		drive(sim, func() Time { return sim.now }, &trWheel, func(deadline Time) { runThrough(sim.Simulator, deadline) })
 
-		if sim.Now() != ref.now {
-			t.Fatalf("clocks diverge: wheel %d, reference %d", sim.Now(), ref.now)
+		if sim.now != ref.now {
+			t.Fatalf("clocks diverge: wheel %d, reference %d", sim.now, ref.now)
 		}
 		if sim.pending != 0 {
 			t.Fatalf("wheel left %d events pending after drain to MaxTime", sim.pending)
 		}
+		checkKinds(t, sim, ref)
 		if i, ok := trWheel.equal(&trRef); !ok {
 			if i < 0 {
 				t.Fatalf("trace lengths differ: wheel %d, reference %d", len(trWheel.ats), len(trRef.ats))

@@ -2,71 +2,92 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-func pingPongNetwork(t *testing.T, latency LatencyModel) (*Simulator, *Network, *rand.Rand, *[]string) {
-	t.Helper()
+// TestSendDeliver: a ping answered by a pong, with timers queued beside
+// them, one on the ping's own tick. Timers reach the same handler in
+// (timestamp, queue-order) order with the deliveries and count in Executed,
+// never in Delivered.
+func TestSendDeliver(t *testing.T) {
 	sim := NewSimulator()
-	net := NewNetwork(sim, latency)
+	net := NewNetwork(sim, UniformLatency{Min: 5, Max: 5})
 	rng := rand.New(rand.NewSource(7))
 	var log []string
-	net.SetHandler(func(from NodeID, msg Message) {
-		// Node 2 answers what node 1 sends it.
-		switch from {
-		case 1:
-			log = append(log, "node2:"+msg.(string))
-			net.Send(2, 1, "pong", rng)
-		case 2:
-			log = append(log, "node1:"+msg.(string))
+	sim.SetHandler(func(msg Message) {
+		switch msg {
+		case "ping": // node 2 answers node 1
+			log = append(log, "node2:ping")
+			net.Send("pong", rng)
+		case "pong":
+			log = append(log, "node1:pong")
+		default:
+			log = append(log, "timer:"+msg.(string))
 		}
 	})
-	return sim, net, rng, &log
+	net.Send("ping", rng)
+	sim.Timer(5, "t0")
+	sim.Timer(7, "t1")
+	sim.Run()
+	if want := []string{"node2:ping", "timer:t0", "timer:t1", "node1:pong"}; !slices.Equal(log, want) {
+		t.Errorf("log = %v, want %v", log, want)
+	}
+	if sim.now != 10 {
+		t.Errorf("round trip took %d ticks, want 10", sim.now)
+	}
+	if st := net.Stats(); st.Sent != 2 || st.Delivered != 2 {
+		t.Errorf("stats = %+v, want 2 sent and 2 delivered", st)
+	}
+	if sim.Executed() != 4 {
+		t.Errorf("Executed() = %d, want 2 deliveries + 2 timers", sim.Executed())
+	}
 }
 
-func TestSendDeliver(t *testing.T) {
-	sim, net, rng, log := pingPongNetwork(t, ConstLatency(5))
-	net.Send(1, 2, "ping", rng)
-	sim.Run(0)
-	if len(*log) != 2 || (*log)[0] != "node2:ping" || (*log)[1] != "node1:pong" {
-		t.Errorf("log = %v", *log)
-	}
-	if sim.Now() != 10 {
-		t.Errorf("round trip took %d ticks, want 10", sim.Now())
-	}
-	st := net.Stats()
-	if st.Sent != 2 || st.Delivered != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-// TestUnknownDestination: a network without a handler routes nothing, and
-// counts each send as NoRoute.
+// TestUnknownDestination: a network whose simulator has no handler routes
+// nothing, and counts each send as NoRoute.
 func TestUnknownDestination(t *testing.T) {
 	sim := NewSimulator()
-	net := NewNetwork(sim, ConstLatency(1))
-	net.Send(1, 99, "void", rand.New(rand.NewSource(7)))
-	sim.Run(0)
+	net := NewNetwork(sim, UniformLatency{Min: 1, Max: 1})
+	net.Send("void", rand.New(rand.NewSource(7)))
+	sim.Run()
 	if st := net.Stats(); st.Sent != 1 || st.NoRoute != 1 || st.Delivered != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
+// TestDropRate: loss applies to sends only. Timers queued among the sends
+// all fire, raise Executed, and never count as delivered.
 func TestDropRate(t *testing.T) {
 	sim := NewSimulator()
-	net := NewNetwork(sim, ConstLatency(0))
+	net := NewNetwork(sim, UniformLatency{})
 	rng := rand.New(rand.NewSource(42))
-	received := 0
-	net.SetHandler(func(NodeID, Message) { received++ })
+	received, fired := 0, 0
+	sim.SetHandler(func(msg Message) {
+		if _, ok := msg.(string); ok {
+			fired++
+		} else {
+			received++
+		}
+	})
 	net.SetDropRate(0.3)
-	const total = 10000
+	const total, timers = 10000, 100
 	for i := 0; i < total; i++ {
-		net.Send(2, 1, i, rng)
+		net.Send(i, rng)
+		if i%(total/timers) == 0 {
+			sim.Timer(Time(i%3), "timeout")
+		}
 	}
-	sim.Run(0)
+	sim.Run()
 	st := net.Stats()
 	if st.Dropped+st.Delivered != total {
 		t.Fatalf("dropped %d + delivered %d != %d", st.Dropped, st.Delivered, total)
+	}
+	if received != st.Delivered || fired != timers {
+		t.Fatalf("handler saw %d messages and %d timers, want %d and %d", received, fired, st.Delivered, timers)
+	}
+	if want := int64(st.Delivered + timers); sim.Executed() != want {
+		t.Fatalf("Executed() = %d, want %d deliveries + %d timers", sim.Executed(), st.Delivered, timers)
 	}
 	rate := float64(st.Dropped) / total
 	if rate < 0.27 || rate > 0.33 {
@@ -87,14 +108,14 @@ func TestUniformLatencyBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	u := UniformLatency{Min: 3, Max: 9}
 	for i := 0; i < 1000; i++ {
-		l := u.Latency(0, 1, rng)
+		l := u.draw(rng)
 		if l < 3 || l > 9 {
 			t.Fatalf("latency %d outside [3, 9]", l)
 		}
 	}
 	// Degenerate range.
 	d := UniformLatency{Min: 4, Max: 4}
-	if l := d.Latency(0, 1, rng); l != 4 {
+	if l := d.draw(rng); l != 4 {
 		t.Errorf("degenerate latency = %d, want 4", l)
 	}
 }
@@ -106,11 +127,11 @@ func TestNetworkDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(1234))
 		net.SetDropRate(0.2)
 		var got []int
-		net.SetHandler(func(_ NodeID, msg Message) { got = append(got, msg.(int)) })
+		sim.SetHandler(func(msg Message) { got = append(got, msg.(int)) })
 		for i := 0; i < 200; i++ {
-			net.Send(NodeID(i%5), NodeID((i+1)%5), i, rng)
+			net.Send(i, rng)
 		}
-		sim.Run(0)
+		sim.Run()
 		return got
 	}
 	a, b := run(), run()

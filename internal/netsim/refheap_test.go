@@ -41,14 +41,19 @@ func (h *refHeap) Pop() interface{} {
 
 // refSimulator drives refHeap with the Simulator's scheduling semantics
 // (delay clamped to ≥ 0, overflow clamped to MaxTime, FIFO by schedule-seq).
+// It keeps one queue for both event kinds and only counts the deliveries.
 type refSimulator struct {
-	now  Time
-	h    refHeap
-	seq  int
-	nrun int
+	now        Time
+	h          refHeap
+	seq        int
+	nrun       int
+	deliveries int
 }
 
-func (r *refSimulator) Schedule(delay Time, fn func()) {
+func (r *refSimulator) Schedule(delay Time, deliver bool, fn func()) {
+	if deliver {
+		r.deliveries++
+	}
 	if delay < 0 {
 		delay = 0
 	}
@@ -84,9 +89,45 @@ func (r *refSimulator) Run() {
 	}
 }
 
-// scheduler abstracts the two queues for the shared workload driver.
+// scheduler abstracts the two queues for the shared workload driver: fn
+// runs after delay, queued as a network delivery or as a timer.
 type scheduler interface {
-	Schedule(delay Time, fn func())
+	Schedule(delay Time, deliver bool, fn func())
+}
+
+// mixedSim queues on a Simulator both ways: a timer, or a send on a
+// lossless network whose latency is pinned to the requested delay (so the
+// send draws nothing from its stream). Each message is its callback, which
+// the handler runs.
+type mixedSim struct {
+	*Simulator
+	net *Network
+}
+
+func newMixedSim() *mixedSim {
+	s := funcSim()
+	return &mixedSim{Simulator: s, net: NewNetwork(s, UniformLatency{})}
+}
+
+func (m *mixedSim) Schedule(delay Time, deliver bool, fn func()) {
+	if !deliver {
+		m.Timer(delay, fn)
+		return
+	}
+	m.net.latency = UniformLatency{Min: delay, Max: delay}
+	m.net.Send(fn, nil)
+}
+
+// checkKinds asserts that m ran what ref ran, and that only the
+// deliveries among them count as delivered.
+func checkKinds(t *testing.T, m *mixedSim, ref *refSimulator) {
+	t.Helper()
+	if m.executed != int64(ref.nrun) {
+		t.Fatalf("wheel ran %d events, reference ran %d", m.executed, ref.nrun)
+	}
+	if st := m.net.Stats(); st.Sent != ref.deliveries || st.Delivered != ref.deliveries {
+		t.Fatalf("network stats %+v, want all %d deliveries sent and delivered, timers in neither", st, ref.deliveries)
+	}
 }
 
 // trace records (timestamp, label) execution pairs for comparison.
@@ -114,7 +155,8 @@ func (tr *trace) equal(other *trace) (int, bool) {
 
 // workload drives a queue with a deterministic pseudo-random event pattern:
 // an initial burst of events whose callbacks may reschedule follow-ups,
-// covering delay 0 (behind-the-cursor appends), duplicate timestamps,
+// alternating timers and deliveries, covering delay 0 (behind-the-cursor
+// appends), duplicate timestamps shared by both kinds,
 // cascade boundaries (delays near the 64/4096/2^18 level edges), and
 // far-future delays beyond the wheel horizon. now() reads the driven
 // queue's clock so follow-up delays are relative, exactly as real callers
@@ -135,7 +177,7 @@ func workload(seed int64, initial, follow int, s scheduler, now func() Time, tr 
 		l := label
 		label++
 		d := delays[rng.Intn(len(delays))]
-		s.Schedule(d, func() {
+		s.Schedule(d, l%2 == 1, func() {
 			tr.record(now(), l)
 			if depth > 0 && rng.Intn(3) > 0 {
 				schedule(depth - 1)
@@ -147,11 +189,11 @@ func workload(seed int64, initial, follow int, s scheduler, now func() Time, tr 
 	}
 }
 
-// TestWheelMatchesReferenceHeap proves the tentpole's ordering contract:
-// across randomized workloads that exercise delay-0 appends, duplicate
-// timestamps, every cascade boundary and the overflow list, the wheel
-// executes the exact (timestamp, schedule-seq) sequence of the reference
-// per-event heap.
+// TestWheelMatchesReferenceHeap proves the wheel's ordering contract:
+// across randomized workloads that mix timers and deliveries and exercise
+// delay-0 appends, duplicate timestamps, every cascade boundary and the
+// overflow list, the wheel executes the exact (timestamp, schedule-seq)
+// sequence of the reference per-event heap, whatever each event's kind.
 func TestWheelMatchesReferenceHeap(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		var trRef, trWheel trace
@@ -160,13 +202,11 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 		workload(seed, 40, 6, ref, func() Time { return ref.now }, &trRef)
 		ref.Run()
 
-		sim := NewSimulator()
-		workload(seed, 40, 6, sim, sim.Now, &trWheel)
-		n := sim.Run(0)
+		sim := newMixedSim()
+		workload(seed, 40, 6, sim, func() Time { return sim.now }, &trWheel)
+		sim.Run()
 
-		if n != ref.nrun {
-			t.Fatalf("seed %d: wheel ran %d events, reference ran %d", seed, n, ref.nrun)
-		}
+		checkKinds(t, sim, ref)
 		if i, ok := trWheel.equal(&trRef); !ok {
 			if i < 0 {
 				t.Fatalf("seed %d: trace lengths differ: wheel %d, reference %d", seed, len(trWheel.ats), len(trRef.ats))
@@ -188,7 +228,7 @@ func runThrough(s *Simulator, deadline Time) {
 		} else if s.now > deadline {
 			return
 		}
-		s.Step()
+		s.step()
 	}
 }
 
@@ -201,21 +241,22 @@ func TestWheelMatchesReferenceHeapStepwise(t *testing.T) {
 		var trRef, trWheel trace
 
 		ref := &refSimulator{}
-		sim := NewSimulator()
+		sim := newMixedSim()
 
 		deadline := Time(0)
 		for wave := 0; wave < 8; wave++ {
 			workload(seed*31+int64(wave), 10, 3, ref, func() Time { return ref.now }, &trRef)
-			workload(seed*31+int64(wave), 10, 3, sim, sim.Now, &trWheel)
+			workload(seed*31+int64(wave), 10, 3, sim, func() Time { return sim.now }, &trWheel)
 			deadline += Time(rng.Int63n(1 << 20))
 			ref.runThrough(deadline)
-			runThrough(sim, deadline)
-			if sim.Now() != ref.now {
-				t.Fatalf("seed %d wave %d: clocks diverge: wheel %d, reference %d", seed, wave, sim.Now(), ref.now)
+			runThrough(sim.Simulator, deadline)
+			if sim.now != ref.now {
+				t.Fatalf("seed %d wave %d: clocks diverge: wheel %d, reference %d", seed, wave, sim.now, ref.now)
 			}
 		}
 		ref.Run()
-		sim.Run(0)
+		sim.Run()
+		checkKinds(t, sim, ref)
 
 		if i, ok := trWheel.equal(&trRef); !ok {
 			if i < 0 {
@@ -232,27 +273,28 @@ func TestWheelMatchesReferenceHeapStepwise(t *testing.T) {
 // at MaxTime instead of scheduling it into the past, and it still runs
 // (last) with the clock at MaxTime.
 func TestScheduleOverflowClamped(t *testing.T) {
-	s := NewSimulator()
+	s := funcSim()
 	var order []int
-	s.Schedule(10, func() { order = append(order, 1) })
-	s.Schedule(MaxTime, func() { // now+MaxTime wraps: clamp, not time travel
-		if s.Now() != MaxTime {
-			t.Errorf("overflow event ran at %d, want MaxTime", s.Now())
+	s.Timer(10, func() { order = append(order, 1) })
+	s.Timer(MaxTime, func() { // now+MaxTime wraps: clamp, not time travel
+		if s.now != MaxTime {
+			t.Errorf("overflow event ran at %d, want MaxTime", s.now)
 		}
 		order = append(order, 2)
 	})
-	s.Schedule(20, func() { order = append(order, 3) })
+	s.Timer(20, func() { order = append(order, 3) })
 	// Advance the clock first so now+delay overflows with a finite delay too.
-	s.Schedule(30, func() {
-		s.Schedule(MaxTime-5, func() {
-			if s.Now() != MaxTime {
-				t.Errorf("finite-delay overflow event ran at %d, want MaxTime", s.Now())
+	s.Timer(30, func() {
+		s.Timer(MaxTime-5, func() {
+			if s.now != MaxTime {
+				t.Errorf("finite-delay overflow event ran at %d, want MaxTime", s.now)
 			}
 			order = append(order, 4)
 		})
 	})
-	if n := s.Run(0); n != 5 {
-		t.Fatalf("ran %d events, want 5", n)
+	s.Run()
+	if s.executed != 5 {
+		t.Fatalf("ran %d events, want 5", s.executed)
 	}
 	want := []int{1, 3, 2, 4} // overflow events run last, in schedule order
 	if len(order) != len(want) {
@@ -271,14 +313,14 @@ func TestScheduleOverflowClamped(t *testing.T) {
 // so one large same-tick wave cannot pin its peak backing memory for the
 // rest of a run.
 func TestFreelistCapped(t *testing.T) {
-	s := NewSimulator()
+	s := funcSim()
 	// A wave well past maxRecycledCap on one tick: its slot array grows
 	// beyond the recyclable cap and must be dropped on retire. Only the
 	// smallSlotCap array it outgrew on the way is recycled.
 	for i := 0; i < 4*maxRecycledCap; i++ {
-		s.Schedule(1, func() {})
+		s.Timer(1, func() {})
 	}
-	s.Run(0)
+	s.Run()
 	if len(s.large) != 0 || len(s.free) > 1 {
 		t.Fatalf("freelists hold %d large and %d small arrays after an oversized wave, want 0 and ≤ 1 (cap %d dropped)",
 			len(s.large), len(s.free), 4*maxRecycledCap)
@@ -287,10 +329,10 @@ func TestFreelistCapped(t *testing.T) {
 	// but the freelist must stop growing at maxFreeLists.
 	for tick := 1; tick <= 4*maxFreeLists; tick++ {
 		for i := 0; i < maxRecycledCap; i++ {
-			s.Schedule(Time(tick), func() {})
+			s.Timer(Time(tick), func() {})
 		}
 	}
-	s.Run(0)
+	s.Run()
 	if len(s.free) > maxFreeLists || len(s.large) > maxFreeLarge {
 		t.Fatalf("freelists hold %d small and %d large arrays, want ≤ %d and ≤ %d",
 			len(s.free), len(s.large), maxFreeLists, maxFreeLarge)

@@ -6,6 +6,9 @@
 // stream to Network.Send, so a flow's fate does not depend on how the flows
 // happen to interleave on the virtual clock.
 //
+// Every queued event is a message bound for the simulator's one handler:
+// either a timer (Simulator.Timer) or a network delivery (Network.Send).
+//
 // A Simulator (and the Network on top of it) is single-threaded by design:
 // events run one at a time in timestamp order. None of the types in this
 // package are safe for concurrent use.
@@ -14,7 +17,6 @@ package netsim
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // Time is virtual time in abstract ticks (the experiments interpret a tick
@@ -24,9 +26,9 @@ type Time int64
 // Millisecond is the canonical tick interpretation used by the experiments.
 const Millisecond Time = 1
 
-// MaxTime is the far end of virtual time. Schedule clamps timestamps that
-// would overflow int64 tick arithmetic to it, so a pathological delay parks
-// the event at the end of time instead of wrapping it into the past.
+// MaxTime is the far end of virtual time. Timers and sends clamp timestamps
+// that would overflow int64 tick arithmetic to it, so a pathological delay
+// parks the event at the end of time instead of wrapping it into the past.
 const MaxTime = Time(math.MaxInt64)
 
 // The event queue is a hierarchical timing wheel (Varghese & Lauck): four
@@ -56,7 +58,7 @@ const (
 // the wheel's slots-per-level so a steady wave that fills one level-0 page
 // recycles every slot array instead of re-allocating half of them each pass;
 // the pinned ceiling is maxFreeLists×smallSlotCap + maxFreeLarge×maxRecycledCap
-// entries (192 KiB).
+// entries (256 KiB).
 const (
 	smallSlotCap   = 64
 	maxRecycledCap = 256
@@ -65,20 +67,17 @@ const (
 	slotInline     = 2
 )
 
-// event is one queued occurrence: either a closure (fn) or a typed message
-// delivery (d, a receiver+payload struct the Network recycles through a
-// pool). The entry is deliberately 24 bytes — slot appends, cascades and
-// executes are the simulator's memory traffic, and a fat entry would tax
-// every shape to spare the delivery path one indirection.
+// event is one queued message: 32 bytes, held inline in the slot arrays,
+// so queueing a timer or a send allocates nothing.
 type event struct {
-	at Time
-	fn func()    // closure event; nil for typed deliveries
-	d  *delivery // typed delivery; nil for closure events
+	at  Time
+	msg Message
+	net *Network // the delivering network; nil marks a timer
 }
 
 // slot is one wheel bucket: a FIFO list of events, backed by a small inline
 // array so the common near-empty slot never allocates. next is the cursor of
-// the next event to run while the slot is executing, so events a callback
+// the next event to run while the slot is executing, so events the handler
 // schedules for the same tick append behind the cursor and still run this
 // tick, in schedule order.
 type slot struct {
@@ -108,56 +107,37 @@ type Simulator struct {
 	large    [][]event           // bounded freelist of retired maxRecycledCap arrays
 	pending  int
 	executed int64
+	handler  Handler
 }
 
-// slotFreePool recycles whole slot-array freelists across simulator
-// lifetimes: the eval trial runner builds and discards thousands of short
-// simulators, and without a cross-run pool each one re-grows its retired
-// slot arrays from the allocator. A pooled entry is a `[][]event` whose
-// arrays are already cleared (recycle's contract), so adoption is a single
-// slice-header move with no per-array work — the per-simulator freelist
-// stays the lock-free L1, the sync.Pool is only touched once per run on
-// each side (NewSimulator adopt, Release return). Simulators stay
-// single-threaded; only the pool handoff is concurrent-safe.
-var slotFreePool sync.Pool
+// Message is an opaque payload; the handler tells the kinds apart by type.
+type Message any
 
-// NewSimulator returns an empty simulator at time 0. The slot freelist is
-// adopted from a previously Released simulator when one is pooled —
-// recycled arrays are cleared, so adoption cannot leak state between runs.
-func NewSimulator() *Simulator {
-	s := &Simulator{}
-	if v := slotFreePool.Get(); v != nil {
-		s.free = v.([][]event)
-	}
-	return s
-}
+// Handler consumes every fired timer and delivered message.
+type Handler func(msg Message)
 
-// Release hands the simulator's slot-array freelist to the cross-run pool
-// for the next NewSimulator to adopt. Call it when the simulator is done
-// (market.Engine.FinishRun does); the simulator remains usable afterwards,
-// it just restarts with a cold freelist. Safe to call repeatedly.
-func (s *Simulator) Release() {
-	if len(s.free) > 0 {
-		slotFreePool.Put(s.free)
-	}
-	s.free = nil
-}
+// NewSimulator returns an empty simulator at time 0.
+func NewSimulator() *Simulator { return &Simulator{} }
 
-// Now returns the current virtual time.
-func (s *Simulator) Now() Time { return s.now }
+// SetHandler installs the one handler that receives every timer and every
+// delivered message. Until one is set, sends count as NoRoute; a timer must
+// not fire before it is set.
+func (s *Simulator) SetHandler(h Handler) { s.handler = h }
 
-// Executed reports the total number of events run so far — the event-load
-// number the scale benchmarks normalise by.
+// Executed reports the total number of events run so far, timers and
+// deliveries alike — the event-load number the scale benchmarks normalise by.
 func (s *Simulator) Executed() int64 { return s.executed }
 
-// Schedule queues fn to run after delay (clamped to ≥ 0) of virtual time.
-// A timestamp that would overflow Time is clamped to MaxTime. Scheduling is
-// O(1): the timestamp's bits select a wheel slot directly.
-func (s *Simulator) Schedule(delay Time, fn func()) {
-	s.scheduleEvent(delay, event{fn: fn})
+// Timer queues msg to reach the handler after delay (clamped to ≥ 0) of
+// virtual time.
+func (s *Simulator) Timer(delay Time, msg Message) {
+	s.schedule(delay, event{msg: msg})
 }
 
-func (s *Simulator) scheduleEvent(delay Time, ev event) {
+// schedule queues ev after delay, clamped to ≥ 0; a timestamp that would
+// overflow Time is clamped to MaxTime. Scheduling is O(1): the timestamp's
+// bits select a wheel slot directly.
+func (s *Simulator) schedule(delay Time, ev event) {
 	if delay < 0 {
 		delay = 0
 	}
@@ -331,7 +311,7 @@ func (s *Simulator) retireSlot(idx int) {
 }
 
 // exec runs the cursor event of the level-0 slot draining at s.now. While a
-// slot is draining every next event is its cursor entry — a callback cannot
+// slot is draining every next event is its cursor entry — a handler cannot
 // schedule anything earlier than now, and a delay-0 event appends behind the
 // cursor of this same slot — so the drain loop skips peek and advanceTo
 // entirely; that is the fast path that keeps same-tick waves at the bucketed
@@ -343,12 +323,11 @@ func (s *Simulator) exec(sl *slot) {
 	sl.next++
 	s.pending--
 	s.executed++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.d.fire()
+	if ev.net != nil {
+		ev.net.stats.Delivered++
 	}
-	// The callback may have appended same-tick events behind the cursor;
+	s.handler(ev.msg)
+	// The handler may have appended same-tick events behind the cursor;
 	// only an exhausted slot retires.
 	if sl.next == len(sl.events) {
 		s.retireSlot(int(s.now) & wheelSlotMask)
@@ -365,10 +344,10 @@ func (s *Simulator) runAt(t Time) {
 	s.exec(sl)
 }
 
-// Step runs the next event, advancing the clock to its timestamp. It
-// reports whether an event was run. Execution order is identical to the
-// seed's per-event queue: timestamp order, FIFO within a timestamp.
-func (s *Simulator) Step() bool {
+// step runs the next event, advancing the clock to its timestamp, and
+// reports whether there was one. Execution order is that of a per-event
+// queue: timestamp order, FIFO within a timestamp.
+func (s *Simulator) step() bool {
 	if sl := s.cur; sl != nil {
 		s.exec(sl)
 		return true
@@ -381,15 +360,8 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or maxEvents have run
-// (maxEvents ≤ 0 means no limit). It returns the number of events executed.
-func (s *Simulator) Run(maxEvents int) int {
-	n := 0
-	for maxEvents <= 0 || n < maxEvents {
-		if !s.Step() {
-			break
-		}
-		n++
+// Run executes events until the queue drains.
+func (s *Simulator) Run() {
+	for s.step() {
 	}
-	return n
 }

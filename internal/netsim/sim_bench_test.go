@@ -6,16 +6,17 @@ import (
 
 // BenchmarkSimulatorSameTick drives the shape virtual-time batching targets:
 // many deliveries landing on the same tick (a large-Concurrency engine where
-// whole message waves share a timestamp). Each op schedules and drains 512
-// events spread over 8 distinct timestamps — 64 events per tick.
+// whole message waves share a timestamp). Each op queues and drains 512
+// timers spread over 8 distinct timestamps — 64 events per tick.
 func BenchmarkSimulatorSameTick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSimulator()
+		s.SetHandler(func(Message) {})
 		for e := 0; e < 512; e++ {
-			s.Schedule(Time(e%8), func() {})
+			s.Timer(Time(e%8), nil)
 		}
-		if n := s.Run(0); n != 512 {
-			b.Fatalf("ran %d", n)
+		if s.Run(); s.executed != 512 {
+			b.Fatalf("ran %d", s.executed)
 		}
 	}
 }
@@ -26,33 +27,33 @@ func BenchmarkSimulatorSameTick(b *testing.B) {
 func BenchmarkSimulatorSpreadTicks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSimulator()
+		s.SetHandler(func(Message) {})
 		for e := 0; e < 512; e++ {
-			s.Schedule(Time(e), func() {})
+			s.Timer(Time(e), nil)
 		}
-		if n := s.Run(0); n != 512 {
-			b.Fatalf("ran %d", n)
+		if s.Run(); s.executed != 512 {
+			b.Fatalf("ran %d", s.executed)
 		}
 	}
 }
 
 // BenchmarkSimulatorCascade exercises nested scheduling: every executed event
-// schedules its successor on the same tick until the wave is exhausted, the
+// queues its successor on the same tick until the wave is exhausted, the
 // pattern of zero-latency message hand-offs.
 func BenchmarkSimulatorCascade(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSimulator()
 		var n int
-		var tick func()
-		tick = func() {
+		s.SetHandler(func(Message) {
 			n++
 			if n%64 != 0 {
-				s.Schedule(0, tick)
+				s.Timer(0, nil)
 			} else if n < 512 {
-				s.Schedule(1, tick)
+				s.Timer(1, nil)
 			}
-		}
-		s.Schedule(0, tick)
-		s.Run(0)
+		})
+		s.Timer(0, nil)
+		s.Run()
 		if n != 512 {
 			b.Fatalf("ran %d", n)
 		}

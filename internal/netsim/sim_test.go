@@ -5,31 +5,40 @@ import (
 	"testing"
 )
 
-func TestEventsRunInTimestampOrder(t *testing.T) {
+// funcSim returns a simulator whose handler runs each message as a func(),
+// so a test queues its callbacks as timers.
+func funcSim() *Simulator {
 	s := NewSimulator()
+	s.SetHandler(func(msg Message) { msg.(func())() })
+	return s
+}
+
+func TestEventsRunInTimestampOrder(t *testing.T) {
+	s := funcSim()
 	var order []int
-	s.Schedule(30, func() { order = append(order, 3) })
-	s.Schedule(10, func() { order = append(order, 1) })
-	s.Schedule(20, func() { order = append(order, 2) })
-	if n := s.Run(0); n != 3 {
-		t.Fatalf("ran %d events, want 3", n)
+	s.Timer(30, func() { order = append(order, 3) })
+	s.Timer(10, func() { order = append(order, 1) })
+	s.Timer(20, func() { order = append(order, 2) })
+	s.Run()
+	if s.executed != 3 {
+		t.Fatalf("ran %d events, want 3", s.executed)
 	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
 	}
-	if s.Now() != 30 {
-		t.Errorf("Now = %d, want 30", s.Now())
+	if s.now != 30 {
+		t.Errorf("now = %d, want 30", s.now)
 	}
 }
 
 func TestTiesBreakFIFO(t *testing.T) {
-	s := NewSimulator()
+	s := funcSim()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(5, func() { order = append(order, i) })
+		s.Timer(5, func() { order = append(order, i) })
 	}
-	s.Run(0)
+	s.Run()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie order = %v, want FIFO", order)
@@ -38,47 +47,34 @@ func TestTiesBreakFIFO(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	s := NewSimulator()
+	s := funcSim()
 	var hits []Time
-	s.Schedule(10, func() {
-		hits = append(hits, s.Now())
-		s.Schedule(5, func() { hits = append(hits, s.Now()) })
+	s.Timer(10, func() {
+		hits = append(hits, s.now)
+		s.Timer(5, func() { hits = append(hits, s.now) })
 	})
-	s.Run(0)
+	s.Run()
 	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
 		t.Errorf("hits = %v, want [10 15]", hits)
 	}
 }
 
 func TestNegativeDelayClamped(t *testing.T) {
-	s := NewSimulator()
-	s.Schedule(10, func() {
-		s.Schedule(-100, func() {
-			if s.Now() != 10 {
-				t.Errorf("negative delay ran at %d, want 10", s.Now())
+	s := funcSim()
+	s.Timer(10, func() {
+		s.Timer(-100, func() {
+			if s.now != 10 {
+				t.Errorf("negative delay ran at %d, want 10", s.now)
 			}
 		})
 	})
-	s.Run(0)
-}
-
-func TestRunMaxEvents(t *testing.T) {
-	s := NewSimulator()
-	for i := 0; i < 5; i++ {
-		s.Schedule(Time(i), func() {})
-	}
-	if n := s.Run(3); n != 3 {
-		t.Errorf("Run(3) = %d", n)
-	}
-	if s.pending != 2 {
-		t.Errorf("pending = %d, want 2", s.pending)
-	}
+	s.Run()
 }
 
 func TestStepOnEmpty(t *testing.T) {
-	s := NewSimulator()
-	if s.Step() {
-		t.Error("Step on empty queue returned true")
+	s := funcSim()
+	if s.step() {
+		t.Error("step on empty queue returned true")
 	}
 }
 
@@ -88,26 +84,26 @@ func TestStepOnEmpty(t *testing.T) {
 // tick, and buckets recycled through the freelist must all execute in
 // exactly the (timestamp, schedule-order) sequence of a per-event queue.
 func TestSameTickBatchingPreservesOrder(t *testing.T) {
-	s := NewSimulator()
+	s := funcSim()
 	var order []int
 	mark := func(v int) func() { return func() { order = append(order, v) } }
 	// Interleave two ticks so same-tick events are never scheduled
 	// contiguously.
-	s.Schedule(10, mark(1))
-	s.Schedule(20, mark(4))
-	s.Schedule(10, mark(2))
-	s.Schedule(20, mark(5))
-	s.Schedule(10, func() {
+	s.Timer(10, mark(1))
+	s.Timer(20, mark(4))
+	s.Timer(10, mark(2))
+	s.Timer(20, mark(5))
+	s.Timer(10, func() {
 		order = append(order, 3)
 		// Append into the executing tick (runs this tick, after the wave)
 		// and into the later, already-populated tick.
-		s.Schedule(0, mark(100))
-		s.Schedule(10, mark(6))
+		s.Timer(0, mark(100))
+		s.Timer(10, mark(6))
 	})
 	if s.pending != 5 {
 		t.Fatalf("pending = %d, want 5", s.pending)
 	}
-	s.Run(0)
+	s.Run()
 	want := []int{1, 2, 3, 100, 4, 5, 6}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -122,9 +118,9 @@ func TestSameTickBatchingPreservesOrder(t *testing.T) {
 	order = nil
 	for i := 0; i < 6; i++ {
 		i := i
-		s.Schedule(Time(5+i%2), func() { order = append(order, i) })
+		s.Timer(Time(5+i%2), func() { order = append(order, i) })
 	}
-	s.Run(0)
+	s.Run()
 	// Tick now+5 gets 0,2,4; tick now+6 gets 1,3,5.
 	want = []int{0, 2, 4, 1, 3, 5}
 	for i := range want {
@@ -139,18 +135,18 @@ func TestSameTickBatchingPreservesOrder(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []Time {
-		s := NewSimulator()
+		s := funcSim()
 		rng := rand.New(rand.NewSource(99))
 		var stamps []Time
 		var tick func()
 		tick = func() {
-			stamps = append(stamps, s.Now())
+			stamps = append(stamps, s.now)
 			if len(stamps) < 50 {
-				s.Schedule(Time(1+rng.Intn(10)), tick)
+				s.Timer(Time(1+rng.Intn(10)), tick)
 			}
 		}
-		s.Schedule(0, tick)
-		s.Run(0)
+		s.Timer(0, tick)
+		s.Run()
 		return stamps
 	}
 	a, b := run(), run()
