@@ -11,7 +11,8 @@ import (
 // parallelSpeedupFields are the artifact fields that measure CPU parallelism:
 // serial wall clock over the widest worker/engine pool's. On a host with one
 // CPU there is no parallelism to win, so a value above 1.0 can only be noise
-// or a broken measurement loop — cmd/bench pins these to exactly 1.0 there.
+// or a broken measurement loop — the harness that wrote these artifacts
+// pinned them to exactly 1.0 there.
 // Algorithmic ratios (speedup_batch_vs_single, speedup_vs_memory,
 // speedup_aggregate_vs_scan) legitimately exceed 1.0 on any host — they
 // compare code paths, not core counts — and are deliberately absent here;

@@ -13,11 +13,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"trustcoop/internal/agent"
-	"trustcoop/internal/benchutil"
 	"trustcoop/internal/eval"
 	"trustcoop/internal/exchange"
 	"trustcoop/internal/goods"
@@ -172,14 +172,38 @@ func BenchmarkPGridQuery(b *testing.B) {
 	}
 }
 
-// openComplaintStoreBench opens a warmed backend via the setup shared with
-// cmd/bench (internal/benchutil), so both benchmark surfaces measure the
-// same steady state.
+// storePeers builds the store benchmarks' population ("peer-0000", …).
+func storePeers(n int) []trust.PeerID {
+	ids := make([]trust.PeerID, n)
+	for i := range ids {
+		ids[i] = trust.PeerID(fmt.Sprintf("peer-%04d", i))
+	}
+	return ids
+}
+
+// openComplaintStoreBench builds a store for one benchmark run,
+// pre-populated with one complaint per peer so the steady-state maps are
+// warm and allocs/op measures the hot path, not initial growth. Async
+// backends drain in batches of 32.
 func openComplaintStoreBench(b *testing.B, spec string, ids []trust.PeerID) complaints.Store {
 	b.Helper()
-	store, err := benchutil.OpenStore(spec, ids)
+	cfg := complaints.BackendConfig{}
+	if base, _, _ := strings.Cut(spec, ":"); base == "async" {
+		cfg.BatchSize = 32
+	}
+	store, err := complaints.Open(spec, cfg)
 	if err != nil {
 		b.Fatal(err)
+	}
+	for i, p := range ids {
+		if err := store.File(complaints.Complaint{From: p, About: ids[(i+1)%len(ids)]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if f, ok := store.(complaints.Flusher); ok {
+		if err := f.Flush(); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return store
 }
@@ -193,7 +217,7 @@ var complaintStoreBenchSpecs = []string{"memory", "sharded", "async:sharded"}
 // shared store. On multi-core hosts the lock-striped ShardedStore scales
 // where MemoryStore's single mutex serialises.
 func BenchmarkComplaintStoreFile(b *testing.B) {
-	ids := benchutil.StorePeers(512)
+	ids := storePeers(512)
 	for _, spec := range complaintStoreBenchSpecs {
 		b.Run(spec, func(b *testing.B) {
 			store := openComplaintStoreBench(b, spec, ids)
@@ -224,7 +248,7 @@ func BenchmarkComplaintStoreFile(b *testing.B) {
 // issues population-wide on every session. The sharded store serves it with
 // a single combined lookup.
 func BenchmarkComplaintStoreAssess(b *testing.B) {
-	ids := benchutil.StorePeers(512)
+	ids := storePeers(512)
 	for _, spec := range complaintStoreBenchSpecs {
 		b.Run(spec, func(b *testing.B) {
 			store := openComplaintStoreBench(b, spec, ids)

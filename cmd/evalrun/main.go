@@ -43,6 +43,12 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be ≥ 0 (0 means GOMAXPROCS), got %d", *workers)
+	}
+	if *engines < 0 {
+		return fmt.Errorf("-engines must be ≥ 0 (0 means the default width), got %d", *engines)
+	}
 
 	ids := eval.IDs()
 	if *expFlag != "all" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -40,13 +41,21 @@ func TestRunQuickSubset(t *testing.T) {
 // TestRunRejectsBadFlags: malformed specs fail fast with an error, not a
 // mislabeled table.
 func TestRunRejectsBadFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-exp", "E99", "-quick"},
-		{"-exp", "E2", "-quick", "-gossip", "4:torus"},
-		{"-exp", "E1", "-quick", "-evidence", "telepathy"},
+	for _, tc := range []struct {
+		args []string
+		want string // a substring the error must carry
+	}{
+		{[]string{"-exp", "E99", "-quick"}, "E99"},
+		{[]string{"-exp", "E2", "-quick", "-gossip", "4:torus"}, "torus"},
+		{[]string{"-exp", "E1", "-quick", "-evidence", "telepathy"}, "telepathy"},
+		{[]string{"-exp", "E2", "-quick", "-workers", "-3"}, "-workers"},
+		{[]string{"-exp", "E2", "-quick", "-engines", "-5"}, "-engines"},
 	} {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) accepted", args)
+		err := run(tc.args)
+		if err == nil {
+			t.Errorf("run(%v) accepted", tc.args)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
 		}
 	}
 }

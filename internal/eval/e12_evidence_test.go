@@ -101,7 +101,6 @@ type sharedPlaneView struct {
 	observer trust.PeerID
 }
 
-func (v *sharedPlaneView) Name() string { return "shared-plane" }
 func (v *sharedPlaneView) Record(peer trust.PeerID, o trust.Outcome) {
 	*v.pending = append(*v.pending, sharedPlaneRec{obs: v.observer, sub: peer, o: o})
 }

@@ -98,83 +98,51 @@ func TestFileBatchRoutesOncePerKey(t *testing.T) {
 	}
 }
 
-// TestFileBatchGroupingAdaptiveOnDepth pins the adaptive grouping threshold:
-// an eager grid groups at any depth, a store-and-forward grid groups only at
-// batchGroupMinDepth and deeper — a shallow deferred grid files per
-// complaint (2N routed walks), a deep one routes once per distinct key. Both
-// paths must leave identical replica counts.
+// TestFileBatchGroupingAdaptiveOnDepth: a batch groups its insertions by
+// grid key at every trie depth, shallow (32 peers, depth 4) or at the
+// 64-peer default (depth 5) — one routed walk per distinct key — and both
+// grids count the batch exactly as per-complaint filing does.
 func TestFileBatchGroupingAdaptiveOnDepth(t *testing.T) {
 	stream := batchStream(40)
 	const distinctKeys = 14 // 7 From-peers + 7 About-peers
 
-	newStore := func(peers int, defer_ bool) *ComplaintStore {
-		t.Helper()
-		g, err := New(Config{Peers: peers, Seed: 9, DeferReplication: defer_})
-		if err != nil {
+	for _, tc := range []struct{ peers, depth int }{{32, 4}, {64, 5}} {
+		newStore := func() *ComplaintStore {
+			t.Helper()
+			g, err := New(Config{Peers: tc.peers, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.cfg.Depth != tc.depth {
+				t.Fatalf("%d-peer grid picked depth %d, want %d", tc.peers, g.cfg.Depth, tc.depth)
+			}
+			return &ComplaintStore{Grid: g}
+		}
+		batched, single := newStore(), newStore()
+		if err := batched.FileBatch(stream); err != nil {
 			t.Fatal(err)
 		}
-		return &ComplaintStore{Grid: g}
-	}
-
-	// 32 peers auto-pick depth 4 — below the threshold: the deferred store
-	// must file per complaint, the eager store must still group.
-	shallow := newStore(32, true)
-	if d := shallow.Grid.cfg.Depth; d >= batchGroupMinDepth {
-		t.Fatalf("32-peer grid picked depth %d, want < %d", d, batchGroupMinDepth)
-	}
-	if shallow.Grid.GroupedBatchPays() {
-		t.Error("shallow deferred grid reports grouping pays")
-	}
-	if err := shallow.FileBatch(stream); err != nil {
-		t.Fatal(err)
-	}
-	if routes, _ := shallow.Grid.RouteStats(); routes != 2*len(stream) {
-		t.Errorf("shallow deferred batch routed %d times, want %d (per-complaint filing)", routes, 2*len(stream))
-	}
-
-	eager := newStore(32, false)
-	if !eager.Grid.GroupedBatchPays() {
-		t.Error("eager grid reports grouping does not pay")
-	}
-	if err := eager.FileBatch(stream); err != nil {
-		t.Fatal(err)
-	}
-	if routes, _ := eager.Grid.RouteStats(); routes > distinctKeys {
-		t.Errorf("eager batch routed %d times, want ≤ %d (grouped)", routes, distinctKeys)
-	}
-
-	// 64 peers auto-pick depth 5 — at the threshold: deferred grids group.
-	deep := newStore(64, true)
-	if d := deep.Grid.cfg.Depth; d < batchGroupMinDepth {
-		t.Fatalf("64-peer grid picked depth %d, want ≥ %d", d, batchGroupMinDepth)
-	}
-	if !deep.Grid.GroupedBatchPays() {
-		t.Error("deep deferred grid reports grouping does not pay")
-	}
-	if err := deep.FileBatch(stream); err != nil {
-		t.Fatal(err)
-	}
-	if routes, _ := deep.Grid.RouteStats(); routes > distinctKeys {
-		t.Errorf("deep deferred batch routed %d times, want ≤ %d (grouped)", routes, distinctKeys)
-	}
-
-	// Both shallow paths (grouped eager, ungrouped deferred) leave the same
-	// counts once the deferred store flushes.
-	if err := shallow.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		p := trust.PeerID(fmt.Sprintf("agent-%d", i))
-		er, err := eager.Received(p)
-		if err != nil {
-			t.Fatal(err)
+		if routes, _ := batched.Grid.RouteStats(); routes > distinctKeys {
+			t.Errorf("depth %d: batch routed %d times, want ≤ %d (grouped)", tc.depth, routes, distinctKeys)
 		}
-		dr, err := shallow.Received(p)
-		if err != nil {
-			t.Fatal(err)
+		for _, c := range stream {
+			if err := single.File(c); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if er != dr {
-			t.Errorf("peer %s: ungrouped deferred count %d != grouped eager count %d", p, dr, er)
+		for i := 0; i < 7; i++ {
+			p := trust.PeerID(fmt.Sprintf("agent-%d", i))
+			br, err := batched.Received(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := single.Received(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if br != sr {
+				t.Errorf("depth %d, peer %s: grouped count %d != per-complaint count %d", tc.depth, p, br, sr)
+			}
 		}
 	}
 }

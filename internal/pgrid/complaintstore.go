@@ -13,15 +13,13 @@ import (
 // backend registry (spec "pgrid", stackable as "async:pgrid"): a balanced
 // grid of BackendConfig.GridPeers storage peers (default 64) built from
 // BackendConfig.Seed, read with BackendConfig.Replicas replica votes.
-// BackendConfig.DeferReplication selects the store-and-forward replica
-// broadcast.
 func init() {
 	complaints.Register("pgrid", func(cfg complaints.BackendConfig) (complaints.Store, error) {
 		peers := cfg.GridPeers
 		if peers <= 0 {
 			peers = 64
 		}
-		g, err := New(Config{Peers: peers, Seed: cfg.Seed, DeferReplication: cfg.DeferReplication})
+		g, err := New(Config{Peers: peers, Seed: cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("pgrid backend: %w", err)
 		}
@@ -57,12 +55,11 @@ func (s *ComplaintStore) Mutations() (gen uint64, ok bool) {
 	return s.Grid.Mutations(), true
 }
 
-// Flush implements complaints.Flusher: it completes any deferred replica
-// broadcasts (Config.DeferReplication), so end-of-run settlement leaves
-// every replica holding the full record. Reads flush their own key anyway;
-// this is for callers that settle a store wholesale (market.Engine's
-// FinishRun, the write-behind drain). A no-op on an eager grid.
-func (s *ComplaintStore) Flush() error { return s.Grid.FlushReplication() }
+// Flush implements complaints.Flusher as a no-op: every insert lands at its
+// whole replica group before it returns, so there is never a backlog to
+// settle. It is kept so callers that settle a store wholesale (market.Engine's
+// FinishRun, the write-behind drain) treat the grid like any flushing store.
+func (s *ComplaintStore) Flush() error { return nil }
 
 func (s *ComplaintStore) replicas() int {
 	if s.Replicas <= 0 {
@@ -122,24 +119,9 @@ func (s *ComplaintStore) File(c complaints.Complaint) error {
 // replica's stored record — matches what the same batch filed one complaint
 // at a time would leave. Every group is attempted even after a failure and
 // the first error is returned (the BatchFiler contract).
-//
-// Grouping is adaptive on the grid (Grid.GroupedBatchPays): a shallow
-// store-and-forward grid files per complaint instead, because its routed
-// walks are cheaper than assembling the group map and deferred replication
-// already amortises the broadcast per key. Either path leaves replicas with
-// byte-identical records.
 func (s *ComplaintStore) FileBatch(batch []complaints.Complaint) error {
 	if len(batch) == 0 {
 		return nil
-	}
-	if !s.Grid.GroupedBatchPays() {
-		var firstErr error
-		for _, c := range batch {
-			if err := s.File(c); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
 	}
 	groups := make(map[string][]string, 2*len(batch))
 	order := make([]string, 0, 2*len(batch))

@@ -9,43 +9,34 @@ import (
 
 // TestGridMutationsAdvanceOnWritesOnly pins the write-generation contract
 // the assessor's snapshot cache depends on: every insert attempt advances
-// the counter; reads — including reads that trigger a deferred replication
-// flush — never do, because flush-on-read only materialises values a Query
-// would have returned anyway.
+// the counter; reads never do.
 func TestGridMutationsAdvanceOnWritesOnly(t *testing.T) {
-	for _, deferRepl := range []bool{false, true} {
-		g, err := New(Config{Peers: 16, Seed: 9, DeferReplication: deferRepl})
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := g.KeyFor("k")
-		if got := g.Mutations(); got != 0 {
-			t.Fatalf("defer=%v: fresh grid generation = %d, want 0", deferRepl, got)
-		}
-		if err := g.Insert(key, "v1"); err != nil {
-			t.Fatal(err)
-		}
-		if got := g.Mutations(); got != 1 {
-			t.Fatalf("defer=%v: after Insert generation = %d, want 1", deferRepl, got)
-		}
-		if err := g.InsertBatch(key, []string{"v2", "v3"}); err != nil {
-			t.Fatal(err)
-		}
-		after := g.Mutations()
-		if after != 2 {
-			t.Fatalf("defer=%v: after InsertBatch generation = %d, want 2", deferRepl, after)
-		}
-		// Reads (and the flush they may trigger under DeferReplication) must
-		// hold the generation still.
-		if _, _, err := g.Query(key); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.FlushReplication(); err != nil {
-			t.Fatal(err)
-		}
-		if got := g.Mutations(); got != after {
-			t.Fatalf("defer=%v: reads/flush moved generation %d -> %d", deferRepl, after, got)
-		}
+	g, err := New(Config{Peers: 16, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := g.KeyFor("k")
+	if got := g.Mutations(); got != 0 {
+		t.Fatalf("fresh grid generation = %d, want 0", got)
+	}
+	if err := g.Insert(key, "v1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Mutations(); got != 1 {
+		t.Fatalf("after Insert generation = %d, want 1", got)
+	}
+	if err := g.InsertBatch(key, []string{"v2", "v3"}); err != nil {
+		t.Fatal(err)
+	}
+	after := g.Mutations()
+	if after != 2 {
+		t.Fatalf("after InsertBatch generation = %d, want 2", after)
+	}
+	if _, _, err := g.Query(key); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Mutations(); got != after {
+		t.Fatalf("read moved generation %d -> %d", after, got)
 	}
 }
 

@@ -38,15 +38,6 @@ type Config struct {
 	Depth int
 	// Seed drives all randomness in construction and routing.
 	Seed int64
-	// DeferReplication switches the replica-group write from the eager
-	// per-write fan-out (every insert appends at every replica immediately)
-	// to store-and-forward: an insert routes once and buffers its values
-	// per key, and the whole buffered group lands at every replica in one
-	// pass when the key is next read (or on FlushReplication) — the
-	// replica broadcast amortised the way InsertBatch amortised the
-	// routing walk. Reads remain exact: every query path flushes its key
-	// first.
-	DeferReplication bool
 }
 
 // refsPerLevel caps the routing references kept per path bit, and
@@ -92,12 +83,6 @@ type Grid struct {
 	peers []*Peer
 	rng   *rand.Rand
 
-	// store-and-forward state (Config.DeferReplication): values routed but
-	// not yet broadcast to their replica groups, per key, plus the keys in
-	// first-buffer order for a deterministic full flush.
-	pendingRepl  map[string][]string
-	pendingOrder []string
-
 	// mutations is the write-generation counter behind Mutations: it advances
 	// on every insert attempt, so a cached population average is reused only
 	// while no write could have changed any count.
@@ -106,11 +91,6 @@ type Grid struct {
 	// message accounting for the experiments
 	routeHops  int
 	routeCount int
-	// storeWrites counts the (value, replica) writes applied to peer
-	// stores — the quantity the deferred replica broadcast defers: with
-	// DeferReplication it stays at 0 until a read or FlushReplication lands
-	// the buffered groups.
-	storeWrites int
 }
 
 // New builds a grid per cfg.
@@ -166,25 +146,6 @@ func (g *Grid) pickRefs(candidates []int, k int) []int {
 		out = append(out, candidates[idx])
 	}
 	return out
-}
-
-// batchGroupMinDepth is the trie depth from which per-key grouping pays for
-// a store-and-forward batch write. Grouping exists to amortise the routed
-// walk (and, eagerly, the O(peers) replica broadcast) across a batch's
-// repeats of one key; under DeferReplication the broadcast is already
-// amortised per key, so grouping only saves routing — and on a shallow grid
-// a routed walk is a couple of reference hops, cheaper than building the
-// per-key group map. The crossover sits at the 64-peer default (depth 5);
-// 32-peer grids (depth 4) file faster ungrouped.
-const batchGroupMinDepth = 5
-
-// GroupedBatchPays reports whether a batch writer (ComplaintStore.FileBatch)
-// should group its insertions by grid key before filing. Eager grids always
-// group — every insert otherwise pays a full replica broadcast per value.
-// Store-and-forward grids group only at batchGroupMinDepth and deeper, where
-// the routing saved outweighs the grouping overhead.
-func (g *Grid) GroupedBatchPays() bool {
-	return !g.cfg.DeferReplication || g.cfg.Depth >= batchGroupMinDepth
 }
 
 // MarkMalicious flips the given fraction of peers (chosen deterministically

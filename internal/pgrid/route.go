@@ -43,12 +43,7 @@ func (g *Grid) Insert(key, value string) error {
 // then every value lands at every replica — where repeated Insert calls pay
 // the full O(log N) routing (and its reference lookups) per value. Complaint
 // batches (ComplaintStore.FileBatch) group their values by key precisely to
-// hit this path. With Config.DeferReplication the replica broadcast itself
-// is deferred too: the routed-to peer accepts the group and holds it for
-// store-and-forward, so repeated inserts under one key cost one buffered
-// append each instead of one append per replica — the group fans out on the
-// next read of the key or on FlushReplication. The key must be a Depth-bit
-// binary string (use KeyFor).
+// hit this path. The key must be a Depth-bit binary string (use KeyFor).
 func (g *Grid) InsertBatch(key string, values []string) error {
 	if len(values) == 0 {
 		return nil
@@ -58,67 +53,22 @@ func (g *Grid) InsertBatch(key string, values []string) error {
 	}
 	// Any insert attempt advances the mutation generation, even one that then
 	// fails to route — a spurious cache invalidation is safe, a missed one is
-	// not. Reads never bump it: a flush-on-read only materialises values a
-	// Query would have seen anyway (every Query flushes its key first), so
-	// count reads are unchanged while the generation holds still.
+	// not. Reads never bump it.
 	g.mutations++
 	if _, _, err := g.routeFrom(g.rng.Intn(len(g.peers)), key); err != nil {
 		return fmt.Errorf("insert %s: %w", key, err)
 	}
-	if g.cfg.DeferReplication {
-		if g.pendingRepl == nil {
-			g.pendingRepl = make(map[string][]string)
-		}
-		if _, buffered := g.pendingRepl[key]; !buffered {
-			g.pendingOrder = append(g.pendingOrder, key)
-		}
-		g.pendingRepl[key] = append(g.pendingRepl[key], values...)
-		return nil
-	}
-	return g.broadcast(key, values)
-}
-
-// broadcast lands a value group at every replica of the key (each peer
-// whose path prefixes the key), modelling the replica-group broadcast of
-// the original protocol.
-func (g *Grid) broadcast(key string, values []string) error {
-	stored := 0
+	stored := false
 	for _, p := range g.peers {
 		if strings.HasPrefix(key, p.Path) {
 			p.store[key] = append(p.store[key], values...)
-			stored += len(values)
+			stored = true
 		}
 	}
-	g.storeWrites += stored
-	if stored == 0 {
+	if !stored {
 		return fmt.Errorf("insert %s: %w", key, ErrUnreachable)
 	}
 	return nil
-}
-
-// flushKey forwards the key's buffered store-and-forward group to its
-// replica set; a no-op for keys with nothing pending (and in eager mode).
-func (g *Grid) flushKey(key string) error {
-	values := g.pendingRepl[key]
-	if len(values) == 0 {
-		return nil
-	}
-	delete(g.pendingRepl, key)
-	return g.broadcast(key, values)
-}
-
-// FlushReplication forwards every buffered store-and-forward group to its
-// replica set, in first-buffer order. Every group is attempted even after a
-// failure; the first error is returned.
-func (g *Grid) FlushReplication() error {
-	var firstErr error
-	for _, key := range g.pendingOrder {
-		if err := g.flushKey(key); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	g.pendingOrder = g.pendingOrder[:0]
-	return firstErr
 }
 
 // Query routes from a random peer and returns the reached replica's values
@@ -126,11 +76,6 @@ func (g *Grid) FlushReplication() error {
 // count.
 func (g *Grid) Query(key string) (values []string, hops int, err error) {
 	if err := g.checkKey(key); err != nil {
-		return nil, 0, err
-	}
-	// Store-and-forward completes before any read of the key, so deferred
-	// replication never changes what a query can see.
-	if err := g.flushKey(key); err != nil {
 		return nil, 0, err
 	}
 	idx, hops, err := g.routeFrom(g.rng.Intn(len(g.peers)), key)

@@ -202,7 +202,6 @@ func (f *failingRecorder) TryRecord(trust.PeerID, trust.Outcome) error {
 	return f.err
 }
 func (f *failingRecorder) Estimate(trust.PeerID) trust.Estimate { return trust.Estimate{P: 0.5} }
-func (f *failingRecorder) Name() string                         { return "failing" }
 
 func TestFeedSurfacesRecordErrors(t *testing.T) {
 	boom := errors.New("complaint store unreachable")

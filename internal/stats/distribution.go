@@ -7,10 +7,10 @@ import (
 
 // Distribution accumulates observations into log-spaced buckets so that
 // quantiles of heavy-tailed data — latencies, above all — can be reported
-// with a bounded *relative* error at any scale, next to exact moments. It is
-// the percentile-grade counterpart of Sample: cmd/bench feeds per-operation
-// latencies into one Distribution per measurement cell, and the trustd
-// metrics plane keeps live Distributions behind /metrics.
+// with a bounded *relative* error at any scale, next to an exact count and
+// sum. It is the percentile-grade counterpart of Sample: the trustd metrics
+// plane keeps live Distributions behind /metrics, and eval's exchange
+// latency column merges one per trial.
 //
 // Layout. Values in [1, 2^48) are bucketed geometrically with
 // distSubBuckets = 16 buckets per octave, i.e. a growth factor of
@@ -28,8 +28,8 @@ import (
 // (TestDistributionQuantileErrorBound pins twice that to absorb
 // rank-convention differences at exact bucket boundaries). Underflow values
 // carry an absolute error below 1 instead, and values clamped into the top
-// bucket are reported no higher than the observed Max. Mean, Std, Min, Max,
-// Sum and Count are exact (Welford, via an embedded Sample), not bucketed.
+// bucket are reported no higher than the observed Max. Sum and Count are
+// exact (via an embedded Sample), not bucketed.
 //
 // Determinism. Bucket counts are integers, so merging them is exactly
 // associative and commutative; the moment accumulators follow Sample.Merge's
@@ -142,19 +142,6 @@ func (d *Distribution) Count() int { return d.moments.Count() }
 
 // Sum reports the exact total of all observations.
 func (d *Distribution) Sum() float64 { return d.moments.Sum() }
-
-// Mean reports the exact arithmetic mean, or 0 when empty.
-func (d *Distribution) Mean() float64 { return d.moments.Mean() }
-
-// Min reports the exact smallest observation, or 0 when empty.
-func (d *Distribution) Min() float64 { return d.moments.Min() }
-
-// Max reports the exact largest observation, or 0 when empty.
-func (d *Distribution) Max() float64 { return d.moments.Max() }
-
-// Std reports the exact sample standard deviation (Welford), or 0 with
-// fewer than two observations.
-func (d *Distribution) Std() float64 { return d.moments.Std() }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100; out-of-range values
 // clamp, matching Percentile on raw slices). Conventions mirror the slice

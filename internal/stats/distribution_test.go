@@ -32,10 +32,10 @@ func TestDistributionMomentsExact(t *testing.T) {
 		d.Add(x)
 		s.Add(x)
 	}
-	if d.Count() != s.Count() || d.Mean() != s.Mean() || d.Std() != s.Std() ||
-		d.Min() != s.Min() || d.Max() != s.Max() || d.Sum() != s.Sum() {
+	if d.Count() != s.Count() || d.moments.Mean() != s.Mean() || d.moments.Std() != s.Std() ||
+		d.moments.Min() != s.Min() || d.moments.Max() != s.Max() || d.Sum() != s.Sum() {
 		t.Errorf("moments diverge from Sample: dist{n=%d mean=%v std=%v} sample{n=%d mean=%v std=%v}",
-			d.Count(), d.Mean(), d.Std(), s.Count(), s.Mean(), s.Std())
+			d.Count(), d.moments.Mean(), d.moments.Std(), s.Count(), s.Mean(), s.Std())
 	}
 }
 
@@ -49,8 +49,8 @@ func TestDistributionEdgeConventions(t *testing.T) {
 			t.Errorf("empty Percentile(%g) = %g, want 0 (the Percentile([]) convention)", p, got)
 		}
 	}
-	if d.Mean() != 0 || d.Std() != 0 || d.Count() != 0 {
-		t.Errorf("empty distribution should report zeros: mean=%v std=%v n=%d", d.Mean(), d.Std(), d.Count())
+	if d.moments.Mean() != 0 || d.moments.Std() != 0 || d.Count() != 0 {
+		t.Errorf("empty distribution should report zeros: mean=%v std=%v n=%d", d.moments.Mean(), d.moments.Std(), d.Count())
 	}
 	d.Add(137.5)
 	for _, p := range []float64{-5, 0, 50, 99.9, 100, 120} {
@@ -166,11 +166,11 @@ func TestDistributionPercentilesMonotone(t *testing.T) {
 		}
 		prev = v
 	}
-	if d.Percentile(0) != d.Min() || d.Percentile(100) != d.Max() {
-		t.Errorf("p0/p100 = %g/%g, want exact Min/Max %g/%g", d.Percentile(0), d.Percentile(100), d.Min(), d.Max())
+	if d.Percentile(0) != d.moments.Min() || d.Percentile(100) != d.moments.Max() {
+		t.Errorf("p0/p100 = %g/%g, want exact Min/Max %g/%g", d.Percentile(0), d.Percentile(100), d.moments.Min(), d.moments.Max())
 	}
-	if m := d.Mean(); m < d.Min() || m > d.Max() {
-		t.Errorf("mean %g outside [min, max] = [%g, %g]", m, d.Min(), d.Max())
+	if m := d.moments.Mean(); m < d.moments.Min() || m > d.moments.Max() {
+		t.Errorf("mean %g outside [min, max] = [%g, %g]", m, d.moments.Min(), d.moments.Max())
 	}
 }
 
@@ -189,7 +189,7 @@ func TestDistributionUnderflowAndOverflow(t *testing.T) {
 	top := math.Ldexp(1, distOctaves)
 	big.Add(top * 4)
 	big.Add(top * 8)
-	if got, want := big.Percentile(99), big.Max(); got > want {
+	if got, want := big.Percentile(99), big.moments.Max(); got > want {
 		t.Errorf("overflow p99 = %g exceeds observed max %g", got, want)
 	}
 	if got := big.Percentile(99); got < top*4 {
@@ -234,8 +234,8 @@ func distEquiv(t *testing.T, label string, a, b Distribution) {
 
 // TestDistributionMergeOfSplitsEqualsWhole mirrors
 // TestSampleMergeOfSplitsEqualsWhole: a stream split anywhere and merged
-// reproduces the whole-stream accumulator — what cmd/bench relies on when it
-// reduces per-goroutine (and per-rep) latency distributions.
+// reproduces the whole-stream accumulator — what eval's exchange-latency
+// column relies on when it merges per-trial latency distributions.
 func TestDistributionMergeOfSplitsEqualsWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	xs := make([]float64, 257)
@@ -310,7 +310,7 @@ func TestDistributionCloneIndependent(t *testing.T) {
 	d.Add(100)
 	c := d.Clone()
 	c.Add(1e6)
-	if d.Count() != 1 || d.Max() != 100 {
+	if d.Count() != 1 || d.moments.Max() != 100 {
 		t.Errorf("clone mutation leaked into original: %+v", d)
 	}
 	if c.Count() != 2 {

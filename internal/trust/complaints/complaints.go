@@ -496,9 +496,6 @@ var (
 	_ trust.FallibleRecorder = (*Estimator)(nil)
 )
 
-// Name implements trust.Estimator.
-func (e *Estimator) Name() string { return "complaints" }
-
 // TryRecord implements trust.FallibleRecorder: defections become complaints,
 // and a failing store (decentralised routing breakage, a write-behind
 // pipeline error) is reported to the caller instead of dropped.

@@ -146,9 +146,6 @@ func TestEstimatorAdapter(t *testing.T) {
 	store := NewMemoryStore()
 	pop := []trust.PeerID{"observer", "good", "bad"}
 	est := &Estimator{Assessor: Assessor{Store: store, Population: pop}, Observer: "observer"}
-	if est.Name() != "complaints" {
-		t.Error("name")
-	}
 	// Cooperations leave no trace; defections file complaints.
 	est.Record("good", trust.Outcome{Cooperated: true})
 	if got, _ := store.Filed("observer"); got != 0 {

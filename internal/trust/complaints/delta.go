@@ -9,9 +9,9 @@ import (
 
 // Delta is the complaint-kind evidence delta: the complaints one shard filed
 // since its last export, in filing order. Complaint counters commute, so
-// Merge is concatenation and apply order never matters — the simplest
-// instance of the trust.EvidenceDelta contract, wrapping exactly the batches
-// the pre-evidence-plane gossip fabric shipped.
+// apply order never matters — the simplest instance of the
+// trust.EvidenceDelta contract, wrapping exactly the batches the
+// pre-evidence-plane gossip fabric shipped.
 type Delta struct {
 	// Complaints is the batch in filing order.
 	Complaints []Complaint
@@ -27,17 +27,6 @@ func (d *Delta) Kind() trust.EvidenceKind { return trust.EvidenceComplaints }
 
 // Items implements trust.EvidenceDelta.
 func (d *Delta) Items() int { return len(d.Complaints) }
-
-// Merge implements trust.EvidenceDelta: complaint counters commute, so a
-// later delta simply appends.
-func (d *Delta) Merge(other trust.EvidenceDelta) error {
-	o, ok := other.(*Delta)
-	if !ok {
-		return fmt.Errorf("complaints: cannot merge %s delta into complaint delta", other.Kind())
-	}
-	d.Complaints = append(d.Complaints, o.Complaints...)
-	return nil
-}
 
 // complaint delta wire format: per complaint, uvarint-length-prefixed From
 // then About, with no header. EncodedSize is exact for every ID length —

@@ -2,6 +2,7 @@ package complaints
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -92,6 +93,18 @@ func TestComplaintDeltaDecodeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// Merge folds a later delta into d: complaint counters commute, so it
+// simply appends. No program coalesces deltas; the test below pins the
+// rule.
+func (d *Delta) Merge(other trust.EvidenceDelta) error {
+	o, ok := other.(*Delta)
+	if !ok {
+		return fmt.Errorf("complaints: cannot merge %s delta into complaint delta", other.Kind())
+	}
+	d.Complaints = append(d.Complaints, o.Complaints...)
+	return nil
+}
+
 // TestComplaintDeltaMergeConcatsInOrder: merge is concatenation (counters
 // commute), preserving filing order, and rejects foreign kinds.
 func TestComplaintDeltaMergeConcatsInOrder(t *testing.T) {
@@ -104,7 +117,7 @@ func TestComplaintDeltaMergeConcatsInOrder(t *testing.T) {
 	if !reflect.DeepEqual(a.Complaints, want) {
 		t.Errorf("merged = %+v", a.Complaints)
 	}
-	if err := a.Merge(trust.NewPosteriorDelta(1, nil)); err == nil {
+	if err := a.Merge(&trust.PosteriorDelta{Decay: 1}); err == nil {
 		t.Error("cross-kind merge accepted")
 	}
 }

@@ -25,10 +25,6 @@ type BackendConfig struct {
 	GridPeers int
 	// Replicas is the pgrid replica-vote count; 0 means the store's default.
 	Replicas int
-	// DeferReplication selects pgrid's store-and-forward replica broadcast
-	// (buffered per key at insert, fanned out on read or flush) instead of
-	// the eager per-write fan-out.
-	DeferReplication bool
 }
 
 // Factory builds a fresh Store for one run.

@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// EvidenceKind names a mergeable trust-evidence representation. Every kind
+// EvidenceKind names a trust-evidence representation. Every kind
 // has a registered decoder (RegisterEvidenceKind), so transports — the
 // cross-shard gossip fabric, a future wire protocol — can move evidence
 // without knowing which trust model produced it.
@@ -27,24 +27,12 @@ const (
 	EvidencePosterior EvidenceKind = "posterior"
 )
 
-// EvidenceDelta is a mergeable unit of trust evidence: everything one shard
-// learned since its last export, in a form a peer shard can fold into its
-// own trust state. Implementations are the bridge between trust models and
-// transports — the model defines what a delta means, the transport only
-// moves bytes and merges.
-//
-// Contract:
-//
-//   - Encode is deterministic, and Decode∘Encode is the identity (the
-//     registered decoder reconstructs an equal delta — byte-equal on
-//     re-encode);
-//   - Merge folds a *later* delta of the same kind into the receiver and is
-//     associative: merging a⊕b then c equals merging a with b⊕c, so a
-//     transport may coalesce in-flight deltas at any hop without changing
-//     what the final apply sees. (Merge need not be commutative — the
-//     posterior delta's decay makes order meaningful — so transports must
-//     preserve per-origin order, which the per-origin sequence numbers they
-//     stamp give them for free.)
+// EvidenceDelta is a unit of trust evidence: everything one shard learned
+// since its last export, in a form a peer shard can fold into its own trust
+// state. Implementations are the bridge between trust models and transports
+// — the model defines what a delta means, the transport only moves bytes.
+// Encode is deterministic, and Decode∘Encode is the identity (the registered
+// decoder reconstructs an equal delta — byte-equal on re-encode).
 type EvidenceDelta interface {
 	// Kind names the evidence representation.
 	Kind() EvidenceKind
@@ -55,8 +43,6 @@ type EvidenceDelta interface {
 	EncodedSize() int
 	// Encode serialises the delta deterministically.
 	Encode() []byte
-	// Merge folds a later delta of the same kind into the receiver.
-	Merge(other EvidenceDelta) error
 }
 
 // evidence decoder registry
@@ -126,18 +112,18 @@ func lessKey(a, b [2]PeerID) bool {
 	return a[1] < b[1]
 }
 
-// PosteriorDelta is the mergeable evidence of the Bayesian direct-experience
+// PosteriorDelta is the evidence of the Bayesian direct-experience
 // model (Beta, and the mui witness network built from it): rows strictly
 // ordered by (Observer, Subject). Produced by Beta.ExportDelta (via
 // gossip.Book or mui.Network), consumed by Beta.ApplyDelta.
 type PosteriorDelta struct {
 	// Decay is the producing estimator's per-observation forgetting factor
-	// in (0, 1]; apply and merge require it to match, since the decay
-	// compensation below is defined in terms of it.
+	// in (0, 1]; apply requires it to match, since the decay compensation
+	// is defined in terms of it.
 	Decay float64
 	// Codec selects the wire encoding (PosteriorDense, the PR 5 row-major
 	// default, or PosteriorColumnar). Decoding restores whichever codec the
-	// bytes were in; Merge keeps the receiver's.
+	// bytes were in.
 	Codec PosteriorCodec
 	// Quantum is the lossy fixed-point fractional bit count for encoded
 	// masses; 0 means lossless. Only the columnar codec can carry it — the
@@ -148,44 +134,6 @@ type PosteriorDelta struct {
 }
 
 var _ EvidenceDelta = (*PosteriorDelta)(nil)
-
-// NewPosteriorDelta builds a canonical delta: rows are sorted by
-// (Observer, Subject), preserving the given order within equal keys, and
-// duplicate keys coalesce through the merge rule (earlier row first). A
-// decay outside (0, 1] is normalised to 1 (no forgetting), matching
-// BetaConfig.
-func NewPosteriorDelta(decay float64, rows []PosteriorRow) *PosteriorDelta {
-	if decay <= 0 || decay > 1 || math.IsNaN(decay) {
-		decay = 1
-	}
-	sorted := make([]PosteriorRow, len(rows))
-	copy(sorted, rows)
-	sort.SliceStable(sorted, func(i, j int) bool { return lessKey(sorted[i].key(), sorted[j].key()) })
-	out := sorted[:0]
-	for _, r := range sorted {
-		if n := len(out); n > 0 && out[n-1].key() == r.key() {
-			out[n-1] = coalesceRows(out[n-1], r, decay)
-			continue
-		}
-		out = append(out, r)
-	}
-	return &PosteriorDelta{Decay: decay, Rows: out}
-}
-
-// coalesceRows folds a later row into an earlier one of the same key:
-// applying (a then b) must equal applying the coalesced row, so a's mass
-// decays by b's observations before b's mass adds — the rule that makes
-// Merge associative.
-func coalesceRows(a, b PosteriorRow, decay float64) PosteriorRow {
-	f := decayFactor(decay, b.Obs)
-	return PosteriorRow{
-		Observer: a.Observer,
-		Subject:  a.Subject,
-		Coop:     a.Coop*f + b.Coop,
-		Defect:   a.Defect*f + b.Defect,
-		Obs:      a.Obs + b.Obs,
-	}
-}
 
 // decayFactor is decay^obs, with the exact-identity fast paths the
 // byte-identity contracts rely on (decay 1 and single observations).
@@ -205,45 +153,6 @@ func (d *PosteriorDelta) Kind() EvidenceKind { return EvidencePosterior }
 
 // Items implements EvidenceDelta.
 func (d *PosteriorDelta) Items() int { return len(d.Rows) }
-
-// Merge implements EvidenceDelta: other is the later delta; matching keys
-// coalesce with decay compensation, so merged-then-applied equals
-// applied-then-applied. The receiver's Codec and Quantum win — what a hop
-// re-encodes is its own policy, and keeping the left operand's fields is
-// what makes mixed-codec merges associative.
-func (d *PosteriorDelta) Merge(other EvidenceDelta) error {
-	o, ok := other.(*PosteriorDelta)
-	if !ok {
-		return fmt.Errorf("trust: cannot merge %s delta into posterior delta", other.Kind())
-	}
-	if o.Decay != d.Decay {
-		return fmt.Errorf("trust: posterior delta decay mismatch: %v vs %v", d.Decay, o.Decay)
-	}
-	if len(o.Rows) == 0 {
-		return nil
-	}
-	merged := make([]PosteriorRow, 0, len(d.Rows)+len(o.Rows))
-	i, j := 0, 0
-	for i < len(d.Rows) && j < len(o.Rows) {
-		a, b := d.Rows[i], o.Rows[j]
-		switch {
-		case a.key() == b.key():
-			merged = append(merged, coalesceRows(a, b, d.Decay))
-			i++
-			j++
-		case lessKey(a.key(), b.key()):
-			merged = append(merged, a)
-			i++
-		default:
-			merged = append(merged, b)
-			j++
-		}
-	}
-	merged = append(merged, d.Rows[i:]...)
-	merged = append(merged, o.Rows[j:]...)
-	d.Rows = merged
-	return nil
-}
 
 // ApplyPerObserver folds the delta into per-observer estimators: rows
 // group by consecutive Observer runs (the canonical order guarantees each

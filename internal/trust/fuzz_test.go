@@ -19,9 +19,10 @@ import (
 //   - a successful decode is canonical: re-encoding reproduces the input
 //     bytes, and decoding those again yields the same delta
 //     (Decode∘Encode identity);
-//   - Merge of decoded deltas never panics, reports kind/parameter
-//     mismatches as errors, and stays associative on the evidence-item
-//     count (the conservation quantity delivery accounting is built on).
+//   - for a kind whose delta can merge (the posterior kind, through the
+//     test-side Merge), merging decoded deltas never panics, reports
+//     parameter mismatches as errors, and stays associative on the
+//     evidence-item count.
 func FuzzEvidenceDeltaRoundTrip(f *testing.F) {
 	// Valid complaint delta bytes: uvarint-length-prefixed From then About.
 	f.Add([]byte{1, 'a', 1, 'b'}, uint8(0), uint8(2))
@@ -82,12 +83,19 @@ func FuzzEvidenceDeltaRoundTrip(f *testing.F) {
 		// Merge associativity spot-check on three clones of the decoded
 		// delta: ((d⊕d)⊕d) and (d⊕(d⊕d)) must agree on kind and item count
 		// however the merges nest, and never panic.
-		clone := func() trust.EvidenceDelta {
+		type merger interface {
+			trust.EvidenceDelta
+			Merge(trust.EvidenceDelta) error
+		}
+		if _, ok := d.(merger); !ok {
+			return
+		}
+		clone := func() merger {
 			c, err := trust.DecodeEvidence(kind, enc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return c
+			return c.(merger)
 		}
 		left, mid := clone(), clone()
 		if err := left.Merge(mid); err != nil {

@@ -92,9 +92,6 @@ type bookView struct {
 
 var _ trust.Estimator = (*bookView)(nil)
 
-// Name implements trust.Estimator.
-func (v *bookView) Name() string { return "posterior" }
-
 // Record implements trust.Estimator.
 func (v *bookView) Record(peer trust.PeerID, o trust.Outcome) {
 	v.book.beta(v.observer).Record(peer, o)

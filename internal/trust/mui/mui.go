@@ -164,8 +164,6 @@ type view struct {
 
 var _ trust.Estimator = (*view)(nil)
 
-func (v *view) Name() string { return "mui" }
-
 func (v *view) Record(peer trust.PeerID, o trust.Outcome) {
 	v.net.Record(v.observer, peer, o)
 }

@@ -113,9 +113,6 @@ func TestEstimateConvergesAcrossPopulation(t *testing.T) {
 func TestViewImplementsEstimator(t *testing.T) {
 	n := NewNetwork(Config{})
 	v := n.View("alice")
-	if v.Name() != "mui" {
-		t.Error("view name")
-	}
 	v.Record("bob", trust.Outcome{Cooperated: true})
 	if est := v.Estimate("bob"); est.P <= 0.5 {
 		t.Errorf("view estimate = %g, want above prior", est.P)

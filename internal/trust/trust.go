@@ -53,8 +53,6 @@ type Estimator interface {
 	// Estimate predicts the peer's behaviour. Unknown peers yield the
 	// estimator's prior with zero confidence.
 	Estimate(peer PeerID) Estimate
-	// Name labels the estimator in experiment tables.
-	Name() string
 }
 
 // FallibleRecorder is an optional Estimator extension for estimators whose
@@ -146,9 +144,6 @@ func NewBeta(cfg BetaConfig) *Beta {
 }
 
 var _ Estimator = (*Beta)(nil)
-
-// Name implements Estimator.
-func (b *Beta) Name() string { return "beta" }
 
 // Record implements Estimator.
 func (b *Beta) Record(peer PeerID, o Outcome) {
@@ -320,9 +315,6 @@ type Oracle struct {
 }
 
 var _ Estimator = (*Oracle)(nil)
-
-// Name implements Estimator.
-func (o *Oracle) Name() string { return "oracle" }
 
 // Record implements Estimator (the oracle needs no evidence).
 func (o *Oracle) Record(PeerID, Outcome) {}

@@ -167,9 +167,6 @@ func TestOracle(t *testing.T) {
 	if est := o.Estimate("good"); est.P != 0.95 {
 		t.Error("oracle mutated by Record")
 	}
-	if o.Name() != "oracle" {
-		t.Error("oracle name")
-	}
 }
 
 func TestBetaConfigDefaults(t *testing.T) {

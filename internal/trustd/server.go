@@ -813,13 +813,20 @@ func (s *Server) Handler() http.Handler {
 }
 
 // maxIngestBytes bounds one ingest request body (64 MiB of encoded deltas —
-// far beyond any sane batch, small enough to refuse a hostile stream).
+// far beyond any sane batch, small enough to refuse a hostile stream). A
+// longer body is answered 413, so a client can tell "split the batch" from
+// "malformed".
 const maxIngestBytes = 64 << 20
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	data, err := readAll(r, maxIngestBytes)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, err)
 		return
 	}
 	d, err := trust.DecodeEvidence(trust.EvidenceComplaints, data)
@@ -867,10 +874,6 @@ func (s *Server) handleCounts(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.queryCounts.Observe(time.Since(start))
 	writeJSON(w, http.StatusOK, map[string]int{"received": tallies[0].Received, "filed": tallies[0].Filed})
-}
-
-func readAll(r *http.Request, limit int64) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
 }
 
 // writeJSON answers status with v encoded as one JSON line. It encodes

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -189,6 +190,39 @@ func TestServerIngestQueryHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage delta: status %d", resp.StatusCode)
+	}
+}
+
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestIngestOversizedBody: a body one byte over maxIngestBytes is answered
+// 413 with a JSON error, not 400 — the client must split the batch, not fix
+// its encoding — and nothing is applied.
+func TestIngestOversizedBody(t *testing.T) {
+	srv, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	body := io.LimitReader(zeros{}, maxIngestBytes+1)
+	req := httptest.NewRequest(http.MethodPost, "/v1/complaints", body)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413; body %q", rec.Code, rec.Body.String())
+	}
+	var resp struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Error == "" {
+		t.Errorf("body %q (%v), want a JSON error", rec.Body.String(), err)
+	}
+	if g := srv.Stats().Generation; g != 0 {
+		t.Errorf("oversized body advanced the generation to %d", g)
 	}
 }
 
