@@ -6,6 +6,8 @@ package agent
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"trustcoop/internal/decision"
 	"trustcoop/internal/goods"
@@ -175,6 +177,10 @@ func (c PopConfig) Size() int {
 // rng only drives liar selection). TrueHonesty is set per behaviour: honest
 // 1.0; rational 0.9 (kept honest by stakes in well-designed exchanges);
 // random 1−P per step; backstabber 0.15; opportunist 0.25.
+//
+// The agents share one backing array and their IDs one string, and agents
+// of a kind share one Behavior value, so a call makes a handful of
+// allocations whatever the population size.
 func NewPopulation(cfg PopConfig, rng *rand.Rand) ([]*Agent, error) {
 	if min(cfg.Honest, cfg.Rational, cfg.Opportunist, cfg.Random, cfg.Backstabber) < 0 {
 		return nil, fmt.Errorf("agent: negative behaviour count in %+v", cfg)
@@ -192,30 +198,57 @@ func NewPopulation(cfg PopConfig, rng *rand.Rand) ([]*Agent, error) {
 	if thr == 0 {
 		thr = 5 * goods.Unit
 	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = func(int) decision.Policy { return decision.RiskNeutral{} }
+	kinds := [...]struct {
+		name     string
+		n        int
+		behavior Behavior
+		honesty  float64
+	}{
+		{"honest", cfg.Honest, Honest{}, 1.0},
+		{"rational", cfg.Rational, Rational{}, 0.9},
+		{"opportunist", cfg.Opportunist, Opportunist{Threshold: thr}, 0.25},
+		{"random", cfg.Random, RandomDefector{P: randomDefectP}, 1 - randomDefectP},
+		{"backstabber", cfg.Backstabber, Backstabber{After: backstabAfter}, 0.15},
 	}
 
-	var agents []*Agent
-	add := func(kind string, n int, mk func() (Behavior, float64)) {
-		for i := 0; i < n; i++ {
-			b, honesty := mk()
-			id := trust.PeerID(fmt.Sprintf("%s%d", kind, i))
-			agents = append(agents, &Agent{
-				ID:          id,
-				Behavior:    b,
-				Policy:      policy(len(agents)),
-				Stake:       cfg.Stake,
-				TrueHonesty: honesty,
-			})
+	// An agent's ID is its kind's name and its decimal rank within the kind.
+	size := 0
+	for _, k := range kinds {
+		size += k.n*len(k.name) + digitsBelow(k.n)
+	}
+	var ids strings.Builder
+	ids.Grow(size)
+	var num [20]byte
+	for _, k := range kinds {
+		for j := range k.n {
+			ids.WriteString(k.name)
+			ids.Write(strconv.AppendInt(num[:0], int64(j), 10))
 		}
 	}
-	add("honest", cfg.Honest, func() (Behavior, float64) { return Honest{}, 1.0 })
-	add("rational", cfg.Rational, func() (Behavior, float64) { return Rational{}, 0.9 })
-	add("opportunist", cfg.Opportunist, func() (Behavior, float64) { return Opportunist{Threshold: thr}, 0.25 })
-	add("random", cfg.Random, func() (Behavior, float64) { return RandomDefector{P: randomDefectP}, 1 - randomDefectP })
-	add("backstabber", cfg.Backstabber, func() (Behavior, float64) { return Backstabber{After: backstabAfter}, 0.15 })
+	all, off := ids.String(), 0
+
+	backing := make([]Agent, cfg.Size())
+	agents := make([]*Agent, len(backing))
+	i := 0
+	for _, k := range kinds {
+		width, next := len(k.name)+1, 10 // ID length, and the rank where it grows
+		for j := range k.n {
+			if j == next {
+				width, next = width+1, next*10
+			}
+			a := &backing[i]
+			a.ID = trust.PeerID(all[off : off+width])
+			a.Behavior, a.Stake, a.TrueHonesty = k.behavior, cfg.Stake, k.honesty
+			if cfg.Policy != nil {
+				a.Policy = cfg.Policy(i)
+			} else {
+				a.Policy = decision.RiskNeutral{}
+			}
+			agents[i] = a
+			off += width
+			i++
+		}
+	}
 
 	if cfg.LiarFraction > 0 {
 		n := int(cfg.LiarFraction * float64(len(agents)))
@@ -224,6 +257,15 @@ func NewPopulation(cfg PopConfig, rng *rand.Rand) ([]*Agent, error) {
 		}
 	}
 	return agents, nil
+}
+
+// digitsBelow is the number of decimal digits in 0, 1, …, n−1.
+func digitsBelow(n int) int {
+	total := n
+	for p := 10; p < n; p *= 10 {
+		total += n - p
+	}
+	return total
 }
 
 // IDs lists the population's peer IDs.

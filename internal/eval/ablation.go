@@ -239,7 +239,7 @@ func (a *ablation) exchangeLatency(r int) string {
 	if d.Count() == 0 {
 		return "-"
 	}
-	return fmt.Sprintf("%.0f/%.0f/%.0f", d.Percentile(0.50), d.Percentile(0.95), d.Percentile(0.99))
+	return fmt.Sprintf("%.0f/%.0f/%.0f", d.Percentile(50), d.Percentile(95), d.Percentile(99))
 }
 
 // fabricShape renders the fabric shape for the table title — topology plus

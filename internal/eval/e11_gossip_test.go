@@ -188,3 +188,36 @@ func TestRunRejectsMalformedGossipSpecEverywhere(t *testing.T) {
 		}
 	}
 }
+
+// TestExchangeLatencyCellReadsPercentiles feeds the opt-in latency column a
+// known spread, 1…1000 µs split over two trials, and checks that the cell
+// reports the median, 95th and 99th percentiles, which are distinct, and
+// not the minimum three times.
+func TestExchangeLatencyCellReadsPercentiles(t *testing.T) {
+	a := &ablation{trials: 2, rows: make([]ablationRow, 1), results: make([]ablationResult, 2)}
+	for us := 1; us <= 1000; us++ {
+		a.results[us%2].exch.Add(float64(us))
+	}
+	cell := a.exchangeLatency(0)
+	parts := strings.Split(cell, "/")
+	if len(parts) != 3 {
+		t.Fatalf("cell %q, want p50/p95/p99", cell)
+	}
+	var p [3]float64
+	for i, s := range parts {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatalf("cell %q: %v", cell, err)
+		}
+		p[i] = v
+	}
+	if !(p[0] < p[1] && p[1] < p[2]) {
+		t.Fatalf("cell %q: want p50 < p95 < p99", cell)
+	}
+	// The distribution's log buckets are a few percent wide.
+	for i, want := range []float64{500, 950, 990} {
+		if p[i] < 0.9*want || p[i] > 1.1*want {
+			t.Errorf("cell %q: percentile %d reads %v, want ≈ %v", cell, i, p[i], want)
+		}
+	}
+}

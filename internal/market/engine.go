@@ -3,6 +3,7 @@ package market
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"slices"
 
@@ -46,15 +47,13 @@ type Engine struct {
 	// reputation.Events from it on demand.
 	outcomes outcomeLog
 
-	// Per-agent state is indexed, not mapped: one ID→index table replaces
-	// the three per-agent maps (agent, node, estimator) the engine used to
-	// build eagerly — at 10⁶ agents those maps and their method-value
-	// handler registrations were most of the engine's footprint. Estimators
-	// are created lazily on first use (every estimator kind is
-	// order-independent, so laziness cannot change results — most of a
-	// million agents are never paired).
+	// Per-agent state is indexed by population position, never by ID: a
+	// session caches its parties' indices and the outcome log stores them,
+	// so the engine keeps no per-agent map (NewEngine's duplicate-ID check
+	// uses a table it drops on return). Estimators are created lazily on
+	// first use (every estimator kind is order-independent, so laziness
+	// cannot change results — most of a million agents are never paired).
 	agents      []*agent.Agent
-	index       map[trust.PeerID]int32
 	ests        []trust.Estimator // lazily filled; index-aligned with agents
 	estimatorOf func(trust.PeerID) trust.Estimator
 	repStore    complaints.Store // engine-owned store from Config.RepStore; nil otherwise
@@ -163,12 +162,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if i := firstDuplicate(cfg.Agents); i >= 0 {
+		return nil, fmt.Errorf("market: duplicate agent ID %q", cfg.Agents[i].ID)
+	}
 	e := &Engine{
 		cfg:      cfg,
 		pairRng:  seedmix.NewRand(seedmix.Derive(cfg.Seed, 0)),
 		sim:      netsim.NewSimulator(),
 		agents:   cfg.Agents,
-		index:    make(map[trust.PeerID]int32, len(cfg.Agents)),
 		ests:     make([]trust.Estimator, len(cfg.Agents)),
 		inFlight: make([]*session, 0, 2*cfg.Concurrency),
 		limit:    cfg.Sessions, // full-run budget; RunWindow switches to incremental
@@ -197,10 +198,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			store = cfg.GossipNode
 		}
 		e.repStore = store
-		e.population = make([]trust.PeerID, len(cfg.Agents))
-		for i, a := range cfg.Agents {
-			e.population[i] = a.ID
-		}
+		e.population = agent.IDs(cfg.Agents)
 		e.assessor = complaints.NewAssessor(store, e.population)
 		estimatorOf = func(id trust.PeerID) trust.Estimator {
 			return &complaints.Estimator{Assessor: e.assessor, Observer: id}
@@ -226,14 +224,46 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 	e.estimatorOf = estimatorOf
 
-	for i, a := range cfg.Agents {
-		if _, dup := e.index[a.ID]; dup {
-			return nil, fmt.Errorf("market: duplicate agent ID %q", a.ID)
-		}
-		e.index[a.ID] = int32(i)
-	}
 	e.sim.SetHandler(e.handle)
 	return e, nil
+}
+
+// firstDuplicate returns the index of the first agent, in index order, whose
+// ID an earlier agent already has, or -1. It probes a transient
+// open-addressing table of (hash tag, index) slots at most half full, so it
+// compares two IDs only when their tags match, and keeps nothing once it
+// returns. IDs are hashed a batch at a time before the batch probes, so the
+// probes' cache misses into a table far larger than the caches overlap.
+func firstDuplicate(agents []*agent.Agent) int {
+	type slot struct{ tag, at uint32 } // at is the agent's index+1; 0 marks a free slot
+	size := 1
+	for size < 2*len(agents) {
+		size <<= 1
+	}
+	table, mask := make([]slot, size), uint64(size-1)
+	seed := maphash.MakeSeed()
+	var hashes [32]uint64
+	for base := 0; base < len(agents); base += len(hashes) {
+		batch := agents[base:min(base+len(hashes), len(agents))]
+		for j, a := range batch {
+			hashes[j] = maphash.String(seed, string(a.ID))
+		}
+		for j, a := range batch {
+			h := hashes[j]
+			tag := uint32(h >> 32) // the probe start comes from the low bits
+			for p := h & mask; ; p = (p + 1) & mask {
+				s := &table[p]
+				if s.at == 0 {
+					*s = slot{tag, uint32(base+j) + 1}
+					break
+				}
+				if s.tag == tag && agents[s.at-1].ID == a.ID {
+					return base + j
+				}
+			}
+		}
+	}
+	return -1
 }
 
 // estimatorAt returns (creating on first use) the estimator of agents[i].

@@ -115,11 +115,11 @@ func TestTrustAwareLearnsToAvoidCheaters(t *testing.T) {
 		t.Fatalf("degenerate run: %+v", res)
 	}
 	var trustInCheaters, trustInHonest []float64
-	for _, observer := range agents {
+	for i, observer := range agents {
 		if observer.Behavior.Name() != "honest" {
 			continue
 		}
-		est := eng.estimatorAt(eng.index[observer.ID])
+		est := eng.estimatorAt(int32(i))
 		for _, other := range agents {
 			if other.ID == observer.ID {
 				continue

@@ -1,0 +1,160 @@
+package market
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+
+	"trustcoop/internal/agent"
+	"trustcoop/internal/trust"
+)
+
+// agentsWithIDs is a population of bare agents with the given IDs.
+func agentsWithIDs(ids []trust.PeerID) []*agent.Agent {
+	agents := make([]*agent.Agent, len(ids))
+	for i, id := range ids {
+		agents[i] = &agent.Agent{ID: id}
+	}
+	return agents
+}
+
+// firstDuplicateReference is the duplicate-ID check as the engine did it with
+// its ID→index map: one pass in index order, a set of the IDs seen so far.
+func firstDuplicateReference(ids []trust.PeerID) int {
+	seen := make(map[trust.PeerID]struct{}, len(ids))
+	for i, id := range ids {
+		if _, dup := seen[id]; dup {
+			return i
+		}
+		seen[id] = struct{}{}
+	}
+	return -1
+}
+
+func TestNewEngineRejectsDuplicateID(t *testing.T) {
+	long := strings.Repeat("peer-with-a-long-shared-prefix/", 40)
+	for _, c := range []struct {
+		name string
+		ids  []trust.PeerID
+		dup  trust.PeerID // "" with ok means no duplicate
+		ok   bool
+	}{
+		{"distinct", []trust.PeerID{"a", "b", "c"}, "", true},
+		{"first and last", []trust.PeerID{"a", "b", "c", "d", "a"}, "a", false},
+		{"adjacent", []trust.PeerID{"a", "b", "b"}, "b", false},
+		{"first repeat wins", []trust.PeerID{"x", "y", "y", "x"}, "y", false},
+		{"first repeat wins, interleaved", []trust.PeerID{"x", "y", "x", "y"}, "x", false},
+		{"thrice", []trust.PeerID{"z", "a", "z", "z"}, "z", false},
+		{"empty ID", []trust.PeerID{"", "a", ""}, "", false},
+		{"empty ID once", []trust.PeerID{"", "a"}, "", true},
+		{"length only", []trust.PeerID{"a", "aa", "aaa", "aa"}, "aa", false},
+		{"length only, distinct", []trust.PeerID{"a", "aa", "aaa", "aaaa"}, "", true},
+		{"long prefixes", []trust.PeerID{trust.PeerID(long + "1"), trust.PeerID(long + "2"), trust.PeerID(long), trust.PeerID(long + "2")}, trust.PeerID(long + "2"), false},
+		{"long prefixes, distinct", []trust.PeerID{trust.PeerID(long + "1"), trust.PeerID(long + "2"), trust.PeerID(long)}, "", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := NewEngine(Config{Seed: 1, Sessions: 1, Agents: agentsWithIDs(c.ids)})
+			if c.ok {
+				if err != nil {
+					t.Fatalf("distinct IDs rejected: %v", err)
+				}
+				return
+			}
+			want := fmt.Sprintf("market: duplicate agent ID %q", c.dup)
+			if err == nil || err.Error() != want {
+				t.Fatalf("error %v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// TestFirstDuplicateMatchesMap checks the table probe against a map on random
+// ID lists: IDs from a small alphabet of varied lengths, so some lists repeat
+// early, some late and some never, and the lists span several table sizes.
+func TestFirstDuplicateMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := range 1000 {
+		n := rng.Intn(300)
+		universe := 1 + rng.Intn(4*n+1) // IDs 0…universe-1, so repeats are likely but not certain
+		ids := make([]trust.PeerID, n)
+		for i := range ids {
+			k := rng.Intn(universe)
+			ids[i] = trust.PeerID(strings.Repeat("p", k%7) + fmt.Sprint(k))
+		}
+		if got, want := firstDuplicate(agentsWithIDs(ids)), firstDuplicateReference(ids); got != want {
+			t.Fatalf("trial %d: first duplicate at %d, map says %d (ids %q)", trial, got, want, ids)
+		}
+	}
+}
+
+// setupConfig is perfbench market-naive-1m's engine over pop: naive plans,
+// the sharded complaint store, 256 sessions in flight, an unbounded budget.
+func setupConfig(pop []*agent.Agent) Config {
+	return Config{Seed: 1, Sessions: math.MaxInt32, Agents: pop, Concurrency: 256, Strategy: StrategyNaive, RepStore: "sharded"}
+}
+
+// TestNewEngineAllocs pins NewEngine's allocations to one constant at 10³ and
+// 10⁵ agents: the engine keeps no per-agent map, and its per-agent slices
+// are one allocation each whatever the population size.
+func TestNewEngineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const want = 32
+	for _, n := range []int{1_000, 100_000} {
+		pop, err := agent.NewPopulation(agent.PopConfig{Honest: n - n/5, Opportunist: n / 5}, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(3, func() {
+			if _, err := NewEngine(setupConfig(pop)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want {
+			t.Errorf("%d agents: %v allocations per call, want %d", n, got, want)
+		}
+	}
+}
+
+// BenchmarkMarketSetup splits a million-agent marketplace's set-up into its
+// two layers, built the way perfbench's market-naive-1m builds them: the
+// population (80% honest, 20% opportunist) and the engine over it (naive,
+// sharded complaint store, 256 sessions in flight).
+func BenchmarkMarketSetup(b *testing.B) {
+	const n = 1_000_000
+	newPop := func() []*agent.Agent {
+		pop, err := agent.NewPopulation(agent.PopConfig{Honest: n - n/5, Opportunist: n / 5}, rand.New(rand.NewSource(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pop
+	}
+	perAgent := func(b *testing.B, run func()) {
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for range b.N {
+			run()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/n, "B/agent")
+	}
+	b.Run("population", func(b *testing.B) {
+		perAgent(b, func() { newPop() })
+	})
+	b.Run("engine", func(b *testing.B) {
+		pop := newPop()
+		perAgent(b, func() {
+			if _, err := NewEngine(setupConfig(pop)); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
+}

@@ -83,11 +83,7 @@ func LoadgenAgents(cfg LoadgenConfig) ([]*agent.Agent, []trust.PeerID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	peers := make([]trust.PeerID, len(agents))
-	for i, a := range agents {
-		peers[i] = a.ID
-	}
-	return agents, peers, nil
+	return agents, agent.IDs(agents), nil
 }
 
 // traceStore records the exact complaint order the simulation files while
