@@ -50,28 +50,26 @@ type Engine struct {
 	// Per-agent state is indexed by population position, never by ID: a
 	// session caches its parties' indices and the outcome log stores them,
 	// so the engine keeps no per-agent map (NewEngine's duplicate-ID check
-	// uses a table it drops on return). Estimators are created lazily on
-	// first use (every estimator kind is order-independent, so laziness
-	// cannot change results — most of a million agents are never paired).
+	// uses a table it drops on return). Where an agent's estimator is its
+	// own state (private Beta, a gossip node's posterior book, or
+	// Config.EstimatorOf), ests holds it, created on first use: every
+	// estimator kind is order-independent, so laziness cannot change
+	// results. A RepStore engine keeps no per-agent estimator at all (ests
+	// is nil); see complaintEst.
 	agents      []*agent.Agent
 	ests        []trust.Estimator // lazily filled; index-aligned with agents
 	estimatorOf func(trust.PeerID) trust.Estimator
 	repStore    complaints.Store // engine-owned store from Config.RepStore; nil otherwise
 
-	// population and assessor are the reusable complaint-assessment state
-	// (RepStore mode only): one ID slice and one assessor built at
-	// construction, shared by every per-agent estimator — the per-decision
-	// path allocates nothing, and the assessor carries the shared
-	// average-product cache that makes trust reads O(1) (complaints.Aggregator
-	// backends) or one-scan-per-write-burst (generation-counting backends).
-	population []trust.PeerID
-	assessor   complaints.Assessor
-	// planEst is the one estimator the planner reads trust through in
-	// RepStore mode (nil otherwise). Complaint trust is global — Estimate
-	// never reads the observer — so every agent's planning read goes
-	// through one shared object instead of a per-agent one; the per-agent
-	// estimators remain for recording, which files as the observer.
-	planEst trust.Estimator
+	// complaintEst is every agent's estimator in RepStore mode (nil
+	// otherwise): one complaints.Estimator over one assessor built at
+	// construction, which carries the shared average-product cache that
+	// makes trust reads O(1) (complaints.Aggregator backends) or
+	// one-scan-per-write-burst (generation-counting backends). Complaint
+	// trust is global, so Estimate never reads the observer; a record files
+	// as whatever Observer holds, which estimatorAt sets to the agent asked
+	// for, and reputation.Feed records through it before asking again.
+	complaintEst *complaints.Estimator
 
 	// inFlight lists the started sessions in ID order; settled ones stay
 	// until startSession compacts the list. live counts the unsettled ones.
@@ -93,19 +91,18 @@ type Engine struct {
 // allocating, and since a session is never reused, a step delivered after
 // it finished still finds done set.
 type session struct {
-	id      int
-	rng     *rand.Rand // per-session stream: bundle, defections, network draws; nil once finished
-	sup     *agent.Agent
-	con     *agent.Agent
-	supIdx  int32
-	conIdx  int32
-	terms   exchange.Terms
-	steps   exchange.Sequence
-	planned core.PlanResult
-	idx     int // next step to perform
-	m       goods.Money
-	cd, wd  goods.Money
-	done    bool
+	id     int
+	rng    *rand.Rand // per-session stream: bundle, defections, network draws; nil once finished
+	sup    *agent.Agent
+	con    *agent.Agent
+	supIdx int32
+	conIdx int32
+	terms  exchange.Terms
+	steps  exchange.Sequence
+	idx    int // next step to perform
+	m      goods.Money
+	cd, wd goods.Money
+	done   bool
 }
 
 // sessionTimeout is a session's timeout timer: the session pointer under a
@@ -170,7 +167,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		pairRng:  seedmix.NewRand(seedmix.Derive(cfg.Seed, 0)),
 		sim:      netsim.NewSimulator(),
 		agents:   cfg.Agents,
-		ests:     make([]trust.Estimator, len(cfg.Agents)),
 		inFlight: make([]*session, 0, 2*cfg.Concurrency),
 		limit:    cfg.Sessions, // full-run budget; RunWindow switches to incremental
 	}
@@ -178,7 +174,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.net.SetDropRate(cfg.DropRate)
 	e.result.DefectionsBy = make(map[string]int)
 
-	estimatorOf := cfg.EstimatorOf
 	if cfg.RepStore != "" {
 		bc := cfg.RepStoreConfig
 		if bc.Seed == 0 {
@@ -192,37 +187,32 @@ func NewEngine(cfg Config) (*Engine, error) {
 			// The gossip endpoint wraps the backend: local complaints still
 			// land on this shard's store immediately, and are buffered for
 			// the cell's next exchange; remote batches arrive through the
-			// store's batched write path. Everything below (estimators,
+			// store's batched write path. Everything below (estimator,
 			// assessor, post-run reads) goes through the node.
 			cfg.GossipNode.Attach(store)
 			store = cfg.GossipNode
 		}
 		e.repStore = store
-		e.population = agent.IDs(cfg.Agents)
-		e.assessor = complaints.NewAssessor(store, e.population)
-		estimatorOf = func(id trust.PeerID) trust.Estimator {
-			return &complaints.Estimator{Assessor: e.assessor, Observer: id}
+		e.complaintEst = &complaints.Estimator{Assessor: complaints.NewAssessor(store, agent.IDs(cfg.Agents))}
+	} else {
+		e.estimatorOf = cfg.EstimatorOf
+		if cfg.Evidence == trust.EvidencePosterior && cfg.GossipNode != nil {
+			// The shard's per-agent Beta estimators live in the gossip node's
+			// book: records land locally at once and are buffered as posterior
+			// deltas for the cell's next exchange; remote deltas merge in with
+			// decay compensation. This is the path that lets estimator-backed
+			// cells shard — same fabric, different evidence kind.
+			e.estimatorOf = cfg.GossipNode.AttachBook(cfg.Beta).Estimator
 		}
-		e.planEst = &complaints.Estimator{Assessor: e.assessor}
+		if e.estimatorOf == nil {
+			// Private per-agent Beta estimators — both the historical default
+			// and the standalone Evidence = posterior wiring (Config.Beta is
+			// the zero value unless set, so the paths are byte-identical).
+			bcfg := cfg.Beta
+			e.estimatorOf = func(trust.PeerID) trust.Estimator { return trust.NewBeta(bcfg) }
+		}
+		e.ests = make([]trust.Estimator, len(cfg.Agents))
 	}
-	if cfg.Evidence == trust.EvidencePosterior && cfg.GossipNode != nil {
-		// The shard's per-agent Beta estimators live in the gossip node's
-		// book: records land locally at once and are buffered as posterior
-		// deltas for the cell's next exchange; remote deltas merge in with
-		// decay compensation. This is the path that lets estimator-backed
-		// cells shard — same fabric, different evidence kind.
-		book := cfg.GossipNode.AttachBook(cfg.Beta)
-		estimatorOf = book.Estimator
-	}
-	if estimatorOf == nil {
-		// Private per-agent Beta estimators — both the historical default
-		// and the standalone Evidence = posterior wiring (Config.Beta is
-		// the zero value unless set, so the paths are byte-identical).
-		bcfg := cfg.Beta
-		estimatorOf = func(trust.PeerID) trust.Estimator { return trust.NewBeta(bcfg) }
-	}
-
-	e.estimatorOf = estimatorOf
 
 	e.sim.SetHandler(e.handle)
 	return e, nil
@@ -266,8 +256,15 @@ func firstDuplicate(agents []*agent.Agent) int {
 	return -1
 }
 
-// estimatorAt returns (creating on first use) the estimator of agents[i].
+// estimatorAt returns the estimator agents[i] plans and records through: in
+// RepStore mode the shared complaintEst, set to file as agents[i] (so a
+// caller records through it before asking for another agent's); otherwise
+// agents[i]'s own, created on first use.
 func (e *Engine) estimatorAt(i int32) trust.Estimator {
+	if e.complaintEst != nil {
+		e.complaintEst.Observer = e.agents[i].ID
+		return e.complaintEst
+	}
 	if e.ests[i] == nil {
 		e.ests[i] = e.estimatorOf(e.agents[i].ID)
 	}
@@ -472,7 +469,7 @@ func (e *Engine) startSession(id int) error {
 		id: id, rng: srng,
 		sup: sup, con: con,
 		supIdx: int32(supIdx), conIdx: int32(conIdx),
-		terms: terms, steps: steps, planned: planned,
+		terms: terms, steps: steps,
 	}
 	if len(e.inFlight) >= 2*e.cfg.Concurrency {
 		// At most Concurrency−1 sessions are live, so at least half the
@@ -535,11 +532,7 @@ func (e *Engine) plan(sup, con int, terms exchange.Terms) (exchange.Sequence, co
 // participant is agents[i] as the planner sees it.
 func (e *Engine) participant(i int) core.Participant {
 	a := e.agents[i]
-	est := e.planEst
-	if est == nil {
-		est = e.estimatorAt(int32(i))
-	}
-	return core.Participant{ID: a.ID, Estimator: est, Policy: a.Policy, Stake: a.Stake}
+	return core.Participant{ID: a.ID, Estimator: e.estimatorAt(int32(i)), Policy: a.Policy, Stake: a.Stake}
 }
 
 // advance lets the actor of the next step decide, perform, and transmit it.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"trustcoop/internal/agent"
@@ -133,22 +134,29 @@ func digest(v any) string {
 }
 
 // TestSessionAllocsSteadyState pins what a session allocates once the
-// engine is warm. Building each session a fresh math/rand source cost 27
-// allocations per completed naive session; recycling the streams removes
-// the source and the Rand wrapper (25). Generating item IDs from a table
-// instead of formatting them, and validating the generated bundle only where
-// the scheduler must, took the naive session to 17 and the trust-aware one
-// to 15.5. Sending the session itself as the step message, where a boxed
-// step struct cost one allocation per message, and logging outcomes into
-// pointer-free chunks, where the growing []Event reallocated as it grew,
-// took them to 8 and 5. Handing the failed safe attempt to the trust-aware
-// one inside exchange.ScheduleSafeElse, instead of returning the heap-built
+// engine is warm, in count and in bytes. Building each session a fresh
+// math/rand source cost 27 allocations per completed naive session;
+// recycling the streams removes the source and the Rand wrapper (25).
+// Generating item IDs from a table instead of formatting them, and
+// validating the generated bundle only where the scheduler must, took the
+// naive session to 17 and the trust-aware one to 15.5. Sending the session
+// itself as the step message, where a boxed step struct cost one allocation
+// per message, and logging outcomes into pointer-free chunks, where the
+// growing []Event reallocated as it grew, took them to 8 and 5. Handing the
+// failed safe attempt to the trust-aware one inside
+// exchange.ScheduleSafeElse, instead of returning the heap-built
 // ErrNoSafeSequence error for the planner to test, took the trust-aware
 // session to 4. Queueing the session's timeout as a typed timer, where a
-// closure cost one allocation per session, took them to 7 and 3. The
-// trust-aware pin covers the planning path: every session
-// here fails the safe band at a one-unit stake and plans under exposure caps.
-// Counts are pinned to a tenth; repeated runs differ by a few thousandths.
+// closure cost one allocation per session, took them to 7 and 3. Making the
+// naive plan at its final length, where append grew it from a one-step
+// literal in four more allocations, took the naive session to 3: the
+// session, its bundle's items and its plan. The byte bounds sit just above
+// what a session costs today (914 B naive, 992 B trust-aware, on amd64): the append chain back costs the naive session ~1 KB, and a
+// session that carries its planner's PlanResult again moves from the 144 B
+// size class to the 384 B one. The trust-aware pin covers the planning
+// path: every session here fails the safe band at a one-unit stake and
+// plans under exposure caps. Counts are pinned to a tenth; repeated runs
+// differ by a few thousandths.
 func TestSessionAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the count is only meaningful unraced")
@@ -156,9 +164,10 @@ func TestSessionAllocsSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		strategy Strategy
 		want     float64
+		maxBytes float64
 	}{
-		{StrategyNaive, 7},
-		{StrategyTrustAware, 3},
+		{StrategyNaive, 3, 960},
+		{StrategyTrustAware, 3, 1040},
 	} {
 		eng, err := NewEngine(Config{
 			Seed: 31, Sessions: 1 << 20, Concurrency: 16, Strategy: tc.strategy, RepStore: "sharded",
@@ -170,14 +179,27 @@ func TestSessionAllocsSteadyState(t *testing.T) {
 		if err := eng.RunWindow(2000); err != nil {
 			t.Fatal(err)
 		}
-		const window = 500
-		allocs := testing.AllocsPerRun(10, func() {
+		const window, runs = 500, 10
+		allocs := testing.AllocsPerRun(runs, func() {
 			if err := eng.RunWindow(window); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if got := math.Round(allocs/window*10) / 10; got != tc.want {
 			t.Errorf("%v: %.3f allocs per session in steady state, want %v", tc.strategy, allocs/window, tc.want)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if err := eng.RunWindow(window); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := float64(after.TotalAlloc-before.TotalAlloc) / (runs * window); got > tc.maxBytes {
+			t.Errorf("%v: %.0f bytes allocated per session in steady state, want at most %v", tc.strategy, got, tc.maxBytes)
+		} else {
+			t.Logf("%v: %.0f bytes allocated per session", tc.strategy, got)
 		}
 	}
 }

@@ -279,11 +279,16 @@ func (r Result) TradeRate() float64 {
 	return float64(r.Sessions-r.NoTrade) / float64(r.Sessions)
 }
 
-// naivePlan is the no-mechanism baseline: pay everything, then deliver.
+// naivePlan is the no-mechanism baseline: pay everything, then deliver. The
+// sequence is made at its final length, one allocation per plan.
 func naivePlan(terms exchange.Terms) exchange.Sequence {
-	seq := exchange.Sequence{{Kind: exchange.StepPay, Amount: terms.Price}}
-	if terms.Price == 0 {
-		seq = nil
+	n := len(terms.Bundle.Items)
+	if terms.Price != 0 {
+		n++
+	}
+	seq := make(exchange.Sequence, 0, n)
+	if terms.Price != 0 {
+		seq = append(seq, exchange.Step{Kind: exchange.StepPay, Amount: terms.Price})
 	}
 	for _, it := range terms.Bundle.Items {
 		seq = append(seq, exchange.Step{Kind: exchange.StepDeliver, Item: it})

@@ -3,9 +3,11 @@ package market
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"trustcoop/internal/agent"
+	"trustcoop/internal/exchange"
 	"trustcoop/internal/goods"
 	"trustcoop/internal/trust"
 )
@@ -263,5 +265,67 @@ func TestCustomEstimatorWiring(t *testing.T) {
 	}
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// naivePlanReference is naivePlan as it was built before it was made at its
+// final length: a one-step pay literal grown by append, one delivery at a
+// time.
+func naivePlanReference(terms exchange.Terms) exchange.Sequence {
+	seq := exchange.Sequence{{Kind: exchange.StepPay, Amount: terms.Price}}
+	if terms.Price == 0 {
+		seq = nil
+	}
+	for _, it := range terms.Bundle.Items {
+		seq = append(seq, exchange.Step{Kind: exchange.StepDeliver, Item: it})
+	}
+	return seq
+}
+
+// planSink keeps the plans the allocation count makes from being optimised
+// away.
+var planSink exchange.Sequence
+
+// TestNaivePlanMatchesReference checks naivePlan against the append-built
+// reference over random bundles of 1–24 items, a fifth of them one-item and
+// a quarter of them at price 0, plus the empty bundle: the same steps, no
+// spare capacity, and one allocation per plan (none for an empty one).
+func TestNaivePlanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	terms := []exchange.Terms{{}, {Price: goods.Unit}}
+	for range 500 {
+		gen := goods.DefaultGenConfig()
+		gen.Items = 1 + rng.Intn(24)
+		if rng.Intn(5) == 0 {
+			gen.Items = 1
+		}
+		bundle, err := goods.Generate(gen, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		price := bundle.PriceAt(rng.Float64())
+		if rng.Intn(4) == 0 {
+			price = 0
+		}
+		terms = append(terms, exchange.Terms{Bundle: bundle, Price: price})
+	}
+	for i, tm := range terms {
+		got, want := naivePlan(tm), naivePlanReference(tm)
+		if !slices.Equal(got, want) {
+			t.Fatalf("terms %d (price %v, %d items): plan %v, reference %v", i, tm.Price, len(tm.Bundle.Items), got, want)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("terms %d: plan of %d steps has capacity %d", i, len(got), cap(got))
+		}
+		if raceEnabled {
+			continue // the race detector's instrumentation allocates
+		}
+		wantAllocs := 1.0
+		if len(want) == 0 {
+			wantAllocs = 0
+		}
+		if allocs := testing.AllocsPerRun(10, func() { planSink = naivePlan(tm) }); allocs != wantAllocs {
+			t.Errorf("terms %d (%d steps): %v allocations per plan, want %v", i, len(want), allocs, wantAllocs)
+		}
 	}
 }

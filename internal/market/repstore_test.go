@@ -7,6 +7,7 @@ import (
 
 	"trustcoop/internal/agent"
 	"trustcoop/internal/goods"
+	"trustcoop/internal/reputation"
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/complaints"
 	"trustcoop/internal/trust/gossip"
@@ -174,28 +175,40 @@ func TestEngineSurfacesComplaintStoreFailure(t *testing.T) {
 	}
 }
 
-// TestPlanningEstimatorPerEvidencePlane: with a RepStore the planner reads
-// trust through one shared, observer-free complaints.Estimator over the
-// engine's assessor, and planning creates no per-agent estimator; the
-// posterior book of a gossiping engine and private Beta estimators are
-// per-agent state, so there each party plans through its own estimator.
+// TestPlanningEstimatorPerEvidencePlane: a RepStore engine holds no
+// per-agent estimator state. Its one complaints.Estimator over the engine's
+// assessor serves every agent's planning reads and records, and a record
+// through it files as the agent estimatorAt was asked for. The posterior
+// book of a gossiping engine and private Beta estimators are per-agent
+// state, so there each party plans through its own estimator.
 func TestPlanningEstimatorPerEvidencePlane(t *testing.T) {
 	agents := func() []*agent.Agent { return population(t, agent.PopConfig{Honest: 4}, 7) }
 	eng, err := NewEngine(Config{Seed: 1, Sessions: 1, Agents: agents(), RepStore: "sharded"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if eng.ests != nil {
+		t.Errorf("RepStore engine holds a per-agent estimator slice of %d", len(eng.ests))
+	}
 	p0, p1 := eng.participant(0), eng.participant(1)
 	shared, ok := p0.Estimator.(*complaints.Estimator)
-	if !ok || shared.Observer != "" || p1.Estimator != p0.Estimator {
-		t.Fatalf("RepStore engine plans through %#v and %#v, want one observer-free complaints.Estimator",
-			p0.Estimator, p1.Estimator)
+	if !ok || shared != eng.complaintEst || p1.Estimator != p0.Estimator {
+		t.Fatalf("RepStore engine plans through %p and %p, want its one complaints.Estimator %p",
+			p0.Estimator, p1.Estimator, eng.complaintEst)
 	}
-	if eng.ests[0] != nil || eng.ests[1] != nil {
-		t.Error("planning created per-agent estimators in RepStore mode")
+	ids := agent.IDs(agents())
+	for _, r := range []struct{ observer, subject int32 }{{0, 1}, {2, 1}, {2, 3}} {
+		est := eng.estimatorAt(r.observer)
+		if est != p0.Estimator {
+			t.Fatalf("agent %d records through %p, want the planning estimator %p", r.observer, est, p0.Estimator)
+		}
+		est.Record(ids[r.subject], trust.Outcome{Cooperated: false})
 	}
-	if own := eng.estimatorAt(0).(*complaints.Estimator); own.Observer != agents()[0].ID {
-		t.Errorf("recording estimator observes %q, want %q", own.Observer, agents()[0].ID)
+	for i, want := range [][2]int{{0, 1}, {2, 0}, {0, 2}, {1, 0}} { // (received, filed)
+		got := storeCounts(t, eng.RepStore(), ids[i])
+		if got != want {
+			t.Errorf("%s: (received, filed) = %v, want %v", ids[i], got, want)
+		}
 	}
 
 	fabric, err := gossip.NewFabric(gossip.Config{Period: 4}, 1, 2)
@@ -215,6 +228,93 @@ func TestPlanningEstimatorPerEvidencePlane(t *testing.T) {
 		if p0.Estimator != eng.estimatorAt(0) || p1.Estimator != eng.estimatorAt(1) || p0.Estimator == p1.Estimator {
 			t.Errorf("%s: participants plan through %p and %p, want their own estimators %p and %p",
 				name, p0.Estimator, p1.Estimator, eng.estimatorAt(0), eng.estimatorAt(1))
+		}
+	}
+}
+
+// storeCounts is the (received, filed) complaint counts of id in store.
+func storeCounts(t *testing.T, store complaints.Store, id trust.PeerID) [2]int {
+	t.Helper()
+	received, err := store.Received(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filed, err := store.Filed(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [2]int{received, filed}
+}
+
+// TestRepStoreRecordsLikePerAgentEstimators: a RepStore engine records every
+// agent's complaints through one shared estimator. Replaying the run's
+// ledger through reputation.Feed into a fresh per-agent complaints.Estimator
+// for each agent, over a new MemoryStore (a fresh grid for pgrid, see
+// below), must give every agent the same (received, filed) counts the
+// engine's store holds, on every registered backend the engine accepts.
+func TestRepStoreRecordsLikePerAgentEstimators(t *testing.T) {
+	accepted := map[string]bool{}
+	for _, backend := range complaints.Backends() {
+		for _, strategy := range []Strategy{StrategyNaive, StrategyTrustAware} {
+			agents := population(t, agent.PopConfig{Honest: 6, Opportunist: 3, Random: 3, LiarFraction: 0.3}, 89)
+			eng, err := NewEngine(Config{Seed: 97, Sessions: 400, Concurrency: 8, Agents: agents, Strategy: strategy, RepStore: backend})
+			if err != nil {
+				t.Logf("%s: engine rejects the backend: %v", backend, err)
+				continue
+			}
+			accepted[backend] = true
+			t.Run(fmt.Sprintf("%s/%v", backend, strategy), func(t *testing.T) {
+				res, err := eng.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Defected == 0 {
+					t.Fatalf("run too quiet to file complaints: %+v", res)
+				}
+				liar := make(map[trust.PeerID]bool, len(agents))
+				for _, a := range agents {
+					liar[a.ID] = a.LiesAsWitness
+				}
+				// The exact backends count like a MemoryStore. A pgrid
+				// count is a vote over the replicas of a whole key-space
+				// leaf, which is not an exact count, so pgrid replays into
+				// a fresh grid built from the engine's seed.
+				var store complaints.Store = complaints.NewMemoryStore()
+				if backend == "pgrid" {
+					if store, err = complaints.Open(backend, complaints.BackendConfig{Seed: eng.cfg.Seed}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				oracle := complaints.Assessor{Store: store, Population: agent.IDs(agents)}
+				ests := make(map[trust.PeerID]trust.Estimator, len(agents))
+				estimatorOf := func(id trust.PeerID) trust.Estimator {
+					if ests[id] == nil {
+						ests[id] = &complaints.Estimator{Assessor: oracle, Observer: id}
+					}
+					return ests[id]
+				}
+				for _, ev := range eng.Ledger().Events() {
+					if err := reputation.Feed(ev, estimatorOf, func(id trust.PeerID) bool { return liar[id] }); err != nil {
+						t.Fatal(err)
+					}
+				}
+				filed := 0
+				for _, a := range agents {
+					got, want := storeCounts(t, eng.RepStore(), a.ID), storeCounts(t, oracle.Store, a.ID)
+					if got != want {
+						t.Errorf("%s: (received, filed) = %v, per-agent estimators give %v", a.ID, got, want)
+					}
+					filed += want[1]
+				}
+				if filed == 0 {
+					t.Error("the replay filed no complaint")
+				}
+			})
+		}
+	}
+	for _, backend := range []string{"memory", "sharded", "async", "pgrid"} {
+		if !accepted[backend] {
+			t.Errorf("engine rejected the %s backend", backend)
 		}
 	}
 }

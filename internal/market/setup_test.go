@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -97,13 +98,15 @@ func setupConfig(pop []*agent.Agent) Config {
 }
 
 // TestNewEngineAllocs pins NewEngine's allocations to one constant at 10³ and
-// 10⁵ agents: the engine keeps no per-agent map, and its per-agent slices
-// are one allocation each whatever the population size.
+// 10⁵ agents: the engine keeps no per-agent map, its per-agent slices are one
+// allocation each whatever the population size, and a RepStore engine builds
+// neither a per-agent estimator slice nor a factory for one (32 allocations
+// while it did).
 func TestNewEngineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const want = 32
+	const want = 30
 	for _, n := range []int{1_000, 100_000} {
 		pop, err := agent.NewPopulation(agent.PopConfig{Honest: n - n/5, Opportunist: n / 5}, rand.New(rand.NewSource(1)))
 		if err != nil {
@@ -120,19 +123,25 @@ func TestNewEngineAllocs(t *testing.T) {
 	}
 }
 
+// benchAgents is perfbench market-naive-1m's population size.
+const benchAgents = 1_000_000
+
+// benchPopulation builds perfbench market-naive-1m's population: 80% honest,
+// 20% opportunist.
+func benchPopulation(b *testing.B) []*agent.Agent {
+	pop, err := agent.NewPopulation(agent.PopConfig{Honest: benchAgents - benchAgents/5, Opportunist: benchAgents / 5},
+		rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pop
+}
+
 // BenchmarkMarketSetup splits a million-agent marketplace's set-up into its
 // two layers, built the way perfbench's market-naive-1m builds them: the
 // population (80% honest, 20% opportunist) and the engine over it (naive,
 // sharded complaint store, 256 sessions in flight).
 func BenchmarkMarketSetup(b *testing.B) {
-	const n = 1_000_000
-	newPop := func() []*agent.Agent {
-		pop, err := agent.NewPopulation(agent.PopConfig{Honest: n - n/5, Opportunist: n / 5}, rand.New(rand.NewSource(1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return pop
-	}
 	perAgent := func(b *testing.B, run func()) {
 		b.ReportAllocs()
 		var before, after runtime.MemStats
@@ -143,18 +152,55 @@ func BenchmarkMarketSetup(b *testing.B) {
 		}
 		b.StopTimer()
 		runtime.ReadMemStats(&after)
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
-		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/n, "B/agent")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchAgents, "ns/agent")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/benchAgents, "B/agent")
 	}
 	b.Run("population", func(b *testing.B) {
-		perAgent(b, func() { newPop() })
+		perAgent(b, func() { benchPopulation(b) })
 	})
 	b.Run("engine", func(b *testing.B) {
-		pop := newPop()
+		pop := benchPopulation(b)
 		perAgent(b, func() {
 			if _, err := NewEngine(setupConfig(pop)); err != nil {
 				b.Fatal(err)
 			}
 		})
 	})
+}
+
+// BenchmarkMarketSessions times the session path of perfbench's
+// market-naive-1m once set-up is done: one engine over the million agents
+// (naive, sharded complaint store, 256 sessions in flight) runs a fixed
+// number of 256-session windows per op. It reports ns, bytes and allocations
+// per session, and the collector's share of the CPU time the runtime
+// accounts for (/cpu/classes/gc/total over /cpu/classes/total, which counts
+// idle processors too).
+func BenchmarkMarketSessions(b *testing.B) {
+	const window, windows = 256, 1000
+	eng, err := NewEngine(setupConfig(benchPopulation(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cpu := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/cpu/classes/total:cpu-seconds"}}
+	var before, after runtime.MemStats
+	runtime.GC() // the set-up's garbage is not the session path's
+	runtime.ReadMemStats(&before)
+	metrics.Read(cpu)
+	gc0, total0 := cpu[0].Value.Float64(), cpu[1].Value.Float64()
+	b.ResetTimer()
+	for range b.N {
+		for range windows {
+			if err := eng.RunWindow(window); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	metrics.Read(cpu)
+	sessions := float64(b.N * windows * window)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/sessions, "ns/session")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/sessions, "B/session")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/sessions, "allocs/session")
+	b.ReportMetric((cpu[0].Value.Float64()-gc0)/(cpu[1].Value.Float64()-total0), "gc-cpu-frac")
 }
