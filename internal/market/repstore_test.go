@@ -249,9 +249,9 @@ func storeCounts(t *testing.T, store complaints.Store, id trust.PeerID) [2]int {
 // TestRepStoreRecordsLikePerAgentEstimators: a RepStore engine records every
 // agent's complaints through one shared estimator. Replaying the run's
 // ledger through reputation.Feed into a fresh per-agent complaints.Estimator
-// for each agent, over a new MemoryStore (a fresh grid for pgrid, see
-// below), must give every agent the same (received, filed) counts the
-// engine's store holds, on every registered backend the engine accepts.
+// for each agent, over a new MemoryStore, must give every agent the same
+// (received, filed) counts the engine's store holds, on every registered
+// backend the engine accepts.
 func TestRepStoreRecordsLikePerAgentEstimators(t *testing.T) {
 	accepted := map[string]bool{}
 	for _, backend := range complaints.Backends() {
@@ -275,17 +275,7 @@ func TestRepStoreRecordsLikePerAgentEstimators(t *testing.T) {
 				for _, a := range agents {
 					liar[a.ID] = a.LiesAsWitness
 				}
-				// The exact backends count like a MemoryStore. A pgrid
-				// count is a vote over the replicas of a whole key-space
-				// leaf, which is not an exact count, so pgrid replays into
-				// a fresh grid built from the engine's seed.
-				var store complaints.Store = complaints.NewMemoryStore()
-				if backend == "pgrid" {
-					if store, err = complaints.Open(backend, complaints.BackendConfig{Seed: eng.cfg.Seed}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				oracle := complaints.Assessor{Store: store, Population: agent.IDs(agents)}
+				oracle := complaints.Assessor{Store: complaints.NewMemoryStore(), Population: agent.IDs(agents)}
 				ests := make(map[trust.PeerID]trust.Estimator, len(agents))
 				estimatorOf := func(id trust.PeerID) trust.Estimator {
 					if ests[id] == nil {

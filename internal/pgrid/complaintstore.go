@@ -98,13 +98,18 @@ func decodeComplaint(v string) (from, about trust.PeerID, ok bool) {
 }
 
 // File implements complaints.Store: the complaint is inserted under both
-// index keys.
+// index keys, once when the two are the same key (a count reads every value
+// under its key, so a second copy there would count twice).
 func (s *ComplaintStore) File(c complaints.Complaint) error {
 	v := encodeComplaint(c)
-	if err := s.Grid.Insert(s.recvKey(c.About), v); err != nil {
+	recv, filed := s.recvKey(c.About), s.filedKey(c.From)
+	if err := s.Grid.Insert(recv, v); err != nil {
 		return fmt.Errorf("file complaint: %w", err)
 	}
-	if err := s.Grid.Insert(s.filedKey(c.From), v); err != nil {
+	if filed == recv {
+		return nil
+	}
+	if err := s.Grid.Insert(filed, v); err != nil {
 		return fmt.Errorf("file complaint: %w", err)
 	}
 	return nil
@@ -114,10 +119,11 @@ func (s *ComplaintStore) File(c complaints.Complaint) error {
 // the batch's insertions are grouped by grid key (each complaint inserts
 // under two — its accused index and its complainer index) and each key group
 // lands with one routed walk via Grid.InsertBatch, instead of the two full
-// routings per complaint that repeated File calls pay. Keys are processed in
-// first-occurrence order, so the per-key value order — and therefore every
-// replica's stored record — matches what the same batch filed one complaint
-// at a time would leave. Every group is attempted even after a failure and
+// routings per complaint that repeated File calls pay. Like File, a
+// complaint whose two keys are one key is inserted there once. Keys are
+// processed in first-occurrence order, so the per-key value order — and
+// therefore every replica's stored record — matches what the same batch
+// filed one complaint at a time would leave. Every group is attempted even after a failure and
 // the first error is returned (the BatchFiler contract).
 func (s *ComplaintStore) FileBatch(batch []complaints.Complaint) error {
 	if len(batch) == 0 {
@@ -133,8 +139,11 @@ func (s *ComplaintStore) FileBatch(batch []complaints.Complaint) error {
 	}
 	for _, c := range batch {
 		v := encodeComplaint(c)
-		add(s.recvKey(c.About), v)
-		add(s.filedKey(c.From), v)
+		recv, filed := s.recvKey(c.About), s.filedKey(c.From)
+		add(recv, v)
+		if filed != recv {
+			add(filed, v)
+		}
 	}
 	var firstErr error
 	for _, key := range order {

@@ -143,6 +143,49 @@ func TestComplaintStoreKeySeparation(t *testing.T) {
 	}
 }
 
+// TestComplaintStoreCollidingKeysCountOnce: a0's filed key and b900's
+// received key are the same key on the registry's default grid (1 pair in
+// 32 collides at its depth), and a count reads every value under its key.
+// A complaint from a0 about b900, filed alone or in a batch, must count
+// once on each side, as a control pair on distinct keys does.
+func TestComplaintStoreCollidingKeysCountOnce(t *testing.T) {
+	for _, tc := range []struct {
+		from, about trust.PeerID
+		collide     bool
+	}{{"a0", "b900", true}, {"a0", "b1", false}} {
+		for _, batched := range []bool{false, true} {
+			backend, err := complaints.Open("pgrid", complaints.BackendConfig{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := backend.(*ComplaintStore)
+			if got := store.filedKey(tc.from) == store.recvKey(tc.about); got != tc.collide {
+				t.Fatalf("%s→%s: keys collide = %v, want %v", tc.from, tc.about, got, tc.collide)
+			}
+			c := complaints.Complaint{From: tc.from, About: tc.about}
+			if batched {
+				err = store.FileBatch([]complaints.Complaint{c})
+			} else {
+				err = store.File(c)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			recv, err := store.Received(tc.about)
+			if err != nil {
+				t.Fatal(err)
+			}
+			filed, err := store.Filed(tc.from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recv != 1 || filed != 1 {
+				t.Errorf("%s→%s (batched %v): Received = %d, Filed = %d; want 1 and 1", tc.from, tc.about, batched, recv, filed)
+			}
+		}
+	}
+}
+
 func TestComplaintStoreWithAssessorEndToEnd(t *testing.T) {
 	g, err := New(Config{Peers: 64, Depth: 3, Seed: 14})
 	if err != nil {
