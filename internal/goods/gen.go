@@ -65,6 +65,14 @@ const paretoAlpha = 1.5
 // error when cfg is malformed. Item IDs are "g0", "g1", … in generation
 // order.
 func Generate(cfg GenConfig, rng *rand.Rand) (Bundle, error) {
+	return GenerateInto(nil, cfg, rng)
+}
+
+// GenerateInto is Generate drawing into items' backing array when it has
+// room for cfg.Items, so a caller that recycles a finished bundle's items
+// allocates nothing. It draws exactly Generate's stream and overwrites
+// every item it returns.
+func GenerateInto(items []Item, cfg GenConfig, rng *rand.Rand) (Bundle, error) {
 	if cfg.Items <= 0 {
 		return Bundle{}, fmt.Errorf("goods: generate: item count %d must be positive", cfg.Items)
 	}
@@ -77,7 +85,10 @@ func Generate(cfg GenConfig, rng *rand.Rand) (Bundle, error) {
 	if cfg.NegFraction < 0 || cfg.NegFraction > 1 {
 		return Bundle{}, fmt.Errorf("goods: generate: negative-surplus fraction %g outside [0,1]", cfg.NegFraction)
 	}
-	items := make([]Item, cfg.Items)
+	if cap(items) < cfg.Items {
+		items = make([]Item, cfg.Items)
+	}
+	items = items[:cfg.Items]
 	for i := range items {
 		cost := drawCost(cfg, rng)
 		margin := cfg.MarginMin + rng.Float64()*(cfg.MarginMax-cfg.MarginMin)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -233,6 +234,73 @@ func BenchmarkValidate(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestGenerateIntoMatchesGenerate: drawing into a buffer a bundle earlier
+// than this one left dirty must give exactly the items a fresh Generate
+// gives and leave the stream at the same draw, whether the buffer has room
+// (then its backing array is reused) or is too small (then it grows), over
+// all three cost distributions, a zero-cost last item and negative-surplus
+// fractions. A malformed config fails as Generate fails.
+func TestGenerateIntoMatchesGenerate(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var buf []Item
+	covered := map[string]int{}
+	for trial := 0; trial < 2000; trial++ {
+		cfg := GenConfig{
+			Items:        1 + rng.Intn(20),
+			Dist:         Distribution(1 + rng.Intn(3)),
+			MeanCost:     Money(1 + rng.Int63n(int64(50*Unit))),
+			MarginMin:    rng.Float64() - 0.5,
+			ZeroCostLast: rng.Intn(3) == 0,
+		}
+		cfg.MarginMax = cfg.MarginMin + rng.Float64()
+		if rng.Intn(2) == 0 {
+			cfg.NegFraction = rng.Float64()
+		}
+		if rng.Intn(50) == 0 {
+			cfg.Items = 0 // malformed
+		}
+		seed := rng.Int63()
+		gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		roomy := cap(buf) >= cfg.Items
+		got, gotErr := GenerateInto(buf, cfg, gotRng)
+		want, wantErr := Generate(cfg, wantRng)
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("trial %d %+v: GenerateInto err = %q, Generate %q", trial, cfg, errText(gotErr), errText(wantErr))
+		}
+		if !slices.Equal(got.Items, want.Items) {
+			t.Fatalf("trial %d %+v: GenerateInto gives %+v, Generate %+v", trial, cfg, got.Items, want.Items)
+		}
+		if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
+			t.Fatalf("trial %d %+v: next draw %d after GenerateInto, %d after Generate", trial, cfg, g, w)
+		}
+		if gotErr != nil {
+			covered["error"]++
+			continue
+		}
+		if roomy && &got.Items[0] != &buf[:1][0] {
+			t.Fatalf("trial %d: a buffer of capacity %d was not reused for %d items", trial, cap(buf), cfg.Items)
+		}
+		covered[cfg.Dist.String()]++
+		if roomy {
+			covered["reused"]++
+		} else {
+			covered["grown"]++
+		}
+		if cfg.ZeroCostLast {
+			covered["zero-cost last"]++
+		}
+		if cfg.NegFraction > 0 {
+			covered["negative surplus"]++
+		}
+		buf = got.Items
+	}
+	for _, k := range []string{"uniform", "pareto", "equal", "reused", "grown", "zero-cost last", "negative surplus", "error"} {
+		if covered[k] == 0 {
+			t.Errorf("no trial covered %q: %v", k, covered)
 		}
 	}
 }

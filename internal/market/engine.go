@@ -48,7 +48,7 @@ type Engine struct {
 	outcomes outcomeLog
 
 	// Per-agent state is indexed by population position, never by ID: a
-	// session caches its parties' indices and the outcome log stores them,
+	// session keeps its parties' indices and the outcome log stores them,
 	// so the engine keeps no per-agent map (NewEngine's duplicate-ID check
 	// uses a table it drops on return). Where an agent's estimator is its
 	// own state (private Beta, a gossip node's posterior book, or
@@ -75,34 +75,67 @@ type Engine struct {
 	// until startSession compacts the list. live counts the unsettled ones.
 	inFlight []*session
 	live     int
-	nextID   int          // next session to start
-	limit    int          // sessions allowed to start (window budget)
-	rngs     []*rand.Rand // finished sessions' streams, reseeded by startSession
-	windowed bool         // RunWindow drives the budget (gossip mode)
-	finished bool         // FinishRun has settled the engine
-	runErr   error        // first error raised inside the event loop
+	nextID   int // next session to start
+	limit    int // sessions allowed to start (window budget)
+	// kits is the free list of what finished sessions handed back, which
+	// startSession reuses before it allocates: a NoTrade session returns
+	// its kit at once, a traded one in finish.
+	kits []sessionKit
+	// bundle is the item buffer every session's bundle is drawn into. A
+	// bundle is read only while its session starts (the plan copies its
+	// items, the session keeps both parties' completion gains), and
+	// startSession is done with it before its first step can finish the
+	// session and start the next, so one buffer serves every session.
+	bundle   []goods.Item
+	windowed bool  // RunWindow drives the budget (gossip mode)
+	finished bool  // FinishRun has settled the engine
+	runErr   error // first error raised inside the event loop
 	result   Result
 }
 
-// session is the live state of one exchange. The parties' population
-// indices are cached at start, so neither the per-step path nor finish
-// needs an ID→index lookup. The session itself is the step message its
-// parties send each other: a pointer boxes into netsim.Message without
-// allocating, and since a session is never reused, a step delivered after
-// it finished still finds done set.
+// sessionKit is what a finished session leaves for a later one: its
+// stream, which startSession reseeds (the seedmix source makes that O(1),
+// and the stream equals a fresh math/rand source's), and its plan's backing
+// array, which a naive plan is written into.
+type sessionKit struct {
+	rng   *rand.Rand
+	steps exchange.Sequence
+}
+
+// session is the live state of one exchange. It carries all that its steps
+// and finish read of the two parties, so a party's agent record is read
+// once per session, in startSession: both records together, so their cache
+// misses overlap, kept as a party with the completion gain the step path
+// would otherwise re-sum from the bundle. No code changes an agent while a
+// run is going, so reading it once changes nothing. The session itself is
+// the step message its parties send each other: a pointer boxes into
+// netsim.Message without allocating, and since a session is never reused,
+// a step delivered after it finished still finds done set. Its stream and
+// plan are reused, so finish nils both.
 type session struct {
-	id     int
-	rng    *rand.Rand // per-session stream: bundle, defections, network draws; nil once finished
-	sup    *agent.Agent
-	con    *agent.Agent
-	supIdx int32
-	conIdx int32
-	terms  exchange.Terms
-	steps  exchange.Sequence
-	idx    int // next step to perform
-	m      goods.Money
-	cd, wd goods.Money
-	done   bool
+	id       int
+	rng      *rand.Rand        // per-session stream: bundle, defections, network draws; nil once finished
+	steps    exchange.Sequence // the plan; nil once finished
+	idx      int               // next step to perform
+	m        goods.Money
+	cd, wd   goods.Money
+	sup, con party
+	done     bool
+}
+
+// party is what a session needs of one of its two agents.
+type party struct {
+	id    trust.PeerID
+	idx   int32 // population index
+	liar  bool  // the agent's LiesAsWitness
+	stake goods.Money
+	beh   agent.Behavior
+	gain  goods.Money // what completing the exchange gains the party
+}
+
+// newParty is agents[i], a, as a session party, before its gain is known.
+func newParty(i int, a *agent.Agent) party {
+	return party{id: a.ID, idx: int32(i), liar: a.LiesAsWitness, stake: a.Stake, beh: a.Behavior}
 }
 
 // sessionTimeout is a session's timeout timer: the session pointer under a
@@ -256,17 +289,18 @@ func firstDuplicate(agents []*agent.Agent) int {
 	return -1
 }
 
-// estimatorAt returns the estimator agents[i] plans and records through: in
-// RepStore mode the shared complaintEst, set to file as agents[i] (so a
-// caller records through it before asking for another agent's); otherwise
-// agents[i]'s own, created on first use.
-func (e *Engine) estimatorAt(i int32) trust.Estimator {
+// estimatorAt returns the estimator agents[i], whose ID is id, plans and
+// records through: in RepStore mode the shared complaintEst, set to file as
+// id (so a caller records through it before asking for another agent's);
+// otherwise agents[i]'s own, created on first use. Callers pass the ID
+// they already hold, so asking reads no agent.
+func (e *Engine) estimatorAt(i int32, id trust.PeerID) trust.Estimator {
 	if e.complaintEst != nil {
-		e.complaintEst.Observer = e.agents[i].ID
+		e.complaintEst.Observer = id
 		return e.complaintEst
 	}
 	if e.ests[i] == nil {
-		e.ests[i] = e.estimatorOf(e.agents[i].ID)
+		e.ests[i] = e.estimatorOf(id)
 	}
 	return e.ests[i]
 }
@@ -278,17 +312,18 @@ func (e *Engine) Ledger() *reputation.Ledger {
 	l := &reputation.Ledger{}
 	for _, c := range e.outcomes.chunks {
 		for _, o := range c {
-			l.Append(e.event(o))
+			l.Append(e.event(o, e.agents[o.sup].ID, e.agents[o.con].ID))
 		}
 	}
 	return l
 }
 
-// event is o as a reputation.Event.
-func (e *Engine) event(o outcome) reputation.Event {
+// event is o, between the agents with IDs sup and con, as a
+// reputation.Event.
+func (e *Engine) event(o outcome, sup, con trust.PeerID) reputation.Event {
 	ev := reputation.Event{
-		Supplier:     e.agents[o.sup].ID,
-		Consumer:     e.agents[o.con].ID,
+		Supplier:     sup,
+		Consumer:     con,
 		Round:        o.round,
 		SupplierLoss: o.supLoss,
 		ConsumerLoss: o.conLoss,
@@ -425,34 +460,33 @@ func (e *Engine) fill() {
 }
 
 func (e *Engine) startSession(id int) error {
-	// A finished session's stream is reseeded rather than reallocated; the
-	// seedmix source makes the reseed O(1) and yields the same stream as a
-	// fresh math/rand source would.
 	seed := seedmix.Derive(e.cfg.Seed, uint64(id)+1)
-	var srng *rand.Rand
-	if k := len(e.rngs); k > 0 {
-		srng = e.rngs[k-1]
-		e.rngs = e.rngs[:k-1]
-		srng.Seed(seed)
+	var kit sessionKit
+	if k := len(e.kits); k > 0 {
+		kit = e.kits[k-1]
+		e.kits = e.kits[:k-1]
+		kit.rng.Seed(seed)
 	} else {
-		srng = seedmix.NewRand(seed)
+		kit.rng = seedmix.NewRand(seed)
 	}
 	supIdx, conIdx, err := e.pickPair()
 	if err != nil {
 		return err
 	}
-	sup, con := e.agents[supIdx], e.agents[conIdx]
-	bundle, err := goods.Generate(e.cfg.Gen, srng)
+	sup, con := newParty(supIdx, e.agents[supIdx]), newParty(conIdx, e.agents[conIdx])
+	bundle, err := goods.GenerateInto(e.bundle, e.cfg.Gen, kit.rng)
 	if err != nil {
 		return err
 	}
+	e.bundle = bundle.Items
 	terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(supplierShare)}
+	sup.gain, con.gain = terms.SupplierGain(), terms.ConsumerGain()
 
-	steps, planned, err := e.plan(supIdx, conIdx, terms)
+	steps, planned, err := e.plan(&sup, &con, terms, kit.steps)
 	if err != nil {
 		if errors.Is(err, errNoTrade) {
 			e.result.NoTrade++
-			e.rngs = append(e.rngs, srng)
+			e.kits = append(e.kits, kit)
 			return nil
 		}
 		return err
@@ -465,12 +499,7 @@ func (e *Engine) startSession(id int) error {
 		e.result.SupplierExposure.Add(planned.Plan.Report.MaxSupplierExposure.Float64())
 	}
 
-	s := &session{
-		id: id, rng: srng,
-		sup: sup, con: con,
-		supIdx: int32(supIdx), conIdx: int32(conIdx),
-		terms: terms, steps: steps,
-	}
+	s := &session{id: id, rng: kit.rng, steps: steps, sup: sup, con: con}
 	if len(e.inFlight) >= 2*e.cfg.Concurrency {
 		// At most Concurrency−1 sessions are live, so at least half the
 		// list is settled: compaction costs O(1) per session.
@@ -498,17 +527,17 @@ func (e *Engine) pickPair() (sup, con int, err error) {
 	return i, j, nil
 }
 
-// plan schedules the session between agents[sup] and agents[con] according
-// to the strategy.
-func (e *Engine) plan(sup, con int, terms exchange.Terms) (exchange.Sequence, core.PlanResult, error) {
+// plan schedules the session between sup and con according to the
+// strategy. A naive plan is written into buf.
+func (e *Engine) plan(sup, con *party, terms exchange.Terms, buf exchange.Sequence) (exchange.Sequence, core.PlanResult, error) {
 	switch e.cfg.Strategy {
 	case StrategyNaive:
-		if terms.SupplierGain() < 0 || terms.ConsumerGain() < 0 {
+		if sup.gain < 0 || con.gain < 0 {
 			return nil, core.PlanResult{}, errNoTrade
 		}
-		return naivePlan(terms), core.PlanResult{Mode: core.ModeTrustAware}, nil
+		return naivePlan(buf, terms), core.PlanResult{Mode: core.ModeTrustAware}, nil
 	case StrategySafeOnly:
-		stakes := exchange.Stakes{Supplier: e.agents[sup].Stake, Consumer: e.agents[con].Stake}
+		stakes := exchange.Stakes{Supplier: sup.stake, Consumer: con.stake}
 		plan, err := exchange.ScheduleSafe(terms, stakes, exchange.Options{})
 		if err != nil {
 			if errors.Is(err, exchange.ErrNoSafeSequence) {
@@ -518,7 +547,7 @@ func (e *Engine) plan(sup, con int, terms exchange.Terms) (exchange.Sequence, co
 		}
 		return plan.Steps, core.PlanResult{Plan: plan, Mode: core.ModeSafe}, nil
 	default: // StrategyTrustAware
-		res, err := planner.PlanExchange(e.participant(sup), e.participant(con), terms)
+		res, err := planner.PlanExchange(e.participant(int(sup.idx)), e.participant(int(con.idx)), terms)
 		if err != nil {
 			if errors.Is(err, core.ErrNoAgreement) {
 				return nil, core.PlanResult{}, errNoTrade
@@ -532,7 +561,7 @@ func (e *Engine) plan(sup, con int, terms exchange.Terms) (exchange.Sequence, co
 // participant is agents[i] as the planner sees it.
 func (e *Engine) participant(i int) core.Participant {
 	a := e.agents[i]
-	return core.Participant{ID: a.ID, Estimator: e.estimatorAt(int32(i)), Policy: a.Policy, Stake: a.Stake}
+	return core.Participant{ID: a.ID, Estimator: e.estimatorAt(int32(i), a.ID), Policy: a.Policy, Stake: a.Stake}
 }
 
 // advance lets the actor of the next step decide, perform, and transmit it.
@@ -545,11 +574,11 @@ func (e *Engine) advance(s *session) {
 		return
 	}
 	step := s.steps[s.idx]
-	actor, role, defected := s.con, agent.RoleConsumer, outcomeConsumerDefected
+	actor, role, defected := &s.con, agent.RoleConsumer, outcomeConsumerDefected
 	if step.Kind == exchange.StepDeliver {
-		actor, role, defected = s.sup, agent.RoleSupplier, outcomeSupplierDefected
+		actor, role, defected = &s.sup, agent.RoleSupplier, outcomeSupplierDefected
 	}
-	if actor.Behavior.Defect(e.defectContext(s, role)) {
+	if actor.beh.Defect(s.defectContext(actor, role)) {
 		e.finish(s, defected)
 		return
 	}
@@ -578,25 +607,18 @@ func (e *Engine) handle(msg netsim.Message) {
 	}
 }
 
-// defectContext computes the temptation the acting party faces right now.
-func (e *Engine) defectContext(s *session, role agent.Role) agent.DefectContext {
-	var defectionGain, completionGain goods.Money
+// defectContext computes the temptation actor, the session's party in
+// role, faces right now.
+func (s *session) defectContext(actor *party, role agent.Role) agent.DefectContext {
+	walkAway := s.wd - s.m // what the consumer holds if it walks away now
 	if role == agent.RoleSupplier {
-		completionGain = s.terms.SupplierGain()
-		defectionGain = (s.m - s.cd) - completionGain
-	} else {
-		completionGain = s.terms.ConsumerGain()
-		defectionGain = (s.wd - s.m) - completionGain
-	}
-	actor := s.con
-	if role == agent.RoleSupplier {
-		actor = s.sup
+		walkAway = s.m - s.cd
 	}
 	return agent.DefectContext{
 		Role:           role,
-		DefectionGain:  defectionGain,
-		CompletionGain: completionGain,
-		Stake:          actor.Stake,
+		DefectionGain:  walkAway - actor.gain,
+		CompletionGain: actor.gain,
+		Stake:          actor.stake,
 		Progress:       float64(s.idx) / float64(len(s.steps)),
 		Rng:            s.rng,
 	}
@@ -610,13 +632,13 @@ func (e *Engine) finish(s *session, kind outcomeKind) {
 	}
 	s.done = true
 	e.live--
-	// Late step messages for s are dropped by advance, so nothing draws from
-	// its stream again; nil it so a use after finish panics instead of
-	// drawing from the next session's stream.
-	e.rngs = append(e.rngs, s.rng)
-	s.rng = nil
+	// Late step messages for s are dropped by advance, so nothing reads its
+	// stream or plan again; nil both so a use after finish panics instead
+	// of reading the next session's.
+	e.kits = append(e.kits, sessionKit{rng: s.rng, steps: s.steps})
+	s.rng, s.steps = nil, nil
 	o := outcome{
-		round: s.id, sup: s.supIdx, con: s.conIdx, kind: kind,
+		round: s.id, sup: s.sup.idx, con: s.con.idx, kind: kind,
 		supLoss: (s.cd - s.m).ClampNonNeg(),
 		conLoss: (s.m - s.wd).ClampNonNeg(),
 	}
@@ -629,33 +651,33 @@ func (e *Engine) finish(s *session, kind outcomeKind) {
 		e.result.Aborted++
 	default:
 		e.result.Defected++
-		defector := s.con
+		defector := s.con.beh
 		if kind == outcomeSupplierDefected {
-			defector = s.sup
+			defector = s.sup.beh
 		}
-		e.result.DefectionsBy[defector.Behavior.Name()]++
+		e.result.DefectionsBy[defector.Name()]++
 		e.result.RealizedConsumerLoss.Add(o.conLoss.Float64())
 		e.result.RealizedSupplierLoss.Add(o.supLoss.Float64())
 	}
 	e.result.Welfare += s.wd - s.cd
-	if _, isHonest := s.sup.Behavior.(agent.Honest); isHonest && o.supLoss > 0 {
+	if _, isHonest := s.sup.beh.(agent.Honest); isHonest && o.supLoss > 0 {
 		e.result.HonestVictimLoss += o.supLoss
 	}
-	if _, isHonest := s.con.Behavior.(agent.Honest); isHonest && o.conLoss > 0 {
+	if _, isHonest := s.con.beh.(agent.Honest); isHonest && o.conLoss > 0 {
 		e.result.HonestVictimLoss += o.conLoss
 	}
 
 	e.outcomes.append(o)
-	// Feed asks only about the two parties, whose indices s holds.
-	party := func(id trust.PeerID) int32 {
-		if id == s.sup.ID {
-			return s.supIdx
+	// Feed asks only about the two parties, which s holds.
+	partyOf := func(id trust.PeerID) *party {
+		if id == s.sup.id {
+			return &s.sup
 		}
-		return s.conIdx
+		return &s.con
 	}
-	err := reputation.Feed(e.event(o),
-		func(id trust.PeerID) trust.Estimator { return e.estimatorAt(party(id)) },
-		func(id trust.PeerID) bool { return e.agents[party(id)].LiesAsWitness })
+	err := reputation.Feed(e.event(o, s.sup.id, s.con.id),
+		func(id trust.PeerID) trust.Estimator { return e.estimatorAt(partyOf(id).idx, id) },
+		func(id trust.PeerID) bool { return partyOf(id).liar })
 	if err != nil && e.runErr == nil {
 		e.runErr = err
 	}

@@ -14,32 +14,44 @@ import (
 )
 
 // TestSessionStreamRecyclingPinned: a finished session's stream is reseeded
-// for a later session, so any draw from it after finish would shift that
-// later session. The run below has every way a session ends — completion,
-// defection, timeout after a dropped message, and NoTrade (whose stream is
-// returned at once) — and latencies beyond the per-step timeout budget, so
-// step messages still arrive for sessions that already finished. Its Result
-// must equal, digest for digest, the run of the engine that built every
-// session a fresh math/rand source. The outcome log of the same run, and of
-// the run driven window by window, is pinned the same way.
+// for a later session and its plan's backing array rewritten by a later
+// naive plan, so any draw from the stream or read of the plan after finish
+// would shift that later session. The run below has every way a session
+// ends — completion, defection, timeout after a dropped message, and
+// NoTrade (whose stream and plan buffer are returned at once) — and latencies
+// beyond the per-step timeout budget, so step messages still arrive for
+// sessions that already finished, which must hold neither stream nor plan.
+// Its Result must equal, digest for digest, the run of the engine that
+// built every session a fresh math/rand source, bundle and plan. The
+// outcome log of the same run, and of the run driven window by window, is
+// pinned the same way. The safe-only digests were computed before bundles
+// and plans were recycled, at a stake that lets a safe sequence exist for
+// some sessions and not others.
 func TestSessionStreamRecyclingPinned(t *testing.T) {
 	for _, tc := range []struct {
 		strategy             Strategy
+		stake                goods.Money
 		digest               string
 		events, windowEvents string
 	}{
-		{StrategyNaive, "8fa957f7a374f702cb81287ee5c87264d9ca5104228bec44cd188e19436ba331",
+		{StrategyNaive, goods.Unit, "8fa957f7a374f702cb81287ee5c87264d9ca5104228bec44cd188e19436ba331",
 			"a22569be69eae8b1895c8270afac6d052d84b2d0a8e92b7488b38a7ae8e2c958",
 			"b36a7a9989c0fe98834257c5be86e2cbfdc22f34fb06d511b2d3769c07d0abdc"},
-		{StrategyTrustAware, "42db57cf927891407d01e3f721d975083520f55e2aaa5602ae6195394c3856fc",
+		{StrategyTrustAware, goods.Unit, "42db57cf927891407d01e3f721d975083520f55e2aaa5602ae6195394c3856fc",
 			"ce5835bf6124d413710b1083da9559a1da8ad054f35e644f618c2fe608744e98",
 			"f2ada3304dd0802a2e05571b8caee6e75614f0fceb857205554d92fd0dc81f89"},
+		{StrategySafeOnly, 3 * goods.Unit, "6b8fa12e3efda0141eb7438aaabdafb2200c3627b0baee4f1512cab53143d2b2",
+			"563cd1d8f4bc56ffcb842a2e78f8f1cc99c41461653fd0c5b905557dc27589a6",
+			"572bc97321e239cead68cc9154d94f94cba3c4ad55bd4483d298dfae5bec3f08"},
 	} {
-		eng := pinnedEngine(t, tc.strategy)
+		eng := pinnedEngine(t, tc.strategy, tc.stake)
 		late := 0
 		eng.sim.SetHandler(func(msg netsim.Message) {
 			if s, ok := msg.(*session); ok && s.done {
 				late++
+				if s.rng != nil || s.steps != nil {
+					t.Errorf("%v: session %d, delivered late, still holds its stream or plan", tc.strategy, s.id)
+				}
 			}
 			eng.handle(msg)
 		})
@@ -57,7 +69,7 @@ func TestSessionStreamRecyclingPinned(t *testing.T) {
 			t.Errorf("%v: outcome log digest %s, want %s", tc.strategy, got, tc.events)
 		}
 
-		eng = pinnedEngine(t, tc.strategy)
+		eng = pinnedEngine(t, tc.strategy, tc.stake)
 		for eng.nextID < eng.cfg.Sessions {
 			if err := eng.RunWindow(37); err != nil {
 				t.Fatal(err)
@@ -73,13 +85,13 @@ func TestSessionStreamRecyclingPinned(t *testing.T) {
 }
 
 // pinnedEngine builds TestSessionStreamRecyclingPinned's engine.
-func pinnedEngine(t *testing.T, strategy Strategy) *Engine {
+func pinnedEngine(t *testing.T, strategy Strategy, stake goods.Money) *Engine {
 	t.Helper()
 	eng, err := NewEngine(Config{
 		Seed:        31,
 		Sessions:    400,
 		Concurrency: 16,
-		Agents:      population(t, agent.PopConfig{Honest: 8, Opportunist: 6, Random: 2, Stake: goods.Unit}, 29),
+		Agents:      population(t, agent.PopConfig{Honest: 8, Opportunist: 6, Random: 2, Stake: stake}, 29),
 		Strategy:    strategy,
 		RepStore:    "sharded",
 		Gen:         goods.GenConfig{Items: 6, Dist: goods.Uniform, MeanCost: 10 * goods.Unit, MarginMin: 0.2, MarginMax: 0.6, NegFraction: 0.3},
@@ -150,13 +162,17 @@ func digest(v any) string {
 // closure cost one allocation per session, took them to 7 and 3. Making the
 // naive plan at its final length, where append grew it from a one-step
 // literal in four more allocations, took the naive session to 3: the
-// session, its bundle's items and its plan. The byte bounds sit just above
-// what a session costs today (914 B naive, 992 B trust-aware, on amd64): the append chain back costs the naive session ~1 KB, and a
-// session that carries its planner's PlanResult again moves from the 144 B
-// size class to the 384 B one. The trust-aware pin covers the planning
-// path: every session here fails the safe band at a one-unit stake and
-// plans under exposure caps. Counts are pinned to a tenth; repeated runs
-// differ by a few thousandths.
+// session, its bundle's items and its plan (914 B naive, 992 B
+// trust-aware). Drawing every bundle into one engine-owned buffer and
+// writing each naive plan into a finished session's took them to 1 and 2:
+// the session, and the trust-aware plan the scheduler allocates. The byte
+// bounds sit just above what a session costs today (258 B naive, 784 B
+// trust-aware, on amd64, with the session in the 192 B size class): a
+// bundle allocated again costs 256 B, a naive plan 448 B, and a session
+// that carries its planner's PlanResult again moves to the 416 B class.
+// The trust-aware pin covers the planning path: every session here fails
+// the safe band at a one-unit stake and plans under exposure caps. Counts
+// are pinned to a tenth; repeated runs differ by a few thousandths.
 func TestSessionAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the count is only meaningful unraced")
@@ -166,8 +182,8 @@ func TestSessionAllocsSteadyState(t *testing.T) {
 		want     float64
 		maxBytes float64
 	}{
-		{StrategyNaive, 3, 960},
-		{StrategyTrustAware, 3, 1040},
+		{StrategyNaive, 1, 300},
+		{StrategyTrustAware, 2, 820},
 	} {
 		eng, err := NewEngine(Config{
 			Seed: 31, Sessions: 1 << 20, Concurrency: 16, Strategy: tc.strategy, RepStore: "sharded",

@@ -280,13 +280,17 @@ func (r Result) TradeRate() float64 {
 }
 
 // naivePlan is the no-mechanism baseline: pay everything, then deliver. The
-// sequence is made at its final length, one allocation per plan.
-func naivePlan(terms exchange.Terms) exchange.Sequence {
+// plan is written into seq's backing array when it has room, and otherwise
+// made at its final length, one allocation per plan.
+func naivePlan(seq exchange.Sequence, terms exchange.Terms) exchange.Sequence {
 	n := len(terms.Bundle.Items)
 	if terms.Price != 0 {
 		n++
 	}
-	seq := make(exchange.Sequence, 0, n)
+	if cap(seq) < n {
+		seq = make(exchange.Sequence, 0, n)
+	}
+	seq = seq[:0]
 	if terms.Price != 0 {
 		seq = append(seq, exchange.Step{Kind: exchange.StepPay, Amount: terms.Price})
 	}

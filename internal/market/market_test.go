@@ -121,7 +121,7 @@ func TestTrustAwareLearnsToAvoidCheaters(t *testing.T) {
 		if observer.Behavior.Name() != "honest" {
 			continue
 		}
-		est := eng.estimatorAt(int32(i))
+		est := eng.estimatorAt(int32(i), observer.ID)
 		for _, other := range agents {
 			if other.ID == observer.ID {
 				continue
@@ -260,7 +260,7 @@ func TestCustomEstimatorWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.estimatorAt(0) != oracle {
+	if eng.estimatorAt(0, agents[0].ID) != oracle {
 		t.Fatal("estimator not wired")
 	}
 	if _, err := eng.Run(); err != nil {
@@ -288,8 +288,10 @@ var planSink exchange.Sequence
 
 // TestNaivePlanMatchesReference checks naivePlan against the append-built
 // reference over random bundles of 1–24 items, a fifth of them one-item and
-// a quarter of them at price 0, plus the empty bundle: the same steps, no
-// spare capacity, and one allocation per plan (none for an empty one).
+// a quarter of them at price 0, plus the empty bundle. Into a nil buffer it
+// must give the same steps with no spare capacity in one allocation per
+// plan (none for an empty one); into a recycled buffer with room, left
+// dirty by a longer plan, the same steps in that buffer with none.
 func TestNaivePlanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	terms := []exchange.Terms{{}, {Price: goods.Unit}}
@@ -309,13 +311,21 @@ func TestNaivePlanMatchesReference(t *testing.T) {
 		}
 		terms = append(terms, exchange.Terms{Bundle: bundle, Price: price})
 	}
+	recycled := naivePlan(nil, exchange.Terms{Bundle: goods.Bundle{Items: make([]goods.Item, 24)}, Price: goods.Unit})
 	for i, tm := range terms {
-		got, want := naivePlan(tm), naivePlanReference(tm)
+		got, want := naivePlan(nil, tm), naivePlanReference(tm)
 		if !slices.Equal(got, want) {
 			t.Fatalf("terms %d (price %v, %d items): plan %v, reference %v", i, tm.Price, len(tm.Bundle.Items), got, want)
 		}
 		if cap(got) != len(got) {
 			t.Errorf("terms %d: plan of %d steps has capacity %d", i, len(got), cap(got))
+		}
+		into := naivePlan(recycled, tm)
+		if !slices.Equal(into, want) {
+			t.Fatalf("terms %d (price %v, %d items): plan into a recycled buffer %v, reference %v", i, tm.Price, len(tm.Bundle.Items), into, want)
+		}
+		if cap(into) != cap(recycled) || (len(into) > 0 && &into[0] != &recycled[0]) {
+			t.Errorf("terms %d: a plan of %d steps did not reuse the buffer of capacity %d", i, len(into), cap(recycled))
 		}
 		if raceEnabled {
 			continue // the race detector's instrumentation allocates
@@ -324,8 +334,11 @@ func TestNaivePlanMatchesReference(t *testing.T) {
 		if len(want) == 0 {
 			wantAllocs = 0
 		}
-		if allocs := testing.AllocsPerRun(10, func() { planSink = naivePlan(tm) }); allocs != wantAllocs {
-			t.Errorf("terms %d (%d steps): %v allocations per plan, want %v", i, len(want), allocs, wantAllocs)
+		if allocs := testing.AllocsPerRun(10, func() { planSink = naivePlan(nil, tm) }); allocs != wantAllocs {
+			t.Errorf("terms %d (%d steps): %v allocations per plan into a nil buffer, want %v", i, len(want), allocs, wantAllocs)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { planSink = naivePlan(recycled, tm) }); allocs != 0 {
+			t.Errorf("terms %d (%d steps): %v allocations per plan into a recycled buffer, want 0", i, len(want), allocs)
 		}
 	}
 }

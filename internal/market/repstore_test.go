@@ -198,7 +198,7 @@ func TestPlanningEstimatorPerEvidencePlane(t *testing.T) {
 	}
 	ids := agent.IDs(agents())
 	for _, r := range []struct{ observer, subject int32 }{{0, 1}, {2, 1}, {2, 3}} {
-		est := eng.estimatorAt(r.observer)
+		est := eng.estimatorAt(r.observer, ids[r.observer])
 		if est != p0.Estimator {
 			t.Fatalf("agent %d records through %p, want the planning estimator %p", r.observer, est, p0.Estimator)
 		}
@@ -225,9 +225,9 @@ func TestPlanningEstimatorPerEvidencePlane(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		p0, p1 := eng.participant(0), eng.participant(1)
-		if p0.Estimator != eng.estimatorAt(0) || p1.Estimator != eng.estimatorAt(1) || p0.Estimator == p1.Estimator {
+		if p0.Estimator != eng.estimatorAt(0, eng.agents[0].ID) || p1.Estimator != eng.estimatorAt(1, eng.agents[1].ID) || p0.Estimator == p1.Estimator {
 			t.Errorf("%s: participants plan through %p and %p, want their own estimators %p and %p",
-				name, p0.Estimator, p1.Estimator, eng.estimatorAt(0), eng.estimatorAt(1))
+				name, p0.Estimator, p1.Estimator, eng.estimatorAt(0, eng.agents[0].ID), eng.estimatorAt(1, eng.agents[1].ID))
 		}
 	}
 }
