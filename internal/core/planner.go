@@ -93,14 +93,22 @@ type Planner struct {
 // It returns ErrNoAgreement (wrapped, with the tightest caps attempted) when
 // neither succeeds.
 func (pl Planner) PlanExchange(supplier, consumer Participant, terms exchange.Terms) (PlanResult, error) {
+	return pl.PlanExchangeInto(nil, supplier, consumer, terms)
+}
+
+// PlanExchangeInto is PlanExchange writing the plan's steps into dst when it
+// has room, so a caller that recycles a finished plan's steps allocates no
+// plan. dst is left untouched when no plan is returned.
+func (pl Planner) PlanExchangeInto(dst exchange.Sequence, supplier, consumer Participant, terms exchange.Terms) (PlanResult, error) {
+	supGain, conGain := terms.SupplierGain(), terms.ConsumerGain()
 	// ScheduleSafeElse validates the terms; only a rejection before it must
 	// tell invalid terms from unprofitable ones itself.
-	if pl.RequireBeneficial && (terms.SupplierGain() < 0 || terms.ConsumerGain() < 0) {
+	if pl.RequireBeneficial && (supGain < 0 || conGain < 0) {
 		if err := terms.Validate(); err != nil {
 			return PlanResult{}, err
 		}
 		return PlanResult{}, fmt.Errorf("%w: terms not mutually beneficial (supplier %v, consumer %v)",
-			ErrNoAgreement, terms.SupplierGain(), terms.ConsumerGain())
+			ErrNoAgreement, supGain, conGain)
 	}
 	stakes := exchange.Stakes{Supplier: supplier.Stake, Consumer: consumer.Stake}
 
@@ -111,13 +119,13 @@ func (pl Planner) PlanExchange(supplier, consumer Participant, terms exchange.Te
 	var pInSupplier, pInConsumer float64
 	var caps exchange.ExposureCaps
 	trustAware := false
-	plan, safe, err := exchange.ScheduleSafeElse(terms, stakes, pl.Options, func() exchange.ExposureCaps {
+	plan, safe, err := exchange.ScheduleSafeElse(dst, terms, stakes, pl.Options, func() exchange.ExposureCaps {
 		trustAware = true
 		pInSupplier = estimate(consumer.Estimator, supplier.ID)
 		pInConsumer = estimate(supplier.Estimator, consumer.ID)
 		caps = exchange.ExposureCaps{
-			Supplier: supplier.Policy.ExposureLimit(pInConsumer, terms.SupplierGain()),
-			Consumer: consumer.Policy.ExposureLimit(pInSupplier, terms.ConsumerGain()),
+			Supplier: supplier.Policy.ExposureLimit(pInConsumer, supGain),
+			Consumer: consumer.Policy.ExposureLimit(pInSupplier, conGain),
 		}
 		return caps
 	})
@@ -138,8 +146,8 @@ func (pl Planner) PlanExchange(supplier, consumer Participant, terms exchange.Te
 		TrustInSupplier:      pInSupplier,
 		TrustInConsumer:      pInConsumer,
 		Caps:                 caps,
-		ExpectedConsumerGain: decision.ExpectedGain(pInSupplier, terms.ConsumerGain(), plan.Report.MaxConsumerExposure),
-		ExpectedSupplierGain: decision.ExpectedGain(pInConsumer, terms.SupplierGain(), plan.Report.MaxSupplierExposure),
+		ExpectedConsumerGain: decision.ExpectedGain(pInSupplier, conGain, plan.Report.MaxConsumerExposure),
+		ExpectedSupplierGain: decision.ExpectedGain(pInConsumer, supGain, plan.Report.MaxSupplierExposure),
 	}, nil
 }
 

@@ -45,7 +45,8 @@ func fuzzMoney(v int64) goods.Money {
 // configurations: it must never panic, and every plan it does return must
 // conserve totals — the payments sum exactly to the agreed price and the
 // deliveries are exactly the bundle, validated step by step against the
-// requested bands by the package's own Validate. On valid inputs of up to
+// requested bands by the package's own Validate, whose replayed report must
+// equal the one the scheduler built with the plan. On valid inputs of up to
 // oracleItems items it also checks the verdict against brute force: a plan
 // exactly when some delivery order admits one, and a combined band that is
 // infeasible whenever ScheduleSafe proves the safety band at the same
@@ -56,6 +57,12 @@ func FuzzSchedule(f *testing.F) {
 	f.Add(int64(3*goods.Unit), []byte{0, 5, 3, 0}, int64(0), int64(0), int64(2*goods.Unit), int64(goods.Unit), byte(2))
 	f.Add(int64(0), []byte{}, int64(-1), int64(5), int64(5), int64(5), byte(3))
 	f.Add(int64(-7), []byte{255, 255, 1, 1}, int64(goods.Unit), int64(goods.Unit), int64(0), int64(0), byte(7))
+	// Feasible seeds, so the seed corpus alone checks returned plans and
+	// their reports: each band family, both payment policies.
+	f.Add(int64(10*goods.Unit), []byte{8, 12, 4, 2, 0, 9}, int64(0), int64(0), int64(6*goods.Unit), int64(3*goods.Unit), byte(2))
+	f.Add(int64(10*goods.Unit), []byte{8, 12, 4, 2, 0, 9}, int64(0), int64(0), int64(6*goods.Unit), int64(3*goods.Unit), byte(6))
+	f.Add(int64(10*goods.Unit), []byte{8, 12, 4, 2, 0, 9}, int64(5*goods.Unit), int64(5*goods.Unit), int64(0), int64(0), byte(1))
+	f.Add(int64(10*goods.Unit), []byte{8, 12, 4, 2, 0, 9}, int64(5*goods.Unit), int64(2*goods.Unit), int64(6*goods.Unit), int64(6*goods.Unit), byte(7))
 	f.Fuzz(func(t *testing.T, price int64, items []byte, ds, dc, ls, lc int64, flags byte) {
 		terms, _ := fuzzTerms(price, items)
 		bands := exchange.Bands{
@@ -109,9 +116,14 @@ func FuzzSchedule(f *testing.F) {
 				t.Fatalf("non-positive payment step %v", s)
 			}
 		}
-		// And the plan must satisfy the very bands it was scheduled under.
-		if _, err := exchange.Validate(terms, bands, plan.Steps); err != nil {
+		// And the plan must satisfy the very bands it was scheduled under,
+		// with the report its construction accumulated.
+		rep, err := exchange.Validate(terms, bands, plan.Steps)
+		if err != nil {
 			t.Fatalf("returned plan violates its own bands: %v", err)
+		}
+		if rep != plan.Report {
+			t.Fatalf("constructed report %+v, replay %+v\nsteps: %v", plan.Report, rep, plan.Steps)
 		}
 	})
 }
@@ -122,13 +134,18 @@ func FuzzSchedule(f *testing.F) {
 // produced the plan must match, and the caps callback must run exactly once
 // when the safe attempt proves no safe sequence exists, and never otherwise.
 // Flag bits 8 and 16 swap in math.MaxInt64 and Unlimited slacks, the values
-// rangeAt's overflow checks exist for.
+// rangeAt's overflow checks exist for. Flag bit 32 plans into a dirty
+// destination with room for every plan: a returned plan is written into
+// it, and it is left untouched when no plan is returned.
 func FuzzScheduleSafeElse(f *testing.F) {
 	f.Add(int64(10*goods.Unit), []byte{8, 12, 4, 2, 0, 9}, int64(goods.Unit), int64(0), int64(0), int64(0), byte(0))
 	f.Add(int64(3*goods.Unit), []byte{0, 5, 3, 0}, int64(0), int64(0), int64(2*goods.Unit), int64(goods.Unit), byte(4))
 	f.Add(int64(0), []byte{}, int64(-1), int64(5), int64(5), int64(5), byte(0))
 	f.Add(int64(5*goods.Unit), []byte{9, 12, 7, 9}, int64(0), int64(0), int64(-1), int64(0), byte(0))
 	f.Add(int64(goods.Unlimited/3), []byte{1, 1}, int64(0), int64(0), int64(0), int64(0), byte(24))
+	f.Add(int64(10*goods.Unit), []byte{8, 12, 4, 2, 0, 9}, int64(goods.Unit), int64(0), int64(0), int64(0), byte(32))
+	f.Add(int64(3*goods.Unit), []byte{0, 5, 3, 0}, int64(0), int64(0), int64(2*goods.Unit), int64(goods.Unit), byte(36))
+	f.Add(int64(5*goods.Unit), []byte{9, 12, 7, 9}, int64(0), int64(0), int64(-1), int64(0), byte(32))
 	f.Fuzz(func(t *testing.T, price int64, items []byte, ds, dc, ls, lc int64, flags byte) {
 		terms, _ := fuzzTerms(price, items)
 		stakes := exchange.Stakes{Supplier: fuzzMoney(ds), Consumer: fuzzMoney(dc)}
@@ -143,11 +160,27 @@ func FuzzScheduleSafeElse(f *testing.F) {
 		if flags&4 != 0 {
 			opt.Policy = exchange.PayEager
 		}
+		var dst, dirty exchange.Sequence
+		if flags&32 != 0 {
+			dst = make(exchange.Sequence, 1, 2*terms.Bundle.Len()+1)
+			for i := range dst[:cap(dst)] {
+				dst[:cap(dst)][i] = exchange.Step{Kind: exchange.StepPay, Amount: goods.Money(-1 - i)}
+			}
+			dirty = append(exchange.Sequence(nil), dst[:cap(dst)]...)
+		}
 		calls := 0
-		plan, safe, err := exchange.ScheduleSafeElse(terms, stakes, opt, func() exchange.ExposureCaps {
+		plan, safe, err := exchange.ScheduleSafeElse(dst, terms, stakes, opt, func() exchange.ExposureCaps {
 			calls++
 			return caps
 		})
+		if dst != nil {
+			switch {
+			case err != nil && !reflect.DeepEqual(dst[:cap(dst)], dirty):
+				t.Fatalf("failed call wrote into its destination: %v", dst[:cap(dst)])
+			case err == nil && len(plan.Steps) > 0 && &plan.Steps[0] != &dst[:1][0]:
+				t.Fatalf("plan of %d steps not written into a destination of capacity %d", len(plan.Steps), cap(dst))
+			}
+		}
 
 		want, wantErr := exchange.ScheduleSafe(terms, stakes, opt)
 		wantSafe := wantErr == nil

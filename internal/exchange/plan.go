@@ -60,6 +60,51 @@ type Plan struct {
 	Report Report
 }
 
+// Report summarises a plan: the realised worst-case exposures, the tightest
+// band margin, and defection temptations. All quantities are maxima/minima
+// over every intermediate state of the exchange.
+type Report struct {
+	Payments   int
+	Deliveries int
+	TotalPaid  goods.Money
+
+	// MaxConsumerExposure is max over states of m − Vc(D): the most the
+	// consumer stood to lose had the supplier defected at the worst moment.
+	MaxConsumerExposure goods.Money
+	// MaxSupplierExposure is max over states of Vs(D) − m.
+	MaxSupplierExposure goods.Money
+	// MinSlack is the minimum over states of distance to either band edge —
+	// how close the schedule sails to a violation.
+	MinSlack goods.Money
+	// MaxSupplierTemptation is max over states of the supplier's defection
+	// gain minus completion gain, (m − Vs(D)) − (P − Vs(G)). A safe schedule
+	// keeps this ≤ δs.
+	MaxSupplierTemptation goods.Money
+	// MaxConsumerTemptation is max over states of (Vc(D) − m) − (Vc(G) − P).
+	MaxConsumerTemptation goods.Money
+}
+
+// emptyReport is the report of no state yet: every maximum at its floor and
+// the slack at its ceiling, so the first observed state sets each one.
+var emptyReport = Report{
+	MaxConsumerExposure:   -goods.Unlimited,
+	MaxSupplierExposure:   -goods.Unlimited,
+	MinSlack:              goods.Unlimited,
+	MaxSupplierTemptation: -goods.Unlimited,
+	MaxConsumerTemptation: -goods.Unlimited,
+}
+
+// observe folds one state of the exchange into the report: m paid, items of
+// total cost cd and worth wd delivered, and the band [lo, hi] at that
+// delivered set.
+func (r *Report) observe(c bandCtx, m, cd, wd, lo, hi goods.Money) {
+	r.MaxConsumerExposure = goods.MaxMoney(r.MaxConsumerExposure, m-wd)
+	r.MaxSupplierExposure = goods.MaxMoney(r.MaxSupplierExposure, cd-m)
+	r.MinSlack = goods.MinMoney(r.MinSlack, goods.MinMoney(m.SubSat(lo), hi.SubSat(m)))
+	r.MaxSupplierTemptation = goods.MaxMoney(r.MaxSupplierTemptation, (m-cd)-(c.price-c.totalCost))
+	r.MaxConsumerTemptation = goods.MaxMoney(r.MaxConsumerTemptation, (wd-m)-(c.totalWorth-c.price))
+}
+
 // PlanForOrder builds the payment interleaving for a fixed delivery order
 // and validates it against the bands. The order must be a permutation of the
 // bundle items; an order that names an item outside the bundle, or names
@@ -68,12 +113,14 @@ type Plan struct {
 // plan — note that a different order may still be feasible; use Schedule to
 // search over orders.
 func PlanForOrder(t Terms, b Bands, order []goods.Item, opt Options) (Plan, error) {
-	if err := t.Validate(); err != nil {
+	ctx, err := t.validate()
+	if err != nil {
 		return Plan{}, err
 	}
 	if err := b.Validate(); err != nil {
 		return Plan{}, err
 	}
+	ctx.bands = b
 	sc := getScratch()
 	defer putScratch(sc)
 	// rangeAt needs delivered prefixes of bundle items.
@@ -85,35 +132,36 @@ func PlanForOrder(t Terms, b Bands, order []goods.Item, opt Options) (Plan, erro
 		}
 		idx.deliver(k)
 	}
-	return planForOrderCtx(newBandCtx(t, b), t, b, order, opt, sc, true)
+	return planForOrderCtx(ctx, nil, t, order, opt, sc, true)
 }
 
 // planForOrderCtx is PlanForOrder after input validation, with the band
-// context (cached bundle totals) and scratch buffers supplied by the caller
-// so Schedule pays for neither more than once across its candidate orders.
-// explain selects paymentsForOrder's detailed infeasibility error over the
-// unformatted errOrderInfeasible.
-func planForOrderCtx(ctx bandCtx, t Terms, b Bands, order []goods.Item, opt Options, sc *schedScratch, explain bool) (Plan, error) {
+// context (the bands and the bundle's totals) and scratch buffers supplied
+// by the caller so Schedule pays for neither more than once across its
+// candidate orders. The plan's steps are written into dst when it has room,
+// and into a new slice of their exact length otherwise; dst is left
+// untouched when no plan is returned. explain selects paymentsForOrder's
+// detailed infeasibility error over the unformatted errOrderInfeasible.
+func planForOrderCtx(ctx bandCtx, dst Sequence, t Terms, order []goods.Item, opt Options, sc *schedScratch, explain bool) (Plan, error) {
 	if len(order) != t.Bundle.Len() {
 		return Plan{}, fmt.Errorf("exchange: order has %d items, bundle has %d", len(order), t.Bundle.Len())
 	}
-	scratch, err := paymentsForOrder(ctx, t.Price, order, opt, sc.seq[:0], explain)
-	sc.seq = scratch[:0] // keep any capacity growth for the next attempt
+	built, rep, err := paymentsForOrder(ctx, order, opt, sc.seq[:0], explain)
+	sc.seq = built[:0] // keep any capacity growth for the next attempt
 	if err != nil {
 		return Plan{}, err
 	}
-	// The constructed plan escapes; give it an exactly-sized private slice.
-	seq := make(Sequence, len(scratch))
-	copy(seq, scratch)
-	rep, err := validateSeq(ctx, t, seq, sc.itemIndex(t.Bundle))
-	if err != nil {
-		return Plan{}, fmt.Errorf("exchange: internal: constructed plan failed validation: %w", err)
+	seq := dst[:0]
+	if cap(seq) < len(built) {
+		seq = make(Sequence, 0, len(built))
 	}
-	return Plan{Terms: t, Bands: b, Steps: seq, Report: rep}, nil
+	seq = append(seq, built...)
+	return Plan{Terms: t, Bands: ctx.bands, Steps: seq, Report: rep}, nil
 }
 
 // paymentsForOrder interleaves payments with the given delivery order,
-// appending into seq (pass a zero-length buffer to reuse its capacity).
+// appending into seq (pass a zero-length buffer to reuse its capacity), and
+// reports the plan it builds.
 //
 // Invariants maintained (see DESIGN.md): the band's upper edge is
 // non-decreasing in the delivered set, so once m ≤ hi holds it holds forever;
@@ -121,59 +169,73 @@ func planForOrderCtx(ctx bandCtx, t Terms, b Bands, order []goods.Item, opt Opti
 // raises m to the edge. A delivery of x from delivered-set D is therefore
 // admissible iff lo(D∪{x}) ≤ hi(D), and an order is feasible iff every step
 // satisfies that inequality plus the boundary conditions at start and end.
+// So every state the construction reaches lies inside its band, and the
+// report observes each one as it is reached: the initial state, each payment
+// at the band of the delivered set it is made in, and each delivery at the
+// band of the set it completes. That band is the next delivery's starting
+// band, so each step evaluates one band.
 //
 // An infeasible order yields a detailed error when explain is set, and the
 // preformatted errOrderInfeasible otherwise, for callers that only need to
 // know the order failed.
-func paymentsForOrder(ctx bandCtx, price goods.Money, order []goods.Item, opt Options, seq Sequence, explain bool) (Sequence, error) {
+func paymentsForOrder(ctx bandCtx, order []goods.Item, opt Options, seq Sequence, explain bool) (Sequence, Report, error) {
+	price := ctx.price
 	var m, cd, wd goods.Money
-	lo0, hi0 := ctx.rangeAt(0, 0)
-	if m < lo0 || m > hi0 {
+	lo, hi := ctx.rangeAt(0, 0)
+	if m < lo || m > hi {
 		if !explain {
-			return seq, errOrderInfeasible
+			return seq, Report{}, errOrderInfeasible
 		}
-		return seq, fmt.Errorf("%w: initial state outside band [%v, %v]", ErrNoFeasibleSequence, lo0, hi0)
+		return seq, Report{}, fmt.Errorf("%w: initial state outside band [%v, %v]", ErrNoFeasibleSequence, lo, hi)
 	}
 	if need := len(seq) + 2*len(order) + 1; cap(seq) < need {
 		grown := make(Sequence, len(seq), need)
 		copy(grown, seq)
 		seq = grown
 	}
+	rep := emptyReport
+	rep.observe(ctx, m, cd, wd, lo, hi)
 	for _, it := range order {
-		_, hiHere := ctx.rangeAt(cd, wd)
-		loNext, _ := ctx.rangeAt(cd+it.Cost, wd+it.Worth)
-		if loNext > hiHere {
+		loNext, hiNext := ctx.rangeAt(cd+it.Cost, wd+it.Worth)
+		if loNext > hi {
 			if !explain {
-				return seq, errOrderInfeasible
+				return seq, Report{}, errOrderInfeasible
 			}
-			return seq, fmt.Errorf("%w: delivering %q needs m ≥ %v but band tops out at %v", ErrNoFeasibleSequence, it.ID, loNext, hiHere)
+			return seq, Report{}, fmt.Errorf("%w: delivering %q needs m ≥ %v but band tops out at %v", ErrNoFeasibleSequence, it.ID, loNext, hi)
 		}
-		target := paymentTarget(m, loNext, hiHere, price, opt)
-		if target > m {
+		if target := paymentTarget(m, loNext, hi, price, opt); target > m {
 			seq = append(seq, Step{Kind: StepPay, Amount: target - m})
 			m = target
+			rep.Payments++
+			rep.observe(ctx, m, cd, wd, lo, hi)
 		}
 		seq = append(seq, Step{Kind: StepDeliver, Item: it})
 		cd += it.Cost
 		wd += it.Worth
+		lo, hi = loNext, hiNext
+		rep.Deliveries++
+		rep.observe(ctx, m, cd, wd, lo, hi)
 	}
 	if m > price {
 		if !explain {
-			return seq, errOrderInfeasible
+			return seq, Report{}, errOrderInfeasible
 		}
-		return seq, fmt.Errorf("%w: cumulative payments %v exceed price %v", ErrNoFeasibleSequence, m, price)
+		return seq, Report{}, fmt.Errorf("%w: cumulative payments %v exceed price %v", ErrNoFeasibleSequence, m, price)
 	}
 	if m < price {
-		loEnd, hiEnd := ctx.rangeAt(cd, wd)
-		if price < loEnd || price > hiEnd {
+		if price < lo || price > hi {
 			if !explain {
-				return seq, errOrderInfeasible
+				return seq, Report{}, errOrderInfeasible
 			}
-			return seq, fmt.Errorf("%w: final settlement %v outside band [%v, %v]", ErrNoFeasibleSequence, price, loEnd, hiEnd)
+			return seq, Report{}, fmt.Errorf("%w: final settlement %v outside band [%v, %v]", ErrNoFeasibleSequence, price, lo, hi)
 		}
 		seq = append(seq, Step{Kind: StepPay, Amount: price - m})
+		m = price
+		rep.Payments++
+		rep.observe(ctx, m, cd, wd, lo, hi)
 	}
-	return seq, nil
+	rep.TotalPaid = m
+	return seq, rep, nil
 }
 
 // errOrderInfeasible is paymentsForOrder's unformatted failure.

@@ -29,24 +29,28 @@ func ScheduleSafe(t Terms, s Stakes, opt Options) (Plan, error) {
 // and schedule inside the returned exposure caps, as ScheduleTrustAware does.
 // safe reports which attempt produced the plan. The results equal
 // ScheduleSafe followed, on ErrNoSafeSequence, by ScheduleTrustAware — with
-// no error built between them and no second validation of the terms.
-func ScheduleSafeElse(t Terms, s Stakes, opt Options, caps func() ExposureCaps) (plan Plan, safe bool, err error) {
-	if err := t.Validate(); err != nil {
+// no error built between them, no second validation of the terms and the
+// bundle's totals summed once for both attempts. The plan's steps are
+// written into dst when it has room (pass nil for a fresh slice), and dst
+// is left untouched when no plan is returned.
+func ScheduleSafeElse(dst Sequence, t Terms, s Stakes, opt Options, caps func() ExposureCaps) (plan Plan, safe bool, err error) {
+	ctx, err := t.validate()
+	if err != nil {
 		return Plan{}, false, err
 	}
-	b := SafeBands(s)
-	if err := b.Validate(); err != nil {
+	ctx.bands = SafeBands(s)
+	if err := ctx.bands.Validate(); err != nil {
 		return Plan{}, false, err
 	}
-	plan, err = schedule(t, b, opt)
+	plan, err = schedule(ctx, dst, t, opt)
 	if !errors.Is(err, ErrNoFeasibleSequence) {
 		return plan, err == nil, err
 	}
-	b = TrustAwareBands(caps())
-	if err := b.Validate(); err != nil {
+	ctx.bands = TrustAwareBands(caps())
+	if err := ctx.bands.Validate(); err != nil {
 		return Plan{}, false, err
 	}
-	plan, err = schedule(t, b, opt)
+	plan, err = schedule(ctx, dst, t, opt)
 	return plan, false, err
 }
 
@@ -83,35 +87,38 @@ func ScheduleTrustAware(t Terms, c ExposureCaps, opt Options) (Plan, error) {
 //
 // The overall cost is O(n²) for the common case; the exact search only runs
 // when every heuristic order fails. The hot path is allocation-lean: sorted
-// item views, the payment construction buffer and the replay's
-// delivered-item bitset all come from a pooled scratch, and candidate orders
-// are derived lazily from at most two sorts, so a call that succeeds on its
-// first candidate allocates only the returned plan. The replay finds each
-// delivered item by binary search in the cost-sorted view the first
-// candidate already needed, so no string is hashed. A rejected candidate order formats no message, so a
-// call that fails by one of the first two proofs allocates nothing; the
-// error names the proof that fired.
+// item views and the payment construction buffer come from a pooled
+// scratch, and candidate orders are derived lazily from at most two sorts,
+// so a call that succeeds on its first candidate allocates only the
+// returned plan. The plan's Report is accumulated by the pass that builds
+// the plan, which evaluates one band per step; nothing replays the plan. A
+// rejected candidate order formats no message, so a call that fails by one
+// of the first two proofs allocates nothing; the error names the proof that
+// fired.
 func Schedule(t Terms, b Bands, opt Options) (Plan, error) {
-	if err := t.Validate(); err != nil {
+	ctx, err := t.validate()
+	if err != nil {
 		return Plan{}, err
 	}
 	if err := b.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return schedule(t, b, opt)
+	ctx.bands = b
+	return schedule(ctx, nil, t, opt)
 }
 
-// schedule is Schedule on terms and bands already validated: rangeAt's
-// arithmetic relies on both.
-func schedule(t Terms, b Bands, opt Options) (Plan, error) {
-	ctx := newBandCtx(t, b)
+// schedule is Schedule on terms and bands already validated, whose band
+// context ctx holds (rangeAt's arithmetic relies on both), writing the
+// plan's steps into dst as planForOrderCtx does.
+func schedule(ctx bandCtx, dst Sequence, t Terms, opt Options) (Plan, error) {
+	b := ctx.bands
 	if !ctx.someItemCanGoLast(t.Bundle.Items) {
 		return Plan{}, errNoLastDelivery
 	}
 	sc := getScratch()
 	defer putScratch(sc)
 	for i, kind := range candidateKinds(b) {
-		plan, err := planForOrderCtx(ctx, t, b, sc.orderOf(kind, t.Bundle), opt, sc, false)
+		plan, err := planForOrderCtx(ctx, dst, t, sc.orderOf(kind, t.Bundle), opt, sc, false)
 		if err == nil {
 			return plan, nil
 		}
@@ -126,7 +133,7 @@ func schedule(t Terms, b Bands, opt Options) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	return planForOrderCtx(ctx, t, b, order, opt, sc, true)
+	return planForOrderCtx(ctx, dst, t, order, opt, sc, true)
 }
 
 // Schedule's static infeasibility proofs: fixed messages, so returning one

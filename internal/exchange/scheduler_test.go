@@ -3,7 +3,9 @@ package exchange
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"trustcoop/internal/goods"
@@ -325,23 +327,82 @@ func TestSafeInfeasibleImpliesCombinedInfeasible(t *testing.T) {
 	}
 }
 
+// TestScheduledPlansAlwaysValidate: every plan the scheduler returns passes
+// the replay, and the Report its construction accumulated equals the
+// replay's field for field. The inputs cover both payment policies, a
+// quantum, all three band families, math.MaxInt64 and Unlimited slacks,
+// caller-chosen orders through PlanForOrder, and plans built on the exact
+// search's order because every heuristic order failed.
 func TestScheduledPlansAlwaysValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 200; trial++ {
-		tm := randomBeneficialTerms(rng, 1+rng.Intn(10), true)
-		bands := randomBands(rng)
-		plan, err := Schedule(tm, bands, Options{})
-		if err != nil {
-			continue
-		}
+	check := func(trial int, how string, tm Terms, bands Bands, plan Plan) {
+		t.Helper()
 		rep, err := Validate(tm, bands, plan.Steps)
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("trial %d, %s: %v", trial, how, err)
 		}
 		if rep != plan.Report {
-			t.Fatalf("trial %d: report mismatch: %+v vs %+v", trial, rep, plan.Report)
+			t.Fatalf("trial %d, %s: constructed report %+v, replay %+v\nterms %+v bands %+v steps %v",
+				trial, how, plan.Report, rep, tm, bands, plan.Steps)
 		}
 	}
+	var scheduled, boundary, ordered, searched int
+	for trial := 0; trial < 3000; trial++ {
+		tm := randomBeneficialTerms(rng, 1+rng.Intn(10), trial%2 == 1)
+		bands := randomBands(rng)
+		if rng.Intn(4) == 0 {
+			// A boundary slack on one side of each family, the other side
+			// unchanged.
+			huge := []goods.Money{math.MaxInt64, goods.Unlimited}[rng.Intn(2)]
+			if rng.Intn(2) == 0 {
+				bands.Stakes.Supplier, bands.Caps.Consumer = huge, huge
+			} else {
+				bands.Stakes.Consumer, bands.Caps.Supplier = huge, huge
+			}
+			boundary++
+		}
+		var opt Options
+		if rng.Intn(2) == 0 {
+			opt.Policy = PayEager
+		}
+		if rng.Intn(3) == 0 {
+			opt.Quantum = goods.Money(1 + rng.Intn(7))
+		}
+		if plan, err := Schedule(tm, bands, opt); err == nil {
+			check(trial, "Schedule", tm, bands, plan)
+			scheduled++
+			if heuristicOrdersFail(tm, bands, opt) {
+				searched++
+			}
+		}
+		order := append([]goods.Item(nil), tm.Bundle.Items...)
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if plan, err := PlanForOrder(tm, bands, order, opt); err == nil {
+			check(trial, "PlanForOrder", tm, bands, plan)
+			ordered++
+		}
+	}
+	t.Logf("%d plans scheduled (%d trials with boundary slacks), %d by caller-chosen order, %d on the exact search's order",
+		scheduled, boundary, ordered, searched)
+	if scheduled < 1000 || boundary < 500 || ordered < 500 || searched < 50 {
+		t.Errorf("%d plans scheduled (%d trials with boundary slacks), %d by caller-chosen order, %d on the exact search's order: the property proves little",
+			scheduled, boundary, ordered, searched)
+	}
+}
+
+// heuristicOrdersFail reports whether every order of Schedule's portfolio
+// for the bands admits no plan, so a plan Schedule returns was built on the
+// exact search's order.
+func heuristicOrdersFail(tm Terms, bands Bands, opt Options) bool {
+	sc := getScratch()
+	defer putScratch(sc)
+	for _, kind := range candidateKinds(bands) {
+		order := append([]goods.Item(nil), sc.orderOf(kind, tm.Bundle)...)
+		if _, err := PlanForOrder(tm, bands, order, opt); err == nil {
+			return false
+		}
+	}
+	return true
 }
 
 func TestLazyNeverWorseThanEagerForConsumer(t *testing.T) {
@@ -446,6 +507,26 @@ func TestLawlerReferenceMatchesSortedFastPath(t *testing.T) {
 			if fast[i] != ref[i] {
 				t.Fatalf("trial %d: order differs at %d: %v vs %v\nbundle %+v", trial, i, fast[i], ref[i], tm.Bundle)
 			}
+		}
+	}
+}
+
+// TestSortByCostMatchesCompareByCost: the scheduler's cost order, sorted by
+// insertion up to insertionSortMax items and generically above, is
+// goods.CompareByCost's order, on bundles of every size up to twice the
+// cut-over with many cost ties broken by IDs of shared prefixes.
+func TestSortByCostMatchesCompareByCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 2000; trial++ {
+		items := make([]goods.Item, rng.Intn(2*insertionSortMax+1))
+		for i, k := range rng.Perm(len(items)) {
+			items[i] = goods.Item{ID: fmt.Sprintf("g%d", k), Cost: goods.Money(rng.Intn(4)), Worth: goods.Money(rng.Intn(9))}
+		}
+		want := slices.Clone(items)
+		slices.SortFunc(want, goods.CompareByCost)
+		sortByCost(items)
+		if !slices.Equal(items, want) {
+			t.Fatalf("trial %d: sortByCost = %v, want %v", trial, items, want)
 		}
 	}
 }

@@ -16,19 +16,28 @@ type Terms struct {
 
 // Validate checks the bundle invariants and that the price is non-negative.
 func (t Terms) Validate() error {
+	_, err := t.validate()
+	return err
+}
+
+// validate is Validate returning, for valid terms, their band context with
+// no band enabled yet: the bundle's totals are summed once, for the check
+// and for every band the caller then evaluates.
+func (t Terms) validate() (bandCtx, error) {
 	if err := t.Bundle.Validate(); err != nil {
-		return fmt.Errorf("exchange: terms: %w", err)
+		return bandCtx{}, fmt.Errorf("exchange: terms: %w", err)
 	}
 	if t.Price < 0 {
-		return fmt.Errorf("exchange: terms: negative price %v", t.Price)
+		return bandCtx{}, fmt.Errorf("exchange: terms: negative price %v", t.Price)
 	}
 	// Keep all band arithmetic far from the saturation threshold so safety
 	// comparisons stay exact.
 	const maxMagnitude = goods.Unlimited / 4
-	if t.Price > maxMagnitude || t.Bundle.TotalCost() > maxMagnitude || t.Bundle.TotalWorth() > maxMagnitude {
-		return fmt.Errorf("exchange: terms: valuations exceed supported magnitude %v", maxMagnitude)
+	ctx := newBandCtx(t, Bands{})
+	if t.Price > maxMagnitude || ctx.totalCost > maxMagnitude || ctx.totalWorth > maxMagnitude {
+		return bandCtx{}, fmt.Errorf("exchange: terms: valuations exceed supported magnitude %v", maxMagnitude)
 	}
-	return nil
+	return ctx, nil
 }
 
 // SupplierGain is the supplier's gain from completing: P − Vs(G).

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 )
 
 // Validate is validateSeq behind a fresh band context and bundle index:
-// the replay check the tests hold every scheduled plan to. It validates the
-// terms and bands first, as an untrusted plan needs.
+// the replay the tests hold every scheduled plan, and the Report its
+// construction accumulated, to. It validates the terms and bands first, as
+// an untrusted plan needs.
 func Validate(t Terms, b Bands, seq Sequence) (Report, error) {
 	if err := t.Validate(); err != nil {
 		return Report{}, err
@@ -21,6 +23,94 @@ func Validate(t Terms, b Bands, seq Sequence) (Report, error) {
 	sc := getScratch()
 	defer putScratch(sc)
 	return validateSeq(newBandCtx(t, b), t, seq, sc.itemIndex(t.Bundle))
+}
+
+// ViolationError describes the first band or structure violation found while
+// replaying a sequence.
+type ViolationError struct {
+	StepIndex int // index into the sequence; −1 for the initial state
+	Reason    string
+	M         goods.Money // cumulative payment at the violation
+	Lo, Hi    goods.Money // band edges at the violation
+}
+
+// Error implements the error interface.
+func (e *ViolationError) Error() string {
+	return fmt.Sprintf("exchange: step %d: %s (m=%v band=[%v, %v])", e.StepIndex, e.Reason, e.M, e.Lo, e.Hi)
+}
+
+// validateSeq replays seq against the terms and bands, checking after the
+// initial state and every step that the cumulative payment stays inside the
+// admissible band, that each bundle item is delivered exactly once, that
+// payments are positive, and that the total paid equals the price. It
+// returns the replay report, or a *ViolationError describing the first
+// violation; it marks want's items delivered. The scheduler never replays
+// its plans: it builds each one's Report as it builds the plan, and this
+// independent replay is the oracle that Report is held to.
+func validateSeq(ctx bandCtx, t Terms, seq Sequence, want itemIndex) (Report, error) {
+	rep := Report{
+		MaxConsumerExposure:   -goods.Unlimited,
+		MaxSupplierExposure:   -goods.Unlimited,
+		MinSlack:              goods.Unlimited,
+		MaxSupplierTemptation: -goods.Unlimited,
+		MaxConsumerTemptation: -goods.Unlimited,
+	}
+	var m, cd, wd goods.Money
+	supplierCompletion := t.SupplierGain()
+	consumerCompletion := t.ConsumerGain()
+
+	observe := func(idx int) *ViolationError {
+		lo, hi := ctx.rangeAt(cd, wd)
+		if m < lo || m > hi {
+			return &ViolationError{StepIndex: idx, Reason: "payment outside admissible band", M: m, Lo: lo, Hi: hi}
+		}
+		rep.MaxConsumerExposure = goods.MaxMoney(rep.MaxConsumerExposure, m-wd)
+		rep.MaxSupplierExposure = goods.MaxMoney(rep.MaxSupplierExposure, cd-m)
+		slack := goods.MinMoney(m.SubSat(lo), hi.SubSat(m))
+		rep.MinSlack = goods.MinMoney(rep.MinSlack, slack)
+		rep.MaxSupplierTemptation = goods.MaxMoney(rep.MaxSupplierTemptation, (m-cd)-supplierCompletion)
+		rep.MaxConsumerTemptation = goods.MaxMoney(rep.MaxConsumerTemptation, (wd-m)-consumerCompletion)
+		return nil
+	}
+
+	if v := observe(-1); v != nil {
+		return Report{}, v
+	}
+	for i, s := range seq {
+		switch s.Kind {
+		case StepPay:
+			if s.Amount <= 0 {
+				return Report{}, &ViolationError{StepIndex: i, Reason: fmt.Sprintf("non-positive payment %v", s.Amount), M: m}
+			}
+			m += s.Amount
+			rep.Payments++
+			rep.TotalPaid += s.Amount
+		case StepDeliver:
+			k, ok := want.lookup(s.Item)
+			if !ok {
+				return Report{}, &ViolationError{StepIndex: i, Reason: fmt.Sprintf("item %q not in bundle or delivered twice", s.Item.ID), M: m}
+			}
+			if want.byCost[k] != s.Item {
+				return Report{}, &ViolationError{StepIndex: i, Reason: fmt.Sprintf("item %q valuations differ from agreed terms", s.Item.ID), M: m}
+			}
+			want.deliver(k)
+			cd += s.Item.Cost
+			wd += s.Item.Worth
+			rep.Deliveries++
+		default:
+			return Report{}, &ViolationError{StepIndex: i, Reason: fmt.Sprintf("unknown step kind %v", s.Kind), M: m}
+		}
+		if v := observe(i); v != nil {
+			return Report{}, v
+		}
+	}
+	if left := len(want.byCost) - rep.Deliveries; left > 0 {
+		return Report{}, &ViolationError{StepIndex: len(seq), Reason: fmt.Sprintf("%d items never delivered", left), M: m}
+	}
+	if m != t.Price {
+		return Report{}, &ViolationError{StepIndex: len(seq), Reason: fmt.Sprintf("total paid %v differs from price %v", m, t.Price), M: m}
+	}
+	return rep, nil
 }
 
 // TotalPaid sums the payment steps.

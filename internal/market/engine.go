@@ -43,6 +43,14 @@ type Engine struct {
 	sim     *netsim.Simulator
 	net     *netsim.Network
 
+	// pairs holds the parties of the next pairsLeft sessions, supplier then
+	// consumer, the next at pairs[2*(pairBatch-pairsLeft)]. drawPairs
+	// refills it from pairRng, in session-ID order, pairBatch pairs at a
+	// time. Pairs drawn beyond the last session are never used, and pairRng
+	// serves nothing else, so drawing ahead changes no draw.
+	pairs     [2 * pairBatch]party
+	pairsLeft int
+
 	// outcomes is the outcome log, by agent index; Ledger builds the
 	// reputation.Events from it on demand.
 	outcomes outcomeLog
@@ -96,7 +104,7 @@ type Engine struct {
 // sessionKit is what a finished session leaves for a later one: its
 // stream, which startSession reseeds (the seedmix source makes that O(1),
 // and the stream equals a fresh math/rand source's), and its plan's backing
-// array, which a naive plan is written into.
+// array, which a naive or trust-aware plan is written into.
 type sessionKit struct {
 	rng   *rand.Rand
 	steps exchange.Sequence
@@ -104,14 +112,15 @@ type sessionKit struct {
 
 // session is the live state of one exchange. It carries all that its steps
 // and finish read of the two parties, so a party's agent record is read
-// once per session, in startSession: both records together, so their cache
-// misses overlap, kept as a party with the completion gain the step path
-// would otherwise re-sum from the bundle. No code changes an agent while a
-// run is going, so reading it once changes nothing. The session itself is
-// the step message its parties send each other: a pointer boxes into
-// netsim.Message without allocating, and since a session is never reused,
-// a step delivered after it finished still finds done set. Its stream and
-// plan are reused, so finish nils both.
+// once per session, by drawPairs: the records of pairBatch sessions
+// together, so their cache misses overlap, kept as a party to which
+// startSession adds the completion gain the step path would otherwise
+// re-sum from the bundle. No code changes an agent while a run is going,
+// so reading it once changes nothing. The session itself is the step
+// message its parties send each other: a pointer boxes into netsim.Message
+// without allocating, and since a session is never reused, a step
+// delivered after it finished still finds done set. Its stream and plan
+// are reused, so finish nils both.
 type session struct {
 	id       int
 	rng      *rand.Rand        // per-session stream: bundle, defections, network draws; nil once finished
@@ -137,6 +146,9 @@ type party struct {
 func newParty(i int, a *agent.Agent) party {
 	return party{id: a.ID, idx: int32(i), liar: a.LiesAsWitness, stake: a.Stake, beh: a.Behavior}
 }
+
+// pairBatch is how many sessions' parties drawPairs reads together.
+const pairBatch = 16
 
 // sessionTimeout is a session's timeout timer: the session pointer under a
 // second type, so it boxes into netsim.Message without allocating and
@@ -469,11 +481,14 @@ func (e *Engine) startSession(id int) error {
 	} else {
 		kit.rng = seedmix.NewRand(seed)
 	}
-	supIdx, conIdx, err := e.pickPair()
-	if err != nil {
-		return err
+	if e.pairsLeft == 0 {
+		if err := e.drawPairs(); err != nil {
+			return err
+		}
 	}
-	sup, con := newParty(supIdx, e.agents[supIdx]), newParty(conIdx, e.agents[conIdx])
+	next := 2 * (pairBatch - e.pairsLeft)
+	e.pairsLeft--
+	sup, con := e.pairs[next], e.pairs[next+1]
 	bundle, err := goods.GenerateInto(e.bundle, e.cfg.Gen, kit.rng)
 	if err != nil {
 		return err
@@ -514,6 +529,30 @@ func (e *Engine) startSession(id int) error {
 	return nil
 }
 
+// drawPairs reads the parties of the next pairBatch sessions into pairs. It
+// draws every pair first, then looks up every agent, then reads every
+// record, so the cache misses of each stage overlap instead of queueing
+// behind one another.
+func (e *Engine) drawPairs() error {
+	var idx [2 * pairBatch]int
+	for k := 0; k < len(idx); k += 2 {
+		sup, con, err := e.pickPair()
+		if err != nil {
+			return err
+		}
+		idx[k], idx[k+1] = sup, con
+	}
+	var recs [2 * pairBatch]*agent.Agent
+	for k, i := range idx {
+		recs[k] = e.agents[i]
+	}
+	for k, a := range recs {
+		e.pairs[k] = newParty(idx[k], a)
+	}
+	e.pairsLeft = pairBatch
+	return nil
+}
+
 // pickPair draws two distinct agent indices from the pairing stream.
 func (e *Engine) pickPair() (sup, con int, err error) {
 	if len(e.agents) < 2 {
@@ -528,7 +567,8 @@ func (e *Engine) pickPair() (sup, con int, err error) {
 }
 
 // plan schedules the session between sup and con according to the
-// strategy. A naive plan is written into buf.
+// strategy. A naive or trust-aware plan is written into buf when it has
+// room.
 func (e *Engine) plan(sup, con *party, terms exchange.Terms, buf exchange.Sequence) (exchange.Sequence, core.PlanResult, error) {
 	switch e.cfg.Strategy {
 	case StrategyNaive:
@@ -547,7 +587,7 @@ func (e *Engine) plan(sup, con *party, terms exchange.Terms, buf exchange.Sequen
 		}
 		return plan.Steps, core.PlanResult{Plan: plan, Mode: core.ModeSafe}, nil
 	default: // StrategyTrustAware
-		res, err := planner.PlanExchange(e.participant(int(sup.idx)), e.participant(int(con.idx)), terms)
+		res, err := planner.PlanExchangeInto(buf, e.participant(int(sup.idx)), e.participant(int(con.idx)), terms)
 		if err != nil {
 			if errors.Is(err, core.ErrNoAgreement) {
 				return nil, core.PlanResult{}, errNoTrade

@@ -1,10 +1,13 @@
 package market
 
 import (
+	"slices"
 	"testing"
 
 	"trustcoop/internal/agent"
 	"trustcoop/internal/goods"
+	"trustcoop/internal/reputation"
+	"trustcoop/internal/seedmix"
 	"trustcoop/internal/trust"
 )
 
@@ -29,6 +32,59 @@ func TestPickPairErrorsOnTinyPopulation(t *testing.T) {
 	}
 	if sup == con || sup < 0 || con < 0 || sup >= len(agents) || con >= len(agents) {
 		t.Errorf("pickPair returned indices %d, %d; want two distinct agents", sup, con)
+	}
+}
+
+// TestPairingMatchesStream: session k's parties are the k-th pair of the
+// pairing stream, drawn as perfbench's replay draws it (in session-ID
+// order, one Intn for the supplier and one for the consumer over the rest),
+// whether the engine runs whole or window by window. The windows and the
+// session budget end partway through the engine's batches of pairBatch
+// pairs, so a batch drawn ahead must neither skip nor repeat a pair.
+func TestPairingMatchesStream(t *testing.T) {
+	const seed, sessions = 7, 12*pairBatch + 11
+	pop := population(t, agent.PopConfig{Honest: 30, Opportunist: 20}, 3)
+	rng := seedmix.NewRand(seedmix.Derive(seed, 0))
+	want := make([][2]trust.PeerID, sessions)
+	for k := range want {
+		i := rng.Intn(len(pop))
+		j := rng.Intn(len(pop) - 1)
+		if j >= i {
+			j++
+		}
+		want[k] = [2]trust.PeerID{pop[i].ID, pop[j].ID}
+	}
+	for _, window := range []int{0, 37, 5} {
+		eng, err := NewEngine(Config{Seed: seed, Sessions: sessions, Concurrency: 16, Agents: pop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for window > 0 && eng.nextID < sessions {
+			if err := eng.RunWindow(window); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if window == 0 {
+			_, err = eng.Run()
+		} else {
+			_, err = eng.FinishRun()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := eng.Ledger().Events()
+		if len(events) != sessions {
+			t.Fatalf("window %d: %d events for %d sessions, every one of which trades", window, len(events), sessions)
+		}
+		slices.SortFunc(events, func(a, b reputation.Event) int { return a.Round - b.Round })
+		for k, ev := range events {
+			if ev.Round != k {
+				t.Fatalf("window %d: event %d in round order has round %d", window, k, ev.Round)
+			}
+			if got := [2]trust.PeerID{ev.Supplier, ev.Consumer}; got != want[k] {
+				t.Fatalf("window %d: session %d paired %v, the pairing stream draws %v", window, k, got, want[k])
+			}
+		}
 	}
 }
 
