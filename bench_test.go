@@ -5,7 +5,8 @@ package trustcoop
 // quantitative section (eval.IDs lists all thirteen, cmd/evalrun regenerates
 // them, docs/PERF.md records reference tables) plus
 // micro-benchmarks for the hot paths whose complexity the paper makes claims
-// about (the quadratic scheduler and the logarithmic P-Grid lookup).
+// about (the scheduler, whose quadratic greedy runs here as a sort plus a
+// linear walk, and the logarithmic P-Grid lookup).
 //
 // Run with: go test -bench=. -benchmem
 
@@ -81,10 +82,10 @@ func BenchmarkMarketSessionsConcurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleSafe exposes the scheduler's quadratic growth: ns/op
-// should scale ≈ 4× per size doubling… strictly, the Lawler order is a sort
-// (n log n) and the payment walk is linear, so the constant-factor story is
-// visible here while E5 reports the fitted exponent of the full pipeline.
+// BenchmarkScheduleSafe is the scheduler's cost measurement. The Lawler
+// order is a sort (n log n) and the payment walk is linear, so ns/op grows
+// about in proportion to the item count, not ≈ 4× per size doubling as the
+// paper's literal quadratic greedy would.
 func BenchmarkScheduleSafe(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("items=%d", n), func(b *testing.B) {

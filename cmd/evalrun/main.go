@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	evalrun [-exp E1,E3] [-seed 42] [-quick] [-csv] [-workers N] [-engines E] [-repstore sharded,async] [-gossip 16:ring] [-evidence posterior+columnar] [-exchange-latency]
+//	evalrun [-exp E1,E3] [-seed 42] [-quick] [-csv] [-workers N] [-engines E] [-repstore sharded,async] [-gossip 16:ring] [-evidence posterior+columnar]
 package main
 
 import (
@@ -39,7 +39,6 @@ func run(args []string) error {
 	repstore := fs.String("repstore", "", "restrict the reputation-backend experiments (E10) to these comma-separated complaint-store specs (e.g. sharded,async:sharded); empty runs the default portfolio")
 	gossipSpec := fs.String("gossip", "", "cross-shard evidence gossip for the sharded-cell experiments (E2, E3, E6; topology/fanout also steer E11's, E12's and E13's sweeps, and E13 takes the period too), spec PERIOD[:TOPOLOGY[:FANOUT]] e.g. 16, 16:ring, 4:mesh:2, 8:ring2; empty or 'off' keeps shards isolated — enabling gossip changes the information structure and the affected table titles say so")
 	evidence := fs.String("evidence", "", "evidence kind gossiping cells exchange, spec KIND[+OPTION...]: 'complaints' (default; the shared complaint model, which gossiping cells always run over the sharded backend — -repstore reaches only E10) or 'posterior' (per-agent Beta estimators gossiping posterior deltas); posterior options pick the export policy — 'posterior+columnar' (interned columnar codec), 'posterior+q6' (lossy fixed point, 6 fractional bits), 'posterior+top4' (top-4 subjects per export), 'posterior+conf0.7+eps0.5' (defer low-confidence subjects) — restricts E12's kind sweep and replaces E13's policy sweep; part of the experiment definition, shown in titles")
-	exchangeLatency := fs.Bool("exchange-latency", false, "add wall-clock exchange-latency percentile columns (p50/p95/p99 µs) to E11's and E12's tables; off by default because the timings are nondeterministic")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -61,7 +60,7 @@ func run(args []string) error {
 		}
 	}
 	for _, id := range ids {
-		tbl, err := eval.Run(id, eval.RunConfig{Seed: *seed, Quick: *quick, Workers: *workers, EnginesPerCell: *engines, RepStore: *repstore, Gossip: *gossipSpec, Evidence: *evidence, ExchangeLatency: *exchangeLatency})
+		tbl, err := eval.Run(id, eval.RunConfig{Seed: *seed, Quick: *quick, Workers: *workers, EnginesPerCell: *engines, RepStore: *repstore, Gossip: *gossipSpec, Evidence: *evidence})
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}

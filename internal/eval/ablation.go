@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"trustcoop/internal/agent"
 	"trustcoop/internal/market"
-	"trustcoop/internal/stats"
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/gossip"
 )
@@ -54,10 +52,6 @@ type ablationCell struct {
 	Gossip  gossip.Config
 	Shards  int
 	Engines int
-	// ObserveExchange samples each inter-window exchange's wall-clock
-	// duration into the cell's latency distribution. Pure measurement: the
-	// merged result is byte-identical either way.
-	ObserveExchange bool
 }
 
 // marketConfig renders the cell as the market configuration RunCell
@@ -84,14 +78,10 @@ func (c ablationCell) marketConfig() (market.Config, error) {
 	return mc, nil
 }
 
-// ablationResult is one cell's measured outcome. exch is the cell's
-// wall-clock exchange-latency sample in microseconds, populated only when the
-// cell observes it — it is measurement, not part of the deterministic
-// result.
+// ablationResult is one cell's measured outcome.
 type ablationResult struct {
 	res   market.Result
 	stats gossip.Stats
-	exch  stats.Distribution
 }
 
 func runAblationCell(c ablationCell) (ablationResult, error) {
@@ -99,16 +89,11 @@ func runAblationCell(c ablationCell) (ablationResult, error) {
 	if err != nil {
 		return ablationResult{}, err
 	}
-	var out ablationResult
-	var onExchange func(time.Duration)
-	if c.ObserveExchange {
-		onExchange = func(d time.Duration) { out.exch.Add(float64(d.Nanoseconds()) / 1e3) }
-	}
-	out.res, out.stats, err = RunCell(mc, c.Shards, c.Engines, onExchange)
+	res, st, err := RunCell(mc, c.Shards, c.Engines)
 	if err != nil {
 		return ablationResult{}, fmt.Errorf("gossip %s: %w", c.Gossip, err)
 	}
-	return out, nil
+	return ablationResult{res: res, stats: st}, nil
 }
 
 // ablationRow is one table row of a replicated ablation: its leading label
@@ -134,11 +119,6 @@ type ablation struct {
 	seed    int64
 	trials  int
 	workers int
-	// latency observes every cell's exchanges and adds the wall-clock
-	// p50/p95/p99 column (merged across trials). Off by default: the
-	// timings are nondeterministic, so the default table stays
-	// byte-identical for the golden suite.
-	latency bool
 	rows    []ablationRow
 	results []ablationResult // trial-major: results[t*len(rows)+r]
 }
@@ -151,7 +131,6 @@ func (a *ablation) run() error {
 		trial, r := ci/n, ci%n
 		c := a.rows[r].cell
 		c.Seed = DeriveSeed(a.seed, trial)
-		c.ObserveExchange = a.latency
 		out, err := runAblationCell(c)
 		if err != nil {
 			return ablationResult{}, fmt.Errorf("%s: %w", strings.Join(a.rows[r].labels, " "), err)
@@ -175,9 +154,8 @@ func honestLoss(c ablationResult) float64 { return c.res.HonestVictimLoss.Float6
 func bytesDelivered(c ablationResult) float64 { return float64(c.stats.BytesDelivered) }
 
 // table runs the ablation and renders it: the label columns, the shared
-// outcome, signed-gap and evidence-gossiped columns, the experiment's own
-// extra columns (extra fills them per row) and, when observed, the
-// exchange-latency column.
+// outcome, signed-gap and evidence-gossiped columns and the experiment's own
+// extra columns (extra fills them per row).
 func (a *ablation) table(id, title string, labelCols, extraCols []string, extra func(r int) []string) (*Table, error) {
 	if err := a.run(); err != nil {
 		return nil, err
@@ -186,10 +164,6 @@ func (a *ablation) table(id, title string, labelCols, extraCols []string, extra 
 	tbl.Cols = append(tbl.Cols, labelCols...)
 	tbl.Cols = append(tbl.Cols, "trade rate", "completion", "welfare", "honest loss", "loss gap vs 1 engine", "evidence gossiped")
 	tbl.Cols = append(tbl.Cols, extraCols...)
-	if a.latency {
-		tbl.Title += " — exchange latency wall-clock, nondeterministic"
-		tbl.Cols = append(tbl.Cols, "exchange p50/p95/p99 µs")
-	}
 	for r, row := range a.rows {
 		gap, gossiped := "-", "-"
 		if row.base != r {
@@ -212,9 +186,6 @@ func (a *ablation) table(id, title string, labelCols, extraCols []string, extra 
 			gossiped,
 		)
 		cells = append(cells, extra(r)...)
-		if a.latency {
-			cells = append(cells, a.exchangeLatency(r))
-		}
 		tbl.AddRow(cells...)
 	}
 	return tbl, nil
@@ -227,19 +198,6 @@ func (a *ablation) syncRounds(r int) string {
 		return itoa(int(n))
 	}
 	return "-"
-}
-
-// exchangeLatency folds row r's wall-clock exchange samples across trials
-// into a p50/p95/p99 cell; "-" when nothing gossiped.
-func (a *ablation) exchangeLatency(r int) string {
-	var d stats.Distribution
-	for t := 0; t < a.trials; t++ {
-		d.Merge(a.results[t*len(a.rows)+r].exch)
-	}
-	if d.Count() == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f/%.0f/%.0f", d.Percentile(50), d.Percentile(95), d.Percentile(99))
 }
 
 // fabricShape renders the fabric shape for the table title — topology plus

@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"trustcoop/internal/market"
 	"trustcoop/internal/trust"
@@ -40,17 +39,12 @@ const DefaultCellShards = 4
 // -engines) turns, and the determinism harness enforces the invariant for
 // engines ∈ {1, 2, 4} across E1–E13 — with and without gossip.
 //
-// onExchange (nil-safe) is called once per inter-window Fabric.Exchange
-// with that exchange's wall-clock duration. The hook observes the
-// coordinating goroutine only — it cannot perturb the lockstep protocol or
-// the merged Result, which stays byte-identical with and without it.
-//
 // shards <= 1 runs the cell on a single engine, exactly as an unsharded
 // experiment would. engines <= 0 means min(DefaultWorkers(), shards).
 // cfg.Agents is shared by the sub-engines and must not be mutated during the
 // run (agents are read-only to the engine; behaviours and policies are
 // stateless).
-func RunCell(cfg market.Config, shards, engines int, onExchange func(time.Duration)) (market.Result, gossip.Stats, error) {
+func RunCell(cfg market.Config, shards, engines int) (market.Result, gossip.Stats, error) {
 	if shards <= 1 {
 		if cfg.Gossip.Enabled() {
 			// Silently dropping the config would leave a table whose title
@@ -90,7 +84,7 @@ func RunCell(cfg market.Config, shards, engines int, onExchange func(time.Durati
 		return sub
 	}
 	if cfg.Gossip.Enabled() {
-		return runCellGossip(cfg, shards, engines, subConfig, onExchange)
+		return runCellGossip(cfg, shards, engines, subConfig)
 	}
 	results, err := RunTrials(engines, shards, func(k int) (market.Result, error) {
 		eng, err := market.NewEngine(subConfig(k))
@@ -127,7 +121,7 @@ func RunCell(cfg market.Config, shards, engines int, onExchange func(time.Durati
 // everything the schedule delivers — under a fanout-limited mesh that is
 // deliberately less than everything filed (gossip.Stats.ComplaintsUnscheduled
 // counts the difference).
-func runCellGossip(cfg market.Config, shards, engines int, subConfig func(int) market.Config, onExchange func(time.Duration)) (market.Result, gossip.Stats, error) {
+func runCellGossip(cfg market.Config, shards, engines int, subConfig func(int) market.Config) (market.Result, gossip.Stats, error) {
 	if cfg.RepStore == "" && cfg.Evidence != trust.EvidencePosterior {
 		return market.Result{}, gossip.Stats{}, fmt.Errorf("eval: gossip (%s) needs an evidence plane to exchange — a RepStore complaint backend or Evidence = posterior", cfg.Gossip)
 	}
@@ -170,12 +164,7 @@ func runCellGossip(cfg market.Config, shards, engines int, subConfig func(int) m
 		for k := range remaining {
 			remaining[k] -= window[k]
 		}
-		start := time.Now()
-		err := fabric.Exchange()
-		if onExchange != nil {
-			onExchange(time.Since(start))
-		}
-		if err != nil {
+		if err := fabric.Exchange(); err != nil {
 			return market.Result{}, gossip.Stats{}, err
 		}
 	}
@@ -305,6 +294,6 @@ func (s CellSpec) runCell(cfg market.Config) (market.Result, error) {
 	cfg.Evidence = s.Evidence
 	cfg.Beta = trust.BetaConfig{Export: s.Export}
 	cfg.Gossip = s.Gossip
-	res, _, err := RunCell(cfg, DefaultCellShards, s.EnginesPerCell, nil)
+	res, _, err := RunCell(cfg, DefaultCellShards, s.EnginesPerCell)
 	return res, err
 }

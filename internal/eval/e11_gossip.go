@@ -21,9 +21,6 @@ type E11Config struct {
 	// cell; zero values mean full mesh.
 	Topology gossip.Topology
 	Fanout   int
-	// ExchangeLatency adds the wall-clock exchange-latency percentile
-	// column, exactly as E12Config.ExchangeLatency does.
-	ExchangeLatency bool
 	// Workers is the trial worker pool; 0 means DefaultWorkers().
 	Workers int
 	// EnginesPerCell bounds concurrent sub-engines per cell; pure
@@ -54,16 +51,15 @@ func E11GossipPeriod(cfg E11Config) (*Table, error) {
 	return periodSweep("E11",
 		"gossip-period ablation: cross-shard complaint exchange over %s (period ∞ = isolated shards)",
 		E12Config{
-			Seed:            cfg.Seed,
-			Sessions:        cfg.Sessions,
-			Population:      cfg.Population,
-			Periods:         cfg.Periods,
-			Trials:          cfg.Trials,
-			Kinds:           []trust.EvidenceKind{trust.EvidenceComplaints},
-			Topology:        cfg.Topology,
-			Fanout:          cfg.Fanout,
-			ExchangeLatency: cfg.ExchangeLatency,
-			Workers:         cfg.Workers,
-			EnginesPerCell:  cfg.EnginesPerCell,
+			Seed:           cfg.Seed,
+			Sessions:       cfg.Sessions,
+			Population:     cfg.Population,
+			Periods:        cfg.Periods,
+			Trials:         cfg.Trials,
+			Kinds:          []trust.EvidenceKind{trust.EvidenceComplaints},
+			Topology:       cfg.Topology,
+			Fanout:         cfg.Fanout,
+			Workers:        cfg.Workers,
+			EnginesPerCell: cfg.EnginesPerCell,
 		}, false)
 }

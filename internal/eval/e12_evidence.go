@@ -33,11 +33,6 @@ type E12Config struct {
 	// wire. Complaint rows ignore it. Non-zero policies show in the title;
 	// E13 sweeps this axis.
 	Export trust.ExportPolicy
-	// ExchangeLatency adds wall-clock exchange-latency percentile columns
-	// (p50/p95/p99 µs per kind and period, merged across trials). Off by
-	// default: the timings are nondeterministic, so the default table stays
-	// byte-identical for the golden suite.
-	ExchangeLatency bool
 	// Workers is the trial worker pool; 0 means DefaultWorkers().
 	Workers int
 	// EnginesPerCell bounds concurrent sub-engines per cell; pure
@@ -95,7 +90,7 @@ func E12EvidencePlane(cfg E12Config) (*Table, error) {
 // adds the leading evidence column; titleFmt receives the fabric shape.
 func periodSweep(id, titleFmt string, cfg E12Config, kindCol bool) (*Table, error) {
 	cfg = cfg.withDefaults()
-	a := &ablation{seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers, latency: cfg.ExchangeLatency}
+	a := &ablation{seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers}
 	for _, kind := range cfg.Kinds {
 		baseRow := len(a.rows) + len(cfg.Periods)
 		add := func(label string, c ablationCell) {

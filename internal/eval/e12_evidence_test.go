@@ -206,7 +206,7 @@ func TestE12PosteriorPeriodOneEqualsSharedEstimatorPlane(t *testing.T) {
 			t.Fatal(err)
 		}
 		gossiped := testutil.Variant{Name: fmt.Sprintf("trial %d posterior period-1 mesh", trial), Run: func() (string, error) {
-			res, _, err := RunCell(mc, cell.Shards, 0, nil)
+			res, _, err := RunCell(mc, cell.Shards, 0)
 			if err != nil {
 				return "", err
 			}
@@ -297,67 +297,5 @@ func TestGossipEvidenceOnSharded(t *testing.T) {
 	}
 	if strings.Contains(tbl.Title, "async evidence") {
 		t.Errorf("posterior cells must not claim a complaint backend: %q", tbl.Title)
-	}
-}
-
-// TestE12ExchangeLatencyColumnIsOptInAndPure: the wall-clock latency column
-// of the shared ablation sweep — on E12 and on E11 — appears only when asked
-// for, renders p50/p95/p99 on gossiping rows and "-" on the ∞ and baseline
-// rows — and observing it must not perturb the deterministic table: every
-// pre-existing column is byte-identical with the column on and off.
-func TestE12ExchangeLatencyColumnIsOptInAndPure(t *testing.T) {
-	for _, tc := range []struct {
-		id        string
-		periodCol int
-		run       func(latency bool) (*Table, error)
-	}{
-		{"E12", 1, func(latency bool) (*Table, error) {
-			cfg := e12Quick()
-			cfg.ExchangeLatency = latency
-			return E12EvidencePlane(cfg)
-		}},
-		{"E11", 0, func(latency bool) (*Table, error) {
-			cfg := e11Quick()
-			cfg.ExchangeLatency = latency
-			return E11GossipPeriod(cfg)
-		}},
-	} {
-		plain, err := tc.run(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		timed, err := tc.run(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := len(timed.Cols), len(plain.Cols)+1; got != want {
-			t.Fatalf("%s: cols = %d, want %d", tc.id, got, want)
-		}
-		if timed.Cols[len(timed.Cols)-1] != "exchange p50/p95/p99 µs" {
-			t.Fatalf("%s: latency column header %q", tc.id, timed.Cols[len(timed.Cols)-1])
-		}
-		if !strings.Contains(timed.Title, "wall-clock") || strings.Contains(plain.Title, "wall-clock") {
-			t.Errorf("%s: wall-clock caveat: timed %q / plain %q", tc.id, timed.Title, plain.Title)
-		}
-		if len(timed.Rows) != len(plain.Rows) {
-			t.Fatalf("%s: rows = %d vs %d", tc.id, len(timed.Rows), len(plain.Rows))
-		}
-		for ri, row := range timed.Rows {
-			for ci, cell := range plain.Rows[ri] {
-				if row[ci] != cell {
-					t.Errorf("%s row %d col %d: %q with latency vs %q without — observation perturbed the table", tc.id, ri, ci, row[ci], cell)
-				}
-			}
-			lat := row[len(row)-1]
-			if period := row[tc.periodCol]; period == "∞" || period == "single engine" {
-				if lat != "-" {
-					t.Errorf("%s: non-gossiping row %d reports latency %q", tc.id, ri, lat)
-				}
-				continue
-			}
-			if parts := strings.Split(lat, "/"); len(parts) != 3 {
-				t.Errorf("%s: gossiping row %d latency %q, want p50/p95/p99", tc.id, ri, lat)
-			}
-		}
 	}
 }

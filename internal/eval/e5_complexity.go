@@ -3,32 +3,19 @@ package eval
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"time"
 
-	"trustcoop/internal/exchange"
-	"trustcoop/internal/goods"
 	"trustcoop/internal/pgrid"
-	"trustcoop/internal/stats"
 )
 
 // E5Config parameterises the complexity measurements.
 type E5Config struct {
 	Seed       int64
-	SchedSizes []int // bundle sizes; nil means {32 … 2048}
-	SchedReps  int   // timing repetitions; 0 means 20
 	GridSizes  []int // peer counts; nil means {64, 256, 1024, 4096}
 	GridProbes int   // queries per grid; 0 means 400
-	Workers    int   // worker pool for the (untimed) grid cells; 0 means DefaultWorkers()
+	Workers    int   // worker pool for the grid cells; 0 means DefaultWorkers()
 }
 
 func (c E5Config) withDefaults() E5Config {
-	if len(c.SchedSizes) == 0 {
-		c.SchedSizes = []int{32, 64, 128, 256, 512, 1024, 2048}
-	}
-	if c.SchedReps <= 0 {
-		c.SchedReps = 20
-	}
 	if len(c.GridSizes) == 0 {
 		c.GridSizes = []int{64, 256, 1024, 4096}
 	}
@@ -38,67 +25,20 @@ func (c E5Config) withDefaults() E5Config {
 	return c
 }
 
-// E5Complexity checks the paper's two cost claims: the scheduling algorithm
-// is quadratic in the number of items (we report measured time per call and
-// the fitted power-law exponent, which should sit near 2), and the P-Grid
-// substrate of [2] answers reputation queries in O(log N) hops (we report
-// mean hops against log2 N).
-//
-// The scheduler cells measure wall-clock time, so they deliberately run
-// sequentially on the calling goroutine — timing under a contended worker
-// pool would corrupt the exponent fit. The grid cells count hops (no clock),
-// so they shard across the worker pool.
+// E5Complexity checks the paper's cost claim for its reputation substrate:
+// the P-Grid of [2] answers reputation queries in O(log N) hops. Each row
+// reports a grid's mean hops per query beside log2 N, the bound it must stay
+// under. Hops are counted, not timed, so the table is a pure function of the
+// seed and the grid cells shard across the worker pool. The scheduler's cost
+// (a sort plus a linear walk) is measured by BenchmarkScheduleSafe and
+// BenchmarkScheduleTrustAware.
 func E5Complexity(cfg E5Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	tbl := &Table{
 		ID:    "E5",
-		Title: "complexity: scheduler time vs items (fit exponent ≈ 2); grid hops vs peers (≈ log N)",
+		Title: "complexity: P-Grid mean hops vs peers (≤ log2 N)",
 		Cols:  []string{"series", "x", "measure", "value"},
 	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var xs, ys, ysRef []float64
-	for _, n := range cfg.SchedSizes {
-		gen := goods.DefaultGenConfig()
-		gen.Items = n
-		var elapsed, elapsedRef time.Duration
-		for rep := 0; rep < cfg.SchedReps; rep++ {
-			bundle, err := goods.Generate(gen, rng)
-			if err != nil {
-				return nil, err
-			}
-			terms := exchange.Terms{Bundle: bundle, Price: bundle.PriceAt(0.5)}
-			stake := exchange.MinimalStake(terms)
-			bands := exchange.SafeBands(exchange.Stakes{Supplier: stake})
-			start := time.Now()
-			if _, err := exchange.ScheduleSafe(terms, exchange.Stakes{Supplier: stake}, exchange.Options{}); err != nil {
-				return nil, err
-			}
-			elapsed += time.Since(start)
-			// The literal O(n²) greedy of the paper: n scans of the
-			// remaining set, then the linear payment walk.
-			start = time.Now()
-			order := exchange.LawlerOrderReference(bundle)
-			if _, err := exchange.PlanForOrder(terms, bands, order, exchange.Options{}); err != nil {
-				return nil, err
-			}
-			elapsedRef += time.Since(start)
-		}
-		perCall := elapsed / time.Duration(cfg.SchedReps)
-		perCallRef := elapsedRef / time.Duration(cfg.SchedReps)
-		xs = append(xs, float64(n))
-		ys = append(ys, float64(perCall.Nanoseconds())+1)
-		ysRef = append(ysRef, float64(perCallRef.Nanoseconds())+1)
-		tbl.AddRow("scheduler (sorted)", itoa(n), "ns/call", fmt.Sprintf("%d", perCall.Nanoseconds()))
-		tbl.AddRow("scheduler (O(n^2) ref)", itoa(n), "ns/call", fmt.Sprintf("%d", perCallRef.Nanoseconds()))
-	}
-	if exp, _, r2, err := stats.FitPowerLaw(xs, ys); err == nil {
-		tbl.AddRow("scheduler (sorted)", "fit", "exponent", fmt.Sprintf("%.2f (R²=%.3f)", exp, r2))
-	}
-	if exp, _, r2, err := stats.FitPowerLaw(xs, ysRef); err == nil {
-		tbl.AddRow("scheduler (O(n^2) ref)", "fit", "exponent", fmt.Sprintf("%.2f (R²=%.3f)", exp, r2))
-	}
-
 	gridRows, err := RunTrials(cfg.Workers, len(cfg.GridSizes), func(gi int) (string, error) {
 		peers := cfg.GridSizes[gi]
 		g, err := pgrid.New(pgrid.Config{Peers: peers, Seed: cfg.Seed})

@@ -76,8 +76,6 @@ func All() map[string]Runner {
 		"E5": func(rc RunConfig) (*Table, error) {
 			cfg := E5Config{Seed: rc.Seed, Workers: rc.workers()}
 			if rc.Quick {
-				cfg.SchedSizes = []int{8, 32}
-				cfg.SchedReps = 3
 				cfg.GridSizes = []int{64, 256}
 				cfg.GridProbes = 50
 			}
@@ -131,7 +129,7 @@ func All() map[string]Runner {
 		},
 		"E11": withGossip(func(spec CellSpec, rc RunConfig) (*Table, error) {
 			cfg := E11Config{Seed: rc.Seed, Workers: spec.Workers, EnginesPerCell: spec.EnginesPerCell,
-				Topology: spec.Gossip.Topology, Fanout: spec.Gossip.Fanout, ExchangeLatency: rc.ExchangeLatency}
+				Topology: spec.Gossip.Topology, Fanout: spec.Gossip.Fanout}
 			if rc.Quick {
 				cfg.Sessions = 80
 				cfg.Population = 9
@@ -141,7 +139,7 @@ func All() map[string]Runner {
 		}),
 		"E12": withGossip(func(spec CellSpec, rc RunConfig) (*Table, error) {
 			cfg := E12Config{Seed: rc.Seed, Workers: spec.Workers, EnginesPerCell: spec.EnginesPerCell,
-				Topology: spec.Gossip.Topology, Fanout: spec.Gossip.Fanout, Export: spec.Export, ExchangeLatency: rc.ExchangeLatency}
+				Topology: spec.Gossip.Topology, Fanout: spec.Gossip.Fanout, Export: spec.Export}
 			if spec.Evidence != "" {
 				cfg.Kinds = []trust.EvidenceKind{spec.Evidence}
 			}

@@ -27,8 +27,6 @@ var goldenRuns = []struct {
 // the engine, the evidence plane or the experiment plumbing that shifts any
 // execution order or any rendered cell shows up here as a one-line diff
 // against the file recorded before the change, not as a silent drift.
-// E5's scheduler rows are wall-clock timings and are left out (before
-// rendering, so they do not set column widths either).
 //
 // Regenerate deliberately (and say so in the change) with:
 //
@@ -44,15 +42,6 @@ func TestGoldenQuickTables(t *testing.T) {
 			tbl, err := Run(id, g.rc)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
-			}
-			if id == "E5" {
-				rows := tbl.Rows[:0]
-				for _, row := range tbl.Rows {
-					if !strings.HasPrefix(row[0], "scheduler") {
-						rows = append(rows, row)
-					}
-				}
-				tbl.Rows = rows
 			}
 			if err := tbl.Fprint(&sb); err != nil {
 				t.Fatal(err)

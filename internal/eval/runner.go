@@ -52,11 +52,6 @@ type RunConfig struct {
 	// (an explicit policy replaces E13's sweep). Like Gossip it is part of
 	// the experiment definition and shows in the affected titles.
 	Evidence string
-	// ExchangeLatency adds wall-clock exchange-latency percentile columns
-	// to E11's and E12's tables. Off by default: the timings are
-	// nondeterministic, so the column would break the byte-identical-table
-	// contract the golden suite pins.
-	ExchangeLatency bool
 }
 
 // gossipCfg parses the Gossip spec; the zero Config when unset.

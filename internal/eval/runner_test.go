@@ -88,13 +88,9 @@ func tableVariant(name, id string, rc RunConfig) testutil.Variant {
 
 // TestTablesIdenticalAcrossWorkerCounts is the headline determinism
 // guarantee of the sharded runner: every experiment renders byte-identical
-// tables whether its trials run on one worker or many. E5 is exempt — it
-// measures wall-clock time.
+// tables whether its trials run on one worker or many.
 func TestTablesIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, id := range IDs() {
-		if id == "E5" {
-			continue
-		}
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -111,13 +107,9 @@ func TestTablesIdenticalAcrossWorkerCounts(t *testing.T) {
 // guarantee: EnginesPerCell only changes how many of a cell's fixed
 // sub-engines run concurrently, so every experiment's table — sharded cells
 // (E2, E3, E6) and unsharded ones alike — is byte-identical for
-// EnginesPerCell ∈ {1, 2, 4} at a fixed seed. E5 is exempt as always (it
-// measures wall-clock time).
+// EnginesPerCell ∈ {1, 2, 4} at a fixed seed.
 func TestTablesIdenticalAcrossEnginesPerCell(t *testing.T) {
 	for _, id := range IDs() {
-		if id == "E5" {
-			continue
-		}
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -134,13 +126,9 @@ func TestTablesIdenticalAcrossEnginesPerCell(t *testing.T) {
 // determinism guarantee with cross-shard gossip switched on: the lockstep
 // exchange runs on the coordinating goroutine between windows, so even a
 // gossiping cell's table — E11's sweep and the gossip-enabled E2/E3/E6
-// included — is byte-identical for every EnginesPerCell. E5 is exempt as
-// always (it measures wall-clock time).
+// included — is byte-identical for every EnginesPerCell.
 func TestTablesIdenticalAcrossEnginesPerCellWithGossip(t *testing.T) {
 	for _, id := range IDs() {
-		if id == "E5" {
-			continue
-		}
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

@@ -19,10 +19,12 @@
 //     Vs(D) − Ls ≤ m ≤ Vc(D) + Lc. The caps derive from trust estimates and
 //     risk averseness (see internal/decision).
 //
-// The schedulers are quadratic-time, as the paper claims: delivery orders are
-// produced by Lawler-style greedy rules (provably optimal when every item has
-// non-negative surplus) with an exact subset-memoised search as fallback and
-// as a test oracle.
+// The paper's scheduler is a quadratic-time greedy. Here its delivery orders
+// come from Lawler-style rules (provably optimal when every item has
+// non-negative surplus) that each collapse to a sort, and the payments for
+// an order take one linear walk, so a plan found among the candidate orders
+// costs O(n log n). An exact subset-memoised search is the fallback and a
+// test oracle.
 package exchange
 
 import (

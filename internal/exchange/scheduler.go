@@ -13,14 +13,35 @@ import (
 // would have positive cost — the paper's isolated-exchange impossibility.
 // It returns ErrNoSafeSequence (wrapped) when none exists.
 func ScheduleSafe(t Terms, s Stakes, opt Options) (Plan, error) {
-	plan, err := Schedule(t, SafeBands(s), opt)
-	if err != nil {
-		if errors.Is(err, ErrNoFeasibleSequence) {
-			return Plan{}, &noSafeError{stakes: s}
-		}
-		return Plan{}, err
+	return ScheduleSafeInto(nil, t, s, opt)
+}
+
+// ScheduleSafeInto is ScheduleSafe writing the plan's steps into dst when it
+// has room, so a caller that recycles a finished plan's steps allocates no
+// plan. dst is left untouched when no plan is returned.
+func ScheduleSafeInto(dst Sequence, t Terms, s Stakes, opt Options) (Plan, error) {
+	_, plan, err := scheduleSafe(dst, t, s, opt)
+	if errors.Is(err, ErrNoFeasibleSequence) {
+		return Plan{}, &noSafeError{stakes: s}
 	}
-	return plan, nil
+	return plan, err
+}
+
+// scheduleSafe validates the terms and the safe bands under s and schedules
+// inside those bands, writing the plan into dst as schedule does. It also
+// returns the validated terms' band context, for a second attempt under
+// other bands.
+func scheduleSafe(dst Sequence, t Terms, s Stakes, opt Options) (bandCtx, Plan, error) {
+	ctx, err := t.validate()
+	if err != nil {
+		return ctx, Plan{}, err
+	}
+	ctx.bands = SafeBands(s)
+	if err := ctx.bands.Validate(); err != nil {
+		return ctx, Plan{}, err
+	}
+	plan, err := schedule(ctx, dst, t, opt)
+	return ctx, plan, err
 }
 
 // ScheduleSafeElse is the planner's two attempts in one call: it validates
@@ -34,15 +55,7 @@ func ScheduleSafe(t Terms, s Stakes, opt Options) (Plan, error) {
 // written into dst when it has room (pass nil for a fresh slice), and dst
 // is left untouched when no plan is returned.
 func ScheduleSafeElse(dst Sequence, t Terms, s Stakes, opt Options, caps func() ExposureCaps) (plan Plan, safe bool, err error) {
-	ctx, err := t.validate()
-	if err != nil {
-		return Plan{}, false, err
-	}
-	ctx.bands = SafeBands(s)
-	if err := ctx.bands.Validate(); err != nil {
-		return Plan{}, false, err
-	}
-	plan, err = schedule(ctx, dst, t, opt)
+	ctx, plan, err := scheduleSafe(dst, t, s, opt)
 	if !errors.Is(err, ErrNoFeasibleSequence) {
 		return plan, err == nil, err
 	}
@@ -85,8 +98,8 @@ func ScheduleTrustAware(t Terms, c ExposureCaps, opt Options) (Plan, error) {
 //  3. a small portfolio of alternative orders (covers most mixed instances);
 //  4. an exact memoised subset search, bounded by DefaultSearchBudget.
 //
-// The overall cost is O(n²) for the common case; the exact search only runs
-// when every heuristic order fails. The hot path is allocation-lean: sorted
+// The common case costs O(n log n), a sort and a linear payment walk; the
+// exact search only runs when every heuristic order fails. The hot path is allocation-lean: sorted
 // item views and the payment construction buffer come from a pooled
 // scratch, and candidate orders are derived lazily from at most two sorts,
 // so a call that succeeds on its first candidate allocates only the
@@ -165,36 +178,12 @@ func (c bandCtx) someItemCanGoLast(items []goods.Item) bool {
 // reduction); a heuristic otherwise.
 //
 // Because the per-step selection criterion (min Vs among remaining) does not
-// depend on what has already been placed, the O(n²) greedy collapses to a
-// single sort; LawlerOrderReference keeps the literal quadratic form of the
-// paper's algorithm for validation and for the E5 complexity experiment.
+// depend on what has already been placed, the paper's O(n²) greedy
+// collapses to a single sort; the tests keep its literal quadratic form as
+// the oracle for this one.
 func lawlerOrder(b goods.Bundle) []goods.Item {
 	asc := b.SortedByCost()
 	return reverseItems(asc)
-}
-
-// LawlerOrderReference is the literal form of the paper's quadratic-time
-// algorithm: n backward steps, each scanning the remaining items for the
-// one with minimal supplier cost. It returns exactly the same order as the
-// sort-based fast path (ties broken by ID) and exists to validate that
-// equivalence and to measure the O(n²) cost the paper claims.
-func LawlerOrderReference(b goods.Bundle) []goods.Item {
-	remaining := make([]goods.Item, len(b.Items))
-	copy(remaining, b.Items)
-	order := make([]goods.Item, len(remaining))
-	for pos := len(order) - 1; pos >= 0; pos-- {
-		best := 0
-		for i := 1; i < len(remaining); i++ {
-			if remaining[i].Cost < remaining[best].Cost ||
-				(remaining[i].Cost == remaining[best].Cost && remaining[i].ID < remaining[best].ID) {
-				best = i
-			}
-		}
-		order[pos] = remaining[best]
-		remaining[best] = remaining[len(remaining)-1]
-		remaining = remaining[:len(remaining)-1]
-	}
-	return order
 }
 
 func reverseItems(items []goods.Item) []goods.Item {

@@ -125,6 +125,54 @@ func TestMinimalStakeIsTightRandomised(t *testing.T) {
 	}
 }
 
+// TestScheduleSafeIntoMatchesSchedule holds ScheduleSafeInto to Schedule
+// under the safe bands, at the minimal stake (feasible) and one below it
+// (infeasible): the same plan, ErrNoSafeSequence exactly where Schedule
+// proves no feasible sequence, the plan written into a dirty destination
+// with room for it, and that destination untouched when no plan returns.
+func TestScheduleSafeIntoMatchesSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	planned, refused := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		tm := randomBeneficialTerms(rng, 1+rng.Intn(8), trial%2 == 0)
+		stakes := Stakes{Supplier: MinimalStake(tm)}
+		if trial%3 == 2 && stakes.Supplier > 0 {
+			stakes.Supplier--
+		}
+		dst := make(Sequence, 2*tm.Bundle.Len()+1)
+		for i := range dst {
+			dst[i] = Step{Kind: StepPay, Amount: goods.Money(-1 - i)}
+		}
+		dirty := slices.Clone(dst)
+		plan, err := ScheduleSafeInto(dst[:0], tm, stakes, Options{})
+		want, wantErr := Schedule(tm, SafeBands(stakes), Options{})
+		if errors.Is(wantErr, ErrNoFeasibleSequence) {
+			if !errors.Is(err, ErrNoSafeSequence) {
+				t.Fatalf("trial %d: err = %v, want ErrNoSafeSequence (Schedule: %v)", trial, err, wantErr)
+			}
+		} else if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("trial %d: err = %v, want %v", trial, err, wantErr)
+		}
+		if err != nil {
+			refused++
+			if !slices.Equal(dst, dirty) {
+				t.Fatalf("trial %d: failed call wrote into its destination: %v", trial, dst)
+			}
+			continue
+		}
+		planned++
+		if !slices.Equal(plan.Steps, want.Steps) || plan.Report != want.Report || plan.Bands != want.Bands {
+			t.Fatalf("trial %d: plan = %+v, want %+v", trial, plan, want)
+		}
+		if &plan.Steps[0] != &dst[0] {
+			t.Fatalf("trial %d: plan of %d steps not written into a destination of capacity %d", trial, len(plan.Steps), cap(dst))
+		}
+	}
+	if planned < 100 || refused < 50 {
+		t.Errorf("%d plans and %d refusals; the trials no longer cover both outcomes", planned, refused)
+	}
+}
+
 func TestTrustAwareWorkedExample(t *testing.T) {
 	tm := twoItemTerms()
 	plan, err := ScheduleTrustAware(tm, ExposureCaps{Supplier: 5, Consumer: 5}, Options{})
@@ -492,6 +540,29 @@ func TestQuantumPayments(t *testing.T) {
 	}
 }
 
+// lawlerOrderReference is the literal form of the paper's quadratic-time
+// algorithm: n backward steps, each scanning the remaining items for the
+// one with minimal supplier cost (ties broken by ID). It is the oracle for
+// lawlerOrder's single sort.
+func lawlerOrderReference(b goods.Bundle) []goods.Item {
+	remaining := make([]goods.Item, len(b.Items))
+	copy(remaining, b.Items)
+	order := make([]goods.Item, len(remaining))
+	for pos := len(order) - 1; pos >= 0; pos-- {
+		best := 0
+		for i := 1; i < len(remaining); i++ {
+			if remaining[i].Cost < remaining[best].Cost ||
+				(remaining[i].Cost == remaining[best].Cost && remaining[i].ID < remaining[best].ID) {
+				best = i
+			}
+		}
+		order[pos] = remaining[best]
+		remaining[best] = remaining[len(remaining)-1]
+		remaining = remaining[:len(remaining)-1]
+	}
+	return order
+}
+
 func TestLawlerReferenceMatchesSortedFastPath(t *testing.T) {
 	// The literal O(n²) backward greedy and the sort collapse must produce
 	// the identical order, including on ties.
@@ -499,7 +570,7 @@ func TestLawlerReferenceMatchesSortedFastPath(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		tm := randomBeneficialTerms(rng, 1+rng.Intn(12), trial%2 == 0)
 		fast := lawlerOrder(tm.Bundle)
-		ref := LawlerOrderReference(tm.Bundle)
+		ref := lawlerOrderReference(tm.Bundle)
 		if len(fast) != len(ref) {
 			t.Fatal("length mismatch")
 		}

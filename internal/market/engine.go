@@ -567,8 +567,7 @@ func (e *Engine) pickPair() (sup, con int, err error) {
 }
 
 // plan schedules the session between sup and con according to the
-// strategy. A naive or trust-aware plan is written into buf when it has
-// room.
+// strategy. The plan is written into buf when it has room.
 func (e *Engine) plan(sup, con *party, terms exchange.Terms, buf exchange.Sequence) (exchange.Sequence, core.PlanResult, error) {
 	switch e.cfg.Strategy {
 	case StrategyNaive:
@@ -578,7 +577,7 @@ func (e *Engine) plan(sup, con *party, terms exchange.Terms, buf exchange.Sequen
 		return naivePlan(buf, terms), core.PlanResult{Mode: core.ModeTrustAware}, nil
 	case StrategySafeOnly:
 		stakes := exchange.Stakes{Supplier: sup.stake, Consumer: con.stake}
-		plan, err := exchange.ScheduleSafe(terms, stakes, exchange.Options{})
+		plan, err := exchange.ScheduleSafeInto(buf, terms, stakes, exchange.Options{})
 		if err != nil {
 			if errors.Is(err, exchange.ErrNoSafeSequence) {
 				return nil, core.PlanResult{}, errNoTrade

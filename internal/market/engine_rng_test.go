@@ -168,29 +168,35 @@ func digest(v any) string {
 // the session, and the trust-aware plan the scheduler allocates (784 B
 // trust-aware). Having the scheduler write the trust-aware plan into a
 // finished session's too, through core.Planner.PlanExchangeInto, took the
-// trust-aware session to 1. Both byte bounds sit just above what a session
-// costs today (258 B, on amd64, with the session in the 192 B size class):
-// a bundle allocated again costs 256 B, a plan 448 B (naive) or about
-// 520 B (trust-aware), and a session that carries its planner's
-// PlanResult again moves to the 416 B class.
+// trust-aware session to 1, and exchange.ScheduleSafeInto took the
+// safe-only one from 1.654 to 1. Every byte bound sits just above what a
+// naive or trust-aware session costs today (258 B, on amd64, with the
+// session in the 192 B size class; a safe-only one costs 131 B): a bundle
+// allocated again costs 256 B, a plan 448 B (naive) or about 520 B
+// (trust-aware), and a session that carries its planner's PlanResult again
+// moves to the 416 B class.
 // The trust-aware pin covers the planning path: every session here fails
-// the safe band at a one-unit stake and plans under exposure caps. Counts
-// are pinned to a tenth; repeated runs differ by a few thousandths.
+// the safe band at a one-unit stake and plans under exposure caps. The
+// safe-only pin runs at a three-unit stake, where the safe band schedules
+// plans. Counts are pinned to a tenth; repeated runs differ by a few
+// thousandths.
 func TestSessionAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the count is only meaningful unraced")
 	}
 	for _, tc := range []struct {
 		strategy Strategy
+		stake    goods.Money
 		want     float64
 		maxBytes float64
 	}{
-		{StrategyNaive, 1, 300},
-		{StrategyTrustAware, 1, 300},
+		{StrategyNaive, goods.Unit, 1, 300},
+		{StrategyTrustAware, goods.Unit, 1, 300},
+		{StrategySafeOnly, 3 * goods.Unit, 1, 300},
 	} {
 		eng, err := NewEngine(Config{
 			Seed: 31, Sessions: 1 << 20, Concurrency: 16, Strategy: tc.strategy, RepStore: "sharded",
-			Agents: population(t, agent.PopConfig{Honest: 16, Stake: goods.Unit}, 29),
+			Agents: population(t, agent.PopConfig{Honest: 16, Stake: tc.stake}, 29),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -9,16 +9,14 @@ import (
 // quantiles of heavy-tailed data — latencies, above all — can be reported
 // with a bounded *relative* error at any scale, next to an exact count and
 // sum. It is the percentile-grade counterpart of Sample: the trustd metrics
-// plane keeps live Distributions behind /metrics, and eval's exchange
-// latency column merges one per trial.
+// plane keeps live Distributions behind /metrics.
 //
 // Layout. Values in [1, 2^48) are bucketed geometrically with
 // distSubBuckets = 16 buckets per octave, i.e. a growth factor of
 // g = 2^(1/16) ≈ 1.0443 per bucket; values below 1 (including zero,
 // negatives and NaN) land in a single underflow bucket spanning [0, 1); and
 // values at or above 2^48 (about 3.3 days in nanoseconds) clamp into the top
-// bucket. The layout is fixed at compile time, which is what makes Merge a
-// plain element-wise sum.
+// bucket. The layout is fixed at compile time.
 //
 // Accuracy. Percentile walks the cumulative bucket counts and interpolates
 // linearly inside the selected bucket, then clamps the result to the exact
@@ -30,13 +28,6 @@ import (
 // carry an absolute error below 1 instead, and values clamped into the top
 // bucket are reported no higher than the observed Max. Sum and Count are
 // exact (via an embedded Sample), not bucketed.
-//
-// Determinism. Bucket counts are integers, so merging them is exactly
-// associative and commutative; the moment accumulators follow Sample.Merge's
-// discipline (associative up to float re-association — see merge_test.go).
-// Reducing shard-local Distributions in a fixed order therefore reproduces
-// the same summary every run, the same contract eval.RunCell relies on for
-// Sample.
 //
 // The zero value is ready to use.
 type Distribution struct {
@@ -99,31 +90,13 @@ func distBucketRange(i int) (lo, hi float64) {
 	return bound(i), bound(i + 1)
 }
 
-func (d *Distribution) ensure() {
-	if d.counts == nil {
-		d.counts = make([]int64, distBuckets)
-	}
-}
-
 // Add records a single observation.
 func (d *Distribution) Add(x float64) {
 	d.moments.Add(x)
-	d.ensure()
+	if d.counts == nil {
+		d.counts = make([]int64, distBuckets)
+	}
 	d.counts[distBucketIndex(x)]++
-}
-
-// Merge folds other into d, as if every observation of other had been Added.
-// Bucket counts merge exactly (integer sums — associative and commutative);
-// the moments follow Sample.Merge's discipline. other is not modified.
-func (d *Distribution) Merge(other Distribution) {
-	d.moments.Merge(other.moments)
-	if other.counts == nil {
-		return
-	}
-	d.ensure()
-	for i, c := range other.counts {
-		d.counts[i] += c
-	}
 }
 
 // Clone returns an independent deep copy — the snapshot a concurrent reader

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"testing"
 )
 
@@ -198,109 +197,6 @@ func TestDistributionUnderflowAndOverflow(t *testing.T) {
 	if idx := distBucketIndex(math.NaN()); idx != 0 {
 		t.Errorf("NaN bucket = %d, want the underflow bucket", idx)
 	}
-}
-
-func randomDistribution(rng *rand.Rand, n int) Distribution {
-	var d Distribution
-	for i := 0; i < n; i++ {
-		d.Add(math.Exp(rng.NormFloat64()*2 + float64(rng.Intn(8))))
-	}
-	return d
-}
-
-// distEquiv compares two distributions the way sampleEquiv compares Samples:
-// bucket counts exactly (integer sums are exactly associative), moments to
-// the float-reassociation tolerance.
-func distEquiv(t *testing.T, label string, a, b Distribution) {
-	t.Helper()
-	sampleEquiv(t, label, a.moments, b.moments)
-	for i := range a.counts {
-		av, bv := int64(0), int64(0)
-		if a.counts != nil {
-			av = a.counts[i]
-		}
-		if b.counts != nil {
-			bv = b.counts[i]
-		}
-		if av != bv {
-			t.Errorf("%s: bucket %d count %d != %d", label, i, av, bv)
-			return
-		}
-	}
-	if (a.counts == nil) != (b.counts == nil) && a.Count() != 0 {
-		t.Errorf("%s: one side has no buckets", label)
-	}
-}
-
-// TestDistributionMergeOfSplitsEqualsWhole mirrors
-// TestSampleMergeOfSplitsEqualsWhole: a stream split anywhere and merged
-// reproduces the whole-stream accumulator — what eval's exchange-latency
-// column relies on when it merges per-trial latency distributions.
-func TestDistributionMergeOfSplitsEqualsWhole(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 257)
-	for i := range xs {
-		xs[i] = math.Exp(rng.NormFloat64()*2 + 4)
-	}
-	var whole Distribution
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	for _, cut := range []int{0, 1, 64, 128, 256, len(xs)} {
-		var lo, hi Distribution
-		for _, x := range xs[:cut] {
-			lo.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			hi.Add(x)
-		}
-		lo.Merge(hi)
-		distEquiv(t, "cut="+strconv.Itoa(cut), lo, whole)
-		for _, p := range []float64{50, 95, 99, 99.9} {
-			if got, want := lo.Percentile(p), whole.Percentile(p); got != want {
-				t.Errorf("cut=%d: merged p%g = %g, whole %g (bucket merge should be exact)", cut, p, got, want)
-			}
-		}
-	}
-}
-
-func TestDistributionMergeOrderIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20; trial++ {
-		a1, b1 := randomDistribution(rng, rng.Intn(60)), randomDistribution(rng, rng.Intn(60))
-		a2, b2 := a1.Clone(), b1.Clone()
-		a1.Merge(b1)
-		b2.Merge(a2)
-		distEquiv(t, "commutativity", a1, b2)
-	}
-}
-
-func TestDistributionMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		a, b, c := randomDistribution(rng, rng.Intn(50)), randomDistribution(rng, rng.Intn(50)), randomDistribution(rng, rng.Intn(50))
-		left := a.Clone()
-		left.Merge(b)
-		left.Merge(c)
-		bc := b.Clone()
-		bc.Merge(c)
-		right := a.Clone()
-		right.Merge(bc)
-		distEquiv(t, "associativity", left, right)
-	}
-}
-
-// TestDistributionMergeEmptyIsIdentity: empty shards are invisible in the
-// reduction, in either direction.
-func TestDistributionMergeEmptyIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	s := randomDistribution(rng, 23)
-	orig := s.Clone()
-	s.Merge(Distribution{})
-	distEquiv(t, "merge empty into s", s, orig)
-	var empty Distribution
-	empty.Merge(orig)
-	distEquiv(t, "merge s into empty", empty, orig)
 }
 
 // TestDistributionCloneIndependent: mutating a clone must not leak into the

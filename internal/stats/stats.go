@@ -1,7 +1,6 @@
 // Package stats is a small, dependency-free statistics toolkit used by the
 // experiment harness: streaming moments, percentiles, latency
-// distributions, linear regression, inequality measures and prediction
-// error.
+// distributions, inequality measures and prediction error.
 //
 // Every accumulator is a plain value type whose zero value is ready to use.
 package stats

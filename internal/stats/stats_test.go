@@ -125,55 +125,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestFitLinearRecoversLine(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 + 2*x
-	}
-	fit, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(fit.Slope, 2, 1e-9) || !almostEqual(fit.Intercept, 3, 1e-9) {
-		t.Errorf("fit = %+v, want slope 2 intercept 3", fit)
-	}
-	if !almostEqual(fit.R2, 1, 1e-9) {
-		t.Errorf("R2 = %g, want 1", fit.R2)
-	}
-}
-
-func TestFitLinearErrors(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
-		t.Error("want error for single point")
-	}
-	if _, err := FitLinear([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("want error for length mismatch")
-	}
-	if _, err := FitLinear([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("want error for constant x")
-	}
-}
-
-func TestFitPowerLaw(t *testing.T) {
-	// y = 5 x^2 exactly.
-	xs := []float64{1, 2, 4, 8, 16}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 5 * x * x
-	}
-	k, c, r2, err := FitPowerLaw(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(k, 2, 1e-9) || !almostEqual(c, 5, 1e-9) || !almostEqual(r2, 1, 1e-9) {
-		t.Errorf("power fit k=%g c=%g r2=%g, want 2, 5, 1", k, c, r2)
-	}
-	if _, _, _, err := FitPowerLaw([]float64{0, 1}, []float64{1, 2}); err == nil {
-		t.Error("want error for non-positive x")
-	}
-}
-
 func TestMAE(t *testing.T) {
 	mae, err := MAE([]float64{1, 2, 3}, []float64{2, 2, 1})
 	if err != nil {
