@@ -18,14 +18,12 @@ import (
 	"os"
 	"strings"
 
+	"trustcoop/internal/cli"
 	"trustcoop/internal/eval"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "evalrun:", err)
-		os.Exit(1)
-	}
+	cli.Exit("evalrun", run(os.Args[1:]))
 }
 
 func run(args []string) error {
@@ -39,7 +37,7 @@ func run(args []string) error {
 	repstore := fs.String("repstore", "", "restrict the reputation-backend experiments (E10) to these comma-separated complaint-store specs (e.g. sharded,async:sharded); empty runs the default portfolio")
 	gossipSpec := fs.String("gossip", "", "cross-shard evidence gossip for the sharded-cell experiments (E2, E3, E6; topology/fanout also steer E11's, E12's and E13's sweeps, and E13 takes the period too), spec PERIOD[:TOPOLOGY[:FANOUT]] e.g. 16, 16:ring, 4:mesh:2, 8:ring2; empty or 'off' keeps shards isolated — enabling gossip changes the information structure and the affected table titles say so")
 	evidence := fs.String("evidence", "", "evidence kind gossiping cells exchange, spec KIND[+OPTION...]: 'complaints' (default; the shared complaint model, which gossiping cells always run over the sharded backend — -repstore reaches only E10) or 'posterior' (per-agent Beta estimators gossiping posterior deltas); posterior options pick the export policy — 'posterior+columnar' (interned columnar codec), 'posterior+q6' (lossy fixed point, 6 fractional bits), 'posterior+top4' (top-4 subjects per export), 'posterior+conf0.7+eps0.5' (defer low-confidence subjects) — restricts E12's kind sweep and replaces E13's policy sweep; part of the experiment definition, shown in titles")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *workers < 0 {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"trustcoop/internal/testutil"
 )
 
 // TestRunQuickSubset drives the real flag surface end to end: a quick
@@ -58,4 +60,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Errorf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
 		}
 	}
+}
+
+func TestMain(m *testing.M) { testutil.MainOr(m, main) }
+
+// TestFlagExits runs the built command: -h exits 0 after the usage, an
+// undefined flag is reported once and exits 2, and an error run returns
+// after parsing prints once and exits 1.
+func TestFlagExits(t *testing.T) {
+	testutil.FlagExits(t, "evalrun", "-exp", "E99")
 }

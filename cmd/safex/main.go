@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 
+	"trustcoop/internal/cli"
 	"trustcoop/internal/exchange"
 	"trustcoop/internal/goods"
 )
@@ -40,10 +41,7 @@ type input struct {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "safex:", err)
-		os.Exit(1)
-	}
+	cli.Exit("safex", run(os.Args[1:], os.Stdin, os.Stdout))
 }
 
 func run(args []string, in io.Reader, out io.Writer) error {
@@ -55,7 +53,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	capCon := fs.Float64("cap-consumer", 0, "consumer exposure cap Lc (units)")
 	eager := fs.Bool("eager", false, "pay eagerly instead of lazily")
 	analyze := fs.Bool("analyze", false, "print minimal stake/exposure for the terms and exit")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	// Every amount from outside goes through goods.FromFloat; the first one

@@ -68,3 +68,12 @@ func TestGoldenOutput(t *testing.T) {
 		})
 	}
 }
+
+func TestMain(m *testing.M) { testutil.MainOr(m, main) }
+
+// TestFlagExits runs the built command: -h exits 0 after the usage, an
+// undefined flag is reported once and exits 2, and an error run returns
+// after parsing prints once and exits 1.
+func TestFlagExits(t *testing.T) {
+	testutil.FlagExits(t, "safex", "-mode", "bogus")
+}

@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"trustcoop/internal/cli"
 	"trustcoop/internal/trustd"
 )
 
@@ -45,10 +46,7 @@ const (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "trustd:", err)
-		os.Exit(1)
-	}
+	cli.Exit("trustd", run(os.Args[1:]))
 }
 
 func run(args []string) error {
@@ -63,7 +61,7 @@ func run(args []string) error {
 	sessions := fs.Int("sessions", 200, "loadgen: marketplace sessions to simulate")
 	batch := fs.Int("batch", 8, "loadgen: complaints per ingest batch")
 	seed := fs.Int64("seed", 1, "loadgen: simulation seed")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *every < 1 {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"trustcoop/internal/testutil"
 	"trustcoop/internal/trust/complaints"
 	"trustcoop/internal/trustd"
 )
@@ -108,4 +109,13 @@ func TestServeDrainsAndClosesOnCancel(t *testing.T) {
 		t.Fatalf("reopen recovered %d batches, %d complaints, %d torn bytes; want 1, %d, 0",
 			st.RecoveredBatches, st.RecoveredComplaints, st.TornTailBytes, len(batch))
 	}
+}
+
+func TestMain(m *testing.M) { testutil.MainOr(m, main) }
+
+// TestFlagExits runs the built command: -h exits 0 after the usage, an
+// undefined flag is reported once and exits 2, and an error run returns
+// after parsing prints once and exits 1.
+func TestFlagExits(t *testing.T) {
+	testutil.FlagExits(t, "trustd", "-checkpoint-every", "0")
 }

@@ -16,15 +16,13 @@ import (
 	"sort"
 
 	"trustcoop/internal/agent"
+	"trustcoop/internal/cli"
 	"trustcoop/internal/goods"
 	"trustcoop/internal/market"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "trustsim:", err)
-		os.Exit(1)
-	}
+	cli.Exit("trustsim", run(os.Args[1:], os.Stdout))
 }
 
 func run(args []string, w io.Writer) error {
@@ -40,7 +38,7 @@ func run(args []string, w io.Writer) error {
 	drop := fs.Float64("drop", 0, "per-message network loss probability")
 	seed := fs.Int64("seed", 1, "random seed")
 	items := fs.Int("items", 8, "items per bundle")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"trustcoop/internal/testutil"
 )
 
 // runCaptured runs the command with args, returning what it printed.
@@ -55,4 +57,13 @@ func TestRunRejectsBadInput(t *testing.T) {
 			t.Errorf("run(%v) printed a report before failing:\n%s", args, out)
 		}
 	}
+}
+
+func TestMain(m *testing.M) { testutil.MainOr(m, main) }
+
+// TestFlagExits runs the built command: -h exits 0 after the usage, an
+// undefined flag is reported once and exits 2, and an error run returns
+// after parsing prints once and exits 1.
+func TestFlagExits(t *testing.T) {
+	testutil.FlagExits(t, "trustsim", "-strategy", "bogus")
 }

@@ -137,9 +137,6 @@ type Agent struct {
 	// LiesAsWitness makes the agent invert what it reports to the
 	// reputation layer.
 	LiesAsWitness bool
-	// TrueHonesty is the ground-truth cooperation probability used by
-	// oracle baselines and learning metrics.
-	TrueHonesty float64
 }
 
 // PopConfig describes a population mix. Counts may be zero, not negative.
@@ -174,9 +171,7 @@ func (c PopConfig) Size() int {
 }
 
 // NewPopulation builds the agents deterministically from cfg and rng (the
-// rng only drives liar selection). TrueHonesty is set per behaviour: honest
-// 1.0; rational 0.9 (kept honest by stakes in well-designed exchanges);
-// random 1−P per step; backstabber 0.15; opportunist 0.25.
+// rng only drives liar selection).
 //
 // The agents share one backing array and their IDs one string, and agents
 // of a kind share one Behavior value, so a call makes a handful of
@@ -202,13 +197,12 @@ func NewPopulation(cfg PopConfig, rng *rand.Rand) ([]*Agent, error) {
 		name     string
 		n        int
 		behavior Behavior
-		honesty  float64
 	}{
-		{"honest", cfg.Honest, Honest{}, 1.0},
-		{"rational", cfg.Rational, Rational{}, 0.9},
-		{"opportunist", cfg.Opportunist, Opportunist{Threshold: thr}, 0.25},
-		{"random", cfg.Random, RandomDefector{P: randomDefectP}, 1 - randomDefectP},
-		{"backstabber", cfg.Backstabber, Backstabber{After: backstabAfter}, 0.15},
+		{"honest", cfg.Honest, Honest{}},
+		{"rational", cfg.Rational, Rational{}},
+		{"opportunist", cfg.Opportunist, Opportunist{Threshold: thr}},
+		{"random", cfg.Random, RandomDefector{P: randomDefectP}},
+		{"backstabber", cfg.Backstabber, Backstabber{After: backstabAfter}},
 	}
 
 	// An agent's ID is its kind's name and its decimal rank within the kind.
@@ -238,7 +232,7 @@ func NewPopulation(cfg PopConfig, rng *rand.Rand) ([]*Agent, error) {
 			}
 			a := &backing[i]
 			a.ID = trust.PeerID(all[off : off+width])
-			a.Behavior, a.Stake, a.TrueHonesty = k.behavior, cfg.Stake, k.honesty
+			a.Behavior, a.Stake = k.behavior, cfg.Stake
 			if cfg.Policy != nil {
 				a.Policy = cfg.Policy(i)
 			} else {

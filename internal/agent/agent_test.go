@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"trustcoop/internal/decision"
 	"trustcoop/internal/goods"
@@ -123,13 +124,19 @@ func TestNewPopulationCountsAndDefaults(t *testing.T) {
 		if a.Policy == nil {
 			t.Errorf("agent %s has nil policy", a.ID)
 		}
-		if a.TrueHonesty < 0 || a.TrueHonesty > 1 {
-			t.Errorf("agent %s honesty = %g", a.ID, a.TrueHonesty)
-		}
 	}
 	if counts["honest"] != 3 || counts["rational"] != 2 || counts["opportunist"] != 1 ||
 		counts["random"] != 1 || counts["backstabber"] != 1 {
 		t.Errorf("behaviour counts = %v", counts)
+	}
+}
+
+// TestAgentRecordIsOneCacheLine pins an Agent record at 64 bytes, one cache
+// line: in a large population's backing array, which the allocator aligns to
+// a page, reading an agent touches one line, not two.
+func TestAgentRecordIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Agent{}); got != 64 {
+		t.Errorf("an Agent is %d bytes, want 64", got)
 	}
 }
 

@@ -39,24 +39,22 @@ func newPopulationReference(cfg PopConfig, rng *rand.Rand) ([]*Agent, error) {
 	}
 
 	var agents []*Agent
-	add := func(kind string, n int, mk func() (Behavior, float64)) {
+	add := func(kind string, n int, mk func() Behavior) {
 		for i := 0; i < n; i++ {
-			b, honesty := mk()
 			id := trust.PeerID(fmt.Sprintf("%s%d", kind, i))
 			agents = append(agents, &Agent{
-				ID:          id,
-				Behavior:    b,
-				Policy:      policy(len(agents)),
-				Stake:       cfg.Stake,
-				TrueHonesty: honesty,
+				ID:       id,
+				Behavior: mk(),
+				Policy:   policy(len(agents)),
+				Stake:    cfg.Stake,
 			})
 		}
 	}
-	add("honest", cfg.Honest, func() (Behavior, float64) { return Honest{}, 1.0 })
-	add("rational", cfg.Rational, func() (Behavior, float64) { return Rational{}, 0.9 })
-	add("opportunist", cfg.Opportunist, func() (Behavior, float64) { return Opportunist{Threshold: thr}, 0.25 })
-	add("random", cfg.Random, func() (Behavior, float64) { return RandomDefector{P: randomDefectP}, 1 - randomDefectP })
-	add("backstabber", cfg.Backstabber, func() (Behavior, float64) { return Backstabber{After: backstabAfter}, 0.15 })
+	add("honest", cfg.Honest, func() Behavior { return Honest{} })
+	add("rational", cfg.Rational, func() Behavior { return Rational{} })
+	add("opportunist", cfg.Opportunist, func() Behavior { return Opportunist{Threshold: thr} })
+	add("random", cfg.Random, func() Behavior { return RandomDefector{P: randomDefectP} })
+	add("backstabber", cfg.Backstabber, func() Behavior { return Backstabber{After: backstabAfter} })
 
 	if cfg.LiarFraction > 0 {
 		n := int(cfg.LiarFraction * float64(len(agents)))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -204,8 +205,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if i := firstDuplicate(cfg.Agents); i >= 0 {
-		return nil, fmt.Errorf("market: duplicate agent ID %q", cfg.Agents[i].ID)
+	agents := cfg.Agents
+	if i := firstDuplicate(len(agents), func(i int) trust.PeerID { return agents[i].ID }); i >= 0 {
+		return nil, fmt.Errorf("market: duplicate agent ID %q", agents[i].ID)
 	}
 	e := &Engine{
 		cfg:      cfg,
@@ -238,7 +240,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 			store = cfg.GossipNode
 		}
 		e.repStore = store
-		e.complaintEst = &complaints.Estimator{Assessor: complaints.NewAssessor(store, agent.IDs(cfg.Agents))}
+		// The assessor lists the IDs only if it must scan the population.
+		e.complaintEst = &complaints.Estimator{Assessor: complaints.NewAssessorView(store, len(agents),
+			func() []trust.PeerID { return agent.IDs(agents) })}
 	} else {
 		e.estimatorOf = cfg.EstimatorOf
 		if cfg.Evidence == trust.EvidencePosterior && cfg.GossipNode != nil {
@@ -263,36 +267,42 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// firstDuplicate returns the index of the first agent, in index order, whose
-// ID an earlier agent already has, or -1. It probes a transient
-// open-addressing table of (hash tag, index) slots at most half full, so it
+// firstDuplicate returns the index of the first of n IDs, in index order,
+// that an earlier index already has, or -1; id(i) is the ID at index i. It
+// probes a transient open-addressing table at most half full, whose 4-byte
+// slots pack an index+1 into their low bits.Len(n) bits (0 marks a free
+// slot) and a tag, the top bits of the ID's hash, into the bits above. It
 // compares two IDs only when their tags match, and keeps nothing once it
 // returns. IDs are hashed a batch at a time before the batch probes, so the
 // probes' cache misses into a table far larger than the caches overlap.
-func firstDuplicate(agents []*agent.Agent) int {
-	type slot struct{ tag, at uint32 } // at is the agent's index+1; 0 marks a free slot
+//
+// n must be at most math.MaxInt32, which Config.withDefaults guarantees:
+// the index then takes at most 31 bits and leaves the tag at least one.
+func firstDuplicate(n int, id func(int) trust.PeerID) int {
 	size := 1
-	for size < 2*len(agents) {
+	for size < 2*n {
 		size <<= 1
 	}
-	table, mask := make([]slot, size), uint64(size-1)
+	table, mask := make([]uint32, size), uint64(size-1)
+	idxBits := uint(bits.Len(uint(n)))
+	atMask := uint32(1)<<idxBits - 1
 	seed := maphash.MakeSeed()
 	var hashes [32]uint64
-	for base := 0; base < len(agents); base += len(hashes) {
-		batch := agents[base:min(base+len(hashes), len(agents))]
-		for j, a := range batch {
-			hashes[j] = maphash.String(seed, string(a.ID))
+	for base := 0; base < n; base += len(hashes) {
+		batch := hashes[:min(len(hashes), n-base)]
+		for j := range batch {
+			batch[j] = maphash.String(seed, string(id(base+j)))
 		}
-		for j, a := range batch {
-			h := hashes[j]
-			tag := uint32(h >> 32) // the probe start comes from the low bits
+		for j, h := range batch {
+			// The probe starts from h's low bits, the tag is its top 32−idxBits.
+			tag := uint32(h>>(32+idxBits)) << idxBits
 			for p := h & mask; ; p = (p + 1) & mask {
-				s := &table[p]
-				if s.at == 0 {
-					*s = slot{tag, uint32(base+j) + 1}
+				s := table[p]
+				if s == 0 {
+					table[p] = tag | uint32(base+j+1)
 					break
 				}
-				if s.tag == tag && agents[s.at-1].ID == a.ID {
+				if s&^atMask == tag && id(int(s&atMask)-1) == id(base+j) {
 					return base + j
 				}
 			}

@@ -147,7 +147,7 @@ func TestConcurrencyInvariantResults(t *testing.T) {
 	oracle := func(agents []*agent.Agent) func(trust.PeerID) trust.Estimator {
 		o := &trust.Oracle{Truth: map[trust.PeerID]float64{}, Prior: 0.8}
 		for _, a := range agents {
-			o.Truth[a.ID] = a.TrueHonesty
+			o.Truth[a.ID] = trueHonesty(a)
 		}
 		return func(trust.PeerID) trust.Estimator { return o }
 	}

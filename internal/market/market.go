@@ -9,6 +9,7 @@ package market
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"trustcoop/internal/agent"
 	"trustcoop/internal/core"
@@ -143,6 +144,10 @@ var planner = core.Planner{RequireBeneficial: true}
 func (c Config) withDefaults() (Config, error) {
 	if len(c.Agents) < 2 {
 		return c, fmt.Errorf("market: need at least 2 agents, have %d", len(c.Agents))
+	}
+	if len(c.Agents) > math.MaxInt32 {
+		// The engine indexes agents by int32.
+		return c, fmt.Errorf("market: at most %d agents, have %d", math.MaxInt32, len(c.Agents))
 	}
 	if c.Sessions <= 0 {
 		return c, fmt.Errorf("market: sessions must be positive, have %d", c.Sessions)

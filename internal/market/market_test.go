@@ -1,6 +1,7 @@
 package market
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -19,6 +20,27 @@ func population(t *testing.T, cfg agent.PopConfig, seed int64) []*agent.Agent {
 		t.Fatal(err)
 	}
 	return agents
+}
+
+// trueHonesty is the ground-truth cooperation probability of a's behaviour,
+// for oracle estimators: honest 1.0; rational 0.9 (kept honest by stakes in
+// well-designed exchanges); random 1−P per step; backstabber 0.15;
+// opportunist 0.25.
+func trueHonesty(a *agent.Agent) float64 {
+	switch b := a.Behavior.(type) {
+	case agent.Honest:
+		return 1
+	case agent.Rational:
+		return 0.9
+	case agent.RandomDefector:
+		return 1 - b.P
+	case agent.Backstabber:
+		return 0.15
+	case agent.Opportunist:
+		return 0.25
+	default:
+		panic(fmt.Sprintf("no ground truth for behaviour %T", b))
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -251,7 +273,7 @@ func TestCustomEstimatorWiring(t *testing.T) {
 	agents := population(t, agent.PopConfig{Honest: 3, Stake: 20 * goods.Unit}, 37)
 	oracle := &trust.Oracle{Truth: map[trust.PeerID]float64{}, Prior: 0.9}
 	for _, a := range agents {
-		oracle.Truth[a.ID] = a.TrueHonesty
+		oracle.Truth[a.ID] = trueHonesty(a)
 	}
 	eng, err := NewEngine(Config{
 		Seed: 41, Sessions: 20, Agents: agents,

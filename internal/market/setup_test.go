@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/metrics"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -72,9 +74,27 @@ func TestNewEngineRejectsDuplicateID(t *testing.T) {
 	}
 }
 
-// TestFirstDuplicateMatchesMap checks the table probe against a map on random
-// ID lists: IDs from a small alphabet of varied lengths, so some lists repeat
-// early, some late and some never, and the lists span several table sizes.
+// firstDuplicateCounted runs firstDuplicate over ids and counts the IDs it
+// reads: one per ID it hashes, two per pair of IDs it compares.
+func firstDuplicateCounted(ids []trust.PeerID) (at, reads int) {
+	at = firstDuplicate(len(ids), func(i int) trust.PeerID {
+		reads++
+		return ids[i]
+	})
+	return at, reads
+}
+
+// TestFirstDuplicateMatchesMap checks the table probe against a map. First
+// on random ID lists: IDs from a small alphabet of varied lengths, so some
+// lists repeat early, some late and some never, and the lists span several
+// table sizes. Then at the edges of a slot's packing: n = 2ᵏ−1, 2ᵏ and 2ᵏ+1
+// for k = 1…17, where the index's bits.Len(n) low bits grow by one, each
+// with no duplicate, with index 1 repeating index 0 and with the last index
+// repeating the one before it, whose index+1 needs every index bit. Last,
+// above 2²⁰ agents, where a tag has 11 bits and thousands of tags collide,
+// with a duplicate at the end. Where a list repeats at most once, the probe
+// must compare IDs only on a tag match: the duplicate's one comparison and
+// at most n/64 more.
 func TestFirstDuplicateMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	for trial := range 1000 {
@@ -85,10 +105,44 @@ func TestFirstDuplicateMatchesMap(t *testing.T) {
 			k := rng.Intn(universe)
 			ids[i] = trust.PeerID(strings.Repeat("p", k%7) + fmt.Sprint(k))
 		}
-		if got, want := firstDuplicate(agentsWithIDs(ids)), firstDuplicateReference(ids); got != want {
+		got, _ := firstDuplicateCounted(ids)
+		if want := firstDuplicateReference(ids); got != want {
 			t.Fatalf("trial %d: first duplicate at %d, map says %d (ids %q)", trial, got, want, ids)
 		}
 	}
+
+	distinct := make([]trust.PeerID, 1<<20+1)
+	for i := range distinct {
+		distinct[i] = trust.PeerID("agent" + strconv.Itoa(i))
+	}
+	check := func(ids []trust.PeerID, label string) {
+		t.Helper()
+		got, reads := firstDuplicateCounted(ids)
+		if want := firstDuplicateReference(ids); got != want {
+			t.Fatalf("n=%d, %s: first duplicate at %d, map says %d", len(ids), label, got, want)
+		}
+		if compared := (reads - len(ids)) / 2; compared > 1+len(ids)/64 {
+			t.Fatalf("n=%d, %s: %d ID comparisons, want at most %d", len(ids), label, compared, 1+len(ids)/64)
+		}
+	}
+	var sizes []int
+	for k := 1; k <= 17; k++ {
+		sizes = append(sizes, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for _, n := range sizes {
+		ids := slices.Clone(distinct[:n])
+		check(ids, "no duplicate")
+		if n < 2 {
+			continue
+		}
+		ids[1] = ids[0]
+		check(ids, "index 1 repeats index 0")
+		ids[1] = distinct[1]
+		ids[n-1] = ids[n-2]
+		check(ids, "last index repeats the one before")
+	}
+	distinct[len(distinct)-1] = distinct[len(distinct)/2]
+	check(distinct, "late duplicate above 2²⁰ agents")
 }
 
 // setupConfig is perfbench market-naive-1m's engine over pop: naive plans,
@@ -101,7 +155,8 @@ func setupConfig(pop []*agent.Agent) Config {
 // 10⁵ agents: the engine keeps no per-agent map, its per-agent slices are one
 // allocation each whatever the population size, and a RepStore engine builds
 // neither a per-agent estimator slice nor a factory for one (32 allocations
-// while it did).
+// while it did). The assessor's population is a view: the closure that lists
+// the IDs on a scan replaced the copy of them, one allocation for another.
 func TestNewEngineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -120,6 +175,32 @@ func TestNewEngineAllocs(t *testing.T) {
 		if got != want {
 			t.Errorf("%d agents: %v allocations per call, want %d", n, got, want)
 		}
+	}
+}
+
+// TestNewEngineBytesPerAgent pins the bytes NewEngine allocates per agent
+// at 10⁵ agents (naive, sharded), from the collector's TotalAlloc: the
+// duplicate-ID table's 4-byte slots, 2¹⁸ of them here (10.49 B/agent), and
+// at most 1 B/agent of fixed cost beside them. An engine that copied the
+// population's IDs (16 B/agent) or used 8-byte slots would fail it.
+func TestNewEngineBytesPerAgent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, slots = 100_000, 1 << 18
+	pop, err := agent.NewPopulation(agent.PopConfig{Honest: n - n/5, Opportunist: n / 5}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := NewEngine(setupConfig(pop)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	want := float64(4*slots)/n + 1
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / n; got > want {
+		t.Errorf("NewEngine allocated %.2f B/agent at %d agents, want at most %.2f", got, n, want)
 	}
 }
 

@@ -138,11 +138,11 @@ type Flusher interface {
 // equivalence the registry property test pins.
 //
 // tracked counts peers with at least one nonzero counter; the assessor uses
-// it as a safety net (tracked > len(Population) proves a complaint mentions
-// an outsider, so the aggregate would over-count and the scan is used
-// instead). ok=false means the store cannot serve the aggregate (a decorator
-// over a non-aggregating inner store); the caller falls back as if the
-// extension were absent.
+// it as a safety net (tracked > the population's size proves a complaint
+// mentions an outsider, so the aggregate would over-count and the scan is
+// used instead). ok=false means the store cannot serve the aggregate (a
+// decorator over a non-aggregating inner store); the caller falls back as if
+// the extension were absent.
 type Aggregator interface {
 	ProductAggregate() (excess int64, tracked int, ok bool, err error)
 }
@@ -291,12 +291,12 @@ func (s *MemoryStore) Filed(p trust.PeerID) (int, error) {
 // product cr(q)·cf(q) exceeds Factor times the population average.
 //
 // The population average is served in O(1) whenever the store implements
-// Aggregator. Assessors built with NewAssessor additionally arm a
-// write-generation snapshot cache for stores that only implement
-// MutationCounter (the routed P-Grid store); a literal Assessor{...} keeps
-// the cache off and scans, which matters for stores whose reads consume
-// randomness (replica-voting reads on a grid with malicious peers), where
-// skipping scans would shift the read schedule.
+// Aggregator. Assessors built with NewAssessor or NewAssessorView
+// additionally arm a write-generation snapshot cache for stores that only
+// implement MutationCounter (the routed P-Grid store); a literal
+// Assessor{...} keeps the cache off and scans, which matters for stores
+// whose reads consume randomness (replica-voting reads on a grid with
+// malicious peers), where skipping scans would shift the read schedule.
 type Assessor struct {
 	// Store holds the complaint data.
 	Store Store
@@ -306,11 +306,25 @@ type Assessor struct {
 	// O(1) aggregate to be used, the population must cover every peer that
 	// appears in a complaint — true for the engine and every experiment,
 	// and guarded at read time via the aggregate's tracked count.
+	// An assessor built with NewAssessorView ignores it.
 	Population []trust.PeerID
 
-	// cache is the write-generation snapshot cache, shared by every copy of
-	// an assessor built with NewAssessor; nil disables it.
-	cache *avgCache
+	// shared is the state every copy of an assessor built with NewAssessor
+	// or NewAssessorView shares; nil for a literal, which disables the cache.
+	shared *shared
+}
+
+// shared holds an assessor's write-generation snapshot cache and, for a
+// view, its population.
+type shared struct {
+	cache avgCache
+
+	// A view's population is n peers, listed by list at most once, into
+	// ids, on the first scan; list is nil for NewAssessor's.
+	n    int
+	list func() []trust.PeerID
+	once sync.Once
+	ids  []trust.PeerID
 }
 
 // avgCache memoises one scanned population average keyed by the store's
@@ -327,7 +341,31 @@ type avgCache struct {
 // write-generation snapshot cache armed. Estimators built from the returned
 // value (it is copied freely) share one cache.
 func NewAssessor(store Store, population []trust.PeerID) Assessor {
-	return Assessor{Store: store, Population: population, cache: &avgCache{}}
+	return Assessor{Store: store, Population: population, shared: &shared{}}
+}
+
+// NewAssessorView is NewAssessor over a population of n peers that list
+// returns, in order, when asked. The assessor calls list at most once, on
+// the first population scan, and keeps the result in the state its copies
+// share; while the store's aggregate serves every average, it never calls
+// list at all. list must return n IDs.
+func NewAssessorView(store Store, n int, list func() []trust.PeerID) Assessor {
+	return Assessor{Store: store, shared: &shared{n: n, list: list}}
+}
+
+// population returns the number of peers the average runs over and, if
+// listed is set, their IDs; a view lists them on the first call that asks,
+// and reads them only after once, which orders the read after the write.
+func (a Assessor) population(listed bool) (int, []trust.PeerID) {
+	v := a.shared
+	if v == nil || v.list == nil {
+		return len(a.Population), a.Population
+	}
+	if !listed {
+		return v.n, nil
+	}
+	v.once.Do(func() { v.ids = v.list() })
+	return v.n, v.ids
 }
 
 // DefaultFactor is the decision threshold used by the original evaluation.
@@ -364,9 +402,9 @@ func (a Assessor) Product(q trust.PeerID) (float64, error) {
 //     bit-identical to the scan (see Aggregator). If the aggregate tracks
 //     more peers than the population holds, a complaint mentions an
 //     outsider and the scan is used instead.
-//  2. MutationCounter + cache (NewAssessor only): the scanned average is
-//     reused until the store's mutation generation moves — one scan per
-//     write burst instead of one per decision.
+//  2. MutationCounter + cache (NewAssessor and NewAssessorView only): the
+//     scanned average is reused until the store's mutation generation
+//     moves — one scan per write burst instead of one per decision.
 //  3. CountsAll scan: a Snapshotter store serves it with one lock pass per
 //     shard instead of one locked lookup per population member.
 //
@@ -374,7 +412,7 @@ func (a Assessor) Product(q trust.PeerID) (float64, error) {
 // ReadAccounter, so a write-behind or gossip store's stale-read accounting
 // is identical whichever path serves the average.
 func (a Assessor) AverageProduct() (float64, error) {
-	n := len(a.Population)
+	n, _ := a.population(false)
 	if n == 0 {
 		return 1, nil
 	}
@@ -384,36 +422,37 @@ func (a Assessor) AverageProduct() (float64, error) {
 		case err != nil:
 			return 0, err
 		case ok && tracked <= n:
-			a.noteScanReads()
+			a.noteScanReads(n)
 			return float64(int64(n)+excess) / float64(n), nil
 		case ok:
-			// Complaints mention peers outside Population; the aggregate
+			// Complaints mention peers outside the population; the aggregate
 			// would over-count them, so fall back to the exact scan.
 			return a.scanAverage()
 		}
 		// ok=false: a decorator over a non-aggregating inner store — try the
 		// generation cache next, exactly as if Aggregator were absent.
 	}
-	if a.cache != nil {
+	if a.shared != nil {
 		if mc, isMC := a.Store.(MutationCounter); isMC {
 			if gen, ok := mc.Mutations(); ok {
-				a.cache.mu.Lock()
-				if a.cache.valid && a.cache.gen == gen {
-					avg := a.cache.avg
-					a.cache.mu.Unlock()
-					a.noteScanReads()
+				c := &a.shared.cache
+				c.mu.Lock()
+				if c.valid && c.gen == gen {
+					avg := c.avg
+					c.mu.Unlock()
+					a.noteScanReads(n)
 					return avg, nil
 				}
-				a.cache.mu.Unlock()
+				c.mu.Unlock()
 				// gen was read before the scan, so a write racing the scan
 				// at worst invalidates a fresh entry — never the reverse.
 				avg, err := a.scanAverage()
 				if err != nil {
 					return 0, err
 				}
-				a.cache.mu.Lock()
-				a.cache.gen, a.cache.avg, a.cache.valid = gen, avg, true
-				a.cache.mu.Unlock()
+				c.mu.Lock()
+				c.gen, c.avg, c.valid = gen, avg, true
+				c.mu.Unlock()
 				return avg, nil
 			}
 		}
@@ -424,7 +463,8 @@ func (a Assessor) AverageProduct() (float64, error) {
 // scanAverage is the full CountsAll scan — the O(N) baseline the aggregate
 // and the generation cache must reproduce bit for bit.
 func (a Assessor) scanAverage() (float64, error) {
-	tallies, err := CountsAll(a.Store, a.Population)
+	n, ids := a.population(true)
+	tallies, err := CountsAll(a.Store, ids)
 	if err != nil {
 		return 0, err
 	}
@@ -432,14 +472,14 @@ func (a Assessor) scanAverage() (float64, error) {
 	for _, ty := range tallies {
 		sum += smoothedProduct(ty.Received, ty.Filed)
 	}
-	return sum / float64(len(a.Population)), nil
+	return sum / float64(n), nil
 }
 
-// noteScanReads reports the population-wide read the assessor just served
+// noteScanReads reports the read of all n peers the assessor just served
 // without a scan, keeping decorator staleness accounting scan-identical.
-func (a Assessor) noteScanReads() {
+func (a Assessor) noteScanReads(n int) {
 	if ra, ok := a.Store.(ReadAccounter); ok {
-		ra.NoteScanReads(len(a.Population))
+		ra.NoteScanReads(n)
 	}
 }
 
