@@ -56,7 +56,7 @@ func run(args []string) error {
 	backend := fs.String("backend", "sharded", "complaint store backend spec (memory | sharded | async:sharded | ...)")
 	every := fs.Int("checkpoint-every", trustd.DefaultCheckpointEvery, "complaints between checkpoints, at least 1; also bounds the complaints held for the next one")
 	factor := fs.Float64("factor", 0, "trust decision threshold (0 = model default)")
-	fsync := fs.Bool("fsync", false, "fsync the WAL on every append")
+	fsync := fs.Bool("fsync", false, "fsync the WAL on every append, so an ack survives a power loss; without it an ack survives a process crash, not a power loss")
 	loadgen := fs.Bool("loadgen", false, "run the closed-loop load generator instead of serving")
 	sessions := fs.Int("sessions", 200, "loadgen: marketplace sessions to simulate")
 	batch := fs.Int("batch", 8, "loadgen: complaints per ingest batch")

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"trustcoop/internal/trust"
 	"trustcoop/internal/trust/complaints"
@@ -46,8 +47,9 @@ func appendCheckpointHeader(dst []byte, walSeq uint64, npeers int) []byte {
 
 // appendCheckpointEntry encodes one peer's tallies — the only entry encoder.
 // Entries must come in strictly increasing peer order, so equal states
-// encode to equal bytes.
-func appendCheckpointEntry(dst []byte, peer trust.PeerID, t complaints.Tally) []byte {
+// encode to equal bytes. The fold passes a base entry's ID as the bytes it
+// is reading anyway.
+func appendCheckpointEntry[ID ~string | ~[]byte](dst []byte, peer ID, t complaints.Tally) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(peer)))
 	dst = append(dst, peer...)
 	dst = binary.AppendUvarint(dst, uint64(t.Received))
@@ -67,8 +69,8 @@ type checkpointReader struct {
 	left uint64 // entries the header promises beyond those read
 
 	// The entry next decoded: its peer ID, aliasing the checkpoint bytes, its
-	// whole encoding, which the fold copies verbatim when it is untouched,
-	// and its tallies.
+	// whole encoding, which the tests' sort-merge oracle copies verbatim when
+	// it is untouched, and its tallies.
 	id, raw []byte
 	tally   complaints.Tally
 }
@@ -99,9 +101,21 @@ func openCheckpoint(data []byte) (walSeq uint64, r checkpointReader, err error) 
 	return walSeq, r, nil
 }
 
+// uvarint decodes a canonical varint from b. binary.Uvarint also accepts
+// overlong encodings (a continuation byte before a final zero byte), which
+// would let two files hold one state and the fold copy a non-canonical entry
+// verbatim; uvarint reports n = 0 for them, as for a truncation.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
+}
+
 // uvarint decodes a header varint; what names it in the error.
 func (r *checkpointReader) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(r.body)
+	v, n := uvarint(r.body)
 	if n <= 0 {
 		return 0, fmt.Errorf("trustd: checkpoint truncated in %s", what)
 	}
@@ -111,8 +125,8 @@ func (r *checkpointReader) uvarint(what string) (uint64, error) {
 
 // next decodes the following entry into r.id, r.raw and r.tally. It reports
 // false once every promised entry is read; a checkpoint with bytes left over
-// at that point is an error. The fold calls it once per peer, so its varints
-// are decoded inline rather than through uvarint.
+// at that point is an error. The fold calls it once per touched peer, so its
+// varints are decoded inline rather than through the uvarint method.
 func (r *checkpointReader) next() (bool, error) {
 	if r.left == 0 {
 		if len(r.body) != 0 {
@@ -121,17 +135,17 @@ func (r *checkpointReader) next() (bool, error) {
 		return false, nil
 	}
 	b := r.body
-	l, n := binary.Uvarint(b)
+	l, n := uvarint(b)
 	if n <= 0 || l > uint64(len(b)-n) {
 		return false, fmt.Errorf("trustd: checkpoint truncated in peer ID")
 	}
 	id, b := b[n:n+int(l)], b[n+int(l):]
-	rc, n := binary.Uvarint(b)
+	rc, n := uvarint(b)
 	if n <= 0 {
 		return false, fmt.Errorf("trustd: checkpoint truncated in received count")
 	}
 	b = b[n:]
-	fc, n := binary.Uvarint(b)
+	fc, n := uvarint(b)
 	if n <= 0 {
 		return false, fmt.Errorf("trustd: checkpoint truncated in filed count")
 	}
@@ -145,11 +159,44 @@ func (r *checkpointReader) next() (bool, error) {
 	return true, nil
 }
 
+// skipEntry returns where the entry starting at b[pos] ends, or -1 when it
+// runs past b. The fold calls it for every untouched base entry, whose bytes
+// it copies verbatim, so it checks bounds only: the base was validated when
+// it was read. Its common case, an ID under 128 bytes and single-byte counts,
+// takes no loop.
+func skipEntry(b []byte, pos int) int {
+	if pos < len(b) && b[pos] < 0x80 {
+		if end := pos + 1 + int(b[pos]) + 2; end <= len(b) && b[end-2]|b[end-1] < 0x80 {
+			return end
+		}
+	}
+	return skipEntrySlow(b, pos)
+}
+
+// skipEntrySlow is skipEntry for any entry.
+func skipEntrySlow(b []byte, pos int) int {
+	l, n := binary.Uvarint(b[min(pos, len(b)):])
+	if n <= 0 || l > uint64(len(b)-pos-n) {
+		return -1
+	}
+	pos += n + int(l)
+	for range 2 { // the received and filed counts
+		for pos < len(b) && b[pos] >= 0x80 {
+			pos++
+		}
+		if pos++; pos > len(b) {
+			return -1
+		}
+	}
+	return pos
+}
+
 // decodeCheckpoint parses and validates a checkpoint file. Any malformation —
-// wrong magic, bad CRC, truncation, trailing garbage, counts overflowing an
-// int, peers not strictly increasing — is an error: recovery then falls back
-// to the previous checkpoint and the WAL, never to a partial snapshot. A
-// checkpoint it accepts is a valid base for the fold.
+// wrong magic, bad CRC, truncation, trailing garbage, an overlong varint,
+// counts overflowing an int, peers not strictly increasing — is an error:
+// recovery then falls back to the previous checkpoint and the WAL, never to a
+// partial snapshot. A checkpoint it accepts is exactly the encoding of the
+// state it returns, and a valid base for the fold.
 func decodeCheckpoint(data []byte) (walSeq uint64, peers []trust.PeerID, tallies []complaints.Tally, err error) {
 	walSeq, r, err := openCheckpoint(data)
 	if err != nil {
@@ -173,47 +220,135 @@ func decodeCheckpoint(data []byte) (walSeq uint64, peers []trust.PeerID, tallies
 	}
 }
 
-// foldCheckpoint builds the checkpoint at walSeq from the previous one's
-// bytes (nil for none) and the per-peer tally deltas of every batch applied
-// since: a streaming merge of two sorted runs, so its cost is one pass over
-// the previous file plus the deltas, and it reads no store. peers must be
-// sorted and distinct, deltas parallel to them. npeers is the entry count of
-// the result — every peer either run names. The output is appended to dst
-// and is byte-identical to encoding the same state from scratch.
-func foldCheckpoint(dst, prev []byte, walSeq uint64, npeers int, peers []trust.PeerID, deltas []complaints.Tally) ([]byte, error) {
-	var r checkpointReader
-	if prev != nil {
-		var err error
-		if _, r, err = openCheckpoint(prev); err != nil {
-			return nil, err
-		}
-	}
-	out := appendCheckpointHeader(dst, walSeq, npeers)
-	written := 0
-	ok, err := r.next()
-	for err == nil && (ok || len(peers) > 0) {
-		switch {
-		case ok && (len(peers) == 0 || string(r.id) < string(peers[0])):
-			out = append(out, r.raw...)
-			ok, err = r.next()
-		case ok && string(r.id) == string(peers[0]):
-			t, d := r.tally, deltas[0]
-			out = appendCheckpointEntry(out, peers[0], complaints.Tally{Received: t.Received + d.Received, Filed: t.Filed + d.Filed})
-			peers, deltas = peers[1:], deltas[1:]
-			ok, err = r.next()
-		default:
-			out = appendCheckpointEntry(out, peers[0], deltas[0])
-			peers, deltas = peers[1:], deltas[1:]
-		}
-		written++
-	}
+// folder builds each checkpoint from the one before it by dense peer index.
+// It keeps that checkpoint's bytes and a second buffer to encode the next one
+// into, and counts deltas in an array indexed like the peers, so a fold in
+// steady state reads no file, sorts nothing, compares no peer IDs and
+// allocates nothing. The server's foldMu guards it.
+type folder struct {
+	// The checkpoint the next fold starts from: a reader over its entries,
+	// aliasing buf, and their count. Peers take dense indices on first sight,
+	// so the peers indexed below nbase are exactly that checkpoint's peers.
+	base  checkpointReader
+	nbase int32
+	// buf holds the base's bytes; out is the buffer the next fold encodes
+	// into, and folded reads the entries of what fold last returned there.
+	buf, out []byte
+	folded   checkpointReader
+
+	// Per peer index i: the received and filed deltas at 2i and 2i+1, and
+	// bit i of touched set when either is nonzero. Both are zero between
+	// folds. uint32 holds any fold's counts, since the complaints the cuts
+	// retain would take 32 GB before one overflowed.
+	delta   []uint32
+	touched []uint64
+}
+
+// load makes data, the checkpoint recovery indexed npeers peers from, the
+// base of the next fold. It is the fold's only file read after Open.
+func (f *folder) load(data []byte, npeers int) error {
+	_, r, err := openCheckpoint(data)
 	if err != nil {
+		return err
+	}
+	if r.left != uint64(npeers) {
+		return fmt.Errorf("trustd: checkpoint holds %d peers, recovery indexed %d", r.left, npeers)
+	}
+	f.base, f.nbase, f.buf = r, int32(npeers), data
+	return nil
+}
+
+// fold encodes the checkpoint at the newest of cuts: the base with every
+// cut's complaints added, about's received and from's filed counter, exactly
+// as a store files them. It walks the newest cut's sorted peer list once: a
+// run of untouched base entries is copied in one append, a touched one is
+// re-encoded from its base tallies plus its delta, and a peer new since the
+// base is encoded from its delta. The result aliases the fold's output
+// buffer, is byte-identical to encoding the same state from scratch, and
+// becomes the next fold's base once rebase is called.
+func (f *folder) fold(cuts []cut) ([]byte, error) {
+	last := cuts[len(cuts)-1]
+	n := len(last.peers)
+	if k := 2*n - len(f.delta); k > 0 {
+		f.delta = append(f.delta, make([]uint32, k)...)
+	}
+	if k := (n+63)/64 - len(f.touched); k > 0 {
+		f.touched = append(f.touched, make([]uint64, k)...)
+	}
+	for _, c := range cuts {
+		for _, x := range c.log {
+			f.delta[2*x.about]++
+			f.delta[2*x.from+1]++
+			f.touched[x.about>>6] |= 1 << (x.about & 63)
+			f.touched[x.from>>6] |= 1 << (x.from & 63)
+		}
+	}
+	out, err := f.walk(last)
+	if err != nil {
+		clear(f.delta) // the walk stopped before clearing every touched counter
+		clear(f.touched)
 		return nil, err
 	}
-	if written != npeers {
-		return nil, fmt.Errorf("trustd: checkpoint fold wrote %d peers, the seen set holds %d", written, npeers)
+	return out, nil
+}
+
+// walk is the fold's pass over the newest cut's peers; it clears each
+// touched counter as it consumes it.
+func (f *folder) walk(last cut) ([]byte, error) {
+	r, nbase := f.base, f.nbase
+	// Sized for the usual fold: mostly known peers, a few entries a byte longer.
+	out := slices.Grow(f.out[:0], len(f.buf)+len(f.buf)/16+64)
+	out = appendCheckpointHeader(out, last.seq, len(last.peers))
+	hdr := len(out)
+	// The base's entries are b; those before pos are read, and those from
+	// run to pos are untouched and not yet copied.
+	b, pos, run, skipped := r.body, 0, 0, uint64(0)
+	for i, x := range last.idx {
+		if x < nbase && f.touched[x>>6]&(1<<(x&63)) == 0 {
+			if pos = skipEntry(b, pos); pos < 0 {
+				return nil, fmt.Errorf("trustd: checkpoint fold ran past the base's entries")
+			}
+			skipped++
+			continue
+		}
+		out = append(out, b[run:pos]...)
+		t := complaints.Tally{Received: int(f.delta[2*x]), Filed: int(f.delta[2*x+1])}
+		if x < nbase {
+			r.body, r.left = b[pos:], r.left-skipped
+			skipped = 0
+			ok, err := r.next()
+			if !ok {
+				if err == nil {
+					err = fmt.Errorf("trustd: checkpoint fold ran past the base's entries")
+				}
+				return nil, err
+			}
+			pos = len(b) - len(r.body)
+			t.Received += r.tally.Received
+			t.Filed += r.tally.Filed
+			out = appendCheckpointEntry(out, r.id, t) // the bytes being read, not a string elsewhere in the heap
+		} else {
+			out = appendCheckpointEntry(out, last.peers[i], t)
+		}
+		run = pos
+		f.delta[2*x], f.delta[2*x+1] = 0, 0
+		f.touched[x>>6] &^= 1 << (x & 63)
 	}
-	return sealCheckpoint(out), nil
+	out = append(out, b[run:pos]...)
+	if r.left != skipped || pos != len(b) {
+		return nil, fmt.Errorf("trustd: checkpoint fold left %d of the base's entries", r.left-skipped)
+	}
+	out = sealCheckpoint(out)
+	f.out = out
+	f.folded = checkpointReader{body: out[hdr : len(out)-4], left: uint64(len(last.peers))}
+	return out, nil
+}
+
+// rebase makes the checkpoint fold last returned the next fold's base, and
+// the old base's buffer the next fold's output.
+func (f *folder) rebase() {
+	f.base, f.nbase = f.folded, int32(f.folded.left)
+	f.buf, f.out = f.out, f.buf[:0]
 }
 
 // CheckpointCrash names an injection point of the checkpoint protocol for

@@ -115,10 +115,11 @@ type Stats struct {
 // drains and releases it; kill abandons it mid-flight (the crash harness's
 // kill -9). A checkpoint has two halves. The cut serialises with ingest on
 // mu, so it is always a consistent cut of the acked history: it rotates the
-// WAL and takes the complaints applied since the previous cut, nothing more.
-// The fold runs outside mu, on the goroutine that made the cut, and merges
-// those complaints into the previous checkpoint file; foldMu serialises
-// folds with each other and with Close and kill (lock order foldMu → mu).
+// WAL and takes the complaints applied since the previous cut and the sorted
+// seen list, nothing more. The fold runs outside mu, on the goroutine that
+// made the cut, and adds those complaints to the previous checkpoint, which
+// it keeps in memory; foldMu serialises folds with each other and with
+// Close and kill (lock order foldMu → mu).
 // Queries run concurrently against the thread-safe store and the snapshot
 // cache.
 type Server struct {
@@ -129,15 +130,24 @@ type Server struct {
 
 	foldMu  sync.Mutex
 	baseSeq uint64 // the newest checkpoint's WAL sequence, 0 before the first
+	ckpt    folder // that checkpoint, once a fold has read or written it
 
-	mu       sync.Mutex // ingest + cut + seen-set critical section
-	wal      *wal
-	seen     map[trust.PeerID]struct{}
-	seenList []trust.PeerID         // sorted and copy-on-write: read outside mu
-	newPeers []trust.PeerID         // seen peers not yet merged into seenList
-	log      []complaints.Complaint // applied since the last cut
-	cuts     []cut                  // cut but not yet folded, oldest first
-	failed   error                  // injected crash or storage failure, sticky
+	mu sync.Mutex // ingest + cut + seen-set critical section
+	// wal is the active log. seen maps every peer a durable complaint or the
+	// recovered checkpoint names to its dense index, handed out on first
+	// sight: the checkpoint's peers take 0…n−1 in file order, later peers
+	// the next free index.
+	wal  *wal
+	seen map[trust.PeerID]int32
+	// seenList is the seen set sorted, and seenIdx its peers' indices; both
+	// are copy-on-write, since readers and cuts hold them outside mu.
+	// newPeers are the peers seen since the last merge.
+	seenList []trust.PeerID
+	seenIdx  []int32
+	newPeers []trust.PeerID
+	log      []pair // applied since the last cut
+	cuts     []cut  // cut but not yet folded, oldest first
+	failed   error  // injected crash or storage failure, sticky
 	closed   bool
 
 	gen   atomic.Uint64
@@ -157,14 +167,19 @@ type Server struct {
 }
 
 // cut is a checkpoint between its halves: the WAL segment it started, the
-// complaints applied before it since the previous cut, the number of peers
-// seen by then, and when it began.
+// complaints applied before it since the previous cut, the sorted seen list
+// and its indices as of the cut, and when it began.
 type cut struct {
-	seq    uint64
-	log    []complaints.Complaint
-	npeers int
-	start  time.Time
+	seq   uint64
+	log   []pair
+	peers []trust.PeerID
+	idx   []int32
+	start time.Time
 }
+
+// pair is a retained complaint as its peers' dense indices: 8 bytes and no
+// pointers, where a complaints.Complaint is 32 bytes with two.
+type pair struct{ from, about int32 }
 
 // errClosed refuses work on a closed or killed server.
 var errClosed = errors.New("trustd: server closed")
@@ -226,7 +241,7 @@ func Open(opts Options) (*Server, error) {
 		store:  store,
 		factor: opts.Factor,
 		fixed:  opts.Population,
-		seen:   make(map[trust.PeerID]struct{}),
+		seen:   make(map[trust.PeerID]int32),
 	}
 	s.metrics.start = time.Now()
 	if s.factor <= 0 {
@@ -284,8 +299,10 @@ func (s *Server) recover() error {
 		if err := complaints.LoadAll(s.store, peers, tallies); err != nil {
 			return err
 		}
-		for _, p := range peers {
-			s.seen[p] = struct{}{}
+		s.seenIdx = make([]int32, len(peers))
+		for i, p := range peers {
+			s.seen[p] = int32(i)
+			s.seenIdx[i] = int32(i)
 		}
 		s.seenList = peers // decodeCheckpoint accepts only sorted, distinct peers
 		s.baseSeq = walSeq
@@ -313,7 +330,6 @@ func (s *Server) recover() error {
 				return fmt.Errorf("trustd: replaying %s: %w", walName(seq), err)
 			}
 			s.noteBatchLocked(batch)
-			s.log = append(s.log, batch...)
 			s.stats.recoveredBatches++
 			s.stats.recoveredComplaints += int64(len(batch))
 		}
@@ -347,20 +363,27 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// noteBatchLocked records the peers a batch mentions in the seen set (the
-// dynamic population and the checkpoint cover). Caller holds mu (or is still
-// single-threaded in recovery).
+// noteBatchLocked retains an applied batch for the next cut and records the
+// peers it mentions in the seen set (the dynamic population and the
+// checkpoint cover). Caller holds mu (or is still single-threaded in
+// recovery).
 func (s *Server) noteBatchLocked(batch []complaints.Complaint) {
 	for _, c := range batch {
-		if _, ok := s.seen[c.From]; !ok {
-			s.seen[c.From] = struct{}{}
-			s.newPeers = append(s.newPeers, c.From)
-		}
-		if _, ok := s.seen[c.About]; !ok {
-			s.seen[c.About] = struct{}{}
-			s.newPeers = append(s.newPeers, c.About)
-		}
+		s.log = append(s.log, pair{from: s.indexLocked(c.From), about: s.indexLocked(c.About)})
 	}
+}
+
+// indexLocked returns a peer's dense index, handing out the next one on
+// first sight. An int32 runs out at 2³¹ peers, far past what the seen map
+// fits in memory. Caller holds mu.
+func (s *Server) indexLocked(p trust.PeerID) int32 {
+	i, ok := s.seen[p]
+	if !ok {
+		i = int32(len(s.seen))
+		s.seen[p] = i
+		s.newPeers = append(s.newPeers, p)
+	}
+	return i
 }
 
 // errEmptyBatch rejects an empty complaint batch; over HTTP it is the
@@ -414,7 +437,6 @@ func (s *Server) apply(batch []complaints.Complaint) (bool, error) {
 		return false, err
 	}
 	s.noteBatchLocked(batch)
-	s.log = append(s.log, batch...)
 	s.gen.Add(1)
 	s.stats.batches.Add(1)
 	s.stats.complaints.Add(int64(len(batch)))
@@ -448,26 +470,30 @@ func (s *Server) Checkpoint() error {
 }
 
 // cutLocked is the checkpoint's locked half: rotate the WAL to the next
-// segment and queue the complaints applied before it for the fold. Caller
-// holds mu, so no batch lands between the hand-over and the rotation.
+// segment and queue the complaints applied before it, with the seen list as
+// of now, for the fold. Merging the list's pending new peers here costs what
+// the next dynamic-population read would have, and spares it that merge.
+// Caller holds mu, so no batch lands between the hand-over and the rotation.
 func (s *Server) cutLocked() error {
 	start := time.Now()
 	seq := s.wal.seq + 1
 	if err := s.wal.rotate(seq); err != nil {
 		return err
 	}
-	s.cuts = append(s.cuts, cut{seq: seq, log: s.log, npeers: len(s.seen), start: start})
-	s.log = make([]complaints.Complaint, 0, len(s.log))
+	peers := s.seenLocked()
+	s.cuts = append(s.cuts, cut{seq: seq, log: s.log, peers: peers, idx: s.seenIdx, start: start})
+	s.log = make([]pair, 0, len(s.log))
 	s.metrics.checkpointCut.Observe(time.Since(start))
 	return nil
 }
 
-// fold is the checkpoint's unlocked half. It takes every queued cut, merges
-// their complaints' tally deltas into the previous checkpoint file to build
-// the checkpoint at the newest cut, lands it atomically, and then removes
-// the WAL segments and the checkpoint it supersedes. It reads no store, and
-// holds no checkpoint in memory between folds. A queue emptied by an earlier
-// fold leaves nothing to do; a failure marks the server failed.
+// fold is the checkpoint's unlocked half. It takes every queued cut, adds
+// their complaints to the previous checkpoint to build the checkpoint at the
+// newest cut, lands it atomically, and then removes the WAL segments and the
+// checkpoint it supersedes. It reads no store. It keeps the checkpoint it
+// wrote in memory as the next fold's base, so only the first fold after Open
+// reads a checkpoint file. A queue emptied by an earlier fold leaves nothing
+// to do; a failure marks the server failed.
 func (s *Server) fold() error {
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
@@ -482,17 +508,15 @@ func (s *Server) fold() error {
 		return err
 	}
 	last := cuts[len(cuts)-1]
-	var prev []byte
-	if s.baseSeq > 0 {
-		prev, err = os.ReadFile(filepath.Join(s.opts.Dir, checkpointName(s.baseSeq)))
+	if s.baseSeq > 0 && s.ckpt.buf == nil {
+		var data []byte
+		if data, err = os.ReadFile(filepath.Join(s.opts.Dir, checkpointName(s.baseSeq))); err == nil {
+			err = s.ckpt.load(data, int(s.stats.recoveredPeers))
+		}
 	}
 	if err == nil {
-		peers, deltas := tallyDeltas(cuts)
 		var data []byte
-		// Sized for the usual fold: mostly known peers, their entries a byte
-		// or two longer.
-		dst := make([]byte, 0, len(prev)+16*len(peers)+64)
-		if data, err = foldCheckpoint(dst, prev, last.seq, last.npeers, peers, deltas); err == nil {
+		if data, err = s.ckpt.fold(cuts); err == nil {
 			err = writeCheckpoint(s.opts.Dir, last.seq, data, s.opts.Crash.Checkpoint)
 		}
 	}
@@ -504,6 +528,7 @@ func (s *Server) fold() error {
 		s.mu.Unlock()
 		return err
 	}
+	s.ckpt.rebase()
 	for seq := max(s.baseSeq, 1); seq < last.seq; seq++ {
 		os.Remove(filepath.Join(s.opts.Dir, walName(seq)))
 	}
@@ -518,62 +543,32 @@ func (s *Server) fold() error {
 	return nil
 }
 
-// tallyDeltas sums what the cuts' complaints add to each peer's tallies —
-// About's received and From's filed counter, exactly as a store files them
-// — and returns the peers sorted with their deltas alongside. Sorting the
-// two roles' peers and merging the runs costs less than tallying in a map
-// and sorting its keys, and a fold's caller waits for it.
-func tallyDeltas(cuts []cut) ([]trust.PeerID, []complaints.Tally) {
-	n := 0
-	for _, c := range cuts {
-		n += len(c.log)
-	}
-	about, from := make([]trust.PeerID, 0, n), make([]trust.PeerID, 0, n)
-	for _, c := range cuts {
-		for _, x := range c.log {
-			about, from = append(about, x.About), append(from, x.From)
-		}
-	}
-	slices.Sort(about)
-	slices.Sort(from)
-	peers := make([]trust.PeerID, 0, len(about)+len(from))
-	deltas := make([]complaints.Tally, 0, cap(peers))
-	for len(about) > 0 || len(from) > 0 {
-		p := about
-		if len(about) == 0 || len(from) > 0 && from[0] < about[0] {
-			p = from
-		}
-		peer, t := p[0], complaints.Tally{}
-		for ; len(about) > 0 && about[0] == peer; about = about[1:] {
-			t.Received++
-		}
-		for ; len(from) > 0 && from[0] == peer; from = from[1:] {
-			t.Filed++
-		}
-		peers, deltas = append(peers, peer), append(deltas, t)
-	}
-	return peers, deltas
-}
-
-// seenLocked returns the sorted seen-peer list. Peers seen since the last
-// call are sorted and merged into a fresh slice, never into the published
-// one, because callers read the list outside mu. Caller holds mu.
+// seenLocked returns the sorted seen-peer list, and keeps seenIdx its
+// indices. Peers seen since the last call are sorted and merged into fresh
+// slices, never into the published ones, because callers read them outside
+// mu. Caller holds mu.
 func (s *Server) seenLocked() []trust.PeerID {
 	if len(s.newPeers) == 0 {
 		return s.seenList
 	}
 	slices.Sort(s.newPeers)
-	old, add := s.seenList, s.newPeers
+	old, oldIdx, add := s.seenList, s.seenIdx, s.newPeers
 	merged := make([]trust.PeerID, 0, len(old)+len(add))
+	idx := make([]int32, 0, cap(merged))
 	for len(old) > 0 && len(add) > 0 {
 		if old[0] < add[0] {
-			merged, old = append(merged, old[0]), old[1:]
+			merged, idx = append(merged, old[0]), append(idx, oldIdx[0])
+			old, oldIdx = old[1:], oldIdx[1:]
 		} else {
-			merged, add = append(merged, add[0]), add[1:]
+			merged, idx = append(merged, add[0]), append(idx, s.seen[add[0]])
+			add = add[1:]
 		}
 	}
-	merged = append(append(merged, old...), add...)
-	s.seenList, s.newPeers = merged, nil // a growth phase's backlog is not kept
+	merged, idx = append(merged, old...), append(idx, oldIdx...)
+	for _, p := range add {
+		merged, idx = append(merged, p), append(idx, s.seen[p])
+	}
+	s.seenList, s.seenIdx, s.newPeers = merged, idx, nil // a growth phase's backlog is not kept
 	return merged
 }
 
@@ -843,7 +838,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": len(batch), "generation": s.gen.Load()})
+	writeJSON(w, http.StatusOK, ingestAck{Applied: len(batch), Generation: s.gen.Load()})
+}
+
+// ingestAck is the body of an ingest's 200: {"applied":N,"generation":G}.
+type ingestAck struct {
+	Applied    int    `json:"applied"`
+	Generation uint64 `json:"generation"`
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {

@@ -226,6 +226,24 @@ func TestIngestOversizedBody(t *testing.T) {
 	}
 }
 
+// TestIngestAckBody pins an ingest's 200 body byte for byte: the applied
+// count, then the generation, as one JSON line.
+func TestIngestAckBody(t *testing.T) {
+	srv, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i, want := range []string{`{"applied":3,"generation":1}` + "\n", `{"applied":3,"generation":2}` + "\n"} {
+		body := complaints.NewDelta([]complaints.Complaint{{From: "a", About: "b"}, {From: "b", About: "c"}, {From: "a", About: "c"}}).Encode()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/complaints", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Fatalf("ingest %d: status %d, body %q; want 200, %q", i, rec.Code, rec.Body.String(), want)
+		}
+	}
+}
+
 // TestOpenRejectsNonFiniteFactor: a NaN or infinite threshold makes every
 // Probability NaN, which encoding/json refuses after the status line is
 // out — every score query would answer 200 with an empty body. Open refuses
@@ -610,8 +628,10 @@ func TestRetainedComplaintsBounded(t *testing.T) {
 }
 
 // TestSeenListIncremental: after random batches, with reads at random
-// points and a restart mid-run, the seen list equals sort(keys(seen)), and
-// every list handed out earlier is unchanged (readers hold it outside mu).
+// points and a restart mid-run, the seen list equals sort(keys(seen)), its
+// index array holds each listed peer's index in seen, and every list and
+// index array handed out earlier is unchanged (readers and cuts hold them
+// outside mu).
 func TestSeenListIncremental(t *testing.T) {
 	opts := Options{Dir: t.TempDir(), CheckpointEvery: 40}
 	srv, err := Open(opts)
@@ -619,7 +639,10 @@ func TestSeenListIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { srv.Close() }()
-	type handout struct{ list, copy []trust.PeerID }
+	type handout struct {
+		list, copy   []trust.PeerID
+		idx, idxCopy []int32
+	}
 	var handouts []handout
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 300; i++ {
@@ -636,21 +659,28 @@ func TestSeenListIncremental(t *testing.T) {
 			continue // later reads merge several batches' new peers at once
 		}
 		srv.mu.Lock()
-		got := srv.seenLocked()
+		got, idx := srv.seenLocked(), srv.seenIdx
 		want := make([]trust.PeerID, 0, len(srv.seen))
 		for p := range srv.seen {
 			want = append(want, p)
+		}
+		idxOK := len(idx) == len(got)
+		for k := 0; idxOK && k < len(got); k++ {
+			idxOK = srv.seen[got[k]] == idx[k]
 		}
 		srv.mu.Unlock()
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if !slices.Equal(got, want) {
 			t.Fatalf("batch %d: seen list (%d peers) != sort(keys(seen)) (%d peers)", i, len(got), len(want))
 		}
-		handouts = append(handouts, handout{got, slices.Clone(got)})
+		if !idxOK {
+			t.Fatalf("batch %d: the index array does not hold the seen list's indices", i)
+		}
+		handouts = append(handouts, handout{got, slices.Clone(got), idx, slices.Clone(idx)})
 	}
 	for i, h := range handouts {
-		if !slices.Equal(h.list, h.copy) {
-			t.Fatalf("seen list handed out at read %d was modified later", i)
+		if !slices.Equal(h.list, h.copy) || !slices.Equal(h.idx, h.idxCopy) {
+			t.Fatalf("seen list or index array handed out at read %d was modified later", i)
 		}
 	}
 }
